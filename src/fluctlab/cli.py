@@ -109,7 +109,8 @@ def _parse_grid_flag(text: str) -> GridSpec:
         raise InvalidRecipe(f"grid {text!r}: {exc}") from exc
 
 
-def _parse_axis_flag(text: str) -> np.ndarray:
+def _parse_axis_flag(text: str) -> tuple:
+    """MIN:MAX:N as (lo, hi, n); the caller builds the axis after admission."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidRecipe(f"axis must be MIN:MAX:N, got {text!r}")
@@ -119,7 +120,15 @@ def _parse_axis_flag(text: str) -> np.ndarray:
         raise InvalidRecipe(f"axis {text!r}: {exc}") from exc
     if n < 2 or hi <= lo:
         raise InvalidRecipe(f"axis {text!r} needs MAX > MIN and N >= 2")
-    return np.linspace(lo, hi, n)
+    return lo, hi, n
+
+
+def _admit_rows(rows: int, what: str) -> None:
+    """Refuse a CSV of more than io.MAX_ROWS rows before anything is allocated."""
+    if rows > io.MAX_ROWS:
+        raise InvalidRecipe(
+            f"{what} of {rows} rows exceeds the limit of {io.MAX_ROWS} rows (1 GiB of float64 values)"
+        )
 
 
 def _parse_complex_flag(text: str) -> complex:
@@ -181,8 +190,11 @@ def _cmd_density_eval(args) -> int:
     if args.scan_x or args.scan_p:
         if not (args.scan_x and args.scan_p and args.out):
             raise InvalidRecipe("scan mode needs --scan-x, --scan-p, and --out")
-        xs = _parse_axis_flag(args.scan_x)
-        ps = _parse_axis_flag(args.scan_p)
+        x_axis = _parse_axis_flag(args.scan_x)
+        p_axis = _parse_axis_flag(args.scan_p)
+        _admit_rows(x_axis[2] * p_axis[2], "scan")
+        xs = np.linspace(*x_axis)
+        ps = np.linspace(*p_axis)
         if args.reduced:
             values = reduced_grid(args.mean_x, args.mean_p, units, xs, ps)
         else:
@@ -203,6 +215,7 @@ def _cmd_density_eval(args) -> int:
 
 def _cmd_density_sample(args) -> int:
     units = _resolve_units(args)
+    _admit_rows(args.count, "sample")
     draws = sample(_params_from_flags(args, units), args.count, args.seed)
     io.write_samples_csv(args.out, draws)
     print(f"wrote {args.out} ({draws.shape[0]} draws)")

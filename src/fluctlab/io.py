@@ -3,6 +3,13 @@
 Floats are serialized through Python's shortest round-trip repr, so files
 reload to bit-identical doubles.  Loaders re-verify normalization and the
 decay guard instead of silently repairing data.
+
+Scan and sample CSVs are streamed into the temp file in blocks of
+BLOCK_ROWS rows, so their memory does not grow with the row count; the
+command line refuses a scan or sample of more than MAX_ROWS = 2**27 rows
+(1 GiB of float64 values) with exit code 2 before allocating anything.
+Every output gets the mode an ordinary open() would give it under the
+process umask (0o644 under umask 022).
 """
 
 from __future__ import annotations
@@ -18,13 +25,28 @@ from .scenarios import SweepRow, WalkTrace
 from .states import GridSpec, MixedEnsemble, PureState, UnitSystem
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file and rename, so failures leave no partial file."""
+MAX_ROWS = 2**27
+"""Largest CSV row count the command line accepts: the rows whose float64
+values fill 1 GiB."""
+
+BLOCK_ROWS = 4096
+"""Rows formatted per chunk by the streaming CSV writers; a block's working
+set (about 200 bytes a row) stays a small fraction of any large file."""
+
+
+def atomic_write_text(path: str, text) -> None:
+    """Write text (a str or an iterable of str chunks) to path via a temp
+    file and rename, so failures leave no partial file."""
+    chunks = (text,) if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fluctlab-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
+        # mkstemp creates 0600; give the file the mode open() would have.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -176,19 +198,44 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reprs(values) -> list:
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _sample_chunks(draws):
+    yield "x,p\n"
+    for start in range(0, len(draws), BLOCK_ROWS):
+        block = np.asarray(draws[start : start + BLOCK_ROWS], dtype=float)
+        yield "".join(f"{x!r},{p!r}\n" for x, p in zip(block[:, 0].tolist(), block[:, 1].tolist()))
+
+
 def write_samples_csv(path: str, draws: np.ndarray) -> None:
-    rows = ((repr(float(x)), repr(float(p))) for x, p in draws)
-    atomic_write_text(path, _csv(rows, "x,p"))
+    atomic_write_text(path, _sample_chunks(draws))
+
+
+def _scan_chunks(xs, ps, values):
+    x_text = _reprs(xs)
+    p_text = [f",{p}," for p in _reprs(ps)]
+    p_step = min(len(p_text), BLOCK_ROWS) or 1
+    x_step = BLOCK_ROWS // p_step
+    yield "x,p,f\n"
+    for i in range(0, len(x_text), x_step):
+        for j in range(0, len(p_text), p_step):
+            block = np.asarray(values[i : i + x_step, j : j + p_step], dtype=float).tolist()
+            p_block = p_text[j : j + p_step]
+            yield "".join(
+                f"{x}{p}{f!r}\n" for x, row in zip(x_text[i : i + x_step], block) for p, f in zip(p_block, row)
+            )
 
 
 def write_scan_csv(path: str, xs, ps, values) -> None:
-    """Mesh dump, one row per (x, p) pair, rows following xs then ps."""
-    rows = (
-        (repr(float(x)), repr(float(p)), repr(float(values[i, j])))
-        for i, x in enumerate(xs)
-        for j, p in enumerate(ps)
-    )
-    atomic_write_text(path, _csv(rows, "x,p,f"))
+    """Mesh dump, one row per (x, p) pair, rows following xs then ps.
+
+    Each axis value is formatted once; the values are formatted in blocks of
+    at most BLOCK_ROWS rows (whole x-rows, or slices of one x-row when a row
+    is longer than a block).
+    """
+    atomic_write_text(path, _scan_chunks(xs, ps, values))
 
 
 def sweep_rows_csv(rows: list[SweepRow]) -> str:

@@ -232,3 +232,45 @@ def test_round_trip_moments_via_cli(tmp_path, capsys, units):
     loaded, loaded_units = fio.load_state(out)
     direct = build_state(GaussianPacket(0.3, -0.8, 0.7), GridSpec(-12.0, 12.0, 1024), units)
     assert phase_space_moments(loaded, loaded_units) == phase_space_moments(direct, units)
+
+
+class _Allocated(Exception):
+    pass
+
+
+@pytest.fixture
+def no_allocation(monkeypatch):
+    """Make every allocating step of scan and sample raise, so a test fails
+    loudly if admission lets a request through to numpy."""
+    import fluctlab.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise _Allocated
+
+    for name in ("density_grid", "reduced_grid", "sample"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(np, "empty", refuse)
+
+
+@pytest.mark.parametrize("reduced", [[], ["--reduced"]])
+def test_oversize_scan_exits_two_before_allocating(tmp_path, capsys, no_allocation, reduced):
+    out = tmp_path / "scan.csv"
+    args = ["density", "eval", *reduced, "--var-x", "1", "--var-p", "0.25", "--out", str(out)]
+    assert run([*args, "--scan-x", "-3:3:100000", "--scan-p", "-2:2:100000"]) == 2
+    err = capsys.readouterr().err
+    assert "10000000000 rows exceeds the limit of 134217728" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    with pytest.raises(_Allocated):                 # 2**13 x 2**14 cells, the limit itself
+        run([*args, "--scan-x", "-3:3:8192", "--scan-p", "-2:2:16384"])
+
+
+def test_oversize_sample_exits_two_before_allocating(tmp_path, capsys, no_allocation):
+    out = tmp_path / "draws.csv"
+    args = ["density", "sample", "--var-x", "1", "--var-p", "0.25", "--seed", "1", "--out", str(out)]
+    assert run([*args, "--count", str(fio.MAX_ROWS + 1)]) == 2
+    assert f"exceeds the limit of {fio.MAX_ROWS}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(_Allocated):                 # the limit itself is admitted
+        run([*args, "--count", str(fio.MAX_ROWS)])

@@ -194,3 +194,136 @@ def test_walk_rows_formats():
     assert csv_text.splitlines()[1] == "0,2.0,1.5"
     doc = json.loads(fio.walk_rows_json(rows))
     assert doc[1] == {"step": 1, "product": 1.9, "distance_to_bound": 1.4}
+
+
+# --- streamed CSV writers: byte pins against the per-row formula -------------
+
+EDGE_VALUES = [-0.0, 5e-324, 1e-17, 1e308, 0.0, -2.5, 1 / 3]
+
+
+def _reference_samples_text(draws):
+    rows = [",".join((repr(float(draws[i, 0])), repr(float(draws[i, 1])))) for i in range(draws.shape[0])]
+    return "\n".join(["x,p", *rows]) + "\n"
+
+
+def _reference_scan_text(xs, ps, values):
+    rows = [
+        ",".join((repr(float(xs[i])), repr(float(ps[j])), repr(float(values[i, j]))))
+        for i in range(xs.size)
+        for j in range(ps.size)
+    ]
+    return "\n".join(["x,p,f", *rows]) + "\n"
+
+
+def _mesh(n_x, n_p, seed=0):
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(-3.0, 3.0, n_x)
+    ps = np.linspace(-2.0, 2.0, n_p)
+    values = np.exp(-np.add.outer(xs**2, ps**2)) * rng.uniform(0.5, 1.5, (n_x, n_p))
+    return xs, ps, values
+
+
+def test_samples_csv_edge_values_match_reference(tmp_path):
+    path = tmp_path / "draws.csv"
+    draws = np.array([[v, -v] for v in EDGE_VALUES] + [[v, w] for v in EDGE_VALUES for w in EDGE_VALUES])
+    fio.write_samples_csv(str(path), draws)
+    assert path.read_text() == _reference_samples_text(draws)
+
+
+def test_scan_csv_edge_values_match_reference(tmp_path):
+    path = tmp_path / "scan.csv"
+    xs = np.array(EDGE_VALUES)
+    ps = np.array(EDGE_VALUES[::-1] + [7.0])
+    values = np.resize(np.array(EDGE_VALUES), (xs.size, ps.size))
+    fio.write_scan_csv(str(path), xs, ps, values)
+    assert path.read_text() == _reference_scan_text(xs, ps, values)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_samples_csv_block_boundaries_match_reference(tmp_path, extra):
+    path = tmp_path / "draws.csv"
+    draws = np.random.default_rng(extra + 5).standard_normal((fio.BLOCK_ROWS + extra, 2))
+    fio.write_samples_csv(str(path), draws)
+    assert path.read_text() == _reference_samples_text(draws)
+
+
+B = fio.BLOCK_ROWS
+
+
+@pytest.mark.parametrize(
+    "n_x, n_p",
+    [
+        (1, B - 1), (1, B), (1, B + 1),          # one x-row around a block
+        (3, B + 1),                              # x-rows split into column blocks
+        (B - 1, 1), (B, 1), (B + 1, 1),          # many one-cell x-rows per block
+        (3, 1365), (2, 2048), (17, 241),         # 4095, 4096 and 4097 cells
+        (37, 211),                               # non-square, blocks of whole x-rows
+    ],
+)
+def test_scan_csv_blocks_match_reference(tmp_path, n_x, n_p):
+    path = tmp_path / "scan.csv"
+    xs, ps, values = _mesh(n_x, n_p)
+    fio.write_scan_csv(str(path), xs, ps, values)
+    assert path.read_text() == _reference_scan_text(xs, ps, values)
+
+
+class _RowsFailAfterFirstBlock:
+    """A mesh whose row blocks raise once the first block has been served."""
+
+    def __init__(self, values):
+        self.values = values
+        self.served = 0
+
+    def __getitem__(self, key):
+        if key[0].start:
+            raise RuntimeError("row block unavailable")
+        self.served += 1
+        return self.values[key]
+
+
+def test_streamed_write_cleans_up_on_failure(tmp_path):
+    target = tmp_path / "scan.csv"
+    xs, ps, values = _mesh(64, 2 * B // 64)
+    failing = _RowsFailAfterFirstBlock(values)
+    with pytest.raises(RuntimeError, match="row block"):
+        fio.write_scan_csv(str(target), xs, ps, failing)
+    assert failing.served == 1
+    assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_accepts_chunks(tmp_path):
+    path = tmp_path / "out.txt"
+    fio.atomic_write_text(str(path), iter(["a,b\n", "", "1,2\n"]))
+    assert path.read_text() == "a,b\n1,2\n"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_outputs_get_umask_mode(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        fio.atomic_write_text(str(tmp_path / "out.txt"), "payload")
+        fio.write_samples_csv(str(tmp_path / "draws.csv"), np.zeros((3, 2)))
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
+    assert (tmp_path / "draws.csv").stat().st_mode & 0o777 == mode
+
+
+def test_streamed_writers_memory_is_bounded(tmp_path):
+    import tracemalloc
+
+    draws = np.random.default_rng(3).standard_normal((200_000, 2))
+    xs, ps, values = _mesh(501, 401)
+    writes = [
+        (tmp_path / "draws.csv", lambda path: fio.write_samples_csv(path, draws)),
+        (tmp_path / "scan.csv", lambda path: fio.write_scan_csv(path, xs, ps, values)),
+    ]
+    for path, write in writes:
+        tracemalloc.start()
+        try:
+            write(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4, (path.name, peak)
