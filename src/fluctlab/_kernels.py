@@ -1,30 +1,21 @@
-"""Hot numeric kernels, numba-jitted with pure-numpy fallbacks.
+"""The three vectorized numpy kernels: the Hermite-basis recurrence and the
+two density mesh scans.
 
-Set FLUCTLAB_BACKEND=numpy to force the fallback path; the default uses
-numba whenever it imports.  Both implementations of each kernel are kept
-importable so the benchmark in benchmarks/bench_kernels.py can time them
-side by side.
+numpy is the only backend.  The kernels stay in their own module, and their
+callers look them up as module attributes (_kernels.name(...)), so a
+benchmark can wrap each kernel where it is called.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a normal install dependency
-    njit = None
-    HAVE_NUMBA = False
 
 _PI_QRT = math.pi ** -0.25
 
 
-def _hermite_basis_np(xi, n_max):
+def hermite_basis(xi, n_max):
     """Orthonormal Hermite functions h_0..h_n_max sampled on xi, one row each."""
     out = np.empty((n_max + 1, xi.size))
     out[0] = _PI_QRT * np.exp(-0.5 * xi * xi)
@@ -35,95 +26,18 @@ def _hermite_basis_np(xi, n_max):
     return out
 
 
-def _hermite_basis_loop(xi, n_max):
-    out = np.empty((n_max + 1, xi.size))
-    # hoist the per-order recurrence coefficients out of the point loop
-    up = np.empty(max(n_max, 1))
-    down = np.empty(max(n_max, 1))
-    for k in range(1, n_max):
-        up[k] = math.sqrt(2.0 / (k + 1))
-        down[k] = math.sqrt(k / (k + 1.0))
-    for j in range(xi.size):
-        z = xi[j]
-        h_prev = _PI_QRT * math.exp(-0.5 * z * z)
-        out[0, j] = h_prev
-        if n_max >= 1:
-            h_cur = math.sqrt(2.0) * z * h_prev
-            out[1, j] = h_cur
-            for k in range(1, n_max):
-                h_next = up[k] * z * h_cur - down[k] * h_prev
-                out[k + 1, j] = h_next
-                h_prev = h_cur
-                h_cur = h_next
-    return out
-
-
-def _reduced_scan_np(xs, ps, mean_x, mean_p, rate, pref):
+def reduced_scan(xs, ps, mean_x, mean_p, rate, pref):
     """Mesh of pref * exp(-rate * |dx*dp|); rows follow xs, columns ps."""
     return pref * np.exp(-rate * np.abs(np.outer(xs - mean_x, ps - mean_p)))
 
 
-def _reduced_scan_loop(xs, ps, mean_x, mean_p, rate, pref):
-    out = np.empty((xs.size, ps.size))
-    for i in range(xs.size):
-        dx = xs[i] - mean_x
-        for j in range(ps.size):
-            out[i, j] = pref * math.exp(-rate * abs(dx * (ps[j] - mean_p)))
-    return out
-
-
-def _gauss_scan_np(xs, ps, mean_x, mean_p, var_x, var_p, pref):
+def gauss_scan(xs, ps, mean_x, mean_p, var_x, var_p, pref):
     """Mesh of the factorized Gaussian density; rows follow xs, columns ps."""
     gx = np.exp(-0.5 * (xs - mean_x) ** 2 / var_x)
     gp = np.exp(-0.5 * (ps - mean_p) ** 2 / var_p)
     return pref * np.outer(gx, gp)
 
 
-def _gauss_scan_loop(xs, ps, mean_x, mean_p, var_x, var_p, pref):
-    out = np.empty((xs.size, ps.size))
-    for i in range(xs.size):
-        gx = pref * math.exp(-0.5 * (xs[i] - mean_x) ** 2 / var_x)
-        for j in range(ps.size):
-            out[i, j] = gx * math.exp(-0.5 * (ps[j] - mean_p) ** 2 / var_p)
-    return out
-
-
-if HAVE_NUMBA:
-    _hermite_basis_nb = njit(cache=True)(_hermite_basis_loop)
-    _reduced_scan_nb = njit(cache=True)(_reduced_scan_loop)
-    _gauss_scan_nb = njit(cache=True)(_gauss_scan_loop)
-
-_active = None
-hermite_basis = None
-reduced_scan = None
-gauss_scan = None
-
-
-def select_backend(name: str) -> str:
-    """Point the public kernel names at one implementation set.
-
-    name is "numba" or "numpy"; asking for numba without numba installed
-    silently falls back to numpy.  Returns the backend actually selected.
-    """
-    global _active, hermite_basis, reduced_scan, gauss_scan
-    if name == "numba" and not HAVE_NUMBA:
-        name = "numpy"
-    if name == "numba":
-        hermite_basis = _hermite_basis_nb
-        reduced_scan = _reduced_scan_nb
-        gauss_scan = _gauss_scan_nb
-    elif name == "numpy":
-        hermite_basis = _hermite_basis_np
-        reduced_scan = _reduced_scan_np
-        gauss_scan = _gauss_scan_np
-    else:
-        raise ValueError(f"unknown backend {name!r}; expected 'numba' or 'numpy'")
-    _active = name
-    return name
-
-
 def active_backend() -> str:
-    return _active
-
-
-select_backend("numpy" if os.environ.get("FLUCTLAB_BACKEND", "").strip().lower() == "numpy" else "numba")
+    """Name of the kernel implementation in use; always "numpy"."""
+    return "numpy"

@@ -8,16 +8,15 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonPositiveInput
+from .errors import InvalidRecipe, NonPositiveInput
 from .states import (
     HamiltonianSpec,
     MixedEnsemble,
     MomentReport,
-    PureState,
     UnitSystem,
+    _mixture,
     energy_moments,
     ensemble_moments,
-    phase_space_moments,
 )
 
 
@@ -68,7 +67,7 @@ def classify(report: MomentReport, units: UnitSystem, epsilon: float = 1e-6) -> 
     in (0, 0.1).
     """
     if not (0.0 < epsilon < 0.1):
-        raise ValueError(f"epsilon must lie in (0, 0.1), got {epsilon}")
+        raise InvalidRecipe(f"epsilon must lie in (0, 0.1), got {epsilon}")
     product = uncertainty_product(report)
     bound = units.bound
     excess = product / bound - 1.0
@@ -92,8 +91,9 @@ def time_energy(delta_e: float, units: UnitSystem) -> float:
 
 
 def entropy_surrogate(ensemble: MixedEnsemble) -> float:
-    """Weight entropy -sum(w*ln w); 0 for a single member, at most ln(member count)."""
-    w = ensemble.weights
+    """Weight entropy -sum(w*ln w); 0 for a pure state or a single member,
+    at most ln(member count)."""
+    w, _ = _mixture(ensemble)
     return float(max(0.0, -(w @ np.log(w))))
 
 
@@ -115,25 +115,18 @@ def self_similarity_report(
 
 
 def audit_report(target, units: UnitSystem, epsilon: float = 1e-6, delta_e: float | None = None) -> dict:
-    """Assemble the JSON-ready audit of a PureState or MixedEnsemble.
+    """Assemble the JSON-ready audit of a PureState or MixedEnsemble; a pure
+    state is audited as the one-member mixture.
 
     delta_t is filled from an externally supplied energy spread when given,
     else null; the moment data alone carries no energy scale.
     """
-    if isinstance(target, MixedEnsemble):
-        report = ensemble_moments(target, units)
-        surrogate = entropy_surrogate(target)
-    elif isinstance(target, PureState):
-        report = phase_space_moments(target, units)
-        surrogate = 0.0
-    else:
-        raise TypeError(f"expected PureState or MixedEnsemble, got {type(target).__name__}")
-    result = classify(report, units, epsilon)
+    result = classify(ensemble_moments(target, units), units, epsilon)
     return {
         "product": result.product,
         "bound": result.bound,
         "classification": result.verdict.value,
         "relative_excess": result.relative_excess,
         "delta_t": time_energy(delta_e, units) if delta_e is not None else None,
-        "entropy_surrogate": surrogate,
+        "entropy_surrogate": entropy_surrogate(target),
     }

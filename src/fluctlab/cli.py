@@ -4,6 +4,8 @@ densities, and run scenario sweeps.
 Exit codes: 0 success, 1 usage error, 2 data error (malformed or
 non-normalized files, inadmissible parameter values, below-bound audits in
 strict mode), 3 numerical failure (decay guard, truncation, resolution).
+The numerical error classes map to 3; every other fluctlab error, and any
+OSError, maps to 2.
 """
 
 from __future__ import annotations
@@ -33,16 +35,11 @@ from .density import (
 )
 from .errors import (
     DecayGuardViolation,
-    FileFormatError,
-    GridMismatch,
+    FluctLabError,
     InvalidRecipe,
-    NonPositiveInput,
-    NormalizationError,
     NumericalFailure,
     ResolutionError,
-    StepTooLarge,
     TruncationError,
-    ZeroSeparation,
 )
 from .scenarios import eigenstate_sweep, relaxation_walk, thermal_sweep
 from .states import (
@@ -55,25 +52,16 @@ from .states import (
     phase_space_moments,
 )
 
-_DATA_ERRORS = (
-    FileFormatError,
-    NormalizationError,
-    InvalidRecipe,
-    ZeroSeparation,
-    NonPositiveInput,
-    StepTooLarge,
-    GridMismatch,
-    OSError,
-)
 _NUMERICAL_ERRORS = (DecayGuardViolation, TruncationError, ResolutionError, NumericalFailure)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse flavor that exits 1 (not 2) on usage errors and accepts
-    dash-leading values like --grid -12:12:1024."""
+    """argparse flavor that exits 1 (not 2) on usage errors, accepts
+    dash-leading values like --grid -12:12:1024 and takes no abbreviated
+    flags (a top-level --h would otherwise mean --help)."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message):
@@ -93,31 +81,31 @@ def _resolve_units(args) -> UnitSystem:
     env = os.environ.get("FLUCTLAB_H")
     if env:
         try:
-            return UnitSystem(h=float(env))
+            h = float(env)
         except ValueError as exc:
             raise InvalidRecipe(f"FLUCTLAB_H={env!r} is not a number") from exc
+        return UnitSystem(h=h)
     return UnitSystem()
 
 
-def _parse_grid_flag(text: str) -> GridSpec:
+def _parse_range(text: str, what: str) -> tuple:
+    """MIN:MAX:N as (float, float, int)."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise InvalidRecipe(f"grid must be MIN:MAX:N, got {text!r}")
+        raise InvalidRecipe(f"{what} must be MIN:MAX:N, got {text!r}")
     try:
-        return GridSpec(x_min=float(parts[0]), x_max=float(parts[1]), n=int(parts[2]))
+        return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise InvalidRecipe(f"grid {text!r}: {exc}") from exc
+        raise InvalidRecipe(f"{what} {text!r}: {exc}") from exc
+
+
+def _parse_grid_flag(text: str) -> GridSpec:
+    return GridSpec(*_parse_range(text, "grid"))
 
 
 def _parse_axis_flag(text: str) -> tuple:
     """MIN:MAX:N as (lo, hi, n); the caller builds the axis after admission."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise InvalidRecipe(f"axis must be MIN:MAX:N, got {text!r}")
-    try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise InvalidRecipe(f"axis {text!r}: {exc}") from exc
+    lo, hi, n = _parse_range(text, "axis")
     if n < 2 or hi <= lo:
         raise InvalidRecipe(f"axis {text!r} needs MAX > MIN and N >= 2")
     return lo, hi, n
@@ -287,10 +275,7 @@ def _cmd_scenario_thermalsweep(args) -> int:
 
 def _cmd_scenario_walk(args) -> int:
     units = _resolve_units(args)
-    start = FluctuationParams(
-        mean_x=args.mean_x, mean_p=args.mean_p, var_x=args.var_x, var_p=args.var_p, units=units
-    )
-    rows = relaxation_walk(start, args.steps, args.step_size, args.seed, units)
+    rows = relaxation_walk(_params_from_flags(args, units), args.steps, args.step_size, args.seed, units)
     return _emit_rows(args, rows, io.walk_rows_csv, io.walk_rows_json)
 
 
@@ -436,7 +421,7 @@ def run(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _DATA_ERRORS as exc:
+    except (FluctLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

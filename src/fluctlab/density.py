@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidRecipe, ResolutionError, StepTooLarge, ZeroSeparation
+from .errors import InvalidRecipe, NumericalFailure, ResolutionError, StepTooLarge, ZeroSeparation
 from .states import UnitSystem
 
 TWO_PI = 2.0 * math.pi
@@ -107,14 +107,21 @@ def extremal_variances(mean_x: float, mean_p: float, pt: PhasePoint, units: Unit
 
     var_x = bound * |dx/dp| and var_p = bound * |dp/dx|, whose product is the
     squared bound identically.  Raises ZeroSeparation when pt coincides with
-    a mean along either axis (degenerate_spread covers that case).
+    a mean along either axis (degenerate_spread covers that case), and
+    NumericalFailure when |dx/dp| or either variance leaves the finite
+    positive floats.
     """
     dx = pt.x - mean_x
     dp = pt.p - mean_p
     if dx == 0.0 or dp == 0.0:
         raise ZeroSeparation(f"separations ({dx}, {dp}) must both be nonzero")
     ratio = abs(dx / dp)
-    return units.bound * ratio, units.bound / ratio
+    if not (0.0 < ratio < math.inf):
+        raise NumericalFailure(f"separation ratio |{dx}/{dp}| = {ratio} is not a finite positive float")
+    var_x, var_p = units.bound * ratio, units.bound / ratio
+    if not (0.0 < var_x < math.inf and 0.0 < var_p < math.inf):
+        raise NumericalFailure(f"extremal variances ({var_x}, {var_p}) are not finite positive floats")
+    return var_x, var_p
 
 
 def degenerate_spread(units: UnitSystem):
@@ -150,16 +157,19 @@ def verify_extremum(
     if not (1e-8 < fd_step < 1e-1) or s_star * (1.0 - fd_step) <= 0.0:
         raise StepTooLarge(f"fd_step {fd_step} unusable at s_star {s_star}")
     eta = fd_step
-    a = (pt.x - mean_x) ** 2 / s_star
-    b = (pt.p - mean_p) ** 2 / units.bound**2 * s_star
-    mismatch = b - a  # ~roundoff iff s_star is truly critical
-    delta_plus = 0.5 * eta * (mismatch + a * eta / (1.0 + eta))
-    delta_minus = 0.5 * eta * (a * eta / (1.0 - eta) - mismatch)
-    e_plus = math.expm1(-delta_plus)
-    e_minus = math.expm1(-delta_minus)
-    step = eta * s_star
-    first = (e_plus - e_minus) / (2.0 * step)
-    second = (e_plus + e_minus) / step**2
+    try:
+        a = (pt.x - mean_x) ** 2 / s_star
+        b = (pt.p - mean_p) ** 2 / units.bound**2 * s_star
+        mismatch = b - a  # ~roundoff iff s_star is truly critical
+        delta_plus = 0.5 * eta * (mismatch + a * eta / (1.0 + eta))
+        delta_minus = 0.5 * eta * (a * eta / (1.0 - eta) - mismatch)
+        e_plus = math.expm1(-delta_plus)
+        e_minus = math.expm1(-delta_minus)
+        step = eta * s_star
+        first = (e_plus - e_minus) / (2.0 * step)
+        second = (e_plus + e_minus) / step**2
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalFailure(f"finite-difference terms leave the float range at s_star {s_star}: {exc}") from exc
     is_max = abs(first) * s_star <= REL_SLOPE_TOL and second < 0.0
     return ExtremumCheck(
         s_star=s_star, first_derivative=first, second_derivative=second, is_max=is_max
@@ -174,6 +184,8 @@ def sample(params: FluctuationParams, count: int, seed: int) -> np.ndarray:
     """
     if int(count) != count or count < 0:
         raise InvalidRecipe(f"count must be a nonnegative integer, got {count}")
+    if seed < 0:
+        raise InvalidRecipe(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(int(seed))
     n = int(count)
     out = np.empty((n, 2))

@@ -5,8 +5,8 @@ class FluctLabError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-class InvalidRecipe(FluctLabError):
-    """Construction parameters outside their admissible range."""
+class InvalidRecipe(FluctLabError, ValueError):
+    """Construction parameters outside their admissible range (also a ValueError)."""
 
 
 class NormalizationError(FluctLabError):

@@ -1,8 +1,10 @@
 """JSON state/ensemble files, CSV emitters, and atomic writes.
 
 Floats are serialized through Python's shortest round-trip repr, so files
-reload to bit-identical doubles.  Loaders re-verify normalization and the
-decay guard instead of silently repairing data.
+reload to bit-identical doubles.  A state file and each member of an
+ensemble file share one amplitude layout.  Every load parses its file once
+and hands the parsed document to one parser; loaders re-verify
+normalization and the decay guard instead of silently repairing data.
 
 Scan and sample CSVs are streamed into the temp file in blocks of
 BLOCK_ROWS rows, so their memory does not grow with the row count; the
@@ -65,13 +67,12 @@ def _grid_dict(grid: GridSpec) -> dict:
     return {"x_min": float(grid.x_min), "x_max": float(grid.x_max), "n": int(grid.n)}
 
 
+def _amplitude_dict(state: PureState) -> dict:
+    return {"psi_re": _float_list(state.amplitudes.real), "psi_im": _float_list(state.amplitudes.imag)}
+
+
 def state_document(state: PureState, units: UnitSystem) -> dict:
-    return {
-        "units": _units_dict(units),
-        "grid": _grid_dict(state.grid),
-        "psi_re": _float_list(state.amplitudes.real),
-        "psi_im": _float_list(state.amplitudes.imag),
-    }
+    return {"units": _units_dict(units), "grid": _grid_dict(state.grid), **_amplitude_dict(state)}
 
 
 def ensemble_document(ensemble: MixedEnsemble, units: UnitSystem) -> dict:
@@ -79,10 +80,7 @@ def ensemble_document(ensemble: MixedEnsemble, units: UnitSystem) -> dict:
         "units": _units_dict(units),
         "grid": _grid_dict(ensemble.grid),
         "weights": _float_list(ensemble.weights),
-        "members": [
-            {"psi_re": _float_list(m.amplitudes.real), "psi_im": _float_list(m.amplitudes.imag)}
-            for m in ensemble.members
-        ],
+        "members": [_amplitude_dict(m) for m in ensemble.members],
     }
 
 
@@ -156,23 +154,14 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def load_state(path: str):
-    """Read a state file; returns (PureState, UnitSystem).
-
-    Normalization and the decay guard are re-verified by the PureState
-    constructor, so tampered files fail loudly.
-    """
-    doc = _load_json(path)
+def _parse_document(doc: dict, ensemble: bool):
+    """(PureState or MixedEnsemble, UnitSystem) from a parsed state or
+    ensemble document; constructors re-verify normalization and the decay
+    guard, so tampered files fail loudly."""
     units = _parse_units(doc)
     grid = _parse_grid(doc)
-    return PureState(grid, _parse_amplitudes(doc, grid, "document")), units
-
-
-def load_ensemble(path: str):
-    """Read an ensemble file; returns (MixedEnsemble, UnitSystem)."""
-    doc = _load_json(path)
-    units = _parse_units(doc)
-    grid = _parse_grid(doc)
+    if not ensemble:
+        return PureState(grid, _parse_amplitudes(doc, grid, "document")), units
     weights = _number_array(_field(doc, "weights", list, "document"), "weights")
     members_doc = _field(doc, "members", list, "document")
     members = tuple(
@@ -182,12 +171,20 @@ def load_ensemble(path: str):
     return MixedEnsemble(weights, members), units
 
 
+def load_state(path: str):
+    """Read a state file; returns (PureState, UnitSystem)."""
+    return _parse_document(_load_json(path), ensemble=False)
+
+
+def load_ensemble(path: str):
+    """Read an ensemble file; returns (MixedEnsemble, UnitSystem)."""
+    return _parse_document(_load_json(path), ensemble=True)
+
+
 def load_target(path: str):
     """Read either file kind, sniffing by schema; returns (state-or-ensemble, units)."""
     doc = _load_json(path)
-    if "members" in doc or "weights" in doc:
-        return load_ensemble(path)
-    return load_state(path)
+    return _parse_document(doc, ensemble="members" in doc or "weights" in doc)
 
 
 # --- CSV emitters ------------------------------------------------------------
@@ -256,25 +253,10 @@ def walk_rows_csv(rows: list[WalkTrace]) -> str:
 
 
 def sweep_rows_json(rows: list[SweepRow]) -> str:
-    return json.dumps(
-        [
-            {
-                "label": r.label,
-                "parameter": r.parameter,
-                "product": r.product,
-                "bound": r.bound,
-                "classification": r.classification,
-                "entropy_surrogate": r.entropy_surrogate,
-            }
-            for r in rows
-        ]
-    )
+    """One JSON object per row, keys in field order."""
+    return json.dumps([vars(r) for r in rows])
 
 
 def walk_rows_json(rows: list[WalkTrace]) -> str:
-    return json.dumps(
-        [
-            {"step": r.step, "product": r.product, "distance_to_bound": r.distance_to_bound}
-            for r in rows
-        ]
-    )
+    """One JSON object per row, keys in field order."""
+    return json.dumps([vars(r) for r in rows])

@@ -18,11 +18,11 @@ from .density import FluctuationParams
 from .errors import InvalidRecipe
 from .states import (
     GridSpec,
+    MixedEnsemble,
     UnitSystem,
+    _boltzmann_weights,
     ensemble_moments,
     oscillator_eigenstates,
-    phase_space_moments,
-    thermal_ensemble,
 )
 
 MAX_SWEEP_LEVEL = 30
@@ -45,6 +45,19 @@ class WalkTrace:
     distance_to_bound: float
 
 
+def _sweep_row(label: str, parameter: float, target, units: UnitSystem, epsilon: float) -> SweepRow:
+    """Audit of a pure state or a mixture as one sweep row."""
+    result = classify(ensemble_moments(target, units), units, epsilon)
+    return SweepRow(
+        label=label,
+        parameter=parameter,
+        product=result.product,
+        bound=result.bound,
+        classification=result.verdict.value,
+        entropy_surrogate=entropy_surrogate(target),
+    )
+
+
 def eigenstate_sweep(
     n_max: int,
     mass: float,
@@ -56,20 +69,8 @@ def eigenstate_sweep(
     """One row per oscillator level 0..n_max; products grow as (2n+1) times the bound."""
     if int(n_max) != n_max or not (0 <= n_max <= MAX_SWEEP_LEVEL):
         raise InvalidRecipe(f"n_max must be an integer in [0, {MAX_SWEEP_LEVEL}], got {n_max}")
-    rows = []
-    for n, state in enumerate(oscillator_eigenstates(int(n_max), mass, omega, grid, units)):
-        result = classify(phase_space_moments(state, units), units, epsilon)
-        rows.append(
-            SweepRow(
-                label=f"n={n}",
-                parameter=float(n),
-                product=result.product,
-                bound=result.bound,
-                classification=result.verdict.value,
-                entropy_surrogate=0.0,
-            )
-        )
-    return rows
+    levels = oscillator_eigenstates(int(n_max), mass, omega, grid, units)
+    return [_sweep_row(f"n={n}", float(n), state, units, epsilon) for n, state in enumerate(levels)]
 
 
 def thermal_sweep(
@@ -81,22 +82,21 @@ def thermal_sweep(
     units: UnitSystem,
     epsilon: float = 1e-6,
 ) -> list[SweepRow]:
-    """One row per temperature for the Boltzmann oscillator mixture (k_B = 1)."""
-    rows = []
-    for temperature in temperatures:
-        ensemble = thermal_ensemble(omega, mass, float(temperature), n_max, grid, units)
-        result = classify(ensemble_moments(ensemble, units), units, epsilon)
-        rows.append(
-            SweepRow(
-                label=f"T={float(temperature):g}",
-                parameter=float(temperature),
-                product=result.product,
-                bound=result.bound,
-                classification=result.verdict.value,
-                entropy_surrogate=entropy_surrogate(ensemble),
-            )
-        )
-    return rows
+    """One row per temperature for the Boltzmann oscillator mixture (k_B = 1).
+
+    Every temperature's weights are worked out first, then the oscillator
+    levels are built once, down to the deepest level any temperature keeps;
+    each row mixes the leading levels, as thermal_ensemble would build them.
+    """
+    temperatures = [float(t) for t in temperatures]
+    weights = [_boltzmann_weights(omega, mass, t, n_max, units) for t in temperatures]
+    if not weights:
+        return []
+    levels = oscillator_eigenstates(max(w.size for w in weights) - 1, mass, omega, grid, units)
+    return [
+        _sweep_row(f"T={t:g}", t, MixedEnsemble(w, levels[: w.size]), units, epsilon)
+        for t, w in zip(temperatures, weights)
+    ]
 
 
 def relaxation_walk(
@@ -116,6 +116,8 @@ def relaxation_walk(
         raise InvalidRecipe(f"steps must be a nonnegative integer, got {steps}")
     if not (0.0 < step_size < 0.5):
         raise InvalidRecipe(f"step_size must lie in (0, 0.5), got {step_size}")
+    if seed < 0:
+        raise InvalidRecipe(f"seed must be nonnegative, got {seed}")
     bound = units.bound
     gap0 = max(math.sqrt(start.var_x * start.var_p) - bound, 0.0)
     draws = np.random.default_rng(int(seed)).random(int(steps))

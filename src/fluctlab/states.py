@@ -320,43 +320,46 @@ def _momentum_distribution(state: PureState, units: UnitSystem):
     return p, weights / weights.sum()
 
 
-def phase_space_moments(state: PureState, units: UnitSystem) -> MomentReport:
-    """Position moments by trapezoid quadrature, momentum moments spectrally."""
-    x = state.grid.points()
-    dx = state.grid.dx
-    prob = _position_distribution(state)
-    mean_x = _trapz(prob * x, dx)
-    var_x = _trapz(prob * (x - mean_x) ** 2, dx)
-    p, w = _momentum_distribution(state, units)
-    mean_p = float(w @ p)
-    var_p = float(w @ (p - mean_p) ** 2)
+def _mixture(target):
+    """(weights, members) of a MixedEnsemble, or of a PureState as the
+    one-member mixture with weight 1."""
+    if isinstance(target, PureState):
+        return np.array([1.0]), (target,)
+    if isinstance(target, MixedEnsemble):
+        return target.weights, target.members
+    raise InvalidRecipe(f"expected PureState or MixedEnsemble, got {type(target).__name__}")
+
+
+def _moments(weights, members, units: UnitSystem) -> MomentReport:
+    """Weighted-trace moments: means are weight-averaged, variances are taken
+    about the mixture mean (law of total variance).  With one member of
+    weight 1 the weighting is exact (1.0 * v == v and 0 + v == v)."""
+    grid = members[0].grid
+    x = grid.points()
+    dx = grid.dx
+    probs = [_position_distribution(m) for m in members]
+    momenta = [_momentum_distribution(m, units) for m in members]
+    mean_x = float(sum(wi * _trapz(prob * x, dx) for wi, prob in zip(weights, probs)))
+    var_x = float(sum(wi * _trapz(prob * (x - mean_x) ** 2, dx) for wi, prob in zip(weights, probs)))
+    mean_p = float(sum(wi * (wk @ p) for wi, (p, wk) in zip(weights, momenta)))
+    var_p = float(sum(wi * (wk @ (p - mean_p) ** 2) for wi, (p, wk) in zip(weights, momenta)))
     return MomentReport(
         mean_x=mean_x,
         mean_p=mean_p,
         var_x=_clamped_variance(var_x, "var_x"),
         var_p=_clamped_variance(var_p, "var_p"),
     )
+
+
+def phase_space_moments(state: PureState, units: UnitSystem) -> MomentReport:
+    """Position moments by trapezoid quadrature, momentum moments spectrally."""
+    return _moments(*_mixture(state), units)
 
 
 def ensemble_moments(ensemble: MixedEnsemble, units: UnitSystem) -> MomentReport:
-    """Weighted-trace moments: means are weight-averaged, variances are taken
-    about the ensemble mean (law of total variance)."""
-    grid = ensemble.grid
-    x = grid.points()
-    dx = grid.dx
-    probs = [_position_distribution(m) for m in ensemble.members]
-    momenta = [_momentum_distribution(m, units) for m in ensemble.members]
-    w = ensemble.weights
-    mean_x = float(sum(wi * _trapz(prob * x, dx) for wi, prob in zip(w, probs)))
-    var_x = float(sum(wi * _trapz(prob * (x - mean_x) ** 2, dx) for wi, prob in zip(w, probs)))
-    mean_p = float(sum(wi * (wk @ p) for wi, (p, wk) in zip(w, momenta)))
-    var_p = float(sum(wi * (wk @ (p - mean_p) ** 2) for wi, (p, wk) in zip(w, momenta)))
-    return MomentReport(
-        mean_x=mean_x,
-        mean_p=mean_p,
-        var_x=_clamped_variance(var_x, "var_x"),
-        var_p=_clamped_variance(var_p, "var_p"),
-    )
+    """Moments of a mixture (a PureState counts as the one-member mixture);
+    see _moments."""
+    return _moments(*_mixture(ensemble), units)
 
 
 def _apply_hamiltonian(state: PureState, hamiltonian: HamiltonianSpec, units: UnitSystem):
@@ -379,12 +382,7 @@ def energy_moments(target, hamiltonian: HamiltonianSpec, units: UnitSystem):
     computed as the squared residual norm ||(H - <E>) psi||^2, so it is
     nonnegative by construction up to roundoff.
     """
-    if isinstance(target, PureState):
-        members, weights = (target,), np.array([1.0])
-    elif isinstance(target, MixedEnsemble):
-        members, weights = target.members, target.weights
-    else:
-        raise InvalidRecipe(f"expected PureState or MixedEnsemble, got {type(target).__name__}")
+    weights, members = _mixture(target)
     grid = members[0].grid
     if hamiltonian.potential.shape != (grid.n,):
         raise GridMismatch(
@@ -402,6 +400,29 @@ def energy_moments(target, hamiltonian: HamiltonianSpec, units: UnitSystem):
     return mean_e, _clamped_variance(var_e, "var_E")
 
 
+def _boltzmann_weights(omega, mass, temperature, n_max, units) -> np.ndarray:
+    """Normalized weights of the levels thermal_ensemble mixes at T: levels
+    0..n_max less those whose weight underflows to zero, the ground state
+    alone at T = 0."""
+    if omega <= 0 or mass <= 0:
+        raise InvalidRecipe(f"need omega, mass > 0, got omega={omega}, mass={mass}")
+    if temperature < 0 or not math.isfinite(temperature):
+        raise InvalidRecipe(f"temperature must be >= 0, got {temperature}")
+    if int(n_max) != n_max or n_max < 0:
+        raise InvalidRecipe(f"need integer n_max >= 0, got {n_max}")
+    if temperature == 0.0:
+        return np.array([1.0])
+    q = math.exp(-units.hbar * omega / temperature)
+    tail = q ** (int(n_max) + 1)
+    if tail >= TAIL_TOL:
+        raise TruncationError(
+            f"truncated Boltzmann tail mass {tail:.3e} >= {TAIL_TOL:g} at T={temperature}; raise n_max"
+        )
+    weights = (1.0 - q) * q ** np.arange(int(n_max) + 1)
+    weights = weights[weights > 0.0]  # geometric weights can underflow for deep levels; drop exact zeros
+    return weights / weights.sum()
+
+
 def thermal_ensemble(
     omega: float,
     mass: float,
@@ -415,23 +436,5 @@ def thermal_ensemble(
     T = 0 returns the bare ground state.  Raises TruncationError when the
     discarded tail of the geometric weight series carries mass >= 1e-8.
     """
-    if omega <= 0 or mass <= 0:
-        raise InvalidRecipe(f"need omega, mass > 0, got omega={omega}, mass={mass}")
-    if temperature < 0 or not math.isfinite(temperature):
-        raise InvalidRecipe(f"temperature must be >= 0, got {temperature}")
-    if int(n_max) != n_max or n_max < 0:
-        raise InvalidRecipe(f"need integer n_max >= 0, got {n_max}")
-    if temperature == 0.0:
-        ground = build_state(OscillatorEigenstate(0, mass, omega), grid, units)
-        return MixedEnsemble(np.array([1.0]), (ground,))
-    q = math.exp(-units.hbar * omega / temperature)
-    tail = q ** (int(n_max) + 1)
-    if tail >= TAIL_TOL:
-        raise TruncationError(
-            f"truncated Boltzmann tail mass {tail:.3e} >= {TAIL_TOL:g} at T={temperature}; raise n_max"
-        )
-    weights = (1.0 - q) * q ** np.arange(int(n_max) + 1)
-    keep = weights > 0.0  # geometric weights can underflow for deep levels; drop exact zeros
-    weights = weights[keep]
-    members = oscillator_eigenstates(int(keep.sum()) - 1, mass, omega, grid, units)
-    return MixedEnsemble(weights / weights.sum(), members)
+    weights = _boltzmann_weights(omega, mass, temperature, n_max, units)
+    return MixedEnsemble(weights, oscillator_eigenstates(weights.size - 1, mass, omega, grid, units))

@@ -1,54 +1,8 @@
-"""Backend equality and standalone checks of the jitted kernels."""
-
-import os
-import subprocess
-import sys
+"""Standalone checks of the numpy kernels."""
 
 import numpy as np
-import pytest
 
 from fluctlab import _kernels as kernels
-
-
-@pytest.fixture
-def restore_backend():
-    active = kernels.active_backend()
-    yield
-    kernels.select_backend(active)
-
-
-def test_select_backend_round_trip(restore_backend):
-    assert kernels.select_backend("numpy") == "numpy"
-    assert kernels.active_backend() == "numpy"
-    name = kernels.select_backend("numba")
-    assert name == kernels.active_backend()
-    with pytest.raises(ValueError):
-        kernels.select_backend("fortran")
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_hermite_basis_backends_agree():
-    xi = np.random.default_rng(1).uniform(-8.0, 8.0, 512)
-    a = kernels._hermite_basis_np(xi, 25)
-    b = kernels._hermite_basis_nb(xi, 25)
-    # deep tail values underflow toward 1e-300; compare those absolutely
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_scan_backends_agree():
-    xs = np.linspace(-3.0, 3.0, 67)
-    ps = np.linspace(-2.0, 2.0, 41)
-    np.testing.assert_allclose(
-        kernels._reduced_scan_np(xs, ps, 0.1, -0.2, 2.0, 0.3),
-        kernels._reduced_scan_nb(xs, ps, 0.1, -0.2, 2.0, 0.3),
-        rtol=1e-13,
-    )
-    np.testing.assert_allclose(
-        kernels._gauss_scan_np(xs, ps, 0.1, -0.2, 1.3, 0.4, 0.3),
-        kernels._gauss_scan_nb(xs, ps, 0.1, -0.2, 1.3, 0.4, 0.3),
-        rtol=1e-13,
-    )
 
 
 def test_hermite_rows_are_orthonormal():
@@ -56,27 +10,15 @@ def test_hermite_rows_are_orthonormal():
     # must reproduce the orthonormality of the underlying functions
     x = np.linspace(-20.0, 20.0, 4001)
     dx = x[1] - x[0]
-    basis = kernels._hermite_basis_np(x, 20)
+    basis = kernels.hermite_basis(x, 20)
     gram = basis @ basis.T * dx
     np.testing.assert_allclose(gram, np.eye(21), atol=1e-10)
 
 
 def test_hermite_low_orders_closed_form():
     x = np.linspace(-5.0, 5.0, 101)
-    basis = kernels._hermite_basis_np(x, 2)
+    basis = kernels.hermite_basis(x, 2)
     h0 = np.pi**-0.25 * np.exp(-0.5 * x * x)
     np.testing.assert_allclose(basis[0], h0, rtol=1e-14)
     np.testing.assert_allclose(basis[1], np.sqrt(2.0) * x * h0, rtol=1e-14)
     np.testing.assert_allclose(basis[2], (2.0 * x * x - 1.0) / np.sqrt(2.0) * h0, rtol=5e-14, atol=1e-16)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, FLUCTLAB_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "import fluctlab._kernels as k; print(k.active_backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
