@@ -15,7 +15,8 @@ from .states import (
     MomentReport,
     UnitSystem,
     _mixture,
-    energy_moments,
+    _state_energy,
+    _total_variance,
     ensemble_moments,
 )
 
@@ -101,11 +102,12 @@ def self_similarity_report(
     ensemble: MixedEnsemble, hamiltonian: HamiltonianSpec, units: UnitSystem
 ) -> SelfSimilarityReport:
     """Member energy spreads (about each member's own mean) versus the
-    ensemble spread (about the ensemble mean)."""
-    member = tuple(
-        math.sqrt(energy_moments(m, hamiltonian, units)[1]) for m in ensemble.members
-    )
-    ensemble_delta = math.sqrt(energy_moments(ensemble, hamiltonian, units)[1])
+    ensemble spread (about the ensemble mean); each member is measured
+    once and the ensemble spread combines those measurements by the law of
+    total variance."""
+    energies = [_state_energy(m, hamiltonian, units) for m in ensemble.members]
+    member = tuple(math.sqrt(var) for _, var in energies)
+    ensemble_delta = math.sqrt(_total_variance(ensemble.weights, *zip(*energies))[1])
     spread = max(abs(d - ensemble_delta) for d in member) / max(ensemble_delta, 1e-300)
     return SelfSimilarityReport(
         member_delta_e=member,

@@ -241,8 +241,8 @@ def _cmd_density_normcheck(args) -> int:
     return 0
 
 
-def _emit_rows(args, rows, to_csv, to_json) -> int:
-    text = to_json(rows) if args.format == "json" else to_csv(rows)
+def _emit_rows(args, rows, to_csv) -> int:
+    text = io.rows_json(rows) if args.format == "json" else to_csv(rows)
     if args.out:
         io.atomic_write_text(args.out, text)
         print(f"wrote {args.out} ({len(rows)} rows)")
@@ -256,7 +256,7 @@ def _cmd_scenario_eigensweep(args) -> int:
     rows = eigenstate_sweep(
         args.n_max, args.mass, args.omega, _parse_grid_flag(args.grid), units, args.epsilon
     )
-    return _emit_rows(args, rows, io.sweep_rows_csv, io.sweep_rows_json)
+    return _emit_rows(args, rows, io.sweep_rows_csv)
 
 
 def _cmd_scenario_thermalsweep(args) -> int:
@@ -270,13 +270,13 @@ def _cmd_scenario_thermalsweep(args) -> int:
     rows = thermal_sweep(
         temperatures, args.mass, args.omega, args.n_max, _parse_grid_flag(args.grid), units, args.epsilon
     )
-    return _emit_rows(args, rows, io.sweep_rows_csv, io.sweep_rows_json)
+    return _emit_rows(args, rows, io.sweep_rows_csv)
 
 
 def _cmd_scenario_walk(args) -> int:
     units = _resolve_units(args)
     rows = relaxation_walk(_params_from_flags(args, units), args.steps, args.step_size, args.seed, units)
-    return _emit_rows(args, rows, io.walk_rows_csv, io.walk_rows_json)
+    return _emit_rows(args, rows, io.walk_rows_csv)
 
 
 # --- parser ------------------------------------------------------------------

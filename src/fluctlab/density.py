@@ -90,11 +90,10 @@ class ExtremumCheck:
 
 def density_eval(params: FluctuationParams, pt: PhasePoint) -> float:
     """Gaussian density at a phase point."""
-    pref = 1.0 / (TWO_PI * params.delta_x * params.delta_p)
     exponent = -0.5 * (
         (pt.x - params.mean_x) ** 2 / params.var_x + (pt.p - params.mean_p) ** 2 / params.var_p
     )
-    return pref * math.exp(exponent)
+    return peak_value(params) * math.exp(exponent)
 
 
 def peak_value(params: FluctuationParams) -> float:

@@ -252,11 +252,6 @@ def walk_rows_csv(rows: list[WalkTrace]) -> str:
     )
 
 
-def sweep_rows_json(rows: list[SweepRow]) -> str:
-    """One JSON object per row, keys in field order."""
-    return json.dumps([vars(r) for r in rows])
-
-
-def walk_rows_json(rows: list[WalkTrace]) -> str:
-    """One JSON object per row, keys in field order."""
+def rows_json(rows: list[SweepRow] | list[WalkTrace]) -> str:
+    """One JSON object per sweep or walk row, keys in field order."""
     return json.dumps([vars(r) for r in rows])

@@ -21,8 +21,9 @@ from .states import (
     MixedEnsemble,
     UnitSystem,
     _boltzmann_weights,
-    ensemble_moments,
+    _mixture_report,
     oscillator_eigenstates,
+    phase_space_moments,
 )
 
 MAX_SWEEP_LEVEL = 30
@@ -45,9 +46,9 @@ class WalkTrace:
     distance_to_bound: float
 
 
-def _sweep_row(label: str, parameter: float, target, units: UnitSystem, epsilon: float) -> SweepRow:
-    """Audit of a pure state or a mixture as one sweep row."""
-    result = classify(ensemble_moments(target, units), units, epsilon)
+def _sweep_row(label: str, parameter: float, target, report, units: UnitSystem, epsilon: float) -> SweepRow:
+    """Audit of a pure state or a mixture, whose moments are `report`, as one sweep row."""
+    result = classify(report, units, epsilon)
     return SweepRow(
         label=label,
         parameter=parameter,
@@ -70,7 +71,10 @@ def eigenstate_sweep(
     if int(n_max) != n_max or not (0 <= n_max <= MAX_SWEEP_LEVEL):
         raise InvalidRecipe(f"n_max must be an integer in [0, {MAX_SWEEP_LEVEL}], got {n_max}")
     levels = oscillator_eigenstates(int(n_max), mass, omega, grid, units)
-    return [_sweep_row(f"n={n}", float(n), state, units, epsilon) for n, state in enumerate(levels)]
+    return [
+        _sweep_row(f"n={n}", float(n), state, phase_space_moments(state, units), units, epsilon)
+        for n, state in enumerate(levels)
+    ]
 
 
 def thermal_sweep(
@@ -85,16 +89,22 @@ def thermal_sweep(
     """One row per temperature for the Boltzmann oscillator mixture (k_B = 1).
 
     Every temperature's weights are worked out first, then the oscillator
-    levels are built once, down to the deepest level any temperature keeps;
-    each row mixes the leading levels, as thermal_ensemble would build them.
+    levels are built and measured once, down to the deepest level any
+    temperature keeps; each row combines the leading levels' moments with
+    that temperature's weights, as ensemble_moments(thermal_ensemble(...))
+    would.
     """
     temperatures = [float(t) for t in temperatures]
     weights = [_boltzmann_weights(omega, mass, t, n_max, units) for t in temperatures]
     if not weights:
         return []
     levels = oscillator_eigenstates(max(w.size for w in weights) - 1, mass, omega, grid, units)
+    reports = [phase_space_moments(level, units) for level in levels]
     return [
-        _sweep_row(f"T={t:g}", t, MixedEnsemble(w, levels[: w.size]), units, epsilon)
+        _sweep_row(
+            f"T={t:g}", t, MixedEnsemble(w, levels[: w.size]), _mixture_report(w, reports[: w.size]),
+            units, epsilon,
+        )
         for t, w in zip(temperatures, weights)
     ]
 

@@ -3,7 +3,10 @@
 Everything lives on a uniform 1-D grid.  Position moments use trapezoid
 quadrature; momentum and kinetic-energy terms go through the discrete
 Fourier transform, which is why every state must vanish at the grid edges
-(the "decay guard").  All values are immutable after construction and all
+(the "decay guard").  Each pure state is measured on its own; a mixture's
+mean is the weighted member mean and its variance follows the law of total
+variance, the weighted member variances plus the weighted spread of the
+member means.  All values are immutable after construction and all
 operations are pure functions, so objects can be shared freely between
 workers.
 """
@@ -23,7 +26,6 @@ from .errors import (
     GridMismatch,
     InvalidRecipe,
     NormalizationError,
-    NumericalFailure,
     TruncationError,
 )
 
@@ -31,7 +33,6 @@ TWO_PI = 2.0 * math.pi
 
 NORM_TOL = 1e-10          # |L2 norm - 1| allowed for states and weight sums
 DECAY_RATIO = 1e-6        # edge amplitude allowed relative to the peak
-VAR_CLAMP = -1e-10        # variance this far below zero is roundoff, further is a bug
 TAIL_TOL = 1e-8           # truncated Boltzmann tail mass allowed
 
 
@@ -101,14 +102,6 @@ def _trapz(y: np.ndarray, dx: float) -> float:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _clamped_variance(value: float, label: str) -> float:
-    if value < 0.0:
-        if value < VAR_CLAMP:
-            raise NumericalFailure(f"{label} = {value:.3e} is negative beyond roundoff")
-        return 0.0
-    return value
 
 
 @dataclass(frozen=True)
@@ -308,18 +301,6 @@ def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureS
 
 # --- moments -----------------------------------------------------------------
 
-def _position_distribution(state: PureState):
-    prob = np.abs(state.amplitudes) ** 2
-    return prob / _trapz(prob, state.grid.dx)
-
-
-def _momentum_distribution(state: PureState, units: UnitSystem):
-    """Momentum samples and matching probability weights from the DFT of the amplitudes."""
-    weights = np.abs(np.fft.fft(state.amplitudes)) ** 2
-    p = units.hbar * _grid_wavenumbers(state.grid)
-    return p, weights / weights.sum()
-
-
 def _mixture(target):
     """(weights, members) of a MixedEnsemble, or of a PureState as the
     one-member mixture with weight 1."""
@@ -330,74 +311,85 @@ def _mixture(target):
     raise InvalidRecipe(f"expected PureState or MixedEnsemble, got {type(target).__name__}")
 
 
-def _moments(weights, members, units: UnitSystem) -> MomentReport:
-    """Weighted-trace moments: means are weight-averaged, variances are taken
-    about the mixture mean (law of total variance).  With one member of
-    weight 1 the weighting is exact (1.0 * v == v and 0 + v == v)."""
-    grid = members[0].grid
-    x = grid.points()
-    dx = grid.dx
-    probs = [_position_distribution(m) for m in members]
-    momenta = [_momentum_distribution(m, units) for m in members]
-    mean_x = float(sum(wi * _trapz(prob * x, dx) for wi, prob in zip(weights, probs)))
-    var_x = float(sum(wi * _trapz(prob * (x - mean_x) ** 2, dx) for wi, prob in zip(weights, probs)))
-    mean_p = float(sum(wi * (wk @ p) for wi, (p, wk) in zip(weights, momenta)))
-    var_p = float(sum(wi * (wk @ (p - mean_p) ** 2) for wi, (p, wk) in zip(weights, momenta)))
-    return MomentReport(
-        mean_x=mean_x,
-        mean_p=mean_p,
-        var_x=_clamped_variance(var_x, "var_x"),
-        var_p=_clamped_variance(var_p, "var_p"),
-    )
+def _total_variance(weights, means, variances):
+    """Mean and variance of a mixture from its members' means and variances
+    (law of total variance): mean = sum w*m, variance = sum w*(v + (m - mean)^2).
+
+    Every term is nonnegative, so the variance is too.  With one member of
+    weight 1 the result is exact: 0 + 1.0*v == v and (m - m)**2 == 0.
+    """
+    mean = sum(w * m for w, m in zip(weights, means))
+    var = sum(w * (v + (m - mean) ** 2) for w, m, v in zip(weights, means, variances))
+    return float(mean), float(var)
+
+
+def _mixture_report(weights, reports) -> MomentReport:
+    """Moments of a mixture whose members' moments are `reports`."""
+    mean_x, var_x = _total_variance(weights, [r.mean_x for r in reports], [r.var_x for r in reports])
+    mean_p, var_p = _total_variance(weights, [r.mean_p for r in reports], [r.var_p for r in reports])
+    return MomentReport(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p)
 
 
 def phase_space_moments(state: PureState, units: UnitSystem) -> MomentReport:
-    """Position moments by trapezoid quadrature, momentum moments spectrally."""
-    return _moments(*_mixture(state), units)
+    """Moments of one pure state: position by trapezoid quadrature of
+    |psi|^2, momentum from the power spectrum of one DFT."""
+    if not isinstance(state, PureState):
+        raise InvalidRecipe(
+            f"expected PureState, got {type(state).__name__}; ensemble_moments measures mixtures"
+        )
+    x = state.grid.points()
+    dx = state.grid.dx
+    prob = np.abs(state.amplitudes) ** 2
+    prob = prob / _trapz(prob, dx)
+    mean_x = _trapz(prob * x, dx)
+    power = np.abs(np.fft.fft(state.amplitudes)) ** 2
+    power = power / power.sum()
+    p = units.hbar * _grid_wavenumbers(state.grid)
+    mean_p = float(power @ p)
+    return MomentReport(
+        mean_x=mean_x,
+        mean_p=mean_p,
+        var_x=_trapz(prob * (x - mean_x) ** 2, dx),
+        var_p=float(power @ (p - mean_p) ** 2),
+    )
 
 
 def ensemble_moments(ensemble: MixedEnsemble, units: UnitSystem) -> MomentReport:
-    """Moments of a mixture (a PureState counts as the one-member mixture);
-    see _moments."""
-    return _moments(*_mixture(ensemble), units)
+    """Moments of a mixture (a PureState counts as the one-member mixture).
+
+    Each member is measured once by phase_space_moments; the mixture mean is
+    the weighted member mean and the mixture variance follows the law of
+    total variance, Var = sum w*Var_i + sum w*(mean_i - mean)^2.
+    """
+    weights, members = _mixture(ensemble)
+    return _mixture_report(weights, [phase_space_moments(m, units) for m in members])
 
 
-def _apply_hamiltonian(state: PureState, hamiltonian: HamiltonianSpec, units: UnitSystem):
+def _state_energy(state: PureState, hamiltonian: HamiltonianSpec, units: UnitSystem):
+    """(<E>, ||(H - <E>) psi||^2) of one pure state; H applies the kinetic
+    term spectrally."""
+    if hamiltonian.potential.shape != (state.grid.n,):
+        raise GridMismatch(
+            f"potential has {hamiltonian.potential.shape[0]} samples for a grid of {state.grid.n}"
+        )
+    psi = state.amplitudes
     k = _grid_wavenumbers(state.grid)
-    kinetic = np.fft.ifft((0.5 * units.hbar**2 / hamiltonian.mass) * k**2 * np.fft.fft(state.amplitudes))
-    return kinetic + hamiltonian.potential * state.amplitudes
-
-
-def _member_energy(state, hamiltonian, units):
-    h_psi = _apply_hamiltonian(state, hamiltonian, units)
+    kinetic = np.fft.ifft((0.5 * units.hbar**2 / hamiltonian.mass) * k**2 * np.fft.fft(psi))
+    h_psi = kinetic + hamiltonian.potential * psi
     dx = state.grid.dx
-    mean = _trapz(np.real(np.conj(state.amplitudes) * h_psi), dx)
-    return mean, h_psi
+    mean = _trapz(np.real(np.conj(psi) * h_psi), dx)
+    return mean, _trapz(np.abs(h_psi - mean * psi) ** 2, dx)
 
 
 def energy_moments(target, hamiltonian: HamiltonianSpec, units: UnitSystem):
     """Mean and variance of the energy for a PureState or MixedEnsemble.
 
-    The variance is the squared deviation about the (ensemble) mean,
-    computed as the squared residual norm ||(H - <E>) psi||^2, so it is
-    nonnegative by construction up to roundoff.
+    Each member's variance is the squared residual norm ||(H - <E>) psi||^2
+    about its own mean, so it is nonnegative by construction; the members
+    combine by the law of total variance, Var = sum w*Var_i + sum w*(E_i - E)^2.
     """
     weights, members = _mixture(target)
-    grid = members[0].grid
-    if hamiltonian.potential.shape != (grid.n,):
-        raise GridMismatch(
-            f"potential has {hamiltonian.potential.shape[0]} samples for a grid of {grid.n}"
-        )
-    dx = grid.dx
-    per_member = [_member_energy(m, hamiltonian, units) for m in members]
-    mean_e = float(sum(wi * e for wi, (e, _) in zip(weights, per_member)))
-    var_e = float(
-        sum(
-            wi * _trapz(np.abs(h_psi - mean_e * m.amplitudes) ** 2, dx)
-            for wi, m, (_, h_psi) in zip(weights, members, per_member)
-        )
-    )
-    return mean_e, _clamped_variance(var_e, "var_E")
+    return _total_variance(weights, *zip(*(_state_energy(m, hamiltonian, units) for m in members)))
 
 
 def _boltzmann_weights(omega, mass, temperature, n_max, units) -> np.ndarray:

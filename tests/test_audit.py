@@ -8,6 +8,7 @@ import pytest
 from fluctlab import (
     HamiltonianSpec,
     CoherentState,
+    GridSpec,
     MixedEnsemble,
     MomentReport,
     NonPositiveInput,
@@ -18,6 +19,7 @@ from fluctlab import (
     classify,
     entropy_surrogate,
     self_similarity_report,
+    thermal_ensemble,
     time_energy,
     uncertainty_product,
 )
@@ -129,6 +131,24 @@ def test_self_similarity_exposes_mixture_spread(grid, units):
     assert max(report.member_delta_e) <= 1e-6
     assert report.ensemble_delta_e == pytest.approx(1.0, abs=1e-4)
     assert report.max_relative_spread == pytest.approx(1.0, abs=1e-4)
+
+
+def test_self_similarity_applies_hamiltonian_once_per_member(units, monkeypatch):
+    grid = GridSpec(-15.0, 15.0, 2048)
+    ensemble = thermal_ensemble(1.0, 1.0, 2.0, 40, grid, units)
+    assert len(ensemble.members) == 41
+    hamiltonian = HamiltonianSpec.harmonic(grid, 1.0, 1.0)
+    calls = []
+    original = np.fft.ifft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    report = self_similarity_report(ensemble, hamiltonian, units)
+    assert len(calls) == len(ensemble.members)
+    assert len(report.member_delta_e) == len(ensemble.members)
 
 
 def test_audit_report_pure_state(grid, units):

@@ -174,7 +174,7 @@ def test_sweep_rows_formats():
     csv_text = fio.sweep_rows_csv(rows)
     assert csv_text.splitlines()[0] == "label,parameter,product,bound,classification,entropy_surrogate"
     assert "n=0,0.0,0.5,0.5,minimal,0.0" in csv_text
-    doc = json.loads(fio.sweep_rows_json(rows))
+    doc = json.loads(fio.rows_json(rows))
     assert doc == [
         {
             "label": "n=0",
@@ -192,7 +192,7 @@ def test_walk_rows_formats():
     csv_text = fio.walk_rows_csv(rows)
     assert csv_text.splitlines()[0] == "step,product,distance_to_bound"
     assert csv_text.splitlines()[1] == "0,2.0,1.5"
-    doc = json.loads(fio.walk_rows_json(rows))
+    doc = json.loads(fio.rows_json(rows))
     assert doc[1] == {"step": 1, "product": 1.9, "distance_to_bound": 1.4}
 
 

@@ -10,6 +10,7 @@ from fluctlab import (
     InvalidRecipe,
     eigenstate_sweep,
     relaxation_walk,
+    thermal_ensemble,
     thermal_sweep,
 )
 
@@ -26,6 +27,23 @@ def test_eigenstate_sweep_products(units):
         assert row.entropy_surrogate == 0.0
     assert rows[0].classification == "minimal"
     assert all(row.classification == "strict" for row in rows[1:])
+
+
+def test_thermal_sweep_measures_each_level_once(units, monkeypatch):
+    grid = GridSpec(-15.0, 15.0, 2048)
+    temperatures = [0.0, 0.5, 1.0, 2.0]
+    kept = len(thermal_ensemble(1.0, 1.0, max(temperatures), 40, grid, units).members)
+    calls = []
+    original = np.fft.fft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    rows = thermal_sweep(temperatures, 1.0, 1.0, 40, grid, units)
+    assert len(rows) == len(temperatures)
+    assert len(calls) == kept
 
 
 def test_eigenstate_sweep_level_cap(units):

@@ -196,6 +196,14 @@ def test_single_member_ensemble_degenerates(grid, units):
     assert mixed == direct
 
 
+def test_phase_space_moments_refuses_mixture(grid, units):
+    state = build_state(GaussianPacket(0.0, 0.0, 1.0), grid, units)
+    single = MixedEnsemble(np.array([1.0]), (state,))
+    with pytest.raises(InvalidRecipe, match="MixedEnsemble"):
+        phase_space_moments(single, units)
+    assert ensemble_moments(single, units) == ensemble_moments(state, units)
+
+
 def test_two_packet_mixture_total_variance(grid, units):
     left = build_state(GaussianPacket(-2.0, 0.0, 1.0), grid, units)
     right = build_state(GaussianPacket(2.0, 0.0, 1.0), grid, units)
