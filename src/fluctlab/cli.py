@@ -99,8 +99,12 @@ def _parse_range(text: str, what: str) -> tuple:
         raise InvalidRecipe(f"{what} {text!r}: {exc}") from exc
 
 
-def _parse_grid_flag(text: str) -> GridSpec:
-    return GridSpec(*_parse_range(text, "grid"))
+def _parse_grid_flag(text: str, levels: int) -> GridSpec:
+    """The --grid flag MIN:MAX:N, admitted for `levels` states of N points each
+    (levels x N values) before anything is allocated."""
+    grid = GridSpec(*_parse_range(text, "grid"))
+    _admit_rows(levels * grid.n, "grid (levels x points)")
+    return grid
 
 
 def _parse_axis_flag(text: str) -> tuple:
@@ -112,7 +116,8 @@ def _parse_axis_flag(text: str) -> tuple:
 
 
 def _admit_rows(rows: int, what: str) -> None:
-    """Refuse a CSV of more than io.MAX_ROWS rows before anything is allocated."""
+    """Refuse more than io.MAX_ROWS rows (CSV rows, or levels x grid points)
+    before anything is allocated."""
     if rows > io.MAX_ROWS:
         raise InvalidRecipe(
             f"{what} of {rows} rows exceeds the limit of {io.MAX_ROWS} rows (1 GiB of float64 values)"
@@ -143,7 +148,7 @@ def _params_from_flags(args, units: UnitSystem) -> FluctuationParams:
 
 def _cmd_state(args) -> int:
     units = _resolve_units(args)
-    grid = _parse_grid_flag(args.grid)
+    grid = _parse_grid_flag(args.grid, 1 if args.eigenstate is None else args.eigenstate + 1)
     if args.gaussian:
         recipe = GaussianPacket(center=args.center, momentum=args.momentum, sigma=args.sigma)
     elif args.eigenstate is not None:
@@ -151,8 +156,8 @@ def _cmd_state(args) -> int:
     else:
         recipe = CoherentState(alpha=_parse_complex_flag(args.coherent), mass=args.mass, omega=args.omega)
     state = build_state(recipe, grid, units)
+    report = phase_space_moments(state, units)  # before saving, so a state it refuses leaves no file
     io.save_state(args.out, state, units)
-    report = phase_space_moments(state, units)
     print(f"wrote {args.out} (var_x={_fmt6(report.var_x)}, var_p={_fmt6(report.var_p)})")
     return 0
 
@@ -162,12 +167,13 @@ def _cmd_audit(args) -> int:
     units = UnitSystem(h=args.h) if args.h is not None else file_units
     report = audit_report(target, units, epsilon=args.epsilon, delta_e=args.delta_e)
     text = json.dumps(report)
-    if args.out:
+    failed = args.strict and report["classification"] == "below_bound"
+    if args.out and not failed:  # a failing run writes no file; its report goes to stdout
         io.atomic_write_text(args.out, text)
         print(f"wrote {args.out} (classification={report['classification']})")
     else:
         print(text)
-    if args.strict and report["classification"] == "below_bound":
+    if failed:
         print("error: product below bound in strict mode", file=sys.stderr)
         return 2
     return 0
@@ -253,9 +259,8 @@ def _emit_rows(args, rows, to_csv) -> int:
 
 def _cmd_scenario_eigensweep(args) -> int:
     units = _resolve_units(args)
-    rows = eigenstate_sweep(
-        args.n_max, args.mass, args.omega, _parse_grid_flag(args.grid), units, args.epsilon
-    )
+    grid = _parse_grid_flag(args.grid, args.n_max + 1)
+    rows = eigenstate_sweep(args.n_max, args.mass, args.omega, grid, units, args.epsilon)
     return _emit_rows(args, rows, io.sweep_rows_csv)
 
 
@@ -267,14 +272,14 @@ def _cmd_scenario_thermalsweep(args) -> int:
         raise InvalidRecipe(f"temperatures {args.temperatures!r}: {exc}") from exc
     if not temperatures:
         raise InvalidRecipe("need at least one temperature")
-    rows = thermal_sweep(
-        temperatures, args.mass, args.omega, args.n_max, _parse_grid_flag(args.grid), units, args.epsilon
-    )
+    grid = _parse_grid_flag(args.grid, args.n_max + 1)
+    rows = thermal_sweep(temperatures, args.mass, args.omega, args.n_max, grid, units, args.epsilon)
     return _emit_rows(args, rows, io.sweep_rows_csv)
 
 
 def _cmd_scenario_walk(args) -> int:
     units = _resolve_units(args)
+    _admit_rows(args.steps + 1, "walk")
     rows = relaxation_walk(_params_from_flags(args, units), args.steps, args.step_size, args.seed, units)
     return _emit_rows(args, rows, io.walk_rows_csv)
 

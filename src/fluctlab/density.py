@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidRecipe, NumericalFailure, ResolutionError, StepTooLarge, ZeroSeparation
+from .errors import require_count, require_positive
 from .states import UnitSystem
 
 TWO_PI = 2.0 * math.pi
@@ -54,12 +55,15 @@ class FluctuationParams:
     def __post_init__(self):
         if not (math.isfinite(self.mean_x) and math.isfinite(self.mean_p)):
             raise InvalidRecipe("means must be finite")
-        if not (self.var_x > 0 and self.var_p > 0):
-            raise InvalidRecipe(f"variances must be positive, got ({self.var_x}, {self.var_p})")
-        floor = self.units.bound**2 * (1.0 - PRODUCT_SLACK)
-        if self.var_x * self.var_p < floor:
+        require_positive("var_x", self.var_x)
+        require_positive("var_p", self.var_p)
+        try:
+            squared_bound = self.units.bound**2
+        except OverflowError:  # a bound above 1.3e154 squares past the float range
+            squared_bound = math.inf
+        if self.var_x * self.var_p < squared_bound * (1.0 - PRODUCT_SLACK):
             raise InvalidRecipe(
-                f"var_x*var_p = {self.var_x * self.var_p!r} violates the bound {self.units.bound**2!r}"
+                f"var_x*var_p = {self.var_x * self.var_p!r} violates the bound {squared_bound!r}"
             )
 
     @property
@@ -90,9 +94,12 @@ class ExtremumCheck:
 
 def density_eval(params: FluctuationParams, pt: PhasePoint) -> float:
     """Gaussian density at a phase point."""
-    exponent = -0.5 * (
-        (pt.x - params.mean_x) ** 2 / params.var_x + (pt.p - params.mean_p) ** 2 / params.var_p
-    )
+    dx, dp = pt.x - params.mean_x, pt.p - params.mean_p
+    try:
+        exponent = -0.5 * (dx**2 / params.var_x + dp**2 / params.var_p)
+    except OverflowError:  # a squared separation beyond the float range: square the scaled one
+        tx, tp = dx / params.delta_x, dp / params.delta_p
+        exponent = -0.5 * (tx * tx + tp * tp)
     return peak_value(params) * math.exp(exponent)
 
 
@@ -181,12 +188,8 @@ def sample(params: FluctuationParams, count: int, seed: int) -> np.ndarray:
     Returns a (count, 2) float array with columns x then p; all randomness
     comes from the seed, so equal arguments give bit-identical output.
     """
-    if int(count) != count or count < 0:
-        raise InvalidRecipe(f"count must be a nonnegative integer, got {count}")
-    if seed < 0:
-        raise InvalidRecipe(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(int(seed))
-    n = int(count)
+    n = require_count("count", count)
+    rng = np.random.default_rng(require_count("seed", seed))
     out = np.empty((n, 2))
     out[:, 0] = params.mean_x + params.delta_x * rng.standard_normal(n)
     out[:, 1] = params.mean_p + params.delta_p * rng.standard_normal(n)
@@ -201,13 +204,12 @@ def normalization_check(params: FluctuationParams, half_width_sigmas: float = 10
     product of the two axis sums.  Raises ResolutionError when the per-axis
     node cap would leave the mesh coarser than a tenth of a spread.
     """
-    if not (half_width_sigmas > 0 and math.isfinite(half_width_sigmas)):
-        raise InvalidRecipe(f"half width must be positive, got {half_width_sigmas}")
-    nodes = int(min(MAX_QUAD_NODES, max(257, math.ceil(20.0 * half_width_sigmas) + 1)))
-    if 20.0 * half_width_sigmas > nodes - 1:
+    require_positive("half_width_sigmas", half_width_sigmas)
+    if 20.0 * half_width_sigmas > MAX_QUAD_NODES - 1:
         raise ResolutionError(
-            f"{nodes} nodes per axis cannot resolve a tenth of the spread at half-width {half_width_sigmas}"
+            f"{MAX_QUAD_NODES} nodes per axis cannot resolve a tenth of the spread at half-width {half_width_sigmas}"
         )
+    nodes = max(257, math.ceil(20.0 * half_width_sigmas) + 1)
     value = peak_value(params)
     for mean, var, spread in (
         (params.mean_x, params.var_x, params.delta_x),
@@ -234,12 +236,17 @@ def reduced_box_integral(
     asserted as a normalization.  The momentum axis integrates in closed
     form; the remaining 1-D integrand is smooth and goes through composite
     Simpson with its interval count scaled to the boundary-layer width, so
-    the value is converged at any fixed half-width.
+    the value is converged at any half-width it accepts.  Raises
+    ResolutionError when the interval cap would leave the mesh coarser than
+    a tenth of the boundary layer (at h = 2*pi, half-widths above about 229).
     """
-    if not (half_width > 0 and math.isfinite(half_width)):
-        raise InvalidRecipe(f"half width must be positive, got {half_width}")
+    require_positive("half_width", half_width)
     rate = 4.0 * math.pi / units.h
     scale = rate * half_width  # inner integral decays on the scale 1/scale
+    if 10.0 * scale * half_width > 2**20:  # the interval cap below
+        raise ResolutionError(
+            f"2**20 intervals cannot resolve a tenth of the boundary layer at half-width {half_width}"
+        )
     exponent = max(12, min(20, math.ceil(math.log2(32.0 * max(scale * half_width, 1.0)))))
     intervals = 2**exponent
     t = np.linspace(0.0, half_width, intervals + 1)

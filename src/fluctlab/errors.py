@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one admission rule for
+user-set numbers: require_positive and require_count."""
+
+import math
+import numbers
 
 
 class FluctLabError(Exception):
@@ -47,3 +51,26 @@ class ResolutionError(FluctLabError):
 
 class FileFormatError(FluctLabError):
     """Malformed state or ensemble file."""
+
+
+def require_positive(name: str, value) -> float:
+    """value as a float when it is finite and > 0, else InvalidRecipe naming it."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.nan
+    if not 0.0 < number < math.inf:
+        raise InvalidRecipe(f"{name} must be finite and positive, got {value}")
+    return number
+
+
+def require_count(name: str, value, low: int = 0, high=math.inf) -> int:
+    """value as an int when it is a whole number in [low, high], else InvalidRecipe
+    naming it; ints of any size pass exactly, NaN and infinities are refused."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = math.nan
+    if whole != value or not low <= whole <= high:
+        raise InvalidRecipe(f"{name} must be an integer in [{low}, {high}], got {value}")
+    return whole

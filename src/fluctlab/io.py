@@ -4,12 +4,17 @@ Floats are serialized through Python's shortest round-trip repr, so files
 reload to bit-identical doubles.  A state file and each member of an
 ensemble file share one amplitude layout.  Every load parses its file once
 and hands the parsed document to one parser; loaders re-verify
-normalization and the decay guard instead of silently repairing data.
+normalization and the decay guard instead of silently repairing data, and
+refuse with FileFormatError what Python itself cannot read: integers too
+large for a float or longer than its digit limit, and nesting deeper than
+its recursion limit.
 
 Scan and sample CSVs are streamed into the temp file in blocks of
-BLOCK_ROWS rows, so their memory does not grow with the row count; the
-command line refuses a scan or sample of more than MAX_ROWS = 2**27 rows
-(1 GiB of float64 values) with exit code 2 before allocating anything.
+BLOCK_ROWS rows, so their memory does not grow with the row count.
+MAX_ROWS = 2**27 rows (1 GiB of float64 values) is the one size limit of
+the command line: it refuses a scan, a sample, a walk (steps + 1 rows) or
+a --grid of levels x N values above it with exit code 2 before allocating
+anything.
 Every output gets the mode an ordinary open() would give it under the
 process umask (0o644 under umask 022).
 """
@@ -28,8 +33,8 @@ from .states import GridSpec, MixedEnsemble, PureState, UnitSystem
 
 
 MAX_ROWS = 2**27
-"""Largest CSV row count the command line accepts: the rows whose float64
-values fill 1 GiB."""
+"""Largest size the command line accepts (CSV rows, or levels x grid
+points): the count of float64 values that fills 1 GiB."""
 
 BLOCK_ROWS = 4096
 """Rows formatted per chunk by the streaming CSV writers; a block's working
@@ -55,10 +60,6 @@ def atomic_write_text(path: str, text) -> None:
         raise
 
 
-def _float_list(arr) -> list:
-    return [float(v) for v in np.asarray(arr)]
-
-
 def _units_dict(units: UnitSystem) -> dict:
     return {"h": float(units.h)}
 
@@ -68,7 +69,7 @@ def _grid_dict(grid: GridSpec) -> dict:
 
 
 def _amplitude_dict(state: PureState) -> dict:
-    return {"psi_re": _float_list(state.amplitudes.real), "psi_im": _float_list(state.amplitudes.imag)}
+    return {"psi_re": state.amplitudes.real.tolist(), "psi_im": state.amplitudes.imag.tolist()}
 
 
 def state_document(state: PureState, units: UnitSystem) -> dict:
@@ -79,7 +80,7 @@ def ensemble_document(ensemble: MixedEnsemble, units: UnitSystem) -> dict:
     return {
         "units": _units_dict(units),
         "grid": _grid_dict(ensemble.grid),
-        "weights": _float_list(ensemble.weights),
+        "weights": ensemble.weights.tolist(),
         "members": [_amplitude_dict(m) for m in ensemble.members],
     }
 
@@ -101,7 +102,10 @@ def _field(mapping, key, kind, where):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise FileFormatError(f"{where}.{key}: expected a number, got {type(value).__name__}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise FileFormatError(f"{where}.{key}: {exc}") from exc
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise FileFormatError(f"{where}.{key}: expected an integer, got {type(value).__name__}")
@@ -117,7 +121,10 @@ def _number_array(values, where):
     for i, v in enumerate(values):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise FileFormatError(f"{where}[{i}]: expected a number, got {type(v).__name__}")
-    return np.asarray(values, dtype=np.float64)
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise FileFormatError(f"{where}: {exc}") from exc
 
 
 def _parse_units(doc) -> UnitSystem:
@@ -147,7 +154,7 @@ def _load_json(path: str) -> dict:
     with open(path) as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and Python's digit limit
             raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .audit import classify, entropy_surrogate
 from .density import FluctuationParams
-from .errors import InvalidRecipe
+from .errors import InvalidRecipe, require_count
 from .states import (
     GridSpec,
     MixedEnsemble,
@@ -68,9 +68,8 @@ def eigenstate_sweep(
     epsilon: float = 1e-6,
 ) -> list[SweepRow]:
     """One row per oscillator level 0..n_max; products grow as (2n+1) times the bound."""
-    if int(n_max) != n_max or not (0 <= n_max <= MAX_SWEEP_LEVEL):
-        raise InvalidRecipe(f"n_max must be an integer in [0, {MAX_SWEEP_LEVEL}], got {n_max}")
-    levels = oscillator_eigenstates(int(n_max), mass, omega, grid, units)
+    n_max = require_count("n_max", n_max, high=MAX_SWEEP_LEVEL)
+    levels = oscillator_eigenstates(n_max, mass, omega, grid, units)
     return [
         _sweep_row(f"n={n}", float(n), state, phase_space_moments(state, units), units, epsilon)
         for n, state in enumerate(levels)
@@ -122,16 +121,14 @@ def relaxation_walk(
     u uniform on (0, 1), then projects so the product never crosses below
     the bound.  The trace has steps + 1 points and is monotone nonincreasing.
     """
-    if int(steps) != steps or steps < 0:
-        raise InvalidRecipe(f"steps must be a nonnegative integer, got {steps}")
+    steps = require_count("steps", steps)
     if not (0.0 < step_size < 0.5):
         raise InvalidRecipe(f"step_size must lie in (0, 0.5), got {step_size}")
-    if seed < 0:
-        raise InvalidRecipe(f"seed must be nonnegative, got {seed}")
+    seed = require_count("seed", seed)
     bound = units.bound
     gap0 = max(math.sqrt(start.var_x * start.var_p) - bound, 0.0)
-    draws = np.random.default_rng(int(seed)).random(int(steps))
-    gaps = np.empty(int(steps) + 1)
+    draws = np.random.default_rng(seed).random(steps)
+    gaps = np.empty(steps + 1)
     gaps[0] = gap0
     gaps[1:] = gap0 * np.cumprod(1.0 - step_size * draws)
     np.maximum(gaps, 0.0, out=gaps)

@@ -27,6 +27,8 @@ from .errors import (
     InvalidRecipe,
     NormalizationError,
     TruncationError,
+    require_count,
+    require_positive,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -43,8 +45,7 @@ class UnitSystem:
     h: float = TWO_PI
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise InvalidRecipe(f"Planck constant must be finite and positive, got {self.h}")
+        require_positive("Planck constant", self.h)
 
     @property
     def hbar(self) -> float:
@@ -171,8 +172,7 @@ class HamiltonianSpec:
     potential: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise InvalidRecipe(f"mass must be positive, got {self.mass}")
+        require_positive("mass", self.mass)
         v = np.array(self.potential, dtype=np.float64, copy=True)
         if v.ndim != 1 or not np.all(np.isfinite(v)):
             raise InvalidRecipe("potential must be a finite 1-D sample array")
@@ -180,8 +180,7 @@ class HamiltonianSpec:
 
     @classmethod
     def harmonic(cls, grid: GridSpec, mass: float, omega: float) -> "HamiltonianSpec":
-        if omega <= 0:
-            raise InvalidRecipe(f"omega must be positive, got {omega}")
+        require_positive("omega", omega)
         x = grid.points()
         return cls(mass=mass, potential=0.5 * mass * omega**2 * x**2)
 
@@ -246,22 +245,26 @@ def _normalized_state(grid: GridSpec, amp: np.ndarray) -> PureState:
 
 
 def _gaussian_amplitudes(grid, center, momentum, sigma, units):
+    try:
+        prefactor = (TWO_PI * sigma**2) ** -0.25
+    except (OverflowError, ZeroDivisionError):  # sigma**2 overflows, or underflows to 0
+        prefactor = math.nan
+    require_positive(f"the prefactor (2*pi*sigma^2)^(-1/4) at sigma = {sigma}", prefactor)
     x = grid.points()
-    envelope = (TWO_PI * sigma**2) ** -0.25 * np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
+    envelope = prefactor * np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
     return envelope * np.exp(1j * momentum * x / units.hbar)
 
 
 def oscillator_eigenstates(n_max, mass, omega, grid, units) -> tuple:
     """Eigenstates n = 0..n_max of the harmonic oscillator, from the stable
     orthonormal Hermite recurrence, renormalized on the grid."""
-    if mass <= 0 or omega <= 0:
-        raise InvalidRecipe(f"need mass, omega > 0, got mass={mass}, omega={omega}")
-    if int(n_max) != n_max or n_max < 0:
-        raise InvalidRecipe(f"need integer n_max >= 0, got {n_max}")
+    require_positive("mass", mass)
+    require_positive("omega", omega)
+    n_max = require_count("n_max", n_max)
     scale = math.sqrt(mass * omega / units.hbar)
-    basis = _kernels.hermite_basis(scale * grid.points(), int(n_max)) * math.sqrt(scale)
+    basis = _kernels.hermite_basis(scale * grid.points(), n_max) * math.sqrt(scale)
     states = []
-    for n in range(int(n_max) + 1):
+    for n in range(n_max + 1):
         try:
             states.append(_normalized_state(grid, basis[n].astype(np.complex128)))
         except DecayGuardViolation as exc:
@@ -276,8 +279,7 @@ def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureS
     when the state does not vanish at the grid edges.
     """
     if isinstance(recipe, GaussianPacket):
-        if recipe.sigma <= 0 or not math.isfinite(recipe.sigma):
-            raise InvalidRecipe(f"sigma must be positive, got {recipe.sigma}")
+        require_positive("sigma", recipe.sigma)
         if not (math.isfinite(recipe.center) and math.isfinite(recipe.momentum)):
             raise InvalidRecipe("center and momentum must be finite")
         return _normalized_state(
@@ -286,8 +288,9 @@ def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureS
     if isinstance(recipe, OscillatorEigenstate):
         return oscillator_eigenstates(recipe.n, recipe.mass, recipe.omega, grid, units)[-1]
     if isinstance(recipe, CoherentState):
-        if recipe.mass <= 0 or recipe.omega <= 0:
-            raise InvalidRecipe(f"need mass, omega > 0, got mass={recipe.mass}, omega={recipe.omega}")
+        require_positive("mass", recipe.mass)
+        require_positive("omega", recipe.omega)
+        require_positive("mass * omega", recipe.mass * recipe.omega)
         alpha = complex(recipe.alpha)
         hbar = units.hbar
         center = math.sqrt(2.0 * hbar / (recipe.mass * recipe.omega)) * alpha.real
@@ -396,21 +399,20 @@ def _boltzmann_weights(omega, mass, temperature, n_max, units) -> np.ndarray:
     """Normalized weights of the levels thermal_ensemble mixes at T: levels
     0..n_max less those whose weight underflows to zero, the ground state
     alone at T = 0."""
-    if omega <= 0 or mass <= 0:
-        raise InvalidRecipe(f"need omega, mass > 0, got omega={omega}, mass={mass}")
+    require_positive("omega", omega)
+    require_positive("mass", mass)
     if temperature < 0 or not math.isfinite(temperature):
         raise InvalidRecipe(f"temperature must be >= 0, got {temperature}")
-    if int(n_max) != n_max or n_max < 0:
-        raise InvalidRecipe(f"need integer n_max >= 0, got {n_max}")
+    n_max = require_count("n_max", n_max)
     if temperature == 0.0:
         return np.array([1.0])
     q = math.exp(-units.hbar * omega / temperature)
-    tail = q ** (int(n_max) + 1)
+    tail = q ** (n_max + 1)
     if tail >= TAIL_TOL:
         raise TruncationError(
             f"truncated Boltzmann tail mass {tail:.3e} >= {TAIL_TOL:g} at T={temperature}; raise n_max"
         )
-    weights = (1.0 - q) * q ** np.arange(int(n_max) + 1)
+    weights = (1.0 - q) * q ** np.arange(n_max + 1)
     weights = weights[weights > 0.0]  # geometric weights can underflow for deep levels; drop exact zeros
     return weights / weights.sum()
 

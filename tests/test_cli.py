@@ -240,14 +240,15 @@ class _Allocated(Exception):
 
 @pytest.fixture
 def no_allocation(monkeypatch):
-    """Make every allocating step of scan and sample raise, so a test fails
-    loudly if admission lets a request through to numpy."""
+    """Make every allocating step of scans, samples, states, sweeps and walks
+    raise, so a test fails loudly if admission lets a request through to numpy."""
     import fluctlab.cli as cli
 
     def refuse(*args, **kwargs):
         raise _Allocated
 
-    for name in ("density_grid", "reduced_grid", "sample"):
+    for name in ("density_grid", "reduced_grid", "sample", "build_state", "eigenstate_sweep", "thermal_sweep",
+                 "relaxation_walk"):
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(np, "linspace", refuse)
     monkeypatch.setattr(np, "empty", refuse)
@@ -274,3 +275,40 @@ def test_oversize_sample_exits_two_before_allocating(tmp_path, capsys, no_alloca
     assert not out.exists()
     with pytest.raises(_Allocated):                 # the limit itself is admitted
         run([*args, "--count", str(fio.MAX_ROWS)])
+
+
+WALK = ["scenario", "walk", "--var-x", "2", "--var-p", "2", "--step-size", "0.05", "--seed", "1"]
+THERMAL = ["scenario", "thermalsweep", "--temperatures", "1"]
+FOUR_HUNDRED_DIGITS = "9" * 400
+
+
+@pytest.mark.parametrize(
+    "oversize, limit",
+    [   # --grid admits levels x N values: 1 level for --gaussian, N+1 for --eigenstate N or --n-max N
+        (["state", "--eigenstate", "100000000", "--grid", "-12:12:65536"],
+         ["state", "--eigenstate", "2047", "--grid", "-12:12:65536"]),
+        (["state", "--gaussian", "--grid", "-12:12:100000000000000"],
+         ["state", "--gaussian", "--grid", f"-12:12:{2**27}"]),
+        (["state", "--gaussian", "--grid", f"-12:12:{FOUR_HUNDRED_DIGITS}"], None),
+        (["state", "--coherent", "1,1", "--grid", f"-12:12:{2**27 + 1}"],
+         ["state", "--coherent", "1,1", "--grid", f"-12:12:{2**27}"]),
+        ([*THERMAL, "--n-max", "1000000000000", "--grid", "-18:18:4096"],
+         [*THERMAL, "--n-max", "32767", "--grid", "-18:18:4096"]),
+        (["scenario", "eigensweep", "--n-max", "31", "--grid", f"-15:15:{2**22 + 1}"],
+         ["scenario", "eigensweep", "--n-max", "31", "--grid", f"-15:15:{2**22}"]),
+        ([*WALK, "--steps", "1000000000000"], [*WALK, "--steps", str(2**27 - 1)]),   # walks keep steps+1 rows
+        ([*WALK, "--steps", FOUR_HUNDRED_DIGITS], None),
+    ],
+    ids=["eigenstate", "gaussian", "gaussian-400-digits", "coherent", "thermalsweep", "eigensweep", "walk",
+         "walk-400-digits"],
+)
+def test_oversize_grid_or_walk_exits_two_before_allocating(tmp_path, capsys, no_allocation, oversize, limit):
+    out = tmp_path / "out.json"
+    assert run([*oversize, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"exceeds the limit of {fio.MAX_ROWS} rows" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    if limit is not None:
+        with pytest.raises(_Allocated):             # the limit itself is admitted
+            run([*limit, "--out", str(out)])

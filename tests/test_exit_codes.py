@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fluctlab
 from fluctlab import cli, errors
 from fluctlab import io as fio
-from fluctlab.states import GaussianPacket, GridSpec, UnitSystem, build_state
+from fluctlab.states import GaussianPacket, GridSpec, PureState, UnitSystem, build_state
 
 SRC = os.path.dirname(os.path.dirname(fluctlab.__file__))
 NUMERICAL = {"DecayGuardViolation", "TruncationError", "ResolutionError", "NumericalFailure"}
@@ -52,11 +53,33 @@ BAD_INPUTS = {
     "verify-exponent-overflow": (["density", "verify", "--x", "1e200", "--p", "1e-100"], 3),
     "abbreviated-top-level-h": (["--h", "-1", "density", "eval", "--var-x", "1", "--var-p", "1",
                                  "--x", "0", "--p", "0"], 1),
+    "audit-deeply-nested-file": (["audit", "--in", "{tmp}/deep.json", "--out", "{tmp}/draws.csv"], 2),
+    "sample-infinite-variance": (["density", "sample", "--var-x", "inf", "--var-p", "1", "--count", "3",
+                                  "--seed", "1", "--out", "{tmp}/draws.csv"], 2),
+    "coherent-infinite-mass": (["state", "--coherent", "1,1", "--mass", "inf", "--grid", "-12:12:256",
+                                "--out", "{tmp}/draws.csv"], 2),
+    "eval-far-point": (["density", "eval", "--var-x", "1", "--var-p", "1", "--x", "1e200", "--p", "0"], 0),
+    "gaussian-tiny-sigma": (["state", "--gaussian", "--sigma", "1e-200", "--grid", "-12:12:256",
+                             "--out", "{tmp}/draws.csv"], 2),
+    "gaussian-huge-sigma": (["state", "--gaussian", "--sigma", "1e200", "--grid", "-12:12:256",
+                             "--out", "{tmp}/draws.csv"], 2),
+    "normcheck-huge-box": (["density", "normcheck", "--reduced", "--box-half-width", "1e200"], 3),
+    "normcheck-huge-half-width": (["density", "normcheck", "--var-x", "1", "--var-p", "1",
+                                   "--half-width", "1e308"], 3),
+    "sample-huge-h": (["density", "sample", "--h", "1e300", "--var-x", "1e300", "--var-p", "1e300",
+                       "--count", "3", "--seed", "1", "--out", "{tmp}/admitted.csv"], 0),
+    "state-unmeasurable-momentum": (["state", "--gaussian", "--grid", "-12:12:8", "--h", "1.7976931348623157e308",
+                                     "--out", "{tmp}/draws.csv"], 2),
+    "strict-below-bound-out": (["audit", "--in", "{tmp}/spike.json", "--strict", "--out", "{tmp}/draws.csv"], 2),
 }
 
 
 @pytest.mark.parametrize("argv, code", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_without_traceback(argv, code, state_file, tmp_path):
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    spike = np.zeros(8, dtype=complex)
+    spike[4] = 1.0
+    fio.save_state(str(tmp_path / "spike.json"), PureState(GridSpec(-4.0, 4.0, 8), spike), UnitSystem())
     argv = [a.format(state=state_file, tmp=tmp_path) for a in argv]
     result = _fluctlab(argv)
     assert "Traceback" not in result.stderr

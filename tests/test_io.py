@@ -109,6 +109,29 @@ def test_load_rejects_garbage(tmp_path):
         fio.load_state(path)
 
 
+GRID_DOC = '"grid": {"x_min": -1.0, "x_max": 1.0, "n": 8}'
+HUGE_INT = "1" + "0" * 400                     # parses as an int, too large for a float
+OVERLONG_INT = "1" * 5000                      # beyond Python's 4300-digit conversion limit
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"units": {"h": ' + HUGE_INT + "}, " + GRID_DOC + ', "psi_re": [], "psi_im": []}',
+        '{"units": {"h": 6.28}, ' + GRID_DOC + ', "psi_re": [0.0, ' + HUGE_INT + '], "psi_im": []}',
+        '{"units": {"h": ' + OVERLONG_INT + "}}",
+        "[" * 100_000,
+    ],
+    ids=["huge-int-h", "huge-int-psi", "overlong-int", "deep-nesting"],
+)
+def test_load_refuses_numbers_and_nesting_python_cannot_take(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for load in (fio.load_state, fio.load_ensemble, fio.load_target):
+        with pytest.raises(FileFormatError):
+            load(str(path))
+
+
 def test_load_reverifies_normalization(tmp_path, grid, units):
     state = build_state(GaussianPacket(0.0, 0.0, 1.0), grid, units)
     doc = fio.state_document(state, units)
