@@ -12,6 +12,7 @@ peak 2/h.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +58,17 @@ class FluctuationParams:
             raise InvalidRecipe("means must be finite")
         require_positive("var_x", self.var_x)
         require_positive("var_p", self.var_p)
+        bound = self.units.bound
         try:
-            squared_bound = self.units.bound**2
+            squared_bound = bound**2
         except OverflowError:  # a bound above 1.3e154 squares past the float range
             squared_bound = math.inf
-        if self.var_x * self.var_p < squared_bound * (1.0 - PRODUCT_SLACK):
-            raise InvalidRecipe(
-                f"var_x*var_p = {self.var_x * self.var_p!r} violates the bound {squared_bound!r}"
-            )
+        if sys.float_info.min <= squared_bound < math.inf:
+            below, shown = self.var_x * self.var_p < squared_bound * (1.0 - PRODUCT_SLACK), repr(squared_bound)
+        else:  # the square would round to 0, a subnormal or inf: compare the scaled product
+            below, shown = (self.var_x / bound) * (self.var_p / bound) < 1.0 - PRODUCT_SLACK, f"{bound!r}**2"
+        if below:
+            raise InvalidRecipe(f"var_x*var_p = {self.var_x * self.var_p!r} violates the bound {shown}")
 
     @property
     def delta_x(self) -> float:

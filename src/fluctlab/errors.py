@@ -2,7 +2,6 @@
 user-set numbers: require_positive and require_count."""
 
 import math
-import numbers
 
 
 class FluctLabError(Exception):
@@ -53,24 +52,15 @@ class FileFormatError(FluctLabError):
     """Malformed state or ensemble file."""
 
 
-def require_positive(name: str, value) -> float:
-    """value as a float when it is finite and > 0, else InvalidRecipe naming it."""
-    try:
-        number = float(value) if isinstance(value, numbers.Real) else math.nan
-    except OverflowError:  # an int beyond the float range
-        number = math.nan
-    if not 0.0 < number < math.inf:
+def require_positive(name: str, value) -> None:
+    """InvalidRecipe naming the parameter unless value is finite and > 0."""
+    if not 0 < value < math.inf:
         raise InvalidRecipe(f"{name} must be finite and positive, got {value}")
-    return number
 
 
 def require_count(name: str, value, low: int = 0, high=math.inf) -> int:
     """value as an int when it is a whole number in [low, high], else InvalidRecipe
     naming it; ints of any size pass exactly, NaN and infinities are refused."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = math.nan
-    if whole != value or not low <= whole <= high:
+    if not (value % 1 == 0 and low <= value <= high):
         raise InvalidRecipe(f"{name} must be an integer in [{low}, {high}], got {value}")
-    return whole
+    return int(value)

@@ -14,7 +14,8 @@ BLOCK_ROWS rows, so their memory does not grow with the row count.
 MAX_ROWS = 2**27 rows (1 GiB of float64 values) is the one size limit of
 the command line: it refuses a scan, a sample, a walk (steps + 1 rows) or
 a --grid of levels x N values above it with exit code 2 before allocating
-anything.
+anything.  It bounds a count, not memory: a --grid admitted near the limit
+needs about 5 to 20 GiB and a walk tens of GiB (see the README).
 Every output gets the mode an ordinary open() would give it under the
 process umask (0o644 under umask 022).
 """
@@ -34,7 +35,8 @@ from .states import GridSpec, MixedEnsemble, PureState, UnitSystem
 
 MAX_ROWS = 2**27
 """Largest size the command line accepts (CSV rows, or levels x grid
-points): the count of float64 values that fills 1 GiB."""
+points): the count of float64 values that fills 1 GiB.  A walk row or a
+complex grid value takes more than 8 bytes, so they need more."""
 
 BLOCK_ROWS = 4096
 """Rows formatted per chunk by the streaming CSV writers; a block's working

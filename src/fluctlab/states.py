@@ -247,9 +247,8 @@ def _normalized_state(grid: GridSpec, amp: np.ndarray) -> PureState:
 def _gaussian_amplitudes(grid, center, momentum, sigma, units):
     try:
         prefactor = (TWO_PI * sigma**2) ** -0.25
-    except (OverflowError, ZeroDivisionError):  # sigma**2 overflows, or underflows to 0
-        prefactor = math.nan
-    require_positive(f"the prefactor (2*pi*sigma^2)^(-1/4) at sigma = {sigma}", prefactor)
+    except (OverflowError, ZeroDivisionError) as exc:  # sigma**2 overflows, or underflows to 0
+        raise InvalidRecipe(f"sigma = {sigma} is outside the float range of (2*pi*sigma^2)^(-1/4)") from exc
     x = grid.points()
     envelope = prefactor * np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
     return envelope * np.exp(1j * momentum * x / units.hbar)

@@ -93,19 +93,24 @@ def test_helper_messages():
     assert str(exc.value) == "n_max must be an integer in [0, 30], got 31"
 
 
-def test_helpers_return_the_admitted_value():
-    assert require_positive("h", 2) == 2.0 and type(require_positive("h", 2)) is float
-    assert require_positive("h", 10**300) == 1e300
+def test_require_count_returns_the_admitted_int():
     huge = 10**400
     assert require_count("seed", huge) == huge
     assert require_count("count", 3.0) == 3 and type(require_count("count", 3.0)) is int
     assert require_count("count", np.int64(7)) == 7
-    for bad in (10**400, "1", None, 1j):
-        with pytest.raises(InvalidRecipe):
-            require_positive("x", bad)
-    for bad in ("3", None, 1j):
-        with pytest.raises(InvalidRecipe):
-            require_count("n", bad)
+
+
+@pytest.mark.parametrize(
+    "h, admitted, refused",
+    [(1e300, 1e300, 1e200), (1e-300, 1e-150, 1e-310), (2.0 * math.pi, 0.5, 0.4999)],
+    ids=["bound-squared-overflows", "bound-squared-underflows", "in-range"],
+)
+def test_bound_holds_where_its_square_leaves_the_floats(h, admitted, refused):
+    # (h/4pi)**2 is 6.3e597 at h = 1e300 and 6.3e-603 at h = 1e-300
+    units = UnitSystem(h=h)
+    FluctuationParams(0.0, 0.0, admitted, admitted, units)
+    with pytest.raises(InvalidRecipe, match="violates the bound"):
+        FluctuationParams(0.0, 0.0, refused, refused, units)
 
 
 def test_four_hundred_digit_seed_still_works():

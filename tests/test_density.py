@@ -223,6 +223,16 @@ def test_reduced_box_integral_matches_oracle(units):
         assert value == pytest.approx(_box_oracle(units, half_width), rel=1e-9)
 
 
+def test_reduced_box_integral_resolution_cutoff(units):
+    # 2**20 Simpson intervals hold a tenth of the boundary layer 1/(rate*L)
+    # up to 10*rate*L**2 = 2**20, at h = 2*pi a half-width of about 229
+    cutoff = math.sqrt(2**20 / (10.0 * 4.0 * math.pi / units.h))
+    below = cutoff * (1.0 - 1e-9)
+    assert reduced_box_integral(0.0, 0.0, units, below) == pytest.approx(_box_oracle(units, below), rel=1e-7)
+    with pytest.raises(ResolutionError, match="boundary layer"):
+        reduced_box_integral(0.0, 0.0, units, cutoff * (1.0 + 1e-9))
+
+
 def test_reduced_box_integral_logarithmic_growth(units):
     small = reduced_box_integral(0.0, 0.0, units, 10.0)
     large = reduced_box_integral(0.0, 0.0, units, 100.0)

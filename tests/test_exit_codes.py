@@ -68,6 +68,10 @@ BAD_INPUTS = {
                                    "--half-width", "1e308"], 3),
     "sample-huge-h": (["density", "sample", "--h", "1e300", "--var-x", "1e300", "--var-p", "1e300",
                        "--count", "3", "--seed", "1", "--out", "{tmp}/admitted.csv"], 0),
+    "eval-huge-h-below-bound": (["density", "eval", "--h", "1e300", "--var-x", "1e200", "--var-p", "1e200",
+                                 "--x", "0", "--p", "0"], 2),
+    "eval-tiny-h-below-bound": (["density", "eval", "--h", "1e-300", "--var-x", "1e-310", "--var-p", "1e-310",
+                                 "--x", "0", "--p", "0"], 2),
     "state-unmeasurable-momentum": (["state", "--gaussian", "--grid", "-12:12:8", "--h", "1.7976931348623157e308",
                                      "--out", "{tmp}/draws.csv"], 2),
     "strict-below-bound-out": (["audit", "--in", "{tmp}/spike.json", "--strict", "--out", "{tmp}/draws.csv"], 2),
