@@ -28,13 +28,15 @@ def hermite_basis(xi, n_max):
 
 def reduced_scan(xs, ps, mean_x, mean_p, rate, pref):
     """Mesh of pref * exp(-rate * |dx*dp|); rows follow xs, columns ps."""
-    return pref * np.exp(-rate * np.abs(np.outer(xs - mean_x, ps - mean_p)))
+    with np.errstate(over="ignore"):  # an overflow here is +inf, and exp(-inf) is exactly 0
+        return pref * np.exp(-rate * np.abs(np.outer(xs - mean_x, ps - mean_p)))
 
 
 def gauss_scan(xs, ps, mean_x, mean_p, var_x, var_p, pref):
     """Mesh of the factorized Gaussian density; rows follow xs, columns ps."""
-    gx = np.exp(-0.5 * (xs - mean_x) ** 2 / var_x)
-    gp = np.exp(-0.5 * (ps - mean_p) ** 2 / var_p)
+    with np.errstate(over="ignore"):  # an overflow here is +inf, and exp(-inf) is exactly 0
+        gx = np.exp(-0.5 * (xs - mean_x) ** 2 / var_x)
+        gp = np.exp(-0.5 * (ps - mean_p) ** 2 / var_p)
     return pref * np.outer(gx, gp)
 
 

@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidRecipe, NonPositiveInput
+from .errors import InvalidRecipe, NonPositiveInput, require_finite
 from .states import (
     HamiltonianSpec,
     MixedEnsemble,
@@ -56,9 +56,11 @@ class SelfSimilarityReport:
     max_relative_spread: float
 
 
-def uncertainty_product(report: MomentReport) -> float:
-    """sqrt(var_x * var_p), the product of the two spreads."""
-    return math.sqrt(report.var_x * report.var_p)
+def uncertainty_product(report) -> float:
+    """sqrt(var_x * var_p) of a MomentReport or FluctuationParams, binary exponents set apart first (an
+    exact scaling): the plain formula's value where var_x * var_p is a normal float, right where it is not."""
+    (mx, ex), (mp, ep) = math.frexp(report.var_x), math.frexp(report.var_p)
+    return math.ldexp(math.sqrt(math.ldexp(mx * mp, (ex + ep) % 2)), (ex + ep) // 2)
 
 
 def classify(report: MomentReport, units: UnitSystem, epsilon: float = 1e-6) -> Classification:
@@ -88,7 +90,9 @@ def time_energy(delta_e: float, units: UnitSystem) -> float:
     """
     if not (delta_e > 0 and math.isfinite(delta_e)):
         raise NonPositiveInput(f"energy spread must be positive and finite, got {delta_e}")
-    return units.bound / delta_e
+    delta_t = units.bound / delta_e
+    require_finite("delta_t = h/(4*pi*delta_e)", delta_t)
+    return delta_t
 
 
 def entropy_surrogate(ensemble: MixedEnsemble) -> float:

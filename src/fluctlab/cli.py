@@ -4,8 +4,8 @@ densities, and run scenario sweeps.
 Exit codes: 0 success, 1 usage error, 2 data error (malformed or
 non-normalized files, inadmissible parameter values, below-bound audits in
 strict mode), 3 numerical failure (decay guard, truncation, resolution).
-The numerical error classes map to 3; every other fluctlab error, and any
-OSError, maps to 2.
+errors.NumericalFailure and its subclasses map to 3; every other fluctlab
+error, and any OSError, maps to 2.
 """
 
 from __future__ import annotations
@@ -33,14 +33,7 @@ from .density import (
     sample,
     verify_extremum,
 )
-from .errors import (
-    DecayGuardViolation,
-    FluctLabError,
-    InvalidRecipe,
-    NumericalFailure,
-    ResolutionError,
-    TruncationError,
-)
+from .errors import FluctLabError, InvalidRecipe, NumericalFailure, require_finite
 from .scenarios import eigenstate_sweep, relaxation_walk, thermal_sweep
 from .states import (
     CoherentState,
@@ -51,9 +44,6 @@ from .states import (
     build_state,
     phase_space_moments,
 )
-
-_NUMERICAL_ERRORS = (DecayGuardViolation, TruncationError, ResolutionError, NumericalFailure)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse flavor that exits 1 (not 2) on usage errors, accepts
@@ -187,6 +177,8 @@ def _cmd_density_eval(args) -> int:
         x_axis = _parse_axis_flag(args.scan_x)
         p_axis = _parse_axis_flag(args.scan_p)
         _admit_rows(x_axis[2] * p_axis[2], "scan")
+        for lo, hi, n in (x_axis, p_axis):  # np.linspace's last point before it is set to MAX
+            require_finite("axis end MIN + (N-1)*((MAX-MIN)/(N-1))", lo + (n - 1) * ((hi - lo) / (n - 1)))
         xs = np.linspace(*x_axis)
         ps = np.linspace(*p_axis)
         if args.reduced:
@@ -423,7 +415,7 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (FluctLabError, OSError) as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidRecipe, NumericalFailure, ResolutionError, StepTooLarge, ZeroSeparation
-from .errors import require_count, require_positive
+from .errors import require_count, require_finite, require_positive
 from .states import UnitSystem
 
 TWO_PI = 2.0 * math.pi
@@ -35,8 +35,7 @@ class PhasePoint:
     p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.p)):
-            raise InvalidRecipe(f"phase point must be finite, got ({self.x}, {self.p})")
+        require_finite("phase point", self.x, self.p)
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,7 @@ class FluctuationParams:
     units: UnitSystem
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean_x) and math.isfinite(self.mean_p)):
-            raise InvalidRecipe("means must be finite")
+        require_finite("means", self.mean_x, self.mean_p)
         require_positive("var_x", self.var_x)
         require_positive("var_p", self.var_p)
         bound = self.units.bound
@@ -119,10 +117,10 @@ def extremal_variances(mean_x: float, mean_p: float, pt: PhasePoint, units: Unit
     squared bound identically.  Raises ZeroSeparation when pt coincides with
     a mean along either axis (degenerate_spread covers that case), and
     NumericalFailure when |dx/dp| or either variance leaves the finite
-    positive floats.
+    positive floats; InvalidRecipe when a separation is not finite.
     """
-    dx = pt.x - mean_x
-    dp = pt.p - mean_p
+    dx, dp = pt.x - mean_x, pt.p - mean_p
+    require_finite("separations", dx, dp)
     if dx == 0.0 or dp == 0.0:
         raise ZeroSeparation(f"separations ({dx}, {dp}) must both be nonzero")
     ratio = abs(dx / dp)
@@ -143,9 +141,11 @@ def degenerate_spread(units: UnitSystem):
 
 def reduced_density(mean_x: float, mean_p: float, pt: PhasePoint, units: UnitSystem) -> float:
     """Closed form (2/h) * exp(-(4*pi/h)|dx*dp|) left after substituting the
-    extremal variances; well defined everywhere, including at the means."""
-    rate = 4.0 * math.pi / units.h
-    return (2.0 / units.h) * math.exp(-rate * abs((pt.x - mean_x) * (pt.p - mean_p)))
+    extremal variances; well defined everywhere, including at the means.  The
+    rate 4*pi/h must be finite too: an infinite rate times a zero product is NaN."""
+    dx, dp, rate = pt.x - mean_x, pt.p - mean_p, 4.0 * math.pi / units.h
+    require_finite("separations and rate 4*pi/h", dx, dp, rate)
+    return (2.0 / units.h) * math.exp(-rate * abs(dx * dp))
 
 
 def verify_extremum(
@@ -253,6 +253,7 @@ def reduced_box_integral(
         )
     exponent = max(12, min(20, math.ceil(math.log2(32.0 * max(scale * half_width, 1.0)))))
     intervals = 2**exponent
+    require_positive("rate*t at the first Simpson node", rate * (half_width / intervals))  # else 0/0 below
     t = np.linspace(0.0, half_width, intervals + 1)
     inner = np.empty(t.size)
     inner[0] = 2.0 * half_width
@@ -278,13 +279,10 @@ def density_grid(params: FluctuationParams, xs: np.ndarray, ps: np.ndarray) -> n
 def reduced_grid(
     mean_x: float, mean_p: float, units: UnitSystem, xs: np.ndarray, ps: np.ndarray
 ) -> np.ndarray:
-    """Reduced-density values on the outer product of xs and ps."""
+    """Reduced-density values on the outer product of xs and ps, admitted as reduced_density admits a point."""
+    xs = np.ascontiguousarray(xs, dtype=float)
+    ps = np.ascontiguousarray(ps, dtype=float)
     rate = 4.0 * math.pi / units.h
-    return _kernels.reduced_scan(
-        np.ascontiguousarray(xs, dtype=float),
-        np.ascontiguousarray(ps, dtype=float),
-        mean_x,
-        mean_p,
-        rate,
-        2.0 / units.h,
-    )
+    ends = [float(end) - mean for axis, mean in ((xs, mean_x), (ps, mean_p)) for end in (axis.min(), axis.max())]
+    require_finite("separations and rate 4*pi/h", *ends, rate)
+    return _kernels.reduced_scan(xs, ps, mean_x, mean_p, rate, 2.0 / units.h)

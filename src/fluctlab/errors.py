@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one admission rule for
-user-set numbers: require_positive and require_count."""
+"""Exception types, and the one admission rule for numbers (require_positive, require_count and
+require_finite, each raising InvalidRecipe naming the quantity).  NumericalFailure and its subclasses
+DecayGuardViolation, TruncationError and ResolutionError exit 3; every other FluctLabError exits 2."""
 
 import math
 
@@ -16,7 +17,11 @@ class NormalizationError(FluctLabError):
     """Amplitudes or weights fail their normalization invariant."""
 
 
-class DecayGuardViolation(FluctLabError):
+class NumericalFailure(FluctLabError):
+    """A computed value is off by more than roundoff can explain (base class)."""
+
+
+class DecayGuardViolation(NumericalFailure):
     """State does not vanish at the grid edges; spectral moments untrustworthy."""
 
 
@@ -24,12 +29,8 @@ class GridMismatch(FluctLabError):
     """Operands live on incompatible grids."""
 
 
-class TruncationError(FluctLabError):
+class TruncationError(NumericalFailure):
     """Truncated basis leaves too much weight in the tail."""
-
-
-class NumericalFailure(FluctLabError):
-    """A computed value is off by more than roundoff can explain."""
 
 
 class NonPositiveInput(FluctLabError):
@@ -44,7 +45,7 @@ class StepTooLarge(FluctLabError):
     """Finite-difference step outside the usable range."""
 
 
-class ResolutionError(FluctLabError):
+class ResolutionError(NumericalFailure):
     """Quadrature mesh too coarse to resolve the integrand."""
 
 
@@ -64,3 +65,9 @@ def require_count(name: str, value, low: int = 0, high=math.inf) -> int:
     if not (value % 1 == 0 and low <= value <= high):
         raise InvalidRecipe(f"{name} must be an integer in [{low}, {high}], got {value}")
     return int(value)
+
+
+def require_finite(name: str, *values) -> None:
+    """InvalidRecipe naming the quantity unless every value is finite (ints of any size are)."""
+    if not all(-math.inf < v < math.inf for v in values):
+        raise InvalidRecipe(f"{name} must be finite, got {', '.join(map(str, values))}")

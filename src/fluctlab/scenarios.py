@@ -9,11 +9,10 @@ saturation, not to model any equation of motion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
-from .audit import classify, entropy_surrogate
+from .audit import classify, entropy_surrogate, uncertainty_product
 from .density import FluctuationParams
 from .errors import InvalidRecipe, require_count
 from .states import (
@@ -126,7 +125,7 @@ def relaxation_walk(
         raise InvalidRecipe(f"step_size must lie in (0, 0.5), got {step_size}")
     seed = require_count("seed", seed)
     bound = units.bound
-    gap0 = max(math.sqrt(start.var_x * start.var_p) - bound, 0.0)
+    gap0 = max(uncertainty_product(start) - bound, 0.0)
     draws = np.random.default_rng(seed).random(steps)
     gaps = np.empty(steps + 1)
     gaps[0] = gap0

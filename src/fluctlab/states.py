@@ -28,6 +28,7 @@ from .errors import (
     NormalizationError,
     TruncationError,
     require_count,
+    require_finite,
     require_positive,
 )
 
@@ -66,8 +67,7 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise InvalidRecipe("grid endpoints must be finite")
+        require_finite("grid endpoints and span", self.x_min, self.x_max, self.x_max - self.x_min)
         if self.x_max <= self.x_min:
             raise InvalidRecipe(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
         if int(self.n) != self.n or self.n < 8:
@@ -181,8 +181,9 @@ class HamiltonianSpec:
     @classmethod
     def harmonic(cls, grid: GridSpec, mass: float, omega: float) -> "HamiltonianSpec":
         require_positive("omega", omega)
-        x = grid.points()
-        return cls(mass=mass, potential=0.5 * mass * omega**2 * x**2)
+        omega_squared = omega * omega
+        require_finite("omega**2", omega_squared)
+        return cls(mass=mass, potential=0.5 * mass * omega_squared * grid.points() ** 2)
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,7 @@ class MomentReport:
 
     def __post_init__(self):
         for name in ("mean_x", "mean_p", "var_x", "var_p"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidRecipe(f"{name} must be finite")
+            require_finite(name, getattr(self, name))
         if self.var_x < 0 or self.var_p < 0:
             raise InvalidRecipe("variances must be nonnegative")
 
@@ -239,18 +239,19 @@ StateRecipe = Union[GaussianPacket, OscillatorEigenstate, CoherentState, RawSamp
 
 def _normalized_state(grid: GridSpec, amp: np.ndarray) -> PureState:
     norm = math.sqrt(_trapz(np.abs(amp) ** 2, grid.dx))
-    if not (math.isfinite(norm) and norm > 0):
-        raise InvalidRecipe("amplitudes have zero or non-finite norm")
+    require_positive("amplitude norm", norm)
     return PureState(grid, amp / norm)
 
 
 def _gaussian_amplitudes(grid, center, momentum, sigma, units):
-    try:
-        prefactor = (TWO_PI * sigma**2) ** -0.25
-    except (OverflowError, ZeroDivisionError) as exc:  # sigma**2 overflows, or underflows to 0
-        raise InvalidRecipe(f"sigma = {sigma} is outside the float range of (2*pi*sigma^2)^(-1/4)") from exc
+    require_finite("center and momentum", center, momentum)
+    variance = sigma * sigma  # sigma**2 without its OverflowError
+    require_positive(f"2*pi*sigma**2 at sigma = {sigma}", TWO_PI * variance)
     x = grid.points()
-    envelope = prefactor * np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
+    # numpy divides the complex phase by hbar as a product with 1/hbar
+    require_finite("phase momentum*x/hbar", momentum * max(abs(grid.x_min), abs(float(x[-1]))) * (1.0 / units.hbar))
+    with np.errstate(over="ignore"):  # an overflow here is +inf, and exp(-inf) is exactly 0
+        envelope = (TWO_PI * variance) ** -0.25 * np.exp(-((x - center) ** 2) / (4.0 * variance))
     return envelope * np.exp(1j * momentum * x / units.hbar)
 
 
@@ -279,8 +280,6 @@ def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureS
     """
     if isinstance(recipe, GaussianPacket):
         require_positive("sigma", recipe.sigma)
-        if not (math.isfinite(recipe.center) and math.isfinite(recipe.momentum)):
-            raise InvalidRecipe("center and momentum must be finite")
         return _normalized_state(
             grid, _gaussian_amplitudes(grid, recipe.center, recipe.momentum, recipe.sigma, units)
         )
@@ -346,8 +345,12 @@ def phase_space_moments(state: PureState, units: UnitSystem) -> MomentReport:
     mean_x = _trapz(prob * x, dx)
     power = np.abs(np.fft.fft(state.amplitudes)) ** 2
     power = power / power.sum()
-    p = units.hbar * _grid_wavenumbers(state.grid)
+    k = _grid_wavenumbers(state.grid)
+    p_low, p_high = units.hbar * float(k.min()), units.hbar * float(k.max())
+    require_finite("momenta hbar*k", p_low, p_high)
+    p = units.hbar * k
     mean_p = float(power @ p)
+    require_finite("squared momentum deviations", *(d * d for d in (p_high - mean_p, mean_p - p_low)))
     return MomentReport(
         mean_x=mean_x,
         mean_p=mean_p,

@@ -2,15 +2,21 @@
 through cli.run on numbers at the edges of the float range and on sizes far
 beyond the admission limit, must end in a documented exit code (0-3), never
 let an exception escape, and leave no output file or temp file behind when
-it fails.
+it fails.  A run that succeeds prints and writes only finite numbers, and
+no run lets numpy warn of an overflow or an invalid value: each is decided
+by a check, so the RuntimeWarning is an error here.
 
 Sizes are -1..64, above io.MAX_ROWS or 400 digits long, so every request
 the program admits is small and every large one must be refused before it
 is allocated.
 """
 
+import contextlib
+import io
 import math
 import os
+import pathlib
+import re
 import sys
 import tempfile
 
@@ -31,7 +37,10 @@ from fluctlab.states import (
     oscillator_eigenstates,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 FLOAT_MAX = sys.float_info.max
+NON_FINITE = re.compile(r"\b(nan|inf|NaN|Infinity)\b")
 EXTREMES = [0.0, -1.0, 1e300, -1e300, 1e-300, -1e-300, 1e-320, FLOAT_MAX, -FLOAT_MAX, math.nan, math.inf, -math.inf]
 
 
@@ -185,10 +194,15 @@ def inputs(tmp_path_factory):
 def test_cli_ends_in_documented_exit_code(command, inputs, data):
     argv = data.draw(COMMANDS[command], label="argv")
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [token.format(out=os.path.join(tmp, "out"), **inputs) for token in argv]
-        code = cli.run(argv)
+        out = os.path.join(tmp, "out")
+        argv = [token.format(out=out, **inputs) for token in argv]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = cli.run(argv)
         left = sorted(os.listdir(tmp))
+        written = pathlib.Path(out).read_text() if left == ["out"] else ""
     assert code in (0, 1, 2, 3)
     assert not [name for name in left if name.startswith(".fluctlab-")]
     if code != 0:
         assert left == [], (code, left)
+    else:
+        assert not NON_FINITE.search(stdout.getvalue() + written), (stdout.getvalue(), written[:500])

@@ -1,6 +1,8 @@
 """Exit codes by error class, and bad inputs that must end in a documented
 exit code rather than a Python traceback."""
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +66,7 @@ BAD_INPUTS = {
     "gaussian-huge-sigma": (["state", "--gaussian", "--sigma", "1e200", "--grid", "-12:12:256",
                              "--out", "{tmp}/draws.csv"], 2),
     "normcheck-huge-box": (["density", "normcheck", "--reduced", "--box-half-width", "1e200"], 3),
+    "normcheck-tiny-box": (["density", "normcheck", "--reduced", "--box-half-width", "1e-320"], 2),
     "normcheck-huge-half-width": (["density", "normcheck", "--var-x", "1", "--var-p", "1",
                                    "--half-width", "1e308"], 3),
     "sample-huge-h": (["density", "sample", "--h", "1e300", "--var-x", "1e300", "--var-p", "1e300",
@@ -75,6 +78,30 @@ BAD_INPUTS = {
     "state-unmeasurable-momentum": (["state", "--gaussian", "--grid", "-12:12:8", "--h", "1.7976931348623157e308",
                                      "--out", "{tmp}/draws.csv"], 2),
     "strict-below-bound-out": (["audit", "--in", "{tmp}/spike.json", "--strict", "--out", "{tmp}/draws.csv"], 2),
+    "reduced-nan-mean": (["density", "eval", "--reduced", "--mean-x", "nan", "--x", "0", "--p", "0"], 2),
+    "reduced-scan-nan-mean": (["density", "eval", "--reduced", "--mean-x", "nan", "--scan-x=-1:1:3",
+                               "--scan-p=-1:1:3", "--out", "{tmp}/draws.csv"], 2),
+    "reduced-separation-overflow": (["density", "eval", "--reduced", "--mean-x=-1e308", "--x", "1e308",
+                                     "--p", "0"], 2),
+    "reduced-rate-overflow": (["density", "eval", "--reduced", "--h", "1e-320", "--x", "0", "--p", "0"], 2),
+    "extremize-nan-mean": (["density", "extremize", "--mean-x", "nan", "--x", "1", "--p", "1"], 2),
+    "verify-nan-mean": (["density", "verify", "--mean-x", "nan", "--x", "1", "--p", "1"], 2),
+    "scan-axis-span-overflow": (["density", "eval", "--var-x", "1", "--var-p", "1", "--scan-x=-1.5e308:1.5e308:3",
+                                 "--scan-p=-1:1:2", "--out", "{tmp}/draws.csv"], 2),
+    "scan-axis-end-rounds-up": (["density", "eval", "--var-x", "1", "--var-p", "1", "--scan-x=-12:12:8",
+                                 "--scan-p=-1.7976931348623157e308:1:8", "--out", "{tmp}/draws.csv"], 2),
+    "state-grid-span-overflow": (["state", "--gaussian", "--grid=-1.5e308:1.5e308:64",
+                                  "--out", "{tmp}/draws.csv"], 2),
+    "gaussian-phase-overflow": (["state", "--gaussian", "--momentum", "1", "--h", "1e-310", "--grid", "-12:12:64",
+                                 "--out", "{tmp}/draws.csv"], 2),
+    "audit-momentum-square-overflow": (["audit", "--in", "{state}", "--h", "1e200", "--out", "{tmp}/draws.csv"], 2),
+    "audit-delta-t-overflow": (["audit", "--in", "{state}", "--delta-e", "1e-320", "--out", "{tmp}/draws.csv"], 2),
+    "walk-product-overflow": (["scenario", "walk", "--var-x", "1e300", "--var-p", "1e300", "--steps", "2",
+                               "--step-size", "0.1", "--seed", "1"], 0),
+    "state-product-overflow": (["state", "--gaussian", "--sigma", "1e5", "--grid=-2e6:2e6:4096",
+                                "--h", "6.283185307179586e155", "--out", "{tmp}/admitted.json"], 0),
+    "state-product-underflow": (["state", "--gaussian", "--sigma", "1e-150", "--grid=-1.2e-149:1.2e-149:256",
+                                 "--h", "1e-300", "--out", "{tmp}/admitted.json"], 0),
 }
 
 
@@ -98,6 +125,36 @@ def test_value_checks_keep_their_messages(capsys):
     assert "Planck constant must be finite and positive" in result.stderr
     assert cli.run(["scenario", "eigensweep", "--n-max", "1", "--grid", "-5:5:4"]) == 2
     assert capsys.readouterr().err == "error: need at least 8 sample points, got n=4\n"
+
+
+def test_numerical_errors_share_one_base_class():
+    assert {cls.__name__ for cls in ERROR_CLASSES if issubclass(cls, errors.NumericalFailure)} == NUMERICAL
+
+
+@pytest.mark.parametrize(
+    "state_argv",
+    [
+        ["--sigma", "1e5", "--grid=-2e6:2e6:4096", "--h", "6.283185307179586e155"],   # var_x*var_p overflows
+        ["--sigma", "1e-150", "--grid=-1.2e-149:1.2e-149:256", "--h", "1e-300"],     # var_x*var_p underflows
+    ],
+    ids=["product-overflows", "product-underflows"],
+)
+def test_minimal_gaussian_audits_minimal_across_the_float_range(state_argv, tmp_path, capsys):
+    path = str(tmp_path / "s.json")
+    assert cli.run(["state", "--gaussian", *state_argv, "--out", path]) == 0
+    capsys.readouterr()
+    assert cli.run(["audit", "--in", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["classification"] == "minimal"
+    assert report["product"] == pytest.approx(report["bound"], rel=1e-9)
+
+
+def test_walk_product_survives_its_square_overflowing(capsys):
+    argv = ["scenario", "walk", "--var-x", "1e300", "--var-p", "1e300", "--steps", "2", "--step-size", "0.1"]
+    assert cli.run([*argv, "--seed", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1] == "0,1e+300,1e+300"
+    assert all(math.isfinite(float(value)) for row in rows[1:] for value in row.split(","))
 
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES + [OSError], ids=lambda cls: cls.__name__)
