@@ -16,14 +16,14 @@ _PI_QRT = math.pi ** -0.25
 
 
 def hermite_basis(xi, n_max):
-    """Orthonormal Hermite functions h_0..h_n_max sampled on xi, one row each."""
-    out = np.empty((n_max + 1, xi.size))
-    out[0] = _PI_QRT * np.exp(-0.5 * xi * xi)
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * xi * out[0]
-    for k in range(1, n_max):
-        out[k + 1] = math.sqrt(2.0 / (k + 1)) * xi * out[k] - math.sqrt(k / (k + 1)) * out[k - 1]
-    return out
+    """Orthonormal Hermite functions h_0..h_n_max sampled on xi, yielded one row at a
+    time; the three-term recurrence (with h_-1 = 0) holds only the two previous rows."""
+    with np.errstate(over="ignore"):  # an overflow here is +inf, and exp(-inf) is exactly 0
+        prev, row = 0.0, _PI_QRT * np.exp(-0.5 * xi * xi)
+    yield row
+    for k in range(n_max):
+        prev, row = row, math.sqrt(2.0 / (k + 1)) * xi * row - math.sqrt(k / (k + 1)) * prev
+        yield row
 
 
 def reduced_scan(xs, ps, mean_x, mean_p, rate, pref):

@@ -95,11 +95,14 @@ def time_energy(delta_e: float, units: UnitSystem) -> float:
     return delta_t
 
 
-def entropy_surrogate(ensemble: MixedEnsemble) -> float:
-    """Weight entropy -sum(w*ln w); 0 for a pure state or a single member,
-    at most ln(member count)."""
-    w, _ = _mixture(ensemble)
+def _weight_entropy(w) -> float:
+    """-sum(w*ln w) of mixture weights; 0 for one weight 1, at most ln(len(w))."""
     return float(max(0.0, -(w @ np.log(w))))
+
+
+def entropy_surrogate(ensemble: MixedEnsemble) -> float:
+    """Weight entropy of a mixture (a pure state counts as the one-member mixture)."""
+    return _weight_entropy(_mixture(ensemble)[0])
 
 
 def self_similarity_report(

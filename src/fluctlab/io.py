@@ -14,8 +14,9 @@ BLOCK_ROWS rows, so their memory does not grow with the row count.
 MAX_ROWS = 2**27 rows (1 GiB of float64 values) is the one size limit of
 the command line: it refuses a scan, a sample, a walk (steps + 1 rows) or
 a --grid of levels x N values above it with exit code 2 before allocating
-anything.  It bounds a count, not memory: a --grid admitted near the limit
-needs about 5 to 20 GiB and a walk tens of GiB (see the README).
+anything.  It bounds a count, not memory: a --grid near the limit needs up to
+about 20 GiB and a walk tens of GiB (see the README).  The sweeps hold one
+level at a time, so their memory grows with N, not levels x N.
 Every output gets the mode an ordinary open() would give it under the
 process umask (0o644 under umask 022).
 """
@@ -112,10 +113,8 @@ def _field(mapping, key, kind, where):
         if isinstance(value, bool) or not isinstance(value, int):
             raise FileFormatError(f"{where}.{key}: expected an integer, got {type(value).__name__}")
         return value
-    if kind is list:
-        if not isinstance(value, list):
-            raise FileFormatError(f"{where}.{key}: expected a list, got {type(value).__name__}")
-        return value
+    if kind is list and not isinstance(value, list):
+        raise FileFormatError(f"{where}.{key}: expected a list, got {type(value).__name__}")
     return value
 
 

@@ -12,16 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import classify, entropy_surrogate, uncertainty_product
+from .audit import _weight_entropy, classify, uncertainty_product
 from .density import FluctuationParams
 from .errors import InvalidRecipe, require_count
 from .states import (
     GridSpec,
-    MixedEnsemble,
     UnitSystem,
     _boltzmann_weights,
+    _eigenstate_levels,
     _mixture_report,
-    oscillator_eigenstates,
     phase_space_moments,
 )
 
@@ -45,8 +44,8 @@ class WalkTrace:
     distance_to_bound: float
 
 
-def _sweep_row(label: str, parameter: float, target, report, units: UnitSystem, epsilon: float) -> SweepRow:
-    """Audit of a pure state or a mixture, whose moments are `report`, as one sweep row."""
+def _sweep_row(label: str, parameter: float, weights, report, units: UnitSystem, epsilon: float) -> SweepRow:
+    """Audit of a mixture of these weights (one weight 1 for a pure state) whose moments are `report`."""
     result = classify(report, units, epsilon)
     return SweepRow(
         label=label,
@@ -54,7 +53,7 @@ def _sweep_row(label: str, parameter: float, target, report, units: UnitSystem, 
         product=result.product,
         bound=result.bound,
         classification=result.verdict.value,
-        entropy_surrogate=entropy_surrogate(target),
+        entropy_surrogate=_weight_entropy(weights),
     )
 
 
@@ -66,12 +65,11 @@ def eigenstate_sweep(
     units: UnitSystem,
     epsilon: float = 1e-6,
 ) -> list[SweepRow]:
-    """One row per oscillator level 0..n_max; products grow as (2n+1) times the bound."""
+    """One row per oscillator level 0..n_max, each measured, then dropped; products are (2n+1) x bound."""
     n_max = require_count("n_max", n_max, high=MAX_SWEEP_LEVEL)
-    levels = oscillator_eigenstates(n_max, mass, omega, grid, units)
     return [
-        _sweep_row(f"n={n}", float(n), state, phase_space_moments(state, units), units, epsilon)
-        for n, state in enumerate(levels)
+        _sweep_row(f"n={n}", float(n), np.ones(1), phase_space_moments(state, units), units, epsilon)
+        for n, state in enumerate(_eigenstate_levels(n_max, mass, omega, grid, units))
     ]
 
 
@@ -86,23 +84,18 @@ def thermal_sweep(
 ) -> list[SweepRow]:
     """One row per temperature for the Boltzmann oscillator mixture (k_B = 1).
 
-    Every temperature's weights are worked out first, then the oscillator
-    levels are built and measured once, down to the deepest level any
-    temperature keeps; each row combines the leading levels' moments with
-    that temperature's weights, as ensemble_moments(thermal_ensemble(...))
-    would.
+    Every temperature's weights come first; then the levels down to the deepest
+    any temperature keeps are built, measured and dropped one at a time.  Each row
+    combines the leading levels' moments with its weights, as ensemble_moments(thermal_ensemble(...)) would.
     """
     temperatures = [float(t) for t in temperatures]
     weights = [_boltzmann_weights(omega, mass, t, n_max, units) for t in temperatures]
     if not weights:
         return []
-    levels = oscillator_eigenstates(max(w.size for w in weights) - 1, mass, omega, grid, units)
+    levels = _eigenstate_levels(max(w.size for w in weights) - 1, mass, omega, grid, units)
     reports = [phase_space_moments(level, units) for level in levels]
     return [
-        _sweep_row(
-            f"T={t:g}", t, MixedEnsemble(w, levels[: w.size]), _mixture_report(w, reports[: w.size]),
-            units, epsilon,
-        )
+        _sweep_row(f"T={t:g}", t, w, _mixture_report(w, reports[: w.size]), units, epsilon)
         for t, w in zip(temperatures, weights)
     ]
 

@@ -14,6 +14,7 @@ workers.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -255,21 +256,24 @@ def _gaussian_amplitudes(grid, center, momentum, sigma, units):
     return envelope * np.exp(1j * momentum * x / units.hbar)
 
 
-def oscillator_eigenstates(n_max, mass, omega, grid, units) -> tuple:
-    """Eigenstates n = 0..n_max of the harmonic oscillator, from the stable
-    orthonormal Hermite recurrence, renormalized on the grid."""
+def _eigenstate_levels(n_max, mass, omega, grid, units):
+    """Oscillator eigenstates n = 0..n_max, renormalized on the grid, yielded one at a time."""
     require_positive("mass", mass)
     require_positive("omega", omega)
     n_max = require_count("n_max", n_max)
     scale = math.sqrt(mass * omega / units.hbar)
-    basis = _kernels.hermite_basis(scale * grid.points(), n_max) * math.sqrt(scale)
-    states = []
-    for n in range(n_max + 1):
+    require_finite("Hermite argument sqrt(m*omega/hbar)*|x|", scale * max(abs(grid.x_min), abs(grid.x_max)))
+    for n, row in enumerate(_kernels.hermite_basis(scale * grid.points(), n_max)):
         try:
-            states.append(_normalized_state(grid, basis[n].astype(np.complex128)))
+            yield _normalized_state(grid, (row * math.sqrt(scale)).astype(np.complex128))
         except DecayGuardViolation as exc:
             raise DecayGuardViolation(f"eigenstate n={n}: {exc}") from exc
-    return tuple(states)
+
+
+def oscillator_eigenstates(n_max, mass, omega, grid, units) -> tuple:
+    """Eigenstates n = 0..n_max of the harmonic oscillator from the stable orthonormal
+    Hermite recurrence, renormalized on the grid and all held at once."""
+    return tuple(_eigenstate_levels(n_max, mass, omega, grid, units))
 
 
 def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureState:
@@ -284,7 +288,7 @@ def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureS
             grid, _gaussian_amplitudes(grid, recipe.center, recipe.momentum, recipe.sigma, units)
         )
     if isinstance(recipe, OscillatorEigenstate):
-        return oscillator_eigenstates(recipe.n, recipe.mass, recipe.omega, grid, units)[-1]
+        return deque(_eigenstate_levels(recipe.n, recipe.mass, recipe.omega, grid, units), maxlen=1).pop()
     if isinstance(recipe, CoherentState):
         require_positive("mass", recipe.mass)
         require_positive("omega", recipe.omega)
@@ -351,6 +355,7 @@ def phase_space_moments(state: PureState, units: UnitSystem) -> MomentReport:
     p = units.hbar * k
     mean_p = float(power @ p)
     require_finite("squared momentum deviations", *(d * d for d in (p_high - mean_p, mean_p - p_low)))
+    require_finite("squared position deviations", *(d * d for d in (float(x[-1]) - mean_x, mean_x - float(x[0]))))
     return MomentReport(
         mean_x=mean_x,
         mean_p=mean_p,

@@ -132,6 +132,21 @@ OVERFLOWS = {
         lambda v: phase_space_moments(build_state(GaussianPacket(), GRID, UNITS), UnitSystem(h=v)),
         [1e200],
     ),
+    "phase_space_moments squared position deviation": (
+        "squared position deviations",
+        lambda v: phase_space_moments(
+            build_state(GaussianPacket(sigma=v), GridSpec(-1e155, 1e155, 1024), UNITS), UNITS
+        ),
+        [1e153],
+    ),
+    "eigenstate Hermite argument": (
+        "Hermite argument sqrt(m*omega/hbar)*|x|",
+        lambda v: oscillator_eigenstates(1, 1.0, 1.0, GRID, UnitSystem(h=v)), [1e-320],
+    ),
+    # xi*xi overflows wherever x != 0, so level 1 vanishes on every grid point
+    "eigenstate Hermite square": (
+        "amplitude norm", lambda v: oscillator_eigenstates(1, 1.0, v, GRID, UNITS), [FLOAT_MAX]
+    ),
     "time_energy delta_t": ("delta_t = h/(4*pi*delta_e)", lambda v: time_energy(v, UNITS), [1e-320]),
     "reduced_density rate": (
         "separations and rate 4*pi/h", lambda v: reduced_density(0.0, 0.0, POINT, UnitSystem(h=v)), [1e-320]
@@ -175,6 +190,7 @@ def test_every_admission_names_its_parameter(name, call, value):
         call(value)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name, call, value", FINITE_CASES)
 def test_every_finiteness_check_names_its_quantity(name, call, value):
     with pytest.raises(InvalidRecipe, match=f"^{re.escape(name)} must be finite"):

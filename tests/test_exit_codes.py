@@ -102,6 +102,13 @@ BAD_INPUTS = {
                                 "--h", "6.283185307179586e155", "--out", "{tmp}/admitted.json"], 0),
     "state-product-underflow": (["state", "--gaussian", "--sigma", "1e-150", "--grid=-1.2e-149:1.2e-149:256",
                                  "--h", "1e-300", "--out", "{tmp}/admitted.json"], 0),
+    "eigenstate-hermite-argument-overflow": (["state", "--h", "1e-320", "--eigenstate", "1", "--grid=-5:5:64",
+                                              "--out", "{tmp}/draws.csv"], 2),
+    "eigenstate-hermite-square-overflow": (["state", "--omega", "1.7976931348623157e308", "--eigenstate", "1",
+                                            "--grid=-5:5:64", "--out", "{tmp}/draws.csv"], 2),
+    "eigenstate-huge-grid": (["state", "--eigenstate", "1", "--grid=1.0:1e+300:8", "--out", "{tmp}/draws.csv"], 3),
+    "gaussian-position-square-overflow": (["state", "--gaussian", "--sigma", "1e153", "--grid=-1e155:1e155:1024",
+                                           "--out", "{tmp}/draws.csv"], 2),
 }
 
 
@@ -114,6 +121,7 @@ def test_bad_input_exits_without_traceback(argv, code, state_file, tmp_path):
     argv = [a.format(state=state_file, tmp=tmp_path) for a in argv]
     result = _fluctlab(argv)
     assert "Traceback" not in result.stderr
+    assert "RuntimeWarning" not in result.stderr
     assert result.returncode == code, result.stderr
     assert not (tmp_path / "draws.csv").exists()
 

@@ -81,13 +81,13 @@ def test_thermal_sweep_builds_levels_once(units, monkeypatch):
     # at T = 0.15 the weights of the deepest levels underflow and are dropped
     assert thermal_ensemble(1.0, 1.0, 0.15, 120, grid, units).weights.size < 121
     calls = []
-    original = scenarios.oscillator_eigenstates
+    original = scenarios._eigenstate_levels
 
     def counting(n_max, *args):
         calls.append(n_max)
         return original(n_max, *args)
 
-    monkeypatch.setattr(scenarios, "oscillator_eigenstates", counting)
+    monkeypatch.setattr(scenarios, "_eigenstate_levels", counting)
     rows = thermal_sweep(temperatures, 1.0, 1.0, 120, grid, units)
     assert calls == [120]
     for row, temperature in zip(rows, temperatures):

@@ -1,5 +1,7 @@
 """Sweeps and the relaxation walk."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,10 @@ from fluctlab import (
     FluctuationParams,
     GridSpec,
     InvalidRecipe,
+    classify,
     eigenstate_sweep,
+    oscillator_eigenstates,
+    phase_space_moments,
     relaxation_walk,
     thermal_ensemble,
     thermal_sweep,
@@ -27,6 +32,41 @@ def test_eigenstate_sweep_products(units):
         assert row.entropy_surrogate == 0.0
     assert rows[0].classification == "minimal"
     assert all(row.classification == "strict" for row in rows[1:])
+
+
+def test_eigenstate_sweep_matches_each_level_measured_alone(units):
+    grid = GridSpec(-15.0, 15.0, 2048)
+    rows = eigenstate_sweep(12, 1.0, 1.0, grid, units)
+    for n, (row, state) in enumerate(zip(rows, oscillator_eigenstates(12, 1.0, 1.0, grid, units))):
+        result = classify(phase_space_moments(state, units), units)
+        assert (row.product, row.bound, row.classification, row.entropy_surrogate) == (
+            result.product, result.bound, result.verdict.value, 0.0
+        ), n
+
+
+def _peak_bytes(sweep):
+    sweep()  # fill the grid caches outside the measurement
+    tracemalloc.start()
+    try:
+        sweep()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eigenstate_sweep_memory_does_not_grow_with_levels(units):
+    grid = GridSpec(-15.0, 15.0, 16384)
+    few = _peak_bytes(lambda: eigenstate_sweep(3, 1.0, 1.0, grid, units))
+    many = _peak_bytes(lambda: eigenstate_sweep(30, 1.0, 1.0, grid, units))
+    assert many <= 1.5 * few, (few, many)
+
+
+def test_thermal_sweep_memory_does_not_grow_with_levels(units):
+    grid = GridSpec(-22.0, 22.0, 8192)
+    # at T = 1 every level up to 120 keeps a nonzero weight
+    few = _peak_bytes(lambda: thermal_sweep([1.0], 1.0, 1.0, 40, grid, units))
+    many = _peak_bytes(lambda: thermal_sweep([1.0], 1.0, 1.0, 120, grid, units))
+    assert many <= 1.5 * few, (few, many)
 
 
 def test_thermal_sweep_measures_each_level_once(units, monkeypatch):
