@@ -34,10 +34,18 @@ def reduced_scan(xs, ps, mean_x, mean_p, rate, pref):
 
 def gauss_scan(xs, ps, mean_x, mean_p, var_x, var_p, pref):
     """Mesh of the factorized Gaussian density; rows follow xs, columns ps."""
+    return pref * np.outer(_gauss_factor(xs, mean_x, var_x), _gauss_factor(ps, mean_p, var_p))
+
+
+def _gauss_factor(axis, mean, var):
+    """exp(-0.5*(axis-mean)**2/var) on an axis array; where the squared separation leaves the
+    floats, the separation is divided by sqrt(var) before it is squared."""
     with np.errstate(over="ignore"):  # an overflow here is +inf, and exp(-inf) is exactly 0
-        gx = np.exp(-0.5 * (xs - mean_x) ** 2 / var_x)
-        gp = np.exp(-0.5 * (ps - mean_p) ** 2 / var_p)
-    return pref * np.outer(gx, gp)
+        d = axis - mean
+        exponent = -0.5 * d**2 / var
+        wide = np.isinf(exponent)
+        exponent[wide] = -0.5 * (d[wide] / math.sqrt(var)) ** 2
+        return np.exp(exponent)
 
 
 def active_backend() -> str:

@@ -23,12 +23,10 @@ from .audit import audit_report
 from .density import (
     FluctuationParams,
     PhasePoint,
-    density_eval,
     density_grid,
     extremal_variances,
     normalization_check,
     reduced_box_integral,
-    reduced_density,
     reduced_grid,
     sample,
     verify_extremum,
@@ -171,7 +169,8 @@ def _cmd_audit(args) -> int:
 
 def _cmd_density_eval(args) -> int:
     units = _resolve_units(args)
-    if args.scan_x or args.scan_p:
+    scan = bool(args.scan_x or args.scan_p)
+    if scan:
         if not (args.scan_x and args.scan_p and args.out):
             raise InvalidRecipe("scan mode needs --scan-x, --scan-p, and --out")
         x_axis = _parse_axis_flag(args.scan_x)
@@ -181,21 +180,20 @@ def _cmd_density_eval(args) -> int:
             require_finite("axis end MIN + (N-1)*((MAX-MIN)/(N-1))", lo + (n - 1) * ((hi - lo) / (n - 1)))
         xs = np.linspace(*x_axis)
         ps = np.linspace(*p_axis)
-        if args.reduced:
-            values = reduced_grid(args.mean_x, args.mean_p, units, xs, ps)
-        else:
-            values = density_grid(_params_from_flags(args, units), xs, ps)
-        io.write_scan_csv(args.out, xs, ps, values)
-        print(f"wrote {args.out} ({xs.size * ps.size} rows)")
-        return 0
-    if args.x is None or args.p is None:
-        raise InvalidRecipe("point mode needs --x and --p")
-    pt = PhasePoint(args.x, args.p)
+    else:  # a point is the one-cell scan
+        if args.x is None or args.p is None:
+            raise InvalidRecipe("point mode needs --x and --p")
+        pt = PhasePoint(args.x, args.p)
+        xs, ps = np.array([pt.x]), np.array([pt.p])
     if args.reduced:
-        value = reduced_density(args.mean_x, args.mean_p, pt, units)
+        values = reduced_grid(args.mean_x, args.mean_p, units, xs, ps)
     else:
-        value = density_eval(_params_from_flags(args, units), pt)
-    print(f"f={_fmt6(value)}")
+        values = density_grid(_params_from_flags(args, units), xs, ps)
+    if not scan:
+        print(f"f={_fmt6(values[0, 0])}")
+        return 0
+    io.write_scan_csv(args.out, xs, ps, values)
+    print(f"wrote {args.out} ({xs.size * ps.size} rows)")
     return 0
 
 

@@ -1,6 +1,10 @@
 """Gaussian phase-space fluctuation densities: evaluation, sampling,
 constrained variance extrema, and quadrature cross-checks.
 
+Each density formula is written once, as a mesh over two axes: a single
+phase point is the one-cell mesh, so a point evaluation and a scan through
+that point give the same value.
+
 The density factorizes into independent Gaussians in x and p.  Holding a
 phase point fixed and constraining var_x * var_p to the squared bound
 leaves a one-parameter family g(s) over the position variance s; its
@@ -12,17 +16,15 @@ peak 2/h.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from .audit import uncertainty_product
 from .errors import InvalidRecipe, NumericalFailure, ResolutionError, StepTooLarge, ZeroSeparation
 from .errors import require_count, require_finite, require_positive
-from .states import UnitSystem
-
-TWO_PI = 2.0 * math.pi
+from .states import TWO_PI, UnitSystem, _trapz
 
 PRODUCT_SLACK = 1e-9      # admissibility slack on var_x*var_p vs the squared bound
 REL_SLOPE_TOL = 1e-5      # |g'| * s / g(s) accepted as a vanishing first derivative
@@ -43,7 +45,8 @@ class FluctuationParams:
     """Means and variances of the factorized Gaussian density.
 
     Admissible parameters keep var_x * var_p at or above the squared bound
-    (up to a 1e-9 relative slack for roundoff).
+    (up to a 1e-9 relative slack for roundoff); the product is compared as
+    sqrt(var_x*var_p) against the bound, so neither side leaves the floats.
     """
 
     mean_x: float
@@ -56,17 +59,9 @@ class FluctuationParams:
         require_finite("means", self.mean_x, self.mean_p)
         require_positive("var_x", self.var_x)
         require_positive("var_p", self.var_p)
-        bound = self.units.bound
-        try:
-            squared_bound = bound**2
-        except OverflowError:  # a bound above 1.3e154 squares past the float range
-            squared_bound = math.inf
-        if sys.float_info.min <= squared_bound < math.inf:
-            below, shown = self.var_x * self.var_p < squared_bound * (1.0 - PRODUCT_SLACK), repr(squared_bound)
-        else:  # the square would round to 0, a subnormal or inf: compare the scaled product
-            below, shown = (self.var_x / bound) * (self.var_p / bound) < 1.0 - PRODUCT_SLACK, f"{bound!r}**2"
-        if below:
-            raise InvalidRecipe(f"var_x*var_p = {self.var_x * self.var_p!r} violates the bound {shown}")
+        product, bound = uncertainty_product(self), self.units.bound
+        if product < bound * math.sqrt(1.0 - PRODUCT_SLACK):
+            raise InvalidRecipe(f"sqrt(var_x*var_p) = {product!r} violates the bound {bound!r}")
 
     @property
     def delta_x(self) -> float:
@@ -95,19 +90,15 @@ class ExtremumCheck:
 
 
 def density_eval(params: FluctuationParams, pt: PhasePoint) -> float:
-    """Gaussian density at a phase point."""
-    dx, dp = pt.x - params.mean_x, pt.p - params.mean_p
-    try:
-        exponent = -0.5 * (dx**2 / params.var_x + dp**2 / params.var_p)
-    except OverflowError:  # a squared separation beyond the float range: square the scaled one
-        tx, tp = dx / params.delta_x, dp / params.delta_p
-        exponent = -0.5 * (tx * tx + tp * tp)
-    return peak_value(params) * math.exp(exponent)
+    """Gaussian density at a phase point: the one-cell case of density_grid."""
+    return float(density_grid(params, [pt.x], [pt.p])[0, 0])
 
 
 def peak_value(params: FluctuationParams) -> float:
-    """Density at the means, 1/(2*pi*dx*dp); monotone decreasing in the product."""
-    return 1.0 / (TWO_PI * params.delta_x * params.delta_p)
+    """Density at the means, 1/(2*pi*dx*dp); monotone decreasing in the product.  Where the
+    denominator leaves the floats and the peak does not, the division is taken in steps."""
+    denominator = TWO_PI * params.delta_x * params.delta_p
+    return 1.0 / denominator if denominator < math.inf else 1.0 / TWO_PI / params.delta_x / params.delta_p
 
 
 def extremal_variances(mean_x: float, mean_p: float, pt: PhasePoint, units: UnitSystem):
@@ -141,11 +132,9 @@ def degenerate_spread(units: UnitSystem):
 
 def reduced_density(mean_x: float, mean_p: float, pt: PhasePoint, units: UnitSystem) -> float:
     """Closed form (2/h) * exp(-(4*pi/h)|dx*dp|) left after substituting the
-    extremal variances; well defined everywhere, including at the means.  The
-    rate 4*pi/h must be finite too: an infinite rate times a zero product is NaN."""
-    dx, dp, rate = pt.x - mean_x, pt.p - mean_p, 4.0 * math.pi / units.h
-    require_finite("separations and rate 4*pi/h", dx, dp, rate)
-    return (2.0 / units.h) * math.exp(-rate * abs(dx * dp))
+    extremal variances, well defined everywhere, including at the means: the
+    one-cell case of reduced_grid, admitted as reduced_grid admits a mesh."""
+    return float(reduced_grid(mean_x, mean_p, units, [pt.x], [pt.p])[0, 0])
 
 
 def verify_extremum(
@@ -220,9 +209,7 @@ def normalization_check(params: FluctuationParams, half_width_sigmas: float = 10
         (params.mean_p, params.var_p, params.delta_p),
     ):
         grid = np.linspace(mean - half_width_sigmas * spread, mean + half_width_sigmas * spread, nodes)
-        samples = np.exp(-0.5 * (grid - mean) ** 2 / var)
-        step = grid[1] - grid[0]
-        value *= step * (samples.sum() - 0.5 * (samples[0] + samples[-1]))
+        value *= _trapz(_kernels._gauss_factor(grid, mean, var), grid[1] - grid[0])
     return float(value)
 
 
@@ -279,7 +266,8 @@ def density_grid(params: FluctuationParams, xs: np.ndarray, ps: np.ndarray) -> n
 def reduced_grid(
     mean_x: float, mean_p: float, units: UnitSystem, xs: np.ndarray, ps: np.ndarray
 ) -> np.ndarray:
-    """Reduced-density values on the outer product of xs and ps, admitted as reduced_density admits a point."""
+    """Reduced-density values on the outer product of xs and ps.  The separations
+    and the rate 4*pi/h must be finite: an infinite rate times a zero product is NaN."""
     xs = np.ascontiguousarray(xs, dtype=float)
     ps = np.ascontiguousarray(ps, dtype=float)
     rate = 4.0 * math.pi / units.h

@@ -264,6 +264,10 @@ def _eigenstate_levels(n_max, mass, omega, grid, units):
     scale = math.sqrt(mass * omega / units.hbar)
     require_finite("Hermite argument sqrt(m*omega/hbar)*|x|", scale * max(abs(grid.x_min), abs(grid.x_max)))
     for n, row in enumerate(_kernels.hermite_basis(scale * grid.points(), n_max)):
+        if not row.any():  # exp(-0.5*xi*xi) is 0 at every grid point
+            where = f"narrower than the grid step {grid.dx!r}" if grid.x_min <= 0 <= grid.x_max else "outside the grid"
+            raise InvalidRecipe(f"eigenstate n={n} must be finite and nonzero on the grid, but it vanishes on "
+                                f"every grid point: it is {where}")
         try:
             yield _normalized_state(grid, (row * math.sqrt(scale)).astype(np.complex128))
         except DecayGuardViolation as exc:

@@ -145,7 +145,7 @@ OVERFLOWS = {
     ),
     # xi*xi overflows wherever x != 0, so level 1 vanishes on every grid point
     "eigenstate Hermite square": (
-        "amplitude norm", lambda v: oscillator_eigenstates(1, 1.0, v, GRID, UNITS), [FLOAT_MAX]
+        "eigenstate n=1", lambda v: oscillator_eigenstates(1, 1.0, v, GRID, UNITS), [FLOAT_MAX]
     ),
     "time_energy delta_t": ("delta_t = h/(4*pi*delta_e)", lambda v: time_energy(v, UNITS), [1e-320]),
     "reduced_density rate": (

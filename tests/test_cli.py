@@ -188,6 +188,40 @@ def test_density_eval_reduced_point(capsys):
     assert value == pytest.approx(0.0430785586036973, rel=1e-6)
 
 
+@pytest.mark.parametrize("form", [[], ["--reduced"]], ids=["gaussian", "reduced"])
+def test_density_eval_point_prints_the_value_its_scan_writes(tmp_path, capsys, form):
+    # (2e154)**2 leaves the floats; the point and the scan through it share one formula
+    flags = ["--var-x", "1e308", "--var-p", "1", *form]
+    out = str(tmp_path / "scan.csv")
+    assert run(["density", "eval", *flags, "--scan-x=-2e154:2e154:3", "--scan-p=0:1:2", "--out", out]) == 0
+    rows = {(x, p): f for x, p, f in (line.split(",") for line in open(out).read().splitlines()[1:])}
+    for x in ("-2e+154", "2e+154"):
+        capsys.readouterr()
+        assert run(["density", "eval", *flags, "--x", x, "--p", "0"]) == 0
+        written = float(rows[x, "0.0"])
+        assert capsys.readouterr().out == f"f={float(f'{written:.6g}')}\n"
+    if not form:
+        assert rows["2e+154", "0.0"] == rows["-2e+154", "0.0"] == "2.1539279301848634e-156"
+
+
+def test_density_eval_peak_past_the_float_range(capsys):
+    assert run(["density", "eval", "--var-x", "1e308", "--var-p", "1e308", "--x", "0", "--p", "0"]) == 0
+    assert capsys.readouterr().out == "f=1.59155e-309\n"
+
+
+def test_vanishing_eigenstate_is_named(tmp_path, capsys):
+    out = str(tmp_path / "s.json")
+    assert run(["state", "--omega", "1.7976931348623157e308", "--eigenstate", "1", "--grid=-5:5:64",
+                "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: eigenstate n=1 must be finite and nonzero on the grid, but it vanishes on every grid point: "
+        "it is narrower than the grid step 0.15625\n"
+    )
+    assert run(["state", "--eigenstate", "0", "--grid=40:50:64", "--out", out]) == 2
+    assert capsys.readouterr().err.endswith("eigenstate n=0 must be finite and nonzero on the grid, "
+                                            "but it vanishes on every grid point: it is outside the grid\n")
+
+
 def test_strict_audit_flags_below_bound(tmp_path, capsys, units):
     # a single-node spike is normalized and decays at the edges, yet its
     # position variance is exactly zero: a below-bound discretization artifact

@@ -245,9 +245,41 @@ def test_density_grids(units):
     xs = np.linspace(-2.0, 2.0, 17)
     ps = np.linspace(-1.0, 1.0, 9)
     mesh = density_grid(params, xs, ps)
-    assert mesh.shape == (17, 9)
-    assert mesh[3, 4] == pytest.approx(density_eval(params, PhasePoint(xs[3], ps[4])), rel=1e-12)
     reduced = reduced_grid(0.5, 0.0, units, xs, ps)
-    assert reduced[3, 4] == pytest.approx(
-        reduced_density(0.5, 0.0, PhasePoint(xs[3], ps[4]), units), rel=1e-12
-    )
+    assert mesh.shape == reduced.shape == (17, 9)
+    for i, j in ((3, 4), (0, 0), (16, 8), (8, 2)):
+        dx, dp = xs[i] - 0.5, ps[j]
+        gauss = math.exp(-0.5 * (dx**2 / 1.0 + dp**2 / 0.25)) / (2.0 * math.pi * 1.0 * 0.5)
+        assert mesh[i, j] == pytest.approx(gauss, rel=1e-12)
+        closed = (2.0 / units.h) * math.exp(-(4.0 * math.pi / units.h) * abs(dx * dp))
+        assert reduced[i, j] == pytest.approx(closed, rel=1e-12)
+        # a point is the one-cell mesh
+        assert density_eval(params, PhasePoint(xs[i], ps[j])) == mesh[i, j]
+        assert reduced_density(0.5, 0.0, PhasePoint(xs[i], ps[j]), units) == reduced[i, j]
+
+
+def test_far_points_square_the_scaled_separation(units):
+    # (2e154)**2 leaves the floats; (2e154 / sqrt(1e308))**2 = 4 does not
+    params = _params(units, 1e308, 1.0)
+    closed = math.exp(-0.5 * 4.0) / (2.0 * math.pi * 1e154)
+    assert closed == pytest.approx(2.1539279301848634e-156, rel=1e-15)
+    mesh = density_grid(params, [-2e154, 0.0, 2e154], [0.0])
+    assert mesh[0, 0] == mesh[2, 0] == 2.1539279301848634e-156
+    assert density_eval(params, PhasePoint(2e154, 0.0)) == 2.1539279301848634e-156
+    # the normalization mesh reaches 10 spreads, 1e155, through the same factor
+    assert normalization_check(params) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_peak_value_where_its_denominator_overflows(units):
+    # 2*pi*1e154*1e154 leaves the floats; the peak 1/(2*pi*1e308) is a subnormal
+    peak = peak_value(_params(units, 1e308, 1e308))
+    assert peak == pytest.approx(1.0 / (2.0 * math.pi) / 1e308, rel=1e-12)
+    assert peak > 0.0
+
+
+def test_bound_refusal_names_the_root_product():
+    with pytest.raises(InvalidRecipe, match=r"^sqrt\(var_x\*var_p\) = 1e\+200 violates the bound 7\.95") as exc:
+        FluctuationParams(0.0, 0.0, 1e200, 1e200, UnitSystem(h=1e300))
+    assert "inf" not in str(exc.value)
+    with pytest.raises(InvalidRecipe, match=r"^sqrt\(var_x\*var_p\) = 0\.4 violates the bound 0\.5$"):
+        FluctuationParams(0.0, 0.0, 0.4, 0.4, UnitSystem())
