@@ -9,10 +9,12 @@ benchmark can wrap each kernel where it is called.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 _PI_QRT = math.pi ** -0.25
+_TINY = sys.float_info.min  # smallest normal float
 
 
 def hermite_basis(xi, n_max):
@@ -28,24 +30,47 @@ def hermite_basis(xi, n_max):
 
 def reduced_scan(xs, ps, mean_x, mean_p, rate, pref):
     """Mesh of pref * exp(-rate * |dx*dp|); rows follow xs, columns ps."""
+    dx, dp = xs - mean_x, ps - mean_p
     with np.errstate(over="ignore"):  # an overflow here is +inf, and exp(-inf) is exactly 0
-        return pref * np.exp(-rate * np.abs(np.outer(xs - mean_x, ps - mean_p)))
+        values = pref * np.exp(-rate * np.abs(np.outer(dx, dp)))
+        return _refold(values, pref, lambda i, j: -rate * np.abs(dx[i] * dp[j]))
 
 
 def gauss_scan(xs, ps, mean_x, mean_p, var_x, var_p, pref):
     """Mesh of the factorized Gaussian density; rows follow xs, columns ps."""
-    return pref * np.outer(_gauss_factor(xs, mean_x, var_x), _gauss_factor(ps, mean_p, var_p))
+    ex, ep = _gauss_exponent(xs, mean_x, var_x), _gauss_exponent(ps, mean_p, var_p)
+    values = pref * np.outer(np.exp(ex), np.exp(ep))
+    return _refold(values, pref, lambda i, j: ex[i] + ep[j])
 
 
-def _gauss_factor(axis, mean, var):
-    """exp(-0.5*(axis-mean)**2/var) on an axis array; where the squared separation leaves the
+def _refold(values, pref, exponent_at):
+    """values is pref * exp(exponent) on a mesh, exponent_at(i, j) giving the
+    exponent at cells (i, j).  A cell below the normal floats becomes
+    exp(log(pref) + exponent) where that is a normal float: exp alone
+    underflowed there before a large pref could scale it.  Every other value
+    keeps its bits."""
+    if values.min(initial=np.inf) < _TINY:  # min is cheap; the mask and nonzero are not
+        i, j = np.nonzero(values < _TINY)
+        folded = np.exp(math.log(pref) + exponent_at(i, j))
+        rescued = folded >= _TINY
+        values[i[rescued], j[rescued]] = folded[rescued]
+    return values
+
+
+def _gauss_exponent(axis, mean, var):
+    """-0.5*(axis-mean)**2/var on an axis array; where the squared separation leaves the
     floats, the separation is divided by sqrt(var) before it is squared."""
     with np.errstate(over="ignore"):  # an overflow here is +inf, and exp(-inf) is exactly 0
         d = axis - mean
         exponent = -0.5 * d**2 / var
         wide = np.isinf(exponent)
         exponent[wide] = -0.5 * (d[wide] / math.sqrt(var)) ** 2
-        return np.exp(exponent)
+        return exponent
+
+
+def _gauss_factor(axis, mean, var):
+    """exp(-0.5*(axis-mean)**2/var) on an axis array."""
+    return np.exp(_gauss_exponent(axis, mean, var))
 
 
 def active_backend() -> str:

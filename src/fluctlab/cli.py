@@ -28,11 +28,12 @@ from .density import (
     normalization_check,
     reduced_box_integral,
     reduced_grid,
-    sample,
+    sample,  # sample and relaxation_walk stay importable here beside their block forms
+    sample_blocks,
     verify_extremum,
 )
 from .errors import FluctLabError, InvalidRecipe, NumericalFailure, require_finite
-from .scenarios import eigenstate_sweep, relaxation_walk, thermal_sweep
+from .scenarios import eigenstate_sweep, relaxation_walk, thermal_sweep, walk_blocks
 from .states import (
     CoherentState,
     GaussianPacket,
@@ -200,9 +201,9 @@ def _cmd_density_eval(args) -> int:
 def _cmd_density_sample(args) -> int:
     units = _resolve_units(args)
     _admit_rows(args.count, "sample")
-    draws = sample(_params_from_flags(args, units), args.count, args.seed)
+    draws = sample_blocks(_params_from_flags(args, units), args.count, args.seed)
     io.write_samples_csv(args.out, draws)
-    print(f"wrote {args.out} ({draws.shape[0]} draws)")
+    print(f"wrote {args.out} ({args.count} draws)")
     return 0
 
 
@@ -237,21 +238,30 @@ def _cmd_density_normcheck(args) -> int:
     return 0
 
 
-def _emit_rows(args, rows, to_csv) -> int:
-    text = io.rows_json(rows) if args.format == "json" else to_csv(rows)
+def _emit_rows(args, chunks, rows: int) -> int:
+    """Write text chunks to --out, or to stdout ending in a newline; rows is the count printed."""
     if args.out:
-        io.atomic_write_text(args.out, text)
-        print(f"wrote {args.out} ({len(rows)} rows)")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        io.atomic_write_text(args.out, chunks)
+        print(f"wrote {args.out} ({rows} rows)")
+        return 0
+    last = ""
+    for chunk in chunks:
+        sys.stdout.write(chunk)
+        last = chunk or last
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
     return 0
+
+
+def _emit_sweep(args, rows) -> int:
+    text = io.rows_json(rows) if args.format == "json" else io.sweep_rows_csv(rows)
+    return _emit_rows(args, (text,), len(rows))
 
 
 def _cmd_scenario_eigensweep(args) -> int:
     units = _resolve_units(args)
     grid = _parse_grid_flag(args.grid, args.n_max + 1)
-    rows = eigenstate_sweep(args.n_max, args.mass, args.omega, grid, units, args.epsilon)
-    return _emit_rows(args, rows, io.sweep_rows_csv)
+    return _emit_sweep(args, eigenstate_sweep(args.n_max, args.mass, args.omega, grid, units, args.epsilon))
 
 
 def _cmd_scenario_thermalsweep(args) -> int:
@@ -264,14 +274,14 @@ def _cmd_scenario_thermalsweep(args) -> int:
         raise InvalidRecipe("need at least one temperature")
     grid = _parse_grid_flag(args.grid, args.n_max + 1)
     rows = thermal_sweep(temperatures, args.mass, args.omega, args.n_max, grid, units, args.epsilon)
-    return _emit_rows(args, rows, io.sweep_rows_csv)
+    return _emit_sweep(args, rows)
 
 
 def _cmd_scenario_walk(args) -> int:
     units = _resolve_units(args)
     _admit_rows(args.steps + 1, "walk")
-    rows = relaxation_walk(_params_from_flags(args, units), args.steps, args.step_size, args.seed, units)
-    return _emit_rows(args, rows, io.walk_rows_csv)
+    blocks = walk_blocks(_params_from_flags(args, units), args.steps, args.step_size, args.seed, units)
+    return _emit_rows(args, io.walk_chunks(blocks, args.format), args.steps + 1)
 
 
 # --- parser ------------------------------------------------------------------

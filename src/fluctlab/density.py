@@ -30,6 +30,11 @@ PRODUCT_SLACK = 1e-9      # admissibility slack on var_x*var_p vs the squared bo
 REL_SLOPE_TOL = 1e-5      # |g'| * s / g(s) accepted as a vanishing first derivative
 MAX_QUAD_NODES = 4097     # per-axis cap for the normalization mesh
 
+BLOCK_ROWS = 4096
+"""Rows made per block by the streamed sampler and walk, and formatted per
+chunk by the CSV writers; a block's working set (about 200 bytes a row) stays
+a small fraction of any large file."""
+
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -181,12 +186,33 @@ def sample(params: FluctuationParams, count: int, seed: int) -> np.ndarray:
     Returns a (count, 2) float array with columns x then p; all randomness
     comes from the seed, so equal arguments give bit-identical output.
     """
+    return np.concatenate([np.empty((0, 2)), *sample_blocks(params, count, seed)])
+
+
+def sample_blocks(params: FluctuationParams, count: int, seed: int):
+    """sample's rows in order, as (k, 2) arrays of at most BLOCK_ROWS rows.
+
+    The seeded stream gives the count x-normals first, then the count
+    p-normals.  The p side reads a second generator with the same seed,
+    advanced past the x-normals one block at a time, so memory is one block
+    and the cost is one extra pass of normals.  count and seed are admitted
+    before the first block.
+    """
     n = require_count("count", count)
-    rng = np.random.default_rng(require_count("seed", seed))
-    out = np.empty((n, 2))
-    out[:, 0] = params.mean_x + params.delta_x * rng.standard_normal(n)
-    out[:, 1] = params.mean_p + params.delta_p * rng.standard_normal(n)
-    return out
+    seed = require_count("seed", seed)
+    return _sample_blocks(params, n, np.random.default_rng(seed), np.random.default_rng(seed))
+
+
+def _sample_blocks(params: FluctuationParams, n: int, x_rng, p_rng):
+    discard = np.empty(min(n, BLOCK_ROWS))
+    for first in range(0, n, BLOCK_ROWS):
+        p_rng.standard_normal(out=discard[: min(BLOCK_ROWS, n - first)])
+    for first in range(0, n, BLOCK_ROWS):
+        k = min(BLOCK_ROWS, n - first)
+        block = np.empty((k, 2))
+        block[:, 0] = params.mean_x + params.delta_x * x_rng.standard_normal(k)
+        block[:, 1] = params.mean_p + params.delta_p * p_rng.standard_normal(k)
+        yield block
 
 
 def normalization_check(params: FluctuationParams, half_width_sigmas: float = 10.0) -> float:

@@ -9,26 +9,29 @@ refuse with FileFormatError what Python itself cannot read: integers too
 large for a float or longer than its digit limit, and nesting deeper than
 its recursion limit.
 
-Scan and sample CSVs are streamed into the temp file in blocks of
-BLOCK_ROWS rows, so their memory does not grow with the row count.
+Scan and sample CSVs and walk CSV and JSON are streamed into the temp file
+(or stdout) in blocks of BLOCK_ROWS rows as the rows are made, so their
+memory is one block whatever the row count.
 MAX_ROWS = 2**27 rows (1 GiB of float64 values) is the one size limit of
 the command line: it refuses a scan, a sample, a walk (steps + 1 rows) or
 a --grid of levels x N values above it with exit code 2 before allocating
 anything.  It bounds a count, not memory: a --grid near the limit needs up to
-about 20 GiB and a walk tens of GiB (see the README).  The sweeps hold one
-level at a time, so their memory grows with N, not levels x N.
+about 20 GiB (see the README).  The sweeps hold one level at a time, so their
+memory grows with N, not levels x N.
 Every output gets the mode an ordinary open() would give it under the
 process umask (0o644 under umask 022).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
 
 import numpy as np
 
+from .density import BLOCK_ROWS
 from .errors import FileFormatError
 from .scenarios import SweepRow, WalkTrace
 from .states import GridSpec, MixedEnsemble, PureState, UnitSystem
@@ -36,12 +39,8 @@ from .states import GridSpec, MixedEnsemble, PureState, UnitSystem
 
 MAX_ROWS = 2**27
 """Largest size the command line accepts (CSV rows, or levels x grid
-points): the count of float64 values that fills 1 GiB.  A walk row or a
-complex grid value takes more than 8 bytes, so they need more."""
-
-BLOCK_ROWS = 4096
-"""Rows formatted per chunk by the streaming CSV writers; a block's working
-set (about 200 bytes a row) stays a small fraction of any large file."""
+points): the count of float64 values that fills 1 GiB.  A complex grid
+value takes 16 bytes, so a --grid needs more."""
 
 
 def atomic_write_text(path: str, text) -> None:
@@ -119,9 +118,10 @@ def _field(mapping, key, kind, where):
 
 
 def _number_array(values, where):
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise FileFormatError(f"{where}[{i}]: expected a number, got {type(v).__name__}")
+    if not set(map(type, values)) <= {float, int}:  # in C; the loop below only names the first offender
+        for i, v in enumerate(values):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise FileFormatError(f"{where}[{i}]: expected a number, got {type(v).__name__}")
     try:
         return np.asarray(values, dtype=np.float64)
     except OverflowError as exc:
@@ -195,7 +195,7 @@ def load_target(path: str):
     return _parse_document(doc, ensemble="members" in doc or "weights" in doc)
 
 
-# --- CSV emitters ------------------------------------------------------------
+# --- CSV and JSON emitters ---------------------------------------------------
 
 def _csv(rows, header) -> str:
     lines = [header]
@@ -207,15 +207,18 @@ def _reprs(values) -> list:
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def _sample_chunks(draws):
+def _sample_chunks(blocks):
     yield "x,p\n"
-    for start in range(0, len(draws), BLOCK_ROWS):
-        block = np.asarray(draws[start : start + BLOCK_ROWS], dtype=float)
-        yield "".join(f"{x!r},{p!r}\n" for x, p in zip(block[:, 0].tolist(), block[:, 1].tolist()))
+    for draws in blocks:
+        for start in range(0, len(draws), BLOCK_ROWS):
+            block = np.asarray(draws[start : start + BLOCK_ROWS], dtype=float)
+            yield "".join(f"{x!r},{p!r}\n" for x, p in zip(block[:, 0].tolist(), block[:, 1].tolist()))
 
 
-def write_samples_csv(path: str, draws: np.ndarray) -> None:
-    atomic_write_text(path, _sample_chunks(draws))
+def write_samples_csv(path: str, draws) -> None:
+    """Samples CSV of draws: a (count, 2) array, or an iterable of (k, 2)
+    blocks such as density.sample_blocks yields, formatted as they come."""
+    atomic_write_text(path, _sample_chunks((draws,) if isinstance(draws, np.ndarray) else draws))
 
 
 def _scan_chunks(xs, ps, values):
@@ -253,13 +256,41 @@ def sweep_rows_csv(rows: list[SweepRow]) -> str:
     )
 
 
-def walk_rows_csv(rows: list[WalkTrace]) -> str:
-    return _csv(
-        ((str(r.step), repr(r.product), repr(r.distance_to_bound)) for r in rows),
-        "step,product,distance_to_bound",
-    )
+def _json_chunks(record_blocks):
+    """json.dumps of the list of every record (dict) in record_blocks, one chunk per block."""
+    yield "["
+    separator = ""
+    for records in record_blocks:
+        if records:
+            yield separator + json.dumps(records)[1:-1]
+            separator = ", "
+    yield "]"
 
 
 def rows_json(rows: list[SweepRow] | list[WalkTrace]) -> str:
     """One JSON object per sweep or walk row, keys in field order."""
-    return json.dumps([vars(r) for r in rows])
+    return "".join(_json_chunks([[vars(r) for r in rows]]))
+
+
+_WALK_FIELDS = tuple(field.name for field in dataclasses.fields(WalkTrace))
+
+
+def _walk_csv_chunks(row_blocks):
+    """Walk CSV of blocks of (step, product, distance_to_bound) tuples, one chunk per block."""
+    yield ",".join(_WALK_FIELDS) + "\n"
+    for rows in row_blocks:
+        yield "".join(f"{k},{product!r},{gap!r}\n" for k, product, gap in rows)
+
+
+def walk_rows_csv(rows: list[WalkTrace]) -> str:
+    return "".join(_walk_csv_chunks([[(r.step, r.product, r.distance_to_bound) for r in rows]]))
+
+
+def walk_chunks(blocks, form: str):
+    """Text chunks of a walk given as scenarios.walk_blocks blocks, formatted
+    as each block comes: form "csv" gives the bytes of walk_rows_csv and
+    "json" those of rows_json on the same walk's relaxation_walk rows."""
+    row_blocks = (zip(rows, products.tolist(), gaps.tolist()) for rows, products, gaps in blocks)
+    if form == "json":
+        return _json_chunks([dict(zip(_WALK_FIELDS, row)) for row in block] for block in row_blocks)
+    return _walk_csv_chunks(row_blocks)

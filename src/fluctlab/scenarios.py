@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audit import _weight_entropy, classify, uncertainty_product
-from .density import FluctuationParams
+from .density import BLOCK_ROWS, FluctuationParams
 from .errors import InvalidRecipe, require_count
 from .states import (
     GridSpec,
@@ -113,18 +113,42 @@ def relaxation_walk(
     u uniform on (0, 1), then projects so the product never crosses below
     the bound.  The trace has steps + 1 points and is monotone nonincreasing.
     """
+    return [
+        WalkTrace(step=k, product=product, distance_to_bound=gap)
+        for rows, products, gaps in walk_blocks(start, steps, step_size, seed, units)
+        for k, product, gap in zip(rows, products.tolist(), gaps.tolist())
+    ]
+
+
+def walk_blocks(start: FluctuationParams, steps: int, step_size: float, seed: int, units: UnitSystem):
+    """relaxation_walk's points in order, as (rows, products, gaps) blocks of
+    at most BLOCK_ROWS points: a range of step numbers and two float arrays.
+
+    The uniforms are drawn one block at a time, and the running product of
+    the factors so far is folded into each block's first factor before the
+    block's cumulative product, so every gap is the same float as one
+    cumulative product over all the steps gives.  Arguments are admitted
+    before the first block.
+    """
     steps = require_count("steps", steps)
     if not (0.0 < step_size < 0.5):
         raise InvalidRecipe(f"step_size must lie in (0, 0.5), got {step_size}")
     seed = require_count("seed", seed)
     bound = units.bound
     gap0 = max(uncertainty_product(start) - bound, 0.0)
-    draws = np.random.default_rng(seed).random(steps)
-    gaps = np.empty(steps + 1)
-    gaps[0] = gap0
-    gaps[1:] = gap0 * np.cumprod(1.0 - step_size * draws)
-    np.maximum(gaps, 0.0, out=gaps)
-    return [
-        WalkTrace(step=k, product=bound + gap, distance_to_bound=gap)
-        for k, gap in enumerate(gaps.tolist())
-    ]
+    return _walk_blocks(bound, gap0, steps, step_size, np.random.default_rng(seed))
+
+
+def _walk_blocks(bound: float, gap0: float, steps: int, step_size: float, rng):
+    running = 1.0  # product of every earlier factor; point 0's factor is 1
+    for first in range(0, steps + 1, BLOCK_ROWS):
+        rows = range(first, min(first + BLOCK_ROWS, steps + 1))
+        head = 1 if first == 0 else 0
+        factors = np.empty(len(rows))
+        factors[:head] = 1.0
+        factors[head:] = 1.0 - step_size * rng.random(len(rows) - head)
+        factors[0] *= running
+        cumulative = np.cumprod(factors)
+        running = cumulative[-1]
+        gaps = np.maximum(gap0 * cumulative, 0.0)
+        yield rows, bound + gaps, gaps

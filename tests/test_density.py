@@ -283,3 +283,34 @@ def test_bound_refusal_names_the_root_product():
     assert "inf" not in str(exc.value)
     with pytest.raises(InvalidRecipe, match=r"^sqrt\(var_x\*var_p\) = 0\.4 violates the bound 0\.5$"):
         FluctuationParams(0.0, 0.0, 0.4, 0.4, UnitSystem())
+
+
+def test_huge_prefactor_is_folded_in_before_the_density_underflows():
+    # exp(-450)**2 underflows, but the prefactor 1/(2*pi*1e-301) brings the product back into range
+    units = UnitSystem(h=1e-300)
+    x = 9.486832980505138e-150
+    mp.mp.dps = 40
+    v = mp.mpf("1e-301")
+    gauss = float(mp.exp(-mp.mpf(x) ** 2 / v) / (2 * mp.pi * v))
+    assert density_eval(_params(units, 1e-301, 1e-301), PhasePoint(x, x)) == pytest.approx(gauss, rel=1e-12, abs=0.0)
+    assert gauss == pytest.approx(2.17163293084e-91, rel=1e-11, abs=0.0)
+    # the reduced form's exp(-1000) underflows before the prefactor 2/h = 2e300 scales it
+    y = 8.92e-150
+    reduced = float(2 / mp.mpf("1e-300") * mp.exp(-4 * mp.pi / mp.mpf("1e-300") * mp.mpf(y) ** 2))
+    assert reduced_density(0.0, 0.0, PhasePoint(y, y), units) == pytest.approx(reduced, rel=1e-12, abs=0.0)
+    assert reduced == pytest.approx(1.16673201326e-134, rel=1e-11, abs=0.0)
+
+
+def test_in_range_density_values_keep_their_bits(units):
+    # a mesh from the peak out to cells below the normal floats: only cells the fold brings
+    # back into range change, and at h = 2*pi none does
+    params = _params(units, 1.0, 0.25)
+    xs = np.linspace(-40.0, 40.0, 161)
+    ps = np.linspace(-20.0, 20.0, 81)
+    plain = peak_value(params) * np.outer(np.exp(-0.5 * xs**2), np.exp(-0.5 * ps**2 / 0.25))
+    mesh = density_grid(params, xs, ps)
+    assert (plain < np.finfo(float).tiny).any() and (plain > 0.1).any()
+    assert mesh.tobytes() == plain.tobytes()
+    rate = 4.0 * math.pi / units.h
+    plain = (2.0 / units.h) * np.exp(-rate * np.abs(np.outer(xs, ps)))
+    assert reduced_grid(0.0, 0.0, units, xs, ps).tobytes() == plain.tobytes()

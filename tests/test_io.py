@@ -132,6 +132,30 @@ def test_load_refuses_numbers_and_nesting_python_cannot_take(tmp_path, text):
             load(str(path))
 
 
+@pytest.mark.parametrize(
+    "psi_re, message",
+    [
+        ([0.5, 1, True], r"document\.psi_re\[2\]: expected a number, got bool"),
+        ([0.5, 1, "0.5"], r"document\.psi_re\[2\]: expected a number, got str"),
+        ([0.5, 1, None], r"document\.psi_re\[2\]: expected a number, got NoneType"),
+        ([0.5, 1, [0.5]], r"document\.psi_re\[2\]: expected a number, got list"),
+        ([0.5, 1, 10**400], r"document\.psi_re: int too large to convert to float"),
+        ([0.5, None, 0.0, 0.0, 0.0, 0.0, 0.0, True], r"document\.psi_re\[1\]: expected a number, got NoneType"),
+    ],
+    ids=["bool", "str", "None", "nested-list", "huge-int", "first-of-two"],
+)
+def test_load_names_the_first_value_that_is_not_a_float(tmp_path, psi_re, message):
+    doc = {"units": {"h": 6.28}, "grid": {"x_min": -1.0, "x_max": 1.0, "n": 8},
+           "psi_re": (psi_re + [0.0] * 8)[:8], "psi_im": [0.0] * 8}
+    with pytest.raises(FileFormatError, match=f"^{message}$"):
+        fio.load_state(_write(tmp_path, doc))
+
+
+def test_number_arrays_take_ints_and_floats():
+    values = [1, 2.5, -3, 0.0, 10**300]
+    assert fio._number_array(values, "w").tolist() == [1.0, 2.5, -3.0, 0.0, 1e300]
+
+
 def test_load_reverifies_normalization(tmp_path, grid, units):
     state = build_state(GaussianPacket(0.0, 0.0, 1.0), grid, units)
     doc = fio.state_document(state, units)
@@ -333,9 +357,7 @@ def test_outputs_get_umask_mode(tmp_path, umask, mode):
     assert (tmp_path / "draws.csv").stat().st_mode & 0o777 == mode
 
 
-def test_streamed_writers_memory_is_bounded(tmp_path):
-    import tracemalloc
-
+def test_streamed_writers_memory_is_bounded(tmp_path, peak_bytes):
     draws = np.random.default_rng(3).standard_normal((200_000, 2))
     xs, ps, values = _mesh(501, 401)
     writes = [
@@ -343,10 +365,5 @@ def test_streamed_writers_memory_is_bounded(tmp_path):
         (tmp_path / "scan.csv", lambda path: fio.write_scan_csv(path, xs, ps, values)),
     ]
     for path, write in writes:
-        tracemalloc.start()
-        try:
-            write(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: write(str(path)), warm_up=False)
         assert peak < path.stat().st_size / 4, (path.name, peak)

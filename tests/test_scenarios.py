@@ -1,7 +1,5 @@
 """Sweeps and the relaxation walk."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -44,28 +42,18 @@ def test_eigenstate_sweep_matches_each_level_measured_alone(units):
         ), n
 
 
-def _peak_bytes(sweep):
-    sweep()  # fill the grid caches outside the measurement
-    tracemalloc.start()
-    try:
-        sweep()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_eigenstate_sweep_memory_does_not_grow_with_levels(units):
+def test_eigenstate_sweep_memory_does_not_grow_with_levels(units, peak_bytes):
     grid = GridSpec(-15.0, 15.0, 16384)
-    few = _peak_bytes(lambda: eigenstate_sweep(3, 1.0, 1.0, grid, units))
-    many = _peak_bytes(lambda: eigenstate_sweep(30, 1.0, 1.0, grid, units))
+    few = peak_bytes(lambda: eigenstate_sweep(3, 1.0, 1.0, grid, units))
+    many = peak_bytes(lambda: eigenstate_sweep(30, 1.0, 1.0, grid, units))
     assert many <= 1.5 * few, (few, many)
 
 
-def test_thermal_sweep_memory_does_not_grow_with_levels(units):
+def test_thermal_sweep_memory_does_not_grow_with_levels(units, peak_bytes):
     grid = GridSpec(-22.0, 22.0, 8192)
     # at T = 1 every level up to 120 keeps a nonzero weight
-    few = _peak_bytes(lambda: thermal_sweep([1.0], 1.0, 1.0, 40, grid, units))
-    many = _peak_bytes(lambda: thermal_sweep([1.0], 1.0, 1.0, 120, grid, units))
+    few = peak_bytes(lambda: thermal_sweep([1.0], 1.0, 1.0, 40, grid, units))
+    many = peak_bytes(lambda: thermal_sweep([1.0], 1.0, 1.0, 120, grid, units))
     assert many <= 1.5 * few, (few, many)
 
 
