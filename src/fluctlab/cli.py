@@ -28,12 +28,11 @@ from .density import (
     normalization_check,
     reduced_box_integral,
     reduced_grid,
-    sample,  # sample and relaxation_walk stay importable here beside their block forms
     sample_blocks,
     verify_extremum,
 )
 from .errors import FluctLabError, InvalidRecipe, NumericalFailure, require_finite
-from .scenarios import eigenstate_sweep, relaxation_walk, thermal_sweep, walk_blocks
+from .scenarios import SweepRow, WalkTrace, eigenstate_sweep, thermal_sweep, walk_blocks
 from .states import (
     CoherentState,
     GaussianPacket,
@@ -253,15 +252,11 @@ def _emit_rows(args, chunks, rows: int) -> int:
     return 0
 
 
-def _emit_sweep(args, rows) -> int:
-    text = io.rows_json(rows) if args.format == "json" else io.sweep_rows_csv(rows)
-    return _emit_rows(args, (text,), len(rows))
-
-
 def _cmd_scenario_eigensweep(args) -> int:
     units = _resolve_units(args)
     grid = _parse_grid_flag(args.grid, args.n_max + 1)
-    return _emit_sweep(args, eigenstate_sweep(args.n_max, args.mass, args.omega, grid, units, args.epsilon))
+    rows = eigenstate_sweep(args.n_max, args.mass, args.omega, grid, units, args.epsilon)
+    return _emit_rows(args, io.table_chunks(io.field_names(SweepRow), [io.record_block(rows)], args.format), len(rows))
 
 
 def _cmd_scenario_thermalsweep(args) -> int:
@@ -274,14 +269,15 @@ def _cmd_scenario_thermalsweep(args) -> int:
         raise InvalidRecipe("need at least one temperature")
     grid = _parse_grid_flag(args.grid, args.n_max + 1)
     rows = thermal_sweep(temperatures, args.mass, args.omega, args.n_max, grid, units, args.epsilon)
-    return _emit_sweep(args, rows)
+    return _emit_rows(args, io.table_chunks(io.field_names(SweepRow), [io.record_block(rows)], args.format), len(rows))
 
 
 def _cmd_scenario_walk(args) -> int:
     units = _resolve_units(args)
     _admit_rows(args.steps + 1, "walk")
     blocks = walk_blocks(_params_from_flags(args, units), args.steps, args.step_size, args.seed, units)
-    return _emit_rows(args, io.walk_chunks(blocks, args.format), args.steps + 1)
+    columns = ((rows, products.tolist(), gaps.tolist()) for rows, products, gaps in blocks)
+    return _emit_rows(args, io.table_chunks(io.field_names(WalkTrace), columns, args.format), args.steps + 1)
 
 
 # --- parser ------------------------------------------------------------------

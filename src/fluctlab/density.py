@@ -101,9 +101,12 @@ def density_eval(params: FluctuationParams, pt: PhasePoint) -> float:
 
 def peak_value(params: FluctuationParams) -> float:
     """Density at the means, 1/(2*pi*dx*dp); monotone decreasing in the product.  Where the
-    denominator leaves the floats and the peak does not, the division is taken in steps."""
+    denominator leaves the floats and the peak does not, the division is taken in steps; a
+    peak that itself leaves the floats is refused."""
     denominator = TWO_PI * params.delta_x * params.delta_p
-    return 1.0 / denominator if denominator < math.inf else 1.0 / TWO_PI / params.delta_x / params.delta_p
+    peak = 1.0 / denominator if denominator < math.inf else 1.0 / TWO_PI / params.delta_x / params.delta_p
+    require_finite("density peak 1/(2*pi*dx*dp)", peak)
+    return peak
 
 
 def extremal_variances(mean_x: float, mean_p: float, pt: PhasePoint, units: UnitSystem):

@@ -1,4 +1,4 @@
-"""JSON state/ensemble files, CSV emitters, and atomic writes.
+"""JSON state/ensemble files, tables, and atomic writes.
 
 Floats are serialized through Python's shortest round-trip repr, so files
 reload to bit-identical doubles.  A state file and each member of an
@@ -9,9 +9,12 @@ refuse with FileFormatError what Python itself cannot read: integers too
 large for a float or longer than its digit limit, and nesting deeper than
 its recursion limit.
 
-Scan and sample CSVs and walk CSV and JSON are streamed into the temp file
-(or stdout) in blocks of BLOCK_ROWS rows as the rows are made, so their
-memory is one block whatever the row count.
+Every table (a scan, samples, a sweep, a walk) is a header plus rows from
+one formatter, table_chunks: CSV, or for sweeps and walks also a JSON list of
+objects, with sweep and walk headers their row fields.  Scans, samples and
+walks are streamed into the temp file (or stdout) in blocks of at most
+BLOCK_ROWS rows as the rows are made, so their memory is one block whatever
+the row count.
 MAX_ROWS = 2**27 rows (1 GiB of float64 values) is the one size limit of
 the command line: it refuses a scan, a sample, a walk (steps + 1 rows) or
 a --grid of levels x N values above it with exit code 2 before allocating
@@ -28,6 +31,7 @@ import dataclasses
 import json
 import os
 import tempfile
+from itertools import repeat
 
 import numpy as np
 
@@ -195,102 +199,77 @@ def load_target(path: str):
     return _parse_document(doc, ensemble="members" in doc or "weights" in doc)
 
 
-# --- CSV and JSON emitters ---------------------------------------------------
+# --- tables ------------------------------------------------------------------
 
-def _csv(rows, header) -> str:
-    lines = [header]
-    lines.extend(",".join(fields) for fields in rows)
-    return "\n".join(lines) + "\n"
+def table_chunks(fields, blocks, form: str):
+    """Text chunks of a table: the header, then one chunk per block of rows.
 
-
-def _reprs(values) -> list:
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
-
-
-def _sample_chunks(blocks):
-    yield "x,p\n"
-    for draws in blocks:
-        for start in range(0, len(draws), BLOCK_ROWS):
-            block = np.asarray(draws[start : start + BLOCK_ROWS], dtype=float)
-            yield "".join(f"{x!r},{p!r}\n" for x, p in zip(block[:, 0].tolist(), block[:, 1].tolist()))
-
-
-def write_samples_csv(path: str, draws) -> None:
-    """Samples CSV of draws: a (count, 2) array, or an iterable of (k, 2)
-    blocks such as density.sample_blocks yields, formatted as they come."""
-    atomic_write_text(path, _sample_chunks((draws,) if isinstance(draws, np.ndarray) else draws))
+    fields names the columns.  A block is a tuple of columns, each a list of
+    str values or of numbers (int or float); an empty block yields nothing.
+    Form "csv" gives a line of the names, then a line per row with each str as
+    it is and each number as its repr; form "json" gives the bytes of
+    json.dumps on the list of dict(zip(fields, row)) over every row.
+    """
+    blocks = filter(lambda block: block and len(block[0]), blocks)
+    # map, unlike a for loop, lets go of each block before the next one is made
+    if form == "json":
+        yield "["
+        for i, rows in enumerate(map(_json_rows, repeat(fields), blocks)):
+            yield ", " + rows if i else rows
+        yield "]"
+        return
+    yield ",".join(fields) + "\n"
+    yield from map(_csv_rows, blocks)
 
 
-def _scan_chunks(xs, ps, values):
-    x_text = _reprs(xs)
-    p_text = [f",{p}," for p in _reprs(ps)]
+def _csv_rows(block) -> str:
+    """The block's CSV lines: each str as it is, each number as its repr."""
+    texts = (column if isinstance(column[0], str) else map(repr, column) for column in block)
+    return "\n".join(map(",".join, zip(*texts))) + "\n"
+
+
+def _json_rows(fields, block) -> str:
+    """The block's rows as the text json.dumps writes between a list's brackets."""
+    return json.dumps([dict(zip(fields, row)) for row in zip(*block)])[1:-1]
+
+
+def field_names(cls) -> tuple:
+    """Column names of a table of dataclass records: the field names, in order."""
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def record_block(records) -> tuple:
+    """Dataclass records as one table block: a column per field, in field order."""
+    return tuple(zip(*(vars(record).values() for record in records)))
+
+
+def write_samples_csv(path: str, blocks) -> None:
+    """Samples CSV of (k, 2) draw blocks, such as density.sample_blocks yields."""
+    atomic_write_text(path, table_chunks(("x", "p"), ((b[:, 0].tolist(), b[:, 1].tolist()) for b in blocks), "csv"))
+
+
+def _scan_blocks(xs, ps, values):
+    """The mesh's (x, p, f) columns in blocks of at most BLOCK_ROWS rows: whole
+    x-rows, or slices of one x-row when a row is longer than a block.  Each
+    axis value is formatted once, and goes in as a str."""
+    x_text, p_text = (list(map(repr, np.asarray(axis, dtype=float).tolist())) for axis in (xs, ps))
     p_step = min(len(p_text), BLOCK_ROWS) or 1
     x_step = BLOCK_ROWS // p_step
-    yield "x,p,f\n"
     for i in range(0, len(x_text), x_step):
         for j in range(0, len(p_text), p_step):
-            block = np.asarray(values[i : i + x_step, j : j + p_step], dtype=float).tolist()
-            p_block = p_text[j : j + p_step]
-            yield "".join(
-                f"{x}{p}{f!r}\n" for x, row in zip(x_text[i : i + x_step], block) for p, f in zip(p_block, row)
-            )
+            x_block, p_block = x_text[i : i + x_step], p_text[j : j + p_step]
+            f = np.asarray(values[i : i + x_step, j : j + p_step], dtype=float)
+            yield [x for x in x_block for _ in p_block], p_block * len(x_block), f.ravel().tolist()
 
 
 def write_scan_csv(path: str, xs, ps, values) -> None:
-    """Mesh dump, one row per (x, p) pair, rows following xs then ps.
-
-    Each axis value is formatted once; the values are formatted in blocks of
-    at most BLOCK_ROWS rows (whole x-rows, or slices of one x-row when a row
-    is longer than a block).
-    """
-    atomic_write_text(path, _scan_chunks(xs, ps, values))
+    """Mesh dump, one row per (x, p) pair, rows following xs then ps."""
+    atomic_write_text(path, table_chunks(("x", "p", "f"), _scan_blocks(xs, ps, values), "csv"))
 
 
 def sweep_rows_csv(rows: list[SweepRow]) -> str:
-    return _csv(
-        (
-            (r.label, repr(r.parameter), repr(r.product), repr(r.bound), r.classification, repr(r.entropy_surrogate))
-            for r in rows
-        ),
-        "label,parameter,product,bound,classification,entropy_surrogate",
-    )
-
-
-def _json_chunks(record_blocks):
-    """json.dumps of the list of every record (dict) in record_blocks, one chunk per block."""
-    yield "["
-    separator = ""
-    for records in record_blocks:
-        if records:
-            yield separator + json.dumps(records)[1:-1]
-            separator = ", "
-    yield "]"
-
-
-def rows_json(rows: list[SweepRow] | list[WalkTrace]) -> str:
-    """One JSON object per sweep or walk row, keys in field order."""
-    return "".join(_json_chunks([[vars(r) for r in rows]]))
-
-
-_WALK_FIELDS = tuple(field.name for field in dataclasses.fields(WalkTrace))
-
-
-def _walk_csv_chunks(row_blocks):
-    """Walk CSV of blocks of (step, product, distance_to_bound) tuples, one chunk per block."""
-    yield ",".join(_WALK_FIELDS) + "\n"
-    for rows in row_blocks:
-        yield "".join(f"{k},{product!r},{gap!r}\n" for k, product, gap in rows)
+    return "".join(table_chunks(field_names(SweepRow), [record_block(rows)], "csv"))
 
 
 def walk_rows_csv(rows: list[WalkTrace]) -> str:
-    return "".join(_walk_csv_chunks([[(r.step, r.product, r.distance_to_bound) for r in rows]]))
-
-
-def walk_chunks(blocks, form: str):
-    """Text chunks of a walk given as scenarios.walk_blocks blocks, formatted
-    as each block comes: form "csv" gives the bytes of walk_rows_csv and
-    "json" those of rows_json on the same walk's relaxation_walk rows."""
-    row_blocks = (zip(rows, products.tolist(), gaps.tolist()) for rows, products, gaps in blocks)
-    if form == "json":
-        return _json_chunks([dict(zip(_WALK_FIELDS, row)) for row in block] for block in row_blocks)
-    return _walk_csv_chunks(row_blocks)
+    return "".join(table_chunks(field_names(WalkTrace), [record_block(rows)], "csv"))

@@ -18,6 +18,7 @@ from fluctlab.density import (
     PhasePoint,
     extremal_variances,
     normalization_check,
+    peak_value,
     reduced_box_integral,
     reduced_density,
     reduced_grid,
@@ -153,6 +154,10 @@ OVERFLOWS = {
     ),
     "reduced_grid rate": (
         "separations and rate 4*pi/h", lambda v: reduced_grid(0.0, 0.0, UnitSystem(h=v), AXIS, AXIS), [1e-320]
+    ),
+    "density peak": (
+        "density peak 1/(2*pi*dx*dp)", lambda v: peak_value(FluctuationParams(0.0, 0.0, v, v, UnitSystem(h=v))),
+        [1e-320],
     ),
 }
 

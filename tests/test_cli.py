@@ -281,8 +281,8 @@ def no_allocation(monkeypatch):
     def refuse(*args, **kwargs):
         raise _Allocated
 
-    for name in ("density_grid", "reduced_grid", "sample", "build_state", "eigenstate_sweep", "thermal_sweep",
-                 "relaxation_walk"):
+    for name in ("density_grid", "reduced_grid", "sample_blocks", "build_state", "eigenstate_sweep", "thermal_sweep",
+                 "walk_blocks"):
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(np, "linspace", refuse)
     monkeypatch.setattr(np, "empty", refuse)

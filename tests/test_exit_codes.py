@@ -39,6 +39,8 @@ def state_file(tmp_path):
     return path
 
 
+TINY_PEAK_FLAGS = ["--h", "1e-320", "--var-x", "1e-320", "--var-p", "1e-320"]
+
 BAD_INPUTS = {
     "audit-epsilon": (["audit", "--in", "{state}", "--epsilon", "0.5"], 2),
     "eigensweep-epsilon": (["scenario", "eigensweep", "--n-max", "2", "--grid", "-15:15:256",
@@ -98,6 +100,15 @@ BAD_INPUTS = {
     "audit-delta-t-overflow": (["audit", "--in", "{state}", "--delta-e", "1e-320", "--out", "{tmp}/draws.csv"], 2),
     "walk-product-overflow": (["scenario", "walk", "--var-x", "1e300", "--var-p", "1e300", "--steps", "2",
                                "--step-size", "0.1", "--seed", "1"], 0),
+    # the peak 1/(2*pi*dx*dp) overflows; sample and walk never use it
+    "eval-infinite-peak": (["density", "eval", *TINY_PEAK_FLAGS, "--x", "0", "--p", "0"], 2),
+    "scan-infinite-peak": (["density", "eval", *TINY_PEAK_FLAGS, "--scan-x=-1:1:3", "--scan-p=-1:1:3",
+                            "--out", "{tmp}/draws.csv"], 2),
+    "normcheck-infinite-peak": (["density", "normcheck", *TINY_PEAK_FLAGS], 2),
+    "sample-infinite-peak": (["density", "sample", *TINY_PEAK_FLAGS, "--count", "3", "--seed", "1",
+                              "--out", "{tmp}/admitted.csv"], 0),
+    "walk-infinite-peak": (["scenario", "walk", *TINY_PEAK_FLAGS, "--steps", "3", "--step-size", "0.1",
+                            "--seed", "1"], 0),
     "state-product-overflow": (["state", "--gaussian", "--sigma", "1e5", "--grid=-2e6:2e6:4096",
                                 "--h", "6.283185307179586e155", "--out", "{tmp}/admitted.json"], 0),
     "state-product-underflow": (["state", "--gaussian", "--sigma", "1e-150", "--grid=-1.2e-149:1.2e-149:256",
@@ -124,6 +135,13 @@ def test_bad_input_exits_without_traceback(argv, code, state_file, tmp_path):
     assert "RuntimeWarning" not in result.stderr
     assert result.returncode == code, result.stderr
     assert not (tmp_path / "draws.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["eval-infinite-peak", "scan-infinite-peak", "normcheck-infinite-peak"])
+def test_infinite_peak_is_refused_by_name(key, tmp_path, capsys):
+    assert cli.run([a.format(tmp=tmp_path) for a in BAD_INPUTS[key][0]]) == 2
+    assert capsys.readouterr().err == "error: density peak 1/(2*pi*dx*dp) must be finite, got inf\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_value_checks_keep_their_messages(capsys):

@@ -1,4 +1,4 @@
-"""File formats: JSON state/ensemble schemas, CSV emitters, atomic writes."""
+"""File formats: JSON state/ensemble schemas, the scan and sample CSVs, atomic writes."""
 
 import json
 import os
@@ -19,7 +19,6 @@ from fluctlab import (
     phase_space_moments,
 )
 from fluctlab import io as fio
-from fluctlab.scenarios import SweepRow, WalkTrace
 
 
 def test_state_round_trip(tmp_path, grid, units):
@@ -194,7 +193,7 @@ def test_atomic_write_cleans_up_on_failure(tmp_path, monkeypatch):
 def test_samples_csv(tmp_path):
     path = str(tmp_path / "draws.csv")
     draws = np.array([[0.5, -1.25], [1e-17, 3.0]])
-    fio.write_samples_csv(path, draws)
+    fio.write_samples_csv(path, [draws])
     lines = open(path).read().splitlines()
     assert lines[0] == "x,p"
     assert len(lines) == 3
@@ -216,33 +215,6 @@ def test_scan_csv(tmp_path):
     assert lines[-1] == "1.0,4.0,5.0"
 
 
-def test_sweep_rows_formats():
-    rows = [SweepRow("n=0", 0.0, 0.5, 0.5, "minimal", 0.0)]
-    csv_text = fio.sweep_rows_csv(rows)
-    assert csv_text.splitlines()[0] == "label,parameter,product,bound,classification,entropy_surrogate"
-    assert "n=0,0.0,0.5,0.5,minimal,0.0" in csv_text
-    doc = json.loads(fio.rows_json(rows))
-    assert doc == [
-        {
-            "label": "n=0",
-            "parameter": 0.0,
-            "product": 0.5,
-            "bound": 0.5,
-            "classification": "minimal",
-            "entropy_surrogate": 0.0,
-        }
-    ]
-
-
-def test_walk_rows_formats():
-    rows = [WalkTrace(0, 2.0, 1.5), WalkTrace(1, 1.9, 1.4)]
-    csv_text = fio.walk_rows_csv(rows)
-    assert csv_text.splitlines()[0] == "step,product,distance_to_bound"
-    assert csv_text.splitlines()[1] == "0,2.0,1.5"
-    doc = json.loads(fio.rows_json(rows))
-    assert doc[1] == {"step": 1, "product": 1.9, "distance_to_bound": 1.4}
-
-
 # --- streamed CSV writers: byte pins against the per-row formula -------------
 
 EDGE_VALUES = [-0.0, 5e-324, 1e-17, 1e308, 0.0, -2.5, 1 / 3]
@@ -262,6 +234,11 @@ def _reference_scan_text(xs, ps, values):
     return "\n".join(["x,p,f", *rows]) + "\n"
 
 
+def _blocks(draws):
+    """draws as the (k, 2) blocks of at most BLOCK_ROWS rows that density.sample_blocks yields."""
+    return [draws[i : i + fio.BLOCK_ROWS] for i in range(0, len(draws), fio.BLOCK_ROWS)]
+
+
 def _mesh(n_x, n_p, seed=0):
     rng = np.random.default_rng(seed)
     xs = np.linspace(-3.0, 3.0, n_x)
@@ -273,7 +250,7 @@ def _mesh(n_x, n_p, seed=0):
 def test_samples_csv_edge_values_match_reference(tmp_path):
     path = tmp_path / "draws.csv"
     draws = np.array([[v, -v] for v in EDGE_VALUES] + [[v, w] for v in EDGE_VALUES for w in EDGE_VALUES])
-    fio.write_samples_csv(str(path), draws)
+    fio.write_samples_csv(str(path), [draws])
     assert path.read_text() == _reference_samples_text(draws)
 
 
@@ -290,7 +267,7 @@ def test_scan_csv_edge_values_match_reference(tmp_path):
 def test_samples_csv_block_boundaries_match_reference(tmp_path, extra):
     path = tmp_path / "draws.csv"
     draws = np.random.default_rng(extra + 5).standard_normal((fio.BLOCK_ROWS + extra, 2))
-    fio.write_samples_csv(str(path), draws)
+    fio.write_samples_csv(str(path), _blocks(draws))
     assert path.read_text() == _reference_samples_text(draws)
 
 
@@ -350,7 +327,7 @@ def test_outputs_get_umask_mode(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
         fio.atomic_write_text(str(tmp_path / "out.txt"), "payload")
-        fio.write_samples_csv(str(tmp_path / "draws.csv"), np.zeros((3, 2)))
+        fio.write_samples_csv(str(tmp_path / "draws.csv"), [np.zeros((3, 2))])
     finally:
         os.umask(old)
     assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
@@ -361,7 +338,7 @@ def test_streamed_writers_memory_is_bounded(tmp_path, peak_bytes):
     draws = np.random.default_rng(3).standard_normal((200_000, 2))
     xs, ps, values = _mesh(501, 401)
     writes = [
-        (tmp_path / "draws.csv", lambda path: fio.write_samples_csv(path, draws)),
+        (tmp_path / "draws.csv", lambda path: fio.write_samples_csv(path, _blocks(draws))),
         (tmp_path / "scan.csv", lambda path: fio.write_scan_csv(path, xs, ps, values)),
     ]
     for path, write in writes:

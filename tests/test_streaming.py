@@ -1,6 +1,7 @@
 """The streamed walk and sampler: their blocks against the whole-array
-formulas bit for bit, their CSV and JSON against the per-row formulas byte for
-byte, and their memory against the row count."""
+formulas bit for bit and their memory against the row count; and every table
+(scan, sample, walk, sweep) in each form it is written in against per-row
+formulas byte for byte."""
 
 import json
 
@@ -11,7 +12,7 @@ from fluctlab import FluctuationParams, InvalidRecipe, UnitSystem, relaxation_wa
 from fluctlab import io as fio
 from fluctlab.cli import run
 from fluctlab.density import sample_blocks
-from fluctlab.scenarios import WalkTrace, walk_blocks
+from fluctlab.scenarios import SweepRow, WalkTrace, walk_blocks
 
 B = fio.BLOCK_ROWS
 UNITS = UnitSystem()
@@ -44,16 +45,36 @@ def _reference_sample(count, seed=42):
 
 
 def _walk_csv(rows):
-    return fio._csv(((str(r.step), repr(r.product), repr(r.distance_to_bound)) for r in rows),
-                    "step,product,distance_to_bound")
+    return "step,product,distance_to_bound\n" + "".join(
+        f"{r.step},{r.product!r},{r.distance_to_bound!r}\n" for r in rows
+    )
 
 
 def _walk_json(rows):
-    return json.dumps([vars(r) for r in rows])
+    return json.dumps([{"step": r.step, "product": r.product, "distance_to_bound": r.distance_to_bound} for r in rows])
 
 
 def _samples_csv(draws):
     return "".join(["x,p\n", *(f"{float(x)!r},{float(p)!r}\n" for x, p in draws)])
+
+
+def _scan_csv(rows):
+    return "x,p,f\n" + "".join(f"{x!r},{p!r},{f!r}\n" for x, p, f in rows)
+
+
+def _sweep_csv(rows):
+    return "label,parameter,product,bound,classification,entropy_surrogate\n" + "".join(
+        f"{r.label},{r.parameter!r},{r.product!r},{r.bound!r},{r.classification},{r.entropy_surrogate!r}\n"
+        for r in rows
+    )
+
+
+def _sweep_json(rows):
+    return json.dumps([
+        {"label": r.label, "parameter": r.parameter, "product": r.product, "bound": r.bound,
+         "classification": r.classification, "entropy_surrogate": r.entropy_surrogate}
+        for r in rows
+    ])
 
 
 @pytest.mark.parametrize("steps", [0, B - 2, B - 1, B, 3 * B + 5])
@@ -91,13 +112,68 @@ def test_generators_admit_their_arguments_before_the_first_block():
         sample_blocks(GAUSS, 10, -1)
 
 
-@pytest.mark.parametrize("form, formula", [("csv", _walk_csv), ("json", _walk_json)])
-def test_walk_formatters_match_the_row_formulas(form, formula):
-    assert "".join(fio.walk_chunks(iter(()), form)) == formula([])
-    rows = _reference_walk(B + 1)
-    assert "".join(fio.walk_chunks(walk_blocks(START, B + 1, 0.05, 7, UNITS), form)) == formula(rows)
-    whole = fio.walk_rows_csv(rows) if form == "csv" else fio.rows_json(rows)
-    assert whole == formula(rows)
+def _scan_tables(n, form, tmp_path):
+    """A 1 x n and an n x 1 mesh, each written by write_scan_csv."""
+    rng = np.random.default_rng(n)
+    tables = []
+    for n_x, n_p in ((1, n), (n, 1)):
+        xs, ps, values = rng.standard_normal(n_x), rng.standard_normal(n_p), rng.random((n_x, n_p))
+        path = tmp_path / f"scan-{n_x}x{n_p}.csv"
+        fio.write_scan_csv(str(path), xs, ps, values)
+        rows = [(x, p, f) for x, f_row in zip(xs.tolist(), values.tolist()) for p, f in zip(ps.tolist(), f_row)]
+        tables.append((rows, path.read_text()))
+    return tables
+
+
+def _sample_tables(n, form, tmp_path):
+    """sample_blocks' draws written by write_samples_csv."""
+    path = tmp_path / "draws.csv"
+    fio.write_samples_csv(str(path), sample_blocks(GAUSS, n, 42))
+    return [(_reference_sample(n), path.read_text())]
+
+
+def _walk_tables(n, form, tmp_path):
+    """The walk of n points through walk_rows_csv or the records' table, and
+    through the command line, which formats walk_blocks' blocks as they come."""
+    rows = _reference_walk(n - 1) if n else []
+    whole = fio.walk_rows_csv(rows) if form == "csv" else "".join(
+        fio.table_chunks(fio.field_names(WalkTrace), [fio.record_block(rows)], form)
+    )
+    tables = [(rows, whole)]
+    if n:
+        path = tmp_path / f"walk.{form}"
+        assert run([*WALK_ARGS, "--steps", str(n - 1), "--format", form, "--out", str(path)]) == 0
+        tables.append((rows, path.read_text()))
+    return tables
+
+
+def _sweep_tables(n, form, tmp_path):
+    """n sweep rows, the first the ground level n=0, through the table the command line writes
+    (and sweep_rows_csv)."""
+    rows = [SweepRow(f"n={k}", float(k), k + 0.5, 0.5, "strict" if k else "minimal", k / 3) for k in range(n)]
+    tables = [(rows, "".join(fio.table_chunks(fio.field_names(SweepRow), [fio.record_block(rows)], form)))]
+    if form == "csv":
+        tables.append((rows, fio.sweep_rows_csv(rows)))
+    return tables
+
+
+TABLES = {
+    "scan-csv": (_scan_tables, "csv", _scan_csv),
+    "sample-csv": (_sample_tables, "csv", _samples_csv),
+    "walk-csv": (_walk_tables, "csv", _walk_csv),
+    "walk-json": (_walk_tables, "json", _walk_json),
+    "sweep-csv": (_sweep_tables, "csv", _sweep_csv),
+    "sweep-json": (_sweep_tables, "json", _sweep_json),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1])
+@pytest.mark.parametrize("tables, form, formula", TABLES.values(), ids=TABLES.keys())
+def test_every_table_matches_its_row_formula(tmp_path, capsys, tables, form, formula, n):
+    """Scans and samples are written as CSV only; walks and sweeps as CSV or JSON."""
+    for rows, text in tables(n, form, tmp_path):
+        assert len(rows) == n
+        assert text == formula(rows)
 
 
 @pytest.mark.parametrize("steps", [0, B - 2, B - 1, B])  # 1, B - 1, B and B + 1 rows
