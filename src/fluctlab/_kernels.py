@@ -68,11 +68,6 @@ def _gauss_exponent(axis, mean, var):
         return exponent
 
 
-def _gauss_factor(axis, mean, var):
-    """exp(-0.5*(axis-mean)**2/var) on an axis array."""
-    return np.exp(_gauss_exponent(axis, mean, var))
-
-
 def active_backend() -> str:
     """Name of the kernel implementation in use; always "numpy"."""
     return "numpy"

@@ -154,17 +154,11 @@ def _cmd_audit(args) -> int:
     target, file_units = io.load_target(args.in_path)
     units = UnitSystem(h=args.h) if args.h is not None else file_units
     report = audit_report(target, units, epsilon=args.epsilon, delta_e=args.delta_e)
-    text = json.dumps(report)
-    failed = args.strict and report["classification"] == "below_bound"
-    if args.out and not failed:  # a failing run writes no file; its report goes to stdout
-        io.atomic_write_text(args.out, text)
-        print(f"wrote {args.out} (classification={report['classification']})")
-    else:
-        print(text)
-    if failed:
+    if args.strict and report["classification"] == "below_bound":  # no file; the report goes to stdout
+        print(json.dumps(report))
         print("error: product below bound in strict mode", file=sys.stderr)
         return 2
-    return 0
+    return _emit_rows(args, [json.dumps(report)], f"classification={report['classification']}")
 
 
 def _cmd_density_eval(args) -> int:
@@ -237,11 +231,11 @@ def _cmd_density_normcheck(args) -> int:
     return 0
 
 
-def _emit_rows(args, chunks, rows: int) -> int:
-    """Write text chunks to --out, or to stdout ending in a newline; rows is the count printed."""
+def _emit_rows(args, chunks, detail: str) -> int:
+    """Write text chunks to --out, or to stdout ending in a newline; detail goes in the `wrote` line."""
     if args.out:
         io.atomic_write_text(args.out, chunks)
-        print(f"wrote {args.out} ({rows} rows)")
+        print(f"wrote {args.out} ({detail})")
         return 0
     last = ""
     for chunk in chunks:
@@ -256,7 +250,8 @@ def _cmd_scenario_eigensweep(args) -> int:
     units = _resolve_units(args)
     grid = _parse_grid_flag(args.grid, args.n_max + 1)
     rows = eigenstate_sweep(args.n_max, args.mass, args.omega, grid, units, args.epsilon)
-    return _emit_rows(args, io.table_chunks(io.field_names(SweepRow), [io.record_block(rows)], args.format), len(rows))
+    table = io.table_chunks(io.field_names(SweepRow), [io.record_block(rows)], args.format)
+    return _emit_rows(args, table, f"{len(rows)} rows")
 
 
 def _cmd_scenario_thermalsweep(args) -> int:
@@ -269,7 +264,8 @@ def _cmd_scenario_thermalsweep(args) -> int:
         raise InvalidRecipe("need at least one temperature")
     grid = _parse_grid_flag(args.grid, args.n_max + 1)
     rows = thermal_sweep(temperatures, args.mass, args.omega, args.n_max, grid, units, args.epsilon)
-    return _emit_rows(args, io.table_chunks(io.field_names(SweepRow), [io.record_block(rows)], args.format), len(rows))
+    table = io.table_chunks(io.field_names(SweepRow), [io.record_block(rows)], args.format)
+    return _emit_rows(args, table, f"{len(rows)} rows")
 
 
 def _cmd_scenario_walk(args) -> int:
@@ -277,7 +273,7 @@ def _cmd_scenario_walk(args) -> int:
     _admit_rows(args.steps + 1, "walk")
     blocks = walk_blocks(_params_from_flags(args, units), args.steps, args.step_size, args.seed, units)
     columns = ((rows, products.tolist(), gaps.tolist()) for rows, products, gaps in blocks)
-    return _emit_rows(args, io.table_chunks(io.field_names(WalkTrace), columns, args.format), args.steps + 1)
+    return _emit_rows(args, io.table_chunks(io.field_names(WalkTrace), columns, args.format), f"{args.steps + 1} rows")
 
 
 # --- parser ------------------------------------------------------------------

@@ -238,7 +238,7 @@ def normalization_check(params: FluctuationParams, half_width_sigmas: float = 10
         (params.mean_p, params.var_p, params.delta_p),
     ):
         grid = np.linspace(mean - half_width_sigmas * spread, mean + half_width_sigmas * spread, nodes)
-        value *= _trapz(_kernels._gauss_factor(grid, mean, var), grid[1] - grid[0])
+        value *= _trapz(np.exp(_kernels._gauss_exponent(grid, mean, var)), grid[1] - grid[0])
     return float(value)
 
 

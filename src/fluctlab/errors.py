@@ -59,11 +59,11 @@ def require_positive(name: str, value) -> None:
         raise InvalidRecipe(f"{name} must be finite and positive, got {value}")
 
 
-def require_count(name: str, value, low: int = 0, high=math.inf) -> int:
-    """value as an int when it is a whole number in [low, high], else InvalidRecipe
+def require_count(name: str, value, high=math.inf) -> int:
+    """value as an int when it is a whole number in [0, high], else InvalidRecipe
     naming it; ints of any size pass exactly, NaN and infinities are refused."""
-    if not (value % 1 == 0 and low <= value <= high):
-        raise InvalidRecipe(f"{name} must be an integer in [{low}, {high}], got {value}")
+    if not (value % 1 == 0 and 0 <= value <= high):
+        raise InvalidRecipe(f"{name} must be an integer in [0, {high}], got {value}")
     return int(value)
 
 

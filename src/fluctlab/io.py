@@ -21,8 +21,11 @@ a --grid of levels x N values above it with exit code 2 before allocating
 anything.  It bounds a count, not memory: a --grid near the limit needs up to
 about 20 GiB (see the README).  The sweeps hold one level at a time, so their
 memory grows with N, not levels x N.
-Every output gets the mode an ordinary open() would give it under the
-process umask (0o644 under umask 022).
+Every output is written to a temp file beside the real target (a symlink's
+target, not the link), created by open(..., "x") under a random
+.fluctlab-*.tmp name, so the kernel gives it the mode of an ordinary open()
+under the process umask (0o644 under umask 022); a rename then puts it in
+place.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
 from itertools import repeat
 
 import numpy as np
@@ -49,17 +51,15 @@ value takes 16 bytes, so a --grid needs more."""
 
 def atomic_write_text(path: str, text) -> None:
     """Write text (a str or an iterable of str chunks) to path via a temp
-    file and rename, so failures leave no partial file."""
+    file and rename, so failures leave no partial file.  A symlink is
+    followed: the file it points to is written, and the link stays."""
     chunks = (text,) if isinstance(text, str) else text
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fluctlab-", suffix=".tmp")
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".fluctlab-{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "x")  # exclusive, so it never follows a link or takes over a file
     try:
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.writelines(chunks)
-        # mkstemp creates 0600; give the file the mode open() would have.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -14,9 +14,10 @@ workers.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -80,21 +81,19 @@ class GridSpec:
         return (self.x_max - self.x_min) / self.n
 
     def points(self) -> np.ndarray:
-        return _grid_points(self)
+        return self._points
 
+    # Made on first use and kept on the grid, so they are freed with it.
+    @cached_property
+    def _points(self) -> np.ndarray:
+        return _freeze(self.x_min + self.dx * np.arange(self.n))
 
-@lru_cache(maxsize=128)
-def _grid_points(grid: GridSpec) -> np.ndarray:
-    x = grid.x_min + grid.dx * np.arange(grid.n)
-    x.flags.writeable = False
-    return x
+    @cached_property
+    def _wavenumbers(self) -> np.ndarray:
+        return _freeze(TWO_PI * np.fft.fftfreq(self.n, d=self.dx))
 
-
-@lru_cache(maxsize=128)
-def _grid_wavenumbers(grid: GridSpec) -> np.ndarray:
-    k = TWO_PI * np.fft.fftfreq(grid.n, d=grid.dx)
-    k.flags.writeable = False
-    return k
+    def __reduce__(self):  # a pickle or copy carries the fields, not the arrays
+        return GridSpec, (self.x_min, self.x_max, self.n)
 
 
 def _trapz(y: np.ndarray, dx: float) -> float:
@@ -353,18 +352,21 @@ def phase_space_moments(state: PureState, units: UnitSystem) -> MomentReport:
     mean_x = _trapz(prob * x, dx)
     power = np.abs(np.fft.fft(state.amplitudes)) ** 2
     power = power / power.sum()
-    k = _grid_wavenumbers(state.grid)
+    k = state.grid._wavenumbers
     p_low, p_high = units.hbar * float(k.min()), units.hbar * float(k.max())
     require_finite("momenta hbar*k", p_low, p_high)
     p = units.hbar * k
     mean_p = float(power @ p)
     require_finite("squared momentum deviations", *(d * d for d in (p_high - mean_p, mean_p - p_low)))
     require_finite("squared position deviations", *(d * d for d in (float(x[-1]) - mean_x, mean_x - float(x[0]))))
+    var_p = float(power @ (p - mean_p) ** 2)
+    if var_p < sys.float_info.min:  # hbar*k underflowed: the variance has lost its digits
+        raise InvalidRecipe(f"momentum variance var_p must be a normal float, got {var_p!r} at h = {units.h!r}")
     return MomentReport(
         mean_x=mean_x,
         mean_p=mean_p,
         var_x=_trapz(prob * (x - mean_x) ** 2, dx),
-        var_p=float(power @ (p - mean_p) ** 2),
+        var_p=var_p,
     )
 
 
@@ -387,7 +389,7 @@ def _state_energy(state: PureState, hamiltonian: HamiltonianSpec, units: UnitSys
             f"potential has {hamiltonian.potential.shape[0]} samples for a grid of {state.grid.n}"
         )
     psi = state.amplitudes
-    k = _grid_wavenumbers(state.grid)
+    k = state.grid._wavenumbers
     kinetic = np.fft.ifft((0.5 * units.hbar**2 / hamiltonian.mass) * k**2 * np.fft.fft(psi))
     h_psi = kinetic + hamiltonian.potential * psi
     dx = state.grid.dx

@@ -31,3 +31,20 @@ def peak_bytes():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def same_text():
+    """same_text(actual, expected): assert two texts are equal, comparing them as
+    lists of lines (ends kept, so every byte counts) and reporting only the first
+    line that differs; a plain == on long texts makes pytest diff them for minutes."""
+
+    def check(actual, expected):
+        got, want = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+        if got != want:
+            i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+            got_line, want_line = (lines[i] if i < len(lines) else "<end of text>" for lines in (got, want))
+            pytest.fail(f"line {i + 1} differs ({len(got)} lines against {len(want)} expected):\n"
+                        f"  got      {got_line!r}\n  expected {want_line!r}", pytrace=False)
+
+    return check

@@ -236,6 +236,45 @@ def test_strict_audit_flags_below_bound(tmp_path, capsys, units):
     assert run(["audit", "--in", path, "--strict"]) == 2
 
 
+def test_audit_output_bytes(tmp_path, capsys, units):
+    """The report goes to stdout, or to --out with a `wrote` line; a strict
+    below-bound run writes no file and prints the report and the error."""
+    spike = np.zeros(8, dtype=complex)
+    spike[4] = 1.0
+    path, out = str(tmp_path / "spike.json"), tmp_path / "report.json"
+    fio.save_state(path, PureState(GridSpec(-4.0, 4.0, 8), spike), units)
+    assert run(["audit", "--in", path]) == 0
+    report = capsys.readouterr().out
+    assert report.startswith("{") and report.endswith("}\n") and report.count("\n") == 1
+    assert run(["audit", "--in", path, "--strict", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (report, "error: product below bound in strict mode\n")
+    assert not out.exists()
+    assert run(["audit", "--in", path, "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote {out} (classification=below_bound)\n", "")
+    assert out.read_text() == report[:-1]
+
+
+def test_each_grid_makes_its_wavenumbers_once(tmp_path, capsys, monkeypatch, units):
+    """Every member of a loaded ensemble, and every level of a sweep, is on the one grid object."""
+    from fluctlab import thermal_ensemble
+
+    path = str(tmp_path / "ensemble.json")
+    fio.save_ensemble(path, thermal_ensemble(1.0, 1.0, 1.0, 40, GridSpec(-15.0, 15.0, 1024), units), units)
+    calls = []
+    original = np.fft.fftfreq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftfreq", counting)
+    assert run(["audit", "--in", path]) == 0
+    assert len(calls) == 1
+    assert run(["scenario", "thermalsweep", "--temperatures", "0.5,1,2", "--n-max", "40", "--grid=-15:15:1024"]) == 0
+    assert len(calls) == 2
+    capsys.readouterr()
+
+
 def test_h_flag_overrides_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FLUCTLAB_H", str(4 * math.pi))
     assert run(["density", "extremize", "--x", "1", "--p", "1"]) == 0

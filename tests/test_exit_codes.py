@@ -120,6 +120,12 @@ BAD_INPUTS = {
     "eigenstate-huge-grid": (["state", "--eigenstate", "1", "--grid=1.0:1e+300:8", "--out", "{tmp}/draws.csv"], 3),
     "gaussian-position-square-overflow": (["state", "--gaussian", "--sigma", "1e153", "--grid=-1e155:1e155:1024",
                                            "--out", "{tmp}/draws.csv"], 2),
+    # hbar*k underflows: var_p is subnormal (a product 4.5% high) or 0 (a product of 0)
+    "audit-subnormal-momentum-variance": (["audit", "--in", "{state}", "--h", "1e-160", "--out", "{tmp}/draws.csv"], 2),
+    "audit-momentum-variance-underflow": (["audit", "--in", "{state}", "--h", "1e-170", "--out", "{tmp}/draws.csv"], 2),
+    "audit-momenta-underflow": (["audit", "--in", "{state}", "--h", "1e-320", "--out", "{tmp}/draws.csv"], 2),
+    "state-momentum-variance-underflow": (["state", "--gaussian", "--h", "1e-170", "--grid", "-12:12:256",
+                                           "--out", "{tmp}/draws.csv"], 2),
 }
 
 
@@ -151,6 +157,51 @@ def test_value_checks_keep_their_messages(capsys):
     assert "Planck constant must be finite and positive" in result.stderr
     assert cli.run(["scenario", "eigensweep", "--n-max", "1", "--grid", "-5:5:4"]) == 2
     assert capsys.readouterr().err == "error: need at least 8 sample points, got n=4\n"
+
+
+@pytest.mark.parametrize(
+    "key, var_p",
+    [("audit-subnormal-momentum-variance", "7e-323"), ("audit-momentum-variance-underflow", "0.0"),
+     ("audit-momenta-underflow", "0.0")],
+)
+def test_audit_refuses_a_subnormal_momentum_variance(key, var_p, state_file, tmp_path, capsys):
+    argv = [a.format(state=state_file, tmp=tmp_path) for a in BAD_INPUTS[key][0]]
+    assert cli.run(argv) == 2
+    h = argv[argv.index("--h") + 1]
+    assert capsys.readouterr() == ("", f"error: momentum variance var_p must be a normal float, got {var_p} at h = {h}\n")
+    assert not (tmp_path / "draws.csv").exists()
+
+
+def test_env_h_that_is_not_a_number_is_refused(monkeypatch, capsys):
+    monkeypatch.setenv("FLUCTLAB_H", "abc")
+    assert cli.run(["density", "extremize", "--x", "1", "--p", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: FLUCTLAB_H='abc' is not a number\n")
+
+
+REFUSALS = {
+    "grid-two-parts": (["state", "--gaussian", "--grid", "1:2", "--out", "{tmp}/s.json"],
+                       "grid must be MIN:MAX:N, got '1:2'"),
+    "grid-not-a-number": (["state", "--gaussian", "--grid", "a:1:8", "--out", "{tmp}/s.json"],
+                          "grid 'a:1:8': could not convert string to float: 'a'"),
+    "axis-two-parts": (["density", "eval", "--var-x", "1", "--var-p", "1", "--scan-x", "1:2", "--scan-p", "0:1:3",
+                        "--out", "{tmp}/s.csv"], "axis must be MIN:MAX:N, got '1:2'"),
+    "axis-not-a-number": (["density", "eval", "--var-x", "1", "--var-p", "1", "--scan-x", "0:1:3", "--scan-p=-1:1:x",
+                           "--out", "{tmp}/s.csv"], "axis '-1:1:x': invalid literal for int() with base 10: 'x'"),
+    "coherent-three-parts": (["state", "--coherent", "1,2,3", "--grid", "-12:12:256", "--out", "{tmp}/s.json"],
+                             "complex flag must be RE or RE,IM, got '1,2,3'"),
+    "temperatures-empty": (["scenario", "thermalsweep", "--temperatures", ",", "--n-max", "4",
+                            "--grid", "-12:12:256"], "need at least one temperature"),
+    "temperatures-not-a-number": (["scenario", "thermalsweep", "--temperatures", "a", "--n-max", "4",
+                                   "--grid", "-12:12:256"], "temperatures 'a': could not convert string to float: 'a'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_flag_refusals_name_their_cause(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("FLUCTLAB_H", raising=False)
+    assert cli.run([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_errors_share_one_base_class():

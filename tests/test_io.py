@@ -11,6 +11,7 @@ from fluctlab import (
     FileFormatError,
     GaussianPacket,
     GridSpec,
+    InvalidRecipe,
     MixedEnsemble,
     NormalizationError,
     OscillatorEigenstate,
@@ -247,28 +248,28 @@ def _mesh(n_x, n_p, seed=0):
     return xs, ps, values
 
 
-def test_samples_csv_edge_values_match_reference(tmp_path):
+def test_samples_csv_edge_values_match_reference(tmp_path, same_text):
     path = tmp_path / "draws.csv"
     draws = np.array([[v, -v] for v in EDGE_VALUES] + [[v, w] for v in EDGE_VALUES for w in EDGE_VALUES])
     fio.write_samples_csv(str(path), [draws])
-    assert path.read_text() == _reference_samples_text(draws)
+    same_text(path.read_text(), _reference_samples_text(draws))
 
 
-def test_scan_csv_edge_values_match_reference(tmp_path):
+def test_scan_csv_edge_values_match_reference(tmp_path, same_text):
     path = tmp_path / "scan.csv"
     xs = np.array(EDGE_VALUES)
     ps = np.array(EDGE_VALUES[::-1] + [7.0])
     values = np.resize(np.array(EDGE_VALUES), (xs.size, ps.size))
     fio.write_scan_csv(str(path), xs, ps, values)
-    assert path.read_text() == _reference_scan_text(xs, ps, values)
+    same_text(path.read_text(), _reference_scan_text(xs, ps, values))
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_samples_csv_block_boundaries_match_reference(tmp_path, extra):
+def test_samples_csv_block_boundaries_match_reference(tmp_path, same_text, extra):
     path = tmp_path / "draws.csv"
     draws = np.random.default_rng(extra + 5).standard_normal((fio.BLOCK_ROWS + extra, 2))
     fio.write_samples_csv(str(path), _blocks(draws))
-    assert path.read_text() == _reference_samples_text(draws)
+    same_text(path.read_text(), _reference_samples_text(draws))
 
 
 B = fio.BLOCK_ROWS
@@ -284,11 +285,11 @@ B = fio.BLOCK_ROWS
         (37, 211),                               # non-square, blocks of whole x-rows
     ],
 )
-def test_scan_csv_blocks_match_reference(tmp_path, n_x, n_p):
+def test_scan_csv_blocks_match_reference(tmp_path, same_text, n_x, n_p):
     path = tmp_path / "scan.csv"
     xs, ps, values = _mesh(n_x, n_p)
     fio.write_scan_csv(str(path), xs, ps, values)
-    assert path.read_text() == _reference_scan_text(xs, ps, values)
+    same_text(path.read_text(), _reference_scan_text(xs, ps, values))
 
 
 class _RowsFailAfterFirstBlock:
@@ -344,3 +345,61 @@ def test_streamed_writers_memory_is_bounded(tmp_path, peak_bytes):
     for path, write in writes:
         peak = peak_bytes(lambda: write(str(path)), warm_up=False)
         assert peak < path.stat().st_size / 4, (path.name, peak)
+
+
+def test_write_through_a_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target.name)
+    fio.write_samples_csv(str(link), [np.zeros((1, 2))])
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == "x,p\n0.0,0.0\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_write_through_a_dangling_symlink_creates_its_target(tmp_path):
+    (tmp_path / "out").mkdir()
+    link = tmp_path / "link.txt"
+    link.symlink_to(tmp_path / "out" / "made.txt")
+    fio.atomic_write_text(str(link), "payload")
+    assert link.is_symlink()
+    assert (tmp_path / "out" / "made.txt").read_text() == "payload"
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["made.txt"]
+
+
+def test_atomic_write_leaves_a_file_it_did_not_create(tmp_path, monkeypatch):
+    taken = tmp_path / f".fluctlab-{bytes(8).hex()}.tmp"
+    taken.write_text("another writer's")
+    monkeypatch.setattr(os, "urandom", bytes)  # the next temp name is the taken one
+    with pytest.raises(FileExistsError):
+        fio.atomic_write_text(str(tmp_path / "out.txt"), "payload")
+    assert taken.read_text() == "another writer's"
+    assert [p.name for p in tmp_path.iterdir()] == [taken.name]
+
+
+STATE_DOC = {"units": {"h": 6.28}, "grid": {"x_min": -1.0, "x_max": 1.0, "n": 8},
+             "psi_re": [0.0] * 8, "psi_im": [0.0] * 8}
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        ({"grid": [-1.0, 1.0, 8]}, FileFormatError, r"^grid: expected an object$"),
+        ({"units": 6.28}, FileFormatError, r"^units: expected an object$"),
+        ({"grid": {"x_min": "-1", "x_max": 1.0, "n": 8}}, FileFormatError,
+         r"^grid\.x_min: expected a number, got str$"),
+        ({"psi_re": "zeros"}, FileFormatError, r"^document\.psi_re: expected a list, got str$"),
+        ({"psi_re": [float("nan")] + [0.0] * 7}, InvalidRecipe, r"^amplitudes must be finite$"),
+    ],
+    ids=["grid-not-object", "units-not-object", "x_min-string", "psi_re-not-list", "psi_re-nan"],
+)
+def test_load_refuses_malformed_state_documents(tmp_path, change, error, message):
+    path = _write(tmp_path, {**STATE_DOC, **change})
+    with pytest.raises(error, match=message):
+        fio.load_target(path)
+
+
+def test_load_refuses_a_top_level_list(tmp_path):
+    path = _write(tmp_path, [STATE_DOC])
+    with pytest.raises(FileFormatError, match=r"top level must be an object$"):
+        fio.load_target(path)

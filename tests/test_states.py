@@ -1,6 +1,8 @@
 """States, ensembles, and moment operations."""
 
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +68,32 @@ def test_grid_points_and_spacing():
     assert x[0] == -4.0
     assert x.size == 16
     assert x[-1] == pytest.approx(4.0 - g.dx)
+
+
+def _measure_gaussians_on_distinct_grids(units, count, n):
+    for i in range(count):
+        grid = GridSpec(-12.0 - i, 12.0 + i, n)
+        phase_space_moments(build_state(GaussianPacket(), grid, units), units)
+
+
+def test_grid_arrays_are_freed_with_the_grid(units):
+    """A grid keeps its points and wavenumbers on itself, so once the grids
+    are dropped nothing of their size is still held."""
+    tracemalloc.start()
+    try:
+        _measure_gaussians_on_distinct_grids(units, 16, 2**16)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20, held
+
+
+def test_a_pickled_grid_leaves_its_arrays_behind(units):
+    grid = GridSpec(-12.0, 12.0, 2**16)
+    small = len(pickle.dumps(grid))
+    phase_space_moments(build_state(GaussianPacket(), grid, units), units)
+    assert len(pickle.dumps(grid)) == small
+    assert pickle.loads(pickle.dumps(grid)) == grid
 
 
 def test_gaussian_packet_is_normalized(grid, units):
@@ -326,3 +354,25 @@ def test_eigenstates_share_basis_with_build_state(units):
     family = oscillator_eigenstates(4, 1.0, 1.0, g, units)
     single = build_state(OscillatorEigenstate(4), g, units)
     assert np.array_equal(family[4].amplitudes, single.amplitudes)
+
+
+def _gaussian(grid, units):
+    return build_state(GaussianPacket(), grid, units)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda grid, units: PureState(grid, np.zeros(grid.n - 1)), r"^expected 1024 amplitudes, got shape \(1023,\)$"),
+        (lambda grid, units: MixedEnsemble(np.array([0.5, 0.5]), (_gaussian(grid, units),) * 3),
+         r"^2 weights for 3 members$"),
+        (lambda grid, units: HamiltonianSpec(1.0, np.full(grid.n, np.nan)),
+         r"^potential must be a finite 1-D sample array$"),
+        (lambda grid, units: build_state("gaussian", grid, units), r"^unknown recipe type str$"),
+        (lambda grid, units: ensemble_moments(grid, units), r"^expected PureState or MixedEnsemble, got GridSpec$"),
+    ],
+    ids=["pure-state-shape", "weights-for-members", "nan-potential", "unknown-recipe", "moments-of-non-state"],
+)
+def test_library_refusals_name_their_cause(grid, units, make, message):
+    with pytest.raises(InvalidRecipe, match=message):
+        make(grid, units)

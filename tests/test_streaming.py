@@ -169,31 +169,31 @@ TABLES = {
 
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1])
 @pytest.mark.parametrize("tables, form, formula", TABLES.values(), ids=TABLES.keys())
-def test_every_table_matches_its_row_formula(tmp_path, capsys, tables, form, formula, n):
+def test_every_table_matches_its_row_formula(tmp_path, capsys, same_text, tables, form, formula, n):
     """Scans and samples are written as CSV only; walks and sweeps as CSV or JSON."""
     for rows, text in tables(n, form, tmp_path):
         assert len(rows) == n
-        assert text == formula(rows)
+        same_text(text, formula(rows))
 
 
 @pytest.mark.parametrize("steps", [0, B - 2, B - 1, B])  # 1, B - 1, B and B + 1 rows
 @pytest.mark.parametrize("form, formula", [("csv", _walk_csv), ("json", _walk_json)])
-def test_walk_output_matches_the_row_formulas(tmp_path, capsys, steps, form, formula):
+def test_walk_output_matches_the_row_formulas(tmp_path, capsys, same_text, steps, form, formula):
     expected = formula(_reference_walk(steps))
     out = tmp_path / f"walk.{form}"
     args = [*WALK_ARGS, "--steps", str(steps), "--format", form]
     assert run([*args, "--out", str(out)]) == 0
-    assert out.read_text() == expected
+    same_text(out.read_text(), expected)
     assert capsys.readouterr().out == f"wrote {out} ({steps + 1} rows)\n"
     assert run(args) == 0
-    assert capsys.readouterr().out == (expected if expected.endswith("\n") else expected + "\n")
+    same_text(capsys.readouterr().out, expected if expected.endswith("\n") else expected + "\n")
 
 
 @pytest.mark.parametrize("count", [0, B - 1, B, B + 1])
-def test_sample_output_matches_the_row_formula(tmp_path, capsys, count):
+def test_sample_output_matches_the_row_formula(tmp_path, capsys, same_text, count):
     out = tmp_path / "draws.csv"
     assert run([*SAMPLE_ARGS, "--count", str(count), "--out", str(out)]) == 0
-    assert out.read_text() == _samples_csv(_reference_sample(count))
+    same_text(out.read_text(), _samples_csv(_reference_sample(count)))
     assert capsys.readouterr().out == f"wrote {out} ({count} draws)\n"
 
 
