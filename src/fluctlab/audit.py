@@ -20,6 +20,8 @@ from .states import (
     ensemble_moments,
 )
 
+SATURATION_EPSILON = 1e-6  # default relative half-width of the saturation band
+
 
 class Verdict(str, Enum):
     """Where the product sits relative to the bound.
@@ -63,7 +65,7 @@ def uncertainty_product(report) -> float:
     return math.ldexp(math.sqrt(math.ldexp(mx * mp, (ex + ep) % 2)), (ex + ep) // 2)
 
 
-def classify(report: MomentReport, units: UnitSystem, epsilon: float = 1e-6) -> Classification:
+def classify(report: MomentReport, units: UnitSystem, epsilon: float = SATURATION_EPSILON) -> Classification:
     """Label a moment report against the bound h/(4*pi).
 
     epsilon is the relative half-width of the saturation band and must lie
@@ -111,10 +113,11 @@ def self_similarity_report(
     """Member energy spreads (about each member's own mean) versus the
     ensemble spread (about the ensemble mean); each member is measured
     once and the ensemble spread combines those measurements by the law of
-    total variance."""
-    energies = [_state_energy(m, hamiltonian, units) for m in ensemble.members]
+    total variance.  A pure state counts as the one-member mixture."""
+    weights, members = _mixture(ensemble)
+    energies = [_state_energy(m, hamiltonian, units) for m in members]
     member = tuple(math.sqrt(var) for _, var in energies)
-    ensemble_delta = math.sqrt(_total_variance(ensemble.weights, *zip(*energies))[1])
+    ensemble_delta = math.sqrt(_total_variance(weights, *zip(*energies))[1])
     spread = max(abs(d - ensemble_delta) for d in member) / max(ensemble_delta, 1e-300)
     return SelfSimilarityReport(
         member_delta_e=member,
@@ -123,7 +126,7 @@ def self_similarity_report(
     )
 
 
-def audit_report(target, units: UnitSystem, epsilon: float = 1e-6, delta_e: float | None = None) -> dict:
+def audit_report(target, units: UnitSystem, epsilon: float = SATURATION_EPSILON, delta_e: float | None = None) -> dict:
     """Assemble the JSON-ready audit of a PureState or MixedEnsemble; a pure
     state is audited as the one-member mixture.
 

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import io
-from .audit import audit_report
+from .audit import SATURATION_EPSILON, audit_report
 from .density import (
     FluctuationParams,
     PhasePoint,
@@ -271,7 +271,7 @@ def _cmd_scenario_thermalsweep(args) -> int:
 def _cmd_scenario_walk(args) -> int:
     units = _resolve_units(args)
     _admit_rows(args.steps + 1, "walk")
-    blocks = walk_blocks(_params_from_flags(args, units), args.steps, args.step_size, args.seed, units)
+    blocks = walk_blocks(_params_from_flags(args, units), args.steps, args.step_size, args.seed)
     columns = ((rows, products.tolist(), gaps.tolist()) for rows, products, gaps in blocks)
     return _emit_rows(args, io.table_chunks(io.field_names(WalkTrace), columns, args.format), f"{args.steps + 1} rows")
 
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", parents=[units], help="audit a state or ensemble file")
     audit.add_argument("--in", dest="in_path", required=True, metavar="FILE")
-    audit.add_argument("--epsilon", type=float, default=1e-6)
+    audit.add_argument("--epsilon", type=float, default=SATURATION_EPSILON)
     audit.add_argument("--delta-e", type=float, default=None,
                        help="energy spread used to fill delta_t in the report")
     audit.add_argument("--strict", action="store_true", help="exit 2 on a below-bound product")
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     eig.add_argument("--mass", type=float, default=1.0)
     eig.add_argument("--omega", type=float, default=1.0)
     eig.add_argument("--grid", required=True, metavar="MIN:MAX:N")
-    eig.add_argument("--epsilon", type=float, default=1e-6)
+    eig.add_argument("--epsilon", type=float, default=SATURATION_EPSILON)
     eig.add_argument("--out", default=None)
     eig.add_argument("--format", choices=("csv", "json"), default="csv")
     eig.set_defaults(handler=_cmd_scenario_eigensweep)
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     thermal.add_argument("--omega", type=float, default=1.0)
     thermal.add_argument("--n-max", type=int, required=True)
     thermal.add_argument("--grid", required=True, metavar="MIN:MAX:N")
-    thermal.add_argument("--epsilon", type=float, default=1e-6)
+    thermal.add_argument("--epsilon", type=float, default=SATURATION_EPSILON)
     thermal.add_argument("--out", default=None)
     thermal.add_argument("--format", choices=("csv", "json"), default="csv")
     thermal.set_defaults(handler=_cmd_scenario_thermalsweep)

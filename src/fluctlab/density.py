@@ -295,11 +295,13 @@ def density_grid(params: FluctuationParams, xs: np.ndarray, ps: np.ndarray) -> n
 def reduced_grid(
     mean_x: float, mean_p: float, units: UnitSystem, xs: np.ndarray, ps: np.ndarray
 ) -> np.ndarray:
-    """Reduced-density values on the outer product of xs and ps.  The separations
-    and the rate 4*pi/h must be finite: an infinite rate times a zero product is NaN."""
+    """Reduced-density values on the outer product of xs and ps (an empty axis gives the
+    empty mesh).  The separations and the rate 4*pi/h must be finite: an infinite rate
+    times a zero product is NaN."""
     xs = np.ascontiguousarray(xs, dtype=float)
     ps = np.ascontiguousarray(ps, dtype=float)
     rate = 4.0 * math.pi / units.h
-    ends = [float(end) - mean for axis, mean in ((xs, mean_x), (ps, mean_p)) for end in (axis.min(), axis.max())]
+    ends = [float(end) - mean for axis, mean in ((xs, mean_x), (ps, mean_p)) if axis.size
+            for end in (axis.min(), axis.max())]
     require_finite("separations and rate 4*pi/h", *ends, rate)
     return _kernels.reduced_scan(xs, ps, mean_x, mean_p, rate, 2.0 / units.h)

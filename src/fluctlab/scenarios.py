@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import _weight_entropy, classify, uncertainty_product
+from .audit import SATURATION_EPSILON, _weight_entropy, classify, uncertainty_product
 from .density import BLOCK_ROWS, FluctuationParams
 from .errors import InvalidRecipe, require_count
 from .states import (
@@ -63,7 +63,7 @@ def eigenstate_sweep(
     omega: float,
     grid: GridSpec,
     units: UnitSystem,
-    epsilon: float = 1e-6,
+    epsilon: float = SATURATION_EPSILON,
 ) -> list[SweepRow]:
     """One row per oscillator level 0..n_max, each measured, then dropped; products are (2n+1) x bound."""
     n_max = require_count("n_max", n_max, high=MAX_SWEEP_LEVEL)
@@ -80,7 +80,7 @@ def thermal_sweep(
     n_max: int,
     grid: GridSpec,
     units: UnitSystem,
-    epsilon: float = 1e-6,
+    epsilon: float = SATURATION_EPSILON,
 ) -> list[SweepRow]:
     """One row per temperature for the Boltzmann oscillator mixture (k_B = 1).
 
@@ -105,9 +105,8 @@ def relaxation_walk(
     steps: int,
     step_size: float,
     seed: int,
-    units: UnitSystem,
 ) -> list[WalkTrace]:
-    """Seeded contraction of the product toward the bound.
+    """Seeded contraction of the product toward the bound of start.units.
 
     Each step multiplies the gap above the bound by (1 - step_size * u) with
     u uniform on (0, 1), then projects so the product never crosses below
@@ -115,12 +114,12 @@ def relaxation_walk(
     """
     return [
         WalkTrace(step=k, product=product, distance_to_bound=gap)
-        for rows, products, gaps in walk_blocks(start, steps, step_size, seed, units)
+        for rows, products, gaps in walk_blocks(start, steps, step_size, seed)
         for k, product, gap in zip(rows, products.tolist(), gaps.tolist())
     ]
 
 
-def walk_blocks(start: FluctuationParams, steps: int, step_size: float, seed: int, units: UnitSystem):
+def walk_blocks(start: FluctuationParams, steps: int, step_size: float, seed: int):
     """relaxation_walk's points in order, as (rows, products, gaps) blocks of
     at most BLOCK_ROWS points: a range of step numbers and two float arrays.
 
@@ -134,7 +133,7 @@ def walk_blocks(start: FluctuationParams, steps: int, step_size: float, seed: in
     if not (0.0 < step_size < 0.5):
         raise InvalidRecipe(f"step_size must lie in (0, 0.5), got {step_size}")
     seed = require_count("seed", seed)
-    bound = units.bound
+    bound = start.units.bound
     gap0 = max(uncertainty_product(start) - bound, 0.0)
     return _walk_blocks(bound, gap0, steps, step_size, np.random.default_rng(seed))
 

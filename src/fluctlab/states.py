@@ -72,9 +72,9 @@ class GridSpec:
         require_finite("grid endpoints and span", self.x_min, self.x_max, self.x_max - self.x_min)
         if self.x_max <= self.x_min:
             raise InvalidRecipe(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
-        if int(self.n) != self.n or self.n < 8:
+        if not self.n >= 8:  # NaN too
             raise InvalidRecipe(f"need at least 8 sample points, got n={self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", require_count("sample points n", self.n))
 
     @property
     def dx(self) -> float:
@@ -105,6 +105,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _amplitude_array(grid: GridSpec, amplitudes) -> np.ndarray:
+    """amplitudes as a new complex array, refused unless it holds one finite value per grid point."""
+    amp = np.array(amplitudes, dtype=np.complex128, copy=True)
+    if amp.shape != (grid.n,):
+        raise InvalidRecipe(f"expected {grid.n} amplitudes, got shape {amp.shape}")
+    if not np.all(np.isfinite(amp.view(np.float64))):
+        raise InvalidRecipe("amplitudes must be finite")
+    return amp
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized complex amplitudes on a grid.
@@ -118,11 +128,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=np.complex128, copy=True)
-        if amp.shape != (self.grid.n,):
-            raise InvalidRecipe(f"expected {self.grid.n} amplitudes, got shape {amp.shape}")
-        if not np.all(np.isfinite(amp.view(np.float64))):
-            raise InvalidRecipe("amplitudes must be finite")
+        amp = _amplitude_array(self.grid, self.amplitudes)
         object.__setattr__(self, "amplitudes", _freeze(amp))
         prob = np.abs(amp) ** 2
         norm = math.sqrt(_trapz(prob, self.grid.dx))
@@ -303,7 +309,7 @@ def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureS
         sigma = math.sqrt(hbar / (2.0 * recipe.mass * recipe.omega))
         return _normalized_state(grid, _gaussian_amplitudes(grid, center, momentum, sigma, units))
     if isinstance(recipe, RawSamples):
-        return _normalized_state(grid, np.asarray(recipe.amplitudes, dtype=np.complex128))
+        return _normalized_state(grid, _amplitude_array(grid, recipe.amplitudes))
     raise InvalidRecipe(f"unknown recipe type {type(recipe).__name__}")
 
 

@@ -5,6 +5,13 @@ import pytest
 from fluctlab import GridSpec, UnitSystem
 
 
+@pytest.fixture(autouse=True)
+def _default_h(monkeypatch):
+    """Every test starts without FLUCTLAB_H, so an exported value cannot change its
+    units; a test of the variable sets it itself."""
+    monkeypatch.delenv("FLUCTLAB_H", raising=False)
+
+
 @pytest.fixture
 def units():
     return UnitSystem()

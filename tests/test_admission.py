@@ -74,8 +74,8 @@ COUNTS = {
     "eigenstate_sweep.n_max": (
         "n_max", 0, MAX_SWEEP_LEVEL, lambda v: eigenstate_sweep(v, 1.0, 1.0, GRID, UNITS)
     ),
-    "relaxation_walk.steps": ("steps", 0, None, lambda v: relaxation_walk(PARAMS, v, 0.05, 1, UNITS)),
-    "relaxation_walk.seed": ("seed", 0, None, lambda v: relaxation_walk(PARAMS, 3, 0.05, v, UNITS)),
+    "relaxation_walk.steps": ("steps", 0, None, lambda v: relaxation_walk(PARAMS, v, 0.05, 1)),
+    "relaxation_walk.seed": ("seed", 0, None, lambda v: relaxation_walk(PARAMS, 3, 0.05, v)),
 }
 
 
@@ -239,6 +239,6 @@ def test_four_hundred_digit_seed_still_works():
     seed = int("7" * 400)
     assert sample(PARAMS, 5, seed).shape == (5, 2)
     assert np.array_equal(sample(PARAMS, 5, seed), sample(PARAMS, 5, seed))
-    walk = relaxation_walk(FluctuationParams(0.0, 0.0, 2.0, 2.0, UNITS), 5, 0.05, seed, UNITS)
+    walk = relaxation_walk(FluctuationParams(0.0, 0.0, 2.0, 2.0, UNITS), 5, 0.05, seed)
     assert len(walk) == 6
-    assert walk == relaxation_walk(FluctuationParams(0.0, 0.0, 2.0, 2.0, UNITS), 5, 0.05, seed, UNITS)
+    assert walk == relaxation_walk(FluctuationParams(0.0, 0.0, 2.0, 2.0, UNITS), 5, 0.05, seed)

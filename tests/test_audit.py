@@ -110,6 +110,7 @@ def test_self_similarity_single_member(grid, units):
     assert report.member_delta_e[0] == pytest.approx(1.0, abs=1e-4)
     assert report.ensemble_delta_e == pytest.approx(1.0, abs=1e-4)
     assert report.max_relative_spread == 0.0
+    assert self_similarity_report(state, HamiltonianSpec.harmonic(grid, 1.0, 1.0), units) == report
 
 
 def test_self_similarity_duplicated_members(grid, units):

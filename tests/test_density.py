@@ -247,6 +247,7 @@ def test_density_grids(units):
     mesh = density_grid(params, xs, ps)
     reduced = reduced_grid(0.5, 0.0, units, xs, ps)
     assert mesh.shape == reduced.shape == (17, 9)
+    assert density_grid(params, [], ps).shape == reduced_grid(0.5, 0.0, units, [], ps).shape == (0, 9)
     for i, j in ((3, 4), (0, 0), (16, 8), (8, 2)):
         dx, dp = xs[i] - 0.5, ps[j]
         gauss = math.exp(-0.5 * (dx**2 / 1.0 + dp**2 / 0.25)) / (2.0 * math.pi * 1.0 * 0.5)

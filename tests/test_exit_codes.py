@@ -1,14 +1,22 @@
 """Exit codes by error class, and bad inputs that must end in a documented
-exit code rather than a Python traceback."""
+exit code rather than a Python traceback.
+
+Every case runs in-process through cli.run, as every other command-line test
+does: an exception that escapes it, or a RuntimeWarning (an error under this
+suite's warning filter), fails the test by itself.  Only the entry-point test
+starts fresh `python -m fluctlab.cli` processes, one per exit code, because
+only a real process shows main()'s wiring and its exit status."""
 
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from test_cli_fuzz import NON_FINITE
 
 import fluctlab
 from fluctlab import cli, errors
@@ -22,13 +30,6 @@ ERROR_CLASSES = sorted(
      if isinstance(cls, type) and issubclass(cls, errors.FluctLabError) and cls is not errors.FluctLabError),
     key=lambda cls: cls.__name__,
 )
-
-
-def _fluctlab(argv, env=None):
-    env = dict(os.environ if env is None else env)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "fluctlab.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
 
 
 @pytest.fixture
@@ -130,17 +131,51 @@ BAD_INPUTS = {
 
 
 @pytest.mark.parametrize("argv, code", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_without_traceback(argv, code, state_file, tmp_path):
+def test_bad_input_exits_without_traceback(argv, code, state_file, tmp_path, capsys):
     (tmp_path / "deep.json").write_text("[" * 100_000)
     spike = np.zeros(8, dtype=complex)
     spike[4] = 1.0
     fio.save_state(str(tmp_path / "spike.json"), PureState(GridSpec(-4.0, 4.0, 8), spike), UnitSystem())
-    argv = [a.format(state=state_file, tmp=tmp_path) for a in argv]
-    result = _fluctlab(argv)
-    assert "Traceback" not in result.stderr
-    assert "RuntimeWarning" not in result.stderr
-    assert result.returncode == code, result.stderr
+    inputs = set(tmp_path.iterdir())
+    exit_code = cli.run([a.format(state=state_file, tmp=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert exit_code == code, err
     assert not (tmp_path / "draws.csv").exists()
+    if code in (2, 3):
+        assert re.fullmatch(r"error: .+\n", err), err
+    if code == 0:  # a run that exits 0 prints and writes only finite numbers
+        written = "".join(path.read_text() for path in set(tmp_path.iterdir()) - inputs)
+        assert not NON_FINITE.search(out + written), (out, written[:500])
+
+
+ENTRY_POINT = ["eval-far-point", "abbreviated-top-level-h", "sample-negative-seed", "eigenstate-huge-grid"]
+
+
+@pytest.fixture(scope="module")
+def entry_point_runs(tmp_path_factory):
+    """{key: (argv, exit status, stdout, stderr)} of each ENTRY_POINT case run as
+    `python -m fluctlab.cli`, in fresh processes started together."""
+    tmp = tmp_path_factory.mktemp("entry-point")
+    # a module fixture runs before the autouse one that drops FLUCTLAB_H
+    env = {name: value for name, value in os.environ.items() if name != "FLUCTLAB_H"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    started = {}
+    for key in ENTRY_POINT:
+        argv = [a.format(tmp=tmp) for a in BAD_INPUTS[key][0]]
+        started[key] = argv, subprocess.Popen([sys.executable, "-m", "fluctlab.cli", *argv], env=env, text=True,
+                                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    runs = {}
+    for key, (argv, process) in started.items():
+        out, err = process.communicate(timeout=60)
+        runs[key] = argv, process.returncode, out, err
+    return runs
+
+
+@pytest.mark.parametrize("key", ENTRY_POINT)  # exits 0, 1, 2 and 3
+def test_entry_point_exits_with_the_code_run_returns(key, entry_point_runs, capsys):
+    argv, status, out, err = entry_point_runs[key]
+    assert status == cli.run(argv) == BAD_INPUTS[key][1], err
+    assert capsys.readouterr() == (out, err)
 
 
 @pytest.mark.parametrize("key", ["eval-infinite-peak", "scan-infinite-peak", "normcheck-infinite-peak"])
@@ -150,13 +185,12 @@ def test_infinite_peak_is_refused_by_name(key, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_value_checks_keep_their_messages(capsys):
-    env = dict(os.environ, FLUCTLAB_H="-1")
-    result = _fluctlab(["density", "eval", "--var-x", "1", "--var-p", "1", "--x", "0", "--p", "0"], env)
-    assert result.returncode == 2
-    assert "Planck constant must be finite and positive" in result.stderr
+def test_value_checks_keep_their_messages(monkeypatch, capsys):
     assert cli.run(["scenario", "eigensweep", "--n-max", "1", "--grid", "-5:5:4"]) == 2
     assert capsys.readouterr().err == "error: need at least 8 sample points, got n=4\n"
+    monkeypatch.setenv("FLUCTLAB_H", "-1")
+    assert cli.run(["density", "eval", "--var-x", "1", "--var-p", "1", "--x", "0", "--p", "0"]) == 2
+    assert capsys.readouterr().err == "error: Planck constant must be finite and positive, got -1.0\n"
 
 
 @pytest.mark.parametrize(
@@ -197,8 +231,7 @@ REFUSALS = {
 
 
 @pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS.keys())
-def test_flag_refusals_name_their_cause(argv, message, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("FLUCTLAB_H", raising=False)
+def test_flag_refusals_name_their_cause(argv, message, tmp_path, capsys):
     assert cli.run([a.format(tmp=tmp_path) for a in argv]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []

@@ -21,7 +21,6 @@ def _readme_commands():
 
 def test_readme_commands_run_in_order(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("FLUCTLAB_H", raising=False)
     commands = _readme_commands()
     assert len(commands) >= 10
     for argv in commands:

@@ -8,6 +8,7 @@ from fluctlab import (
     FluctuationParams,
     GridSpec,
     InvalidRecipe,
+    UnitSystem,
     classify,
     eigenstate_sweep,
     oscillator_eigenstates,
@@ -106,22 +107,25 @@ def test_thermal_sweep_monotone(units):
 
 def test_walk_zero_steps(units):
     start = FluctuationParams(0.0, 0.0, 2.0, 2.0, units)
-    trace = relaxation_walk(start, 0, 0.05, 7, units)
+    trace = relaxation_walk(start, 0, 0.05, 7)
     assert len(trace) == 1
     assert trace[0].step == 0
+    assert trace[0].product == pytest.approx(2.0, rel=1e-15)
+    # the walk's bound is the start's own: at h = 1 step 0 still reports the start's product
+    trace = relaxation_walk(FluctuationParams(0.0, 0.0, 2.0, 2.0, UnitSystem(h=1.0)), 0, 0.05, 7)
     assert trace[0].product == pytest.approx(2.0, rel=1e-15)
 
 
 def test_walk_start_on_bound(units):
     start = FluctuationParams(0.0, 0.0, 0.5, 0.5, units)
-    trace = relaxation_walk(start, 20, 0.1, 3, units)
+    trace = relaxation_walk(start, 20, 0.1, 3)
     assert all(point.distance_to_bound == 0.0 for point in trace)
     assert all(point.product == units.bound for point in trace)
 
 
 def test_walk_contracts_to_bound(units):
     start = FluctuationParams(0.0, 0.0, 2.0, 2.0, units)
-    trace = relaxation_walk(start, 500, 0.05, 7, units)
+    trace = relaxation_walk(start, 500, 0.05, 7)
     assert len(trace) == 501
     assert trace[-1].distance_to_bound < 1e-4
     products = [point.product for point in trace]
@@ -136,8 +140,8 @@ def test_walk_contracts_to_bound(units):
 
 def test_walk_deterministic(units):
     start = FluctuationParams(0.0, 0.0, 1.0, 1.0, units)
-    a = relaxation_walk(start, 50, 0.2, 123, units)
-    b = relaxation_walk(start, 50, 0.2, 123, units)
+    a = relaxation_walk(start, 50, 0.2, 123)
+    b = relaxation_walk(start, 50, 0.2, 123)
     assert a == b
 
 
@@ -145,6 +149,6 @@ def test_walk_validation(units):
     start = FluctuationParams(0.0, 0.0, 1.0, 1.0, units)
     for step_size in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(InvalidRecipe):
-            relaxation_walk(start, 10, step_size, 1, units)
+            relaxation_walk(start, 10, step_size, 1)
     with pytest.raises(InvalidRecipe):
-        relaxation_walk(start, -1, 0.1, 1, units)
+        relaxation_walk(start, -1, 0.1, 1)

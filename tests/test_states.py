@@ -55,7 +55,8 @@ def test_unit_system_rejects_nonpositive_h():
         UnitSystem(h=-1.0)
 
 
-@pytest.mark.parametrize("x_min,x_max,n", [(1.0, 0.0, 64), (0.0, 0.0, 64), (-1.0, 1.0, 7)])
+@pytest.mark.parametrize("x_min,x_max,n", [(1.0, 0.0, 64), (0.0, 0.0, 64), (-1.0, 1.0, 7), (-1.0, 1.0, math.nan),
+                                         (-1.0, 1.0, math.inf)])
 def test_grid_spec_rejects_bad_parameters(x_min, x_max, n):
     with pytest.raises(InvalidRecipe):
         GridSpec(x_min, x_max, n)
@@ -370,8 +371,15 @@ def _gaussian(grid, units):
          r"^potential must be a finite 1-D sample array$"),
         (lambda grid, units: build_state("gaussian", grid, units), r"^unknown recipe type str$"),
         (lambda grid, units: ensemble_moments(grid, units), r"^expected PureState or MixedEnsemble, got GridSpec$"),
+        # raw samples meet PureState's shape and finiteness rules before the norm is taken
+        (lambda grid, units: build_state(RawSamples(()), grid, units), r"^expected 1024 amplitudes, got shape \(0,\)$"),
+        (lambda grid, units: build_state(RawSamples(((1.0, 0.0),) * grid.n), grid, units),
+         r"^expected 1024 amplitudes, got shape \(1024, 2\)$"),
+        (lambda grid, units: build_state(RawSamples((math.nan,) * grid.n), grid, units),
+         r"^amplitudes must be finite$"),
     ],
-    ids=["pure-state-shape", "weights-for-members", "nan-potential", "unknown-recipe", "moments-of-non-state"],
+    ids=["pure-state-shape", "weights-for-members", "nan-potential", "unknown-recipe", "moments-of-non-state",
+         "raw-samples-empty", "raw-samples-2d", "raw-samples-nan"],
 )
 def test_library_refusals_name_their_cause(grid, units, make, message):
     with pytest.raises(InvalidRecipe, match=message):

@@ -80,14 +80,14 @@ def _sweep_json(rows):
 @pytest.mark.parametrize("steps", [0, B - 2, B - 1, B, 3 * B + 5])
 def test_walk_blocks_match_one_cumulative_product(steps):
     reference = _reference_walk(steps)
-    blocks = list(walk_blocks(START, steps, 0.05, 7, UNITS))
+    blocks = list(walk_blocks(START, steps, 0.05, 7))
     assert all(len(rows) <= B for rows, _, _ in blocks)
     assert [k for rows, _, _ in blocks for k in rows] == list(range(steps + 1))
     products = np.concatenate([p for _, p, _ in blocks])
     gaps = np.concatenate([g for _, _, g in blocks])
     assert products.tobytes() == np.array([r.product for r in reference]).tobytes()
     assert gaps.tobytes() == np.array([r.distance_to_bound for r in reference]).tobytes()
-    assert relaxation_walk(START, steps, 0.05, 7, UNITS) == reference
+    assert relaxation_walk(START, steps, 0.05, 7) == reference
 
 
 @pytest.mark.parametrize("count", [0, B - 1, B, B + 1, 3 * B + 5])
@@ -101,11 +101,11 @@ def test_sample_blocks_match_one_draw(count):
 
 def test_generators_admit_their_arguments_before_the_first_block():
     with pytest.raises(InvalidRecipe, match="steps"):
-        walk_blocks(START, -1, 0.05, 7, UNITS)
+        walk_blocks(START, -1, 0.05, 7)
     with pytest.raises(InvalidRecipe, match="step_size"):
-        walk_blocks(START, 10, 0.5, 7, UNITS)
+        walk_blocks(START, 10, 0.5, 7)
     with pytest.raises(InvalidRecipe, match="seed"):
-        walk_blocks(START, 10, 0.05, -1, UNITS)
+        walk_blocks(START, 10, 0.05, -1)
     with pytest.raises(InvalidRecipe, match="count"):
         sample_blocks(GAUSS, -1, 7)
     with pytest.raises(InvalidRecipe, match="seed"):
