@@ -21,6 +21,8 @@ import numpy as np
 from . import io
 from .audit import SATURATION_EPSILON, audit_report
 from .density import (
+    FD_STEP,
+    HALF_WIDTH_SIGMAS,
     FluctuationParams,
     PhasePoint,
     density_grid,
@@ -163,7 +165,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_density_eval(args) -> int:
     units = _resolve_units(args)
-    scan = bool(args.scan_x or args.scan_p)
+    scan = bool(args.scan_x or args.scan_p or args.out)  # --out asks for a scan too
     if scan:
         if not (args.scan_x and args.scan_p and args.out):
             raise InvalidRecipe("scan mode needs --scan-x, --scan-p, and --out")
@@ -278,129 +280,103 @@ def _cmd_scenario_walk(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-def _units_parent() -> argparse.ArgumentParser:
+def _parent(flags: dict) -> argparse.ArgumentParser:
+    """A flag group, {flag: add_argument keywords}, declared once for every
+    subcommand that lists it in parents=[...]."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--h", type=float, default=None,
-        help="Planck constant in working units (default: FLUCTLAB_H or 2*pi)",
-    )
+    for flag, keywords in flags.items():
+        parent.add_argument(flag, **keywords)
     return parent
 
 
-def _add_mean_flags(parser):
-    parser.add_argument("--mean-x", type=float, default=0.0)
-    parser.add_argument("--mean-p", type=float, default=0.0)
-
-
-def _add_var_flags(parser, required=False):
-    parser.add_argument("--var-x", type=float, required=required, default=None)
-    parser.add_argument("--var-p", type=float, required=required, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    units = _units_parent()
+    units = _parent({"--h": dict(type=float, help="Planck constant in working units (default: FLUCTLAB_H or 2*pi)")})
+    means = _parent(dict.fromkeys(("--mean-x", "--mean-p"), dict(type=float, default=0.0)))
+    variances = _parent(dict.fromkeys(("--var-x", "--var-p"), dict(type=float)))
+    required_variances = _parent(dict.fromkeys(("--var-x", "--var-p"), dict(type=float, required=True)))
+    point = _parent(dict.fromkeys(("--x", "--p"), dict(type=float, required=True)))
+    # CoherentState shares OscillatorEigenstate's mass and omega defaults
+    oscillator = _parent({
+        "--mass": dict(type=float, default=OscillatorEigenstate.mass),
+        "--omega": dict(type=float, default=OscillatorEigenstate.omega),
+        "--grid": dict(required=True, metavar="MIN:MAX:N"),
+    })
+    epsilon = _parent({"--epsilon": dict(type=float, default=SATURATION_EPSILON)})
+    table = _parent({"--out": {}, "--format": dict(choices=("csv", "json"), default="csv")})
+
     parser = _Parser(prog="fluctlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    state = sub.add_parser("state", parents=[units], help="build a pure state and write it as JSON")
+    state = sub.add_parser("state", parents=[units, oscillator], help="build a pure state and write it as JSON")
     recipe = state.add_mutually_exclusive_group(required=True)
     recipe.add_argument("--gaussian", action="store_true", help="Gaussian packet recipe")
     recipe.add_argument("--eigenstate", type=int, metavar="N", help="oscillator level N")
     recipe.add_argument("--coherent", metavar="RE[,IM]", help="coherent state amplitude")
-    state.add_argument("--center", type=float, default=0.0)
-    state.add_argument("--momentum", type=float, default=0.0)
-    state.add_argument("--sigma", type=float, default=1.0)
-    state.add_argument("--mass", type=float, default=1.0)
-    state.add_argument("--omega", type=float, default=1.0)
-    state.add_argument("--grid", required=True, metavar="MIN:MAX:N")
+    state.add_argument("--center", type=float, default=GaussianPacket.center)
+    state.add_argument("--momentum", type=float, default=GaussianPacket.momentum)
+    state.add_argument("--sigma", type=float, default=GaussianPacket.sigma)
     state.add_argument("--out", required=True)
     state.set_defaults(handler=_cmd_state)
 
-    audit = sub.add_parser("audit", parents=[units], help="audit a state or ensemble file")
+    audit = sub.add_parser("audit", parents=[units, epsilon], help="audit a state or ensemble file")
     audit.add_argument("--in", dest="in_path", required=True, metavar="FILE")
-    audit.add_argument("--epsilon", type=float, default=SATURATION_EPSILON)
-    audit.add_argument("--delta-e", type=float, default=None,
-                       help="energy spread used to fill delta_t in the report")
+    audit.add_argument("--delta-e", type=float, help="energy spread used to fill delta_t in the report")
     audit.add_argument("--strict", action="store_true", help="exit 2 on a below-bound product")
-    audit.add_argument("--out", default=None)
+    audit.add_argument("--out")
     audit.set_defaults(handler=_cmd_audit)
 
     density = sub.add_parser("density", help="fluctuation-density operations")
     dsub = density.add_subparsers(dest="density_command", required=True, parser_class=_Parser)
 
-    d_eval = dsub.add_parser("eval", parents=[units], help="evaluate the density at a point or on a mesh")
-    _add_mean_flags(d_eval)
-    _add_var_flags(d_eval)
-    d_eval.add_argument("--x", type=float, default=None)
-    d_eval.add_argument("--p", type=float, default=None)
+    d_eval = dsub.add_parser("eval", parents=[units, means, variances],
+                             help="evaluate the density at a point or on a mesh")
+    d_eval.add_argument("--x", type=float)
+    d_eval.add_argument("--p", type=float)
     d_eval.add_argument("--reduced", action="store_true", help="use the reduced closed form")
-    d_eval.add_argument("--scan-x", metavar="MIN:MAX:N", default=None)
-    d_eval.add_argument("--scan-p", metavar="MIN:MAX:N", default=None)
-    d_eval.add_argument("--out", default=None, help="CSV destination for scan mode")
+    d_eval.add_argument("--scan-x", metavar="MIN:MAX:N")
+    d_eval.add_argument("--scan-p", metavar="MIN:MAX:N")
+    d_eval.add_argument("--out", help="CSV destination for scan mode")
     d_eval.set_defaults(handler=_cmd_density_eval)
 
-    d_sample = dsub.add_parser("sample", parents=[units], help="draw seeded samples to CSV")
-    _add_mean_flags(d_sample)
-    _add_var_flags(d_sample, required=True)
+    d_sample = dsub.add_parser("sample", parents=[units, means, required_variances],
+                               help="draw seeded samples to CSV")
     d_sample.add_argument("--count", type=int, required=True)
     d_sample.add_argument("--seed", type=int, required=True)
     d_sample.add_argument("--out", required=True)
     d_sample.set_defaults(handler=_cmd_density_sample)
 
-    d_ext = dsub.add_parser("extremize", parents=[units], help="extremal variance pair at a phase point")
-    _add_mean_flags(d_ext)
-    d_ext.add_argument("--x", type=float, required=True)
-    d_ext.add_argument("--p", type=float, required=True)
+    d_ext = dsub.add_parser("extremize", parents=[units, means, point], help="extremal variance pair at a phase point")
     d_ext.set_defaults(handler=_cmd_density_extremize)
 
-    d_verify = dsub.add_parser("verify", parents=[units], help="finite-difference extremum check")
-    _add_mean_flags(d_verify)
-    d_verify.add_argument("--x", type=float, required=True)
-    d_verify.add_argument("--p", type=float, required=True)
-    d_verify.add_argument("--fd-step", type=float, default=1e-4)
+    d_verify = dsub.add_parser("verify", parents=[units, means, point], help="finite-difference extremum check")
+    d_verify.add_argument("--fd-step", type=float, default=FD_STEP)
     d_verify.set_defaults(handler=_cmd_density_verify)
 
-    d_norm = dsub.add_parser("normcheck", parents=[units], help="quadrature of the density")
-    _add_mean_flags(d_norm)
-    _add_var_flags(d_norm)
-    d_norm.add_argument("--half-width", type=float, default=10.0,
+    d_norm = dsub.add_parser("normcheck", parents=[units, means, variances], help="quadrature of the density")
+    d_norm.add_argument("--half-width", type=float, default=HALF_WIDTH_SIGMAS,
                         help="integration half-width in spreads per axis")
     d_norm.add_argument("--reduced", action="store_true", help="box-integrate the reduced density")
-    d_norm.add_argument("--box-half-width", type=float, default=None)
+    d_norm.add_argument("--box-half-width", type=float)
     d_norm.set_defaults(handler=_cmd_density_normcheck)
 
     scenario = sub.add_parser("scenario", help="sweeps and the relaxation walk")
     ssub = scenario.add_subparsers(dest="scenario_command", required=True, parser_class=_Parser)
 
-    eig = ssub.add_parser("eigensweep", parents=[units], help="oscillator level sweep")
+    eig = ssub.add_parser("eigensweep", parents=[units, oscillator, epsilon, table], help="oscillator level sweep")
     eig.add_argument("--n-max", type=int, required=True)
-    eig.add_argument("--mass", type=float, default=1.0)
-    eig.add_argument("--omega", type=float, default=1.0)
-    eig.add_argument("--grid", required=True, metavar="MIN:MAX:N")
-    eig.add_argument("--epsilon", type=float, default=SATURATION_EPSILON)
-    eig.add_argument("--out", default=None)
-    eig.add_argument("--format", choices=("csv", "json"), default="csv")
     eig.set_defaults(handler=_cmd_scenario_eigensweep)
 
-    thermal = ssub.add_parser("thermalsweep", parents=[units], help="Boltzmann mixture sweep")
+    thermal = ssub.add_parser("thermalsweep", parents=[units, oscillator, epsilon, table],
+                              help="Boltzmann mixture sweep")
     thermal.add_argument("--temperatures", required=True, metavar="T1,T2,...")
-    thermal.add_argument("--mass", type=float, default=1.0)
-    thermal.add_argument("--omega", type=float, default=1.0)
     thermal.add_argument("--n-max", type=int, required=True)
-    thermal.add_argument("--grid", required=True, metavar="MIN:MAX:N")
-    thermal.add_argument("--epsilon", type=float, default=SATURATION_EPSILON)
-    thermal.add_argument("--out", default=None)
-    thermal.add_argument("--format", choices=("csv", "json"), default="csv")
     thermal.set_defaults(handler=_cmd_scenario_thermalsweep)
 
-    walk = ssub.add_parser("walk", parents=[units], help="seeded contraction toward the bound")
-    _add_mean_flags(walk)
-    _add_var_flags(walk, required=True)
+    walk = ssub.add_parser("walk", parents=[units, means, required_variances, table],
+                           help="seeded contraction toward the bound")
     walk.add_argument("--steps", type=int, required=True)
     walk.add_argument("--step-size", type=float, required=True)
     walk.add_argument("--seed", type=int, required=True)
-    walk.add_argument("--out", default=None)
-    walk.add_argument("--format", choices=("csv", "json"), default="csv")
     walk.set_defaults(handler=_cmd_scenario_walk)
 
     return parser

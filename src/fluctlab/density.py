@@ -29,6 +29,8 @@ from .states import TWO_PI, UnitSystem, _trapz
 PRODUCT_SLACK = 1e-9      # admissibility slack on var_x*var_p vs the squared bound
 REL_SLOPE_TOL = 1e-5      # |g'| * s / g(s) accepted as a vanishing first derivative
 MAX_QUAD_NODES = 4097     # per-axis cap for the normalization mesh
+FD_STEP = 1e-4            # default relative step of verify_extremum's finite differences
+HALF_WIDTH_SIGMAS = 10.0  # default half-width of normalization_check's mesh, in spreads per axis
 
 BLOCK_ROWS = 4096
 """Rows made per block by the streamed sampler and walk, and formatted per
@@ -150,7 +152,7 @@ def verify_extremum(
     mean_p: float,
     pt: PhasePoint,
     units: UnitSystem,
-    fd_step: float = 1e-4,
+    fd_step: float = FD_STEP,
 ) -> ExtremumCheck:
     """Check by central differences that the extremal var_x maximizes g(s).
 
@@ -218,7 +220,7 @@ def _sample_blocks(params: FluctuationParams, n: int, x_rng, p_rng):
         yield block
 
 
-def normalization_check(params: FluctuationParams, half_width_sigmas: float = 10.0) -> float:
+def normalization_check(params: FluctuationParams, half_width_sigmas: float = HALF_WIDTH_SIGMAS) -> float:
     """Trapezoid double integral of the density over mean +- half_width*spread
     per axis; close to 1 for any admissible parameters.
 

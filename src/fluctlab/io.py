@@ -38,7 +38,7 @@ from itertools import repeat
 import numpy as np
 
 from .density import BLOCK_ROWS
-from .errors import FileFormatError
+from .errors import FileFormatError, GridMismatch
 from .scenarios import SweepRow, WalkTrace
 from .states import GridSpec, MixedEnsemble, PureState, UnitSystem
 
@@ -251,14 +251,21 @@ def write_samples_csv(path: str, blocks) -> None:
 def _scan_blocks(xs, ps, values):
     """The mesh's (x, p, f) columns in blocks of at most BLOCK_ROWS rows: whole
     x-rows, or slices of one x-row when a row is longer than a block.  Each
-    axis value is formatted once, and goes in as a str."""
+    axis value is formatted once, and goes in as a str.  Values whose shape,
+    or whose block's shape, differs from the axes' raise GridMismatch."""
     x_text, p_text = (list(map(repr, np.asarray(axis, dtype=float).tolist())) for axis in (xs, ps))
+    shape = (len(x_text), len(p_text))
+    if getattr(values, "shape", shape) != shape:
+        raise GridMismatch(f"scan values have shape {values.shape}, not the axes' {shape}")
     p_step = min(len(p_text), BLOCK_ROWS) or 1
     x_step = BLOCK_ROWS // p_step
     for i in range(0, len(x_text), x_step):
         for j in range(0, len(p_text), p_step):
             x_block, p_block = x_text[i : i + x_step], p_text[j : j + p_step]
             f = np.asarray(values[i : i + x_step, j : j + p_step], dtype=float)
+            block_shape = (len(x_block), len(p_block))
+            if f.shape != block_shape:
+                raise GridMismatch(f"scan values block at [{i}, {j}] has shape {f.shape}, not {block_shape}")
             yield [x for x in x_block for _ in p_block], p_block * len(x_block), f.ravel().tolist()
 
 

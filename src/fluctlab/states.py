@@ -158,10 +158,11 @@ class MixedEnsemble:
             raise InvalidRecipe("weights must lie in (0, 1]")
         if abs(w.sum() - 1.0) > NORM_TOL:
             raise InvalidRecipe(f"weights sum to {w.sum()!r}, not 1")
-        grid = members[0].grid
         for i, member in enumerate(members):
-            if member.grid != grid:
-                raise GridMismatch(f"member {i} grid {member.grid} differs from {grid}")
+            if not isinstance(member, PureState):
+                raise InvalidRecipe(f"member {i}: expected PureState, got {type(member).__name__}")
+            if member.grid != members[0].grid:
+                raise GridMismatch(f"member {i} grid {member.grid} differs from {members[0].grid}")
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "members", members)
 

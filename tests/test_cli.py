@@ -1,5 +1,6 @@
 """Command-line behavior: pipelines, output formats, exit codes."""
 
+import argparse
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 
 from fluctlab import GridSpec, PureState
 from fluctlab import io as fio
-from fluctlab.cli import run
+from fluctlab.cli import build_parser, run
 
 
 def test_state_audit_pipeline(tmp_path, capsys):
@@ -385,3 +386,137 @@ def test_oversize_grid_or_walk_exits_two_before_allocating(tmp_path, capsys, no_
     if limit is not None:
         with pytest.raises(_Allocated):             # the limit itself is admitted
             run([*limit, "--out", str(out)])
+
+
+# --- the flag table ------------------------------------------------------------
+
+# Every option of every subcommand, pinned so that a refactor of the parser keeps each
+# one.  A row: option strings, dest, repr(default), type, required, choices, metavar.
+HELP = ("-h --help", "help", "'==SUPPRESS=='", None, False, None, None)
+FLAGS = {
+    "state": {
+        ("--h", "h", "None", float, False, None, None),
+        ("--gaussian", "gaussian", "False", None, False, None, None),
+        ("--eigenstate", "eigenstate", "None", int, False, None, "N"),
+        ("--coherent", "coherent", "None", None, False, None, "RE[,IM]"),
+        ("--center", "center", "0.0", float, False, None, None),
+        ("--momentum", "momentum", "0.0", float, False, None, None),
+        ("--sigma", "sigma", "1.0", float, False, None, None),
+        ("--mass", "mass", "1.0", float, False, None, None),
+        ("--omega", "omega", "1.0", float, False, None, None),
+        ("--grid", "grid", "None", None, True, None, "MIN:MAX:N"),
+        ("--out", "out", "None", None, True, None, None),
+    },
+    "audit": {
+        ("--h", "h", "None", float, False, None, None),
+        ("--in", "in_path", "None", None, True, None, "FILE"),
+        ("--epsilon", "epsilon", "1e-06", float, False, None, None),
+        ("--delta-e", "delta_e", "None", float, False, None, None),
+        ("--strict", "strict", "False", None, False, None, None),
+        ("--out", "out", "None", None, False, None, None),
+    },
+    "density eval": {
+        ("--h", "h", "None", float, False, None, None),
+        ("--mean-x", "mean_x", "0.0", float, False, None, None),
+        ("--mean-p", "mean_p", "0.0", float, False, None, None),
+        ("--var-x", "var_x", "None", float, False, None, None),
+        ("--var-p", "var_p", "None", float, False, None, None),
+        ("--x", "x", "None", float, False, None, None),
+        ("--p", "p", "None", float, False, None, None),
+        ("--reduced", "reduced", "False", None, False, None, None),
+        ("--scan-x", "scan_x", "None", None, False, None, "MIN:MAX:N"),
+        ("--scan-p", "scan_p", "None", None, False, None, "MIN:MAX:N"),
+        ("--out", "out", "None", None, False, None, None),
+    },
+    "density sample": {
+        ("--h", "h", "None", float, False, None, None),
+        ("--mean-x", "mean_x", "0.0", float, False, None, None),
+        ("--mean-p", "mean_p", "0.0", float, False, None, None),
+        ("--var-x", "var_x", "None", float, True, None, None),
+        ("--var-p", "var_p", "None", float, True, None, None),
+        ("--count", "count", "None", int, True, None, None),
+        ("--seed", "seed", "None", int, True, None, None),
+        ("--out", "out", "None", None, True, None, None),
+    },
+    "density extremize": {
+        ("--h", "h", "None", float, False, None, None),
+        ("--mean-x", "mean_x", "0.0", float, False, None, None),
+        ("--mean-p", "mean_p", "0.0", float, False, None, None),
+        ("--x", "x", "None", float, True, None, None),
+        ("--p", "p", "None", float, True, None, None),
+    },
+    "density verify": {
+        ("--h", "h", "None", float, False, None, None),
+        ("--mean-x", "mean_x", "0.0", float, False, None, None),
+        ("--mean-p", "mean_p", "0.0", float, False, None, None),
+        ("--x", "x", "None", float, True, None, None),
+        ("--p", "p", "None", float, True, None, None),
+        ("--fd-step", "fd_step", "0.0001", float, False, None, None),
+    },
+    "density normcheck": {
+        ("--h", "h", "None", float, False, None, None),
+        ("--mean-x", "mean_x", "0.0", float, False, None, None),
+        ("--mean-p", "mean_p", "0.0", float, False, None, None),
+        ("--var-x", "var_x", "None", float, False, None, None),
+        ("--var-p", "var_p", "None", float, False, None, None),
+        ("--half-width", "half_width", "10.0", float, False, None, None),
+        ("--reduced", "reduced", "False", None, False, None, None),
+        ("--box-half-width", "box_half_width", "None", float, False, None, None),
+    },
+    "scenario eigensweep": {
+        ("--h", "h", "None", float, False, None, None),
+        ("--n-max", "n_max", "None", int, True, None, None),
+        ("--mass", "mass", "1.0", float, False, None, None),
+        ("--omega", "omega", "1.0", float, False, None, None),
+        ("--grid", "grid", "None", None, True, None, "MIN:MAX:N"),
+        ("--epsilon", "epsilon", "1e-06", float, False, None, None),
+        ("--out", "out", "None", None, False, None, None),
+        ("--format", "format", "'csv'", None, False, ("csv", "json"), None),
+    },
+    "scenario thermalsweep": {
+        ("--h", "h", "None", float, False, None, None),
+        ("--temperatures", "temperatures", "None", None, True, None, "T1,T2,..."),
+        ("--mass", "mass", "1.0", float, False, None, None),
+        ("--omega", "omega", "1.0", float, False, None, None),
+        ("--n-max", "n_max", "None", int, True, None, None),
+        ("--grid", "grid", "None", None, True, None, "MIN:MAX:N"),
+        ("--epsilon", "epsilon", "1e-06", float, False, None, None),
+        ("--out", "out", "None", None, False, None, None),
+        ("--format", "format", "'csv'", None, False, ("csv", "json"), None),
+    },
+    "scenario walk": {
+        ("--h", "h", "None", float, False, None, None),
+        ("--mean-x", "mean_x", "0.0", float, False, None, None),
+        ("--mean-p", "mean_p", "0.0", float, False, None, None),
+        ("--var-x", "var_x", "None", float, True, None, None),
+        ("--var-p", "var_p", "None", float, True, None, None),
+        ("--steps", "steps", "None", int, True, None, None),
+        ("--step-size", "step_size", "None", float, True, None, None),
+        ("--seed", "seed", "None", int, True, None, None),
+        ("--out", "out", "None", None, False, None, None),
+        ("--format", "format", "'csv'", None, False, ("csv", "json"), None),
+    },
+}
+
+
+def _subcommands(parser, words=()):
+    """(command words, parser) of every leaf subcommand under parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _subcommands(child, (*words, name))
+            return
+    yield " ".join(words), parser
+
+
+def test_flag_table_is_pinned():
+    parsers = dict(_subcommands(build_parser()))
+    tables = {
+        words: {(" ".join(a.option_strings), a.dest, repr(a.default), a.type, a.required, a.choices, a.metavar)
+                for a in parser._actions}
+        for words, parser in parsers.items()
+    }
+    assert tables == {words: rows | {HELP} for words, rows in FLAGS.items()}
+    recipes = [(tuple(a.dest for a in group._group_actions), group.required)
+               for group in parsers["state"]._mutually_exclusive_groups]
+    assert recipes == [(("gaussian", "eigenstate", "coherent"), True)]

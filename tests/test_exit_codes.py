@@ -64,6 +64,8 @@ BAD_INPUTS = {
     "coherent-infinite-mass": (["state", "--coherent", "1,1", "--mass", "inf", "--grid", "-12:12:256",
                                 "--out", "{tmp}/draws.csv"], 2),
     "eval-far-point": (["density", "eval", "--var-x", "1", "--var-p", "1", "--x", "1e200", "--p", "0"], 0),
+    "eval-point-with-out": (["density", "eval", "--var-x", "1", "--var-p", "1", "--x", "0", "--p", "0",
+                             "--out", "{tmp}/draws.csv"], 2),
     "gaussian-tiny-sigma": (["state", "--gaussian", "--sigma", "1e-200", "--grid", "-12:12:256",
                              "--out", "{tmp}/draws.csv"], 2),
     "gaussian-huge-sigma": (["state", "--gaussian", "--sigma", "1e200", "--grid", "-12:12:256",
@@ -221,6 +223,8 @@ REFUSALS = {
                         "--out", "{tmp}/s.csv"], "axis must be MIN:MAX:N, got '1:2'"),
     "axis-not-a-number": (["density", "eval", "--var-x", "1", "--var-p", "1", "--scan-x", "0:1:3", "--scan-p=-1:1:x",
                            "--out", "{tmp}/s.csv"], "axis '-1:1:x': invalid literal for int() with base 10: 'x'"),
+    "eval-out-without-axes": (["density", "eval", "--var-x", "1", "--var-p", "1", "--x", "0", "--p", "0",
+                               "--out", "{tmp}/s.csv"], "scan mode needs --scan-x, --scan-p, and --out"),
     "coherent-three-parts": (["state", "--coherent", "1,2,3", "--grid", "-12:12:256", "--out", "{tmp}/s.json"],
                              "complex flag must be RE or RE,IM, got '1,2,3'"),
     "temperatures-empty": (["scenario", "thermalsweep", "--temperatures", ",", "--n-max", "4",

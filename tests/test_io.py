@@ -10,6 +10,7 @@ from fluctlab import (
     DecayGuardViolation,
     FileFormatError,
     GaussianPacket,
+    GridMismatch,
     GridSpec,
     InvalidRecipe,
     MixedEnsemble,
@@ -314,6 +315,31 @@ def test_streamed_write_cleans_up_on_failure(tmp_path):
         fio.write_scan_csv(str(target), xs, ps, failing)
     assert failing.served == 1
     assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+class _Shapeless:
+    """A mesh that serves slices of its values but has no .shape."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __getitem__(self, key):
+        return self.values[key]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.zeros((2, 2)), r"^scan values have shape \(2, 2\), not the axes' \(3, 4\)$"),
+        (np.zeros((5, 5)), r"^scan values have shape \(5, 5\), not the axes' \(3, 4\)$"),
+        (_Shapeless(np.zeros((2, 2))), r"^scan values block at \[0, 0\] has shape \(2, 2\), not \(3, 4\)$"),
+    ],
+    ids=["smaller", "larger", "smaller-without-shape"],
+)
+def test_scan_csv_refuses_a_mesh_that_does_not_match_its_axes(tmp_path, values, message):
+    with pytest.raises(GridMismatch, match=message):
+        fio.write_scan_csv(str(tmp_path / "scan.csv"), np.arange(3.0), np.arange(4.0), values)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -361,6 +361,10 @@ def _gaussian(grid, units):
     return build_state(GaussianPacket(), grid, units)
 
 
+def _mixture(grid, units):
+    return MixedEnsemble(np.array([1.0]), (_gaussian(grid, units),))
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -377,9 +381,12 @@ def _gaussian(grid, units):
          r"^expected 1024 amplitudes, got shape \(1024, 2\)$"),
         (lambda grid, units: build_state(RawSamples((math.nan,) * grid.n), grid, units),
          r"^amplitudes must be finite$"),
+        (lambda grid, units: MixedEnsemble(np.array([1.0]), (1,)), r"^member 0: expected PureState, got int$"),
+        (lambda grid, units: MixedEnsemble(np.array([0.5, 0.5]), (_gaussian(grid, units), _mixture(grid, units))),
+         r"^member 1: expected PureState, got MixedEnsemble$"),
     ],
     ids=["pure-state-shape", "weights-for-members", "nan-potential", "unknown-recipe", "moments-of-non-state",
-         "raw-samples-empty", "raw-samples-2d", "raw-samples-nan"],
+         "raw-samples-empty", "raw-samples-2d", "raw-samples-nan", "member-not-a-state", "ensemble-of-ensembles"],
 )
 def test_library_refusals_name_their_cause(grid, units, make, message):
     with pytest.raises(InvalidRecipe, match=message):
