@@ -2,6 +2,8 @@
 
 import json
 import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from fluctlab import (
     OscillatorEigenstate,
     build_state,
     ensemble_moments,
+    oscillator_eigenstates,
     phase_space_moments,
 )
+from fluctlab import cli
 from fluctlab import io as fio
 
 
@@ -150,6 +154,56 @@ def test_load_names_the_first_value_that_is_not_a_float(tmp_path, psi_re, messag
            "psi_re": (psi_re + [0.0] * 8)[:8], "psi_im": [0.0] * 8}
     with pytest.raises(FileFormatError, match=f"^{message}$"):
         fio.load_state(_write(tmp_path, doc))
+
+
+ENSEMBLE_GRID = GridSpec(-8.0, 8.0, 64)
+
+
+def _ensemble_doc(units, levels=3, grid=ENSEMBLE_GRID):
+    members = oscillator_eigenstates(levels - 1, 1.0, 1.0, grid, units)
+    return fio.ensemble_document(MixedEnsemble(np.full(levels, 1.0 / levels), members), units)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "members[1].psi_re[2]: expected a number, got bool"),
+        ("0.5", "members[1].psi_re[2]: expected a number, got str"),
+        ([0.5], "members[1].psi_re[2]: expected a number, got list"),
+        (2**1024, "members[1].psi_re: int too large to convert to float"),
+        (10**399, "members[1].psi_re: int too large to convert to float"),
+    ],
+    ids=["bool", "str", "nested-list", "int-past-float-max", "400-digit-int"],
+)
+def test_a_later_member_keeps_its_refusal(tmp_path, units, capsys, value, message):
+    doc = _ensemble_doc(units)
+    doc["members"][1]["psi_re"][2] = value
+    path = _write(tmp_path, doc)
+    assert cli.run(["audit", "--in", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    for load in (fio.load_ensemble, fio.load_target):
+        with pytest.raises(FileFormatError) as caught:
+            load(path)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("where", ["units", "grid"])
+@pytest.mark.parametrize("psi_re", [[0.5, 1], [0.5, True]], ids=["numbers", "bool"])
+def test_amplitude_keys_outside_a_state_change_nothing(tmp_path, units, where, psi_re):
+    doc = _ensemble_doc(units)
+    plain, _ = fio.load_target(_write(tmp_path, doc))
+    doc[where]["psi_re"] = doc[where]["psi_im"] = psi_re
+    loaded, loaded_units = fio.load_target(_write(tmp_path, doc))
+    assert loaded_units == units and loaded.grid == plain.grid
+    assert np.array_equal(loaded.weights, plain.weights)
+    assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(loaded.members, plain.members))
+
+
+def test_ensemble_load_holds_one_members_floats(tmp_path, units, peak_bytes):
+    path = _write(tmp_path, _ensemble_doc(units, levels=40, grid=GridSpec(-16.0, 16.0, 1024)))
+    peak = peak_bytes(lambda: fio.load_target(path))
+    # the file's bytes and their decoded str are about 2x its size; every float of it at once is about 3.3x
+    assert peak < 2.2 * os.path.getsize(path), (peak, os.path.getsize(path))
 
 
 def test_number_arrays_take_ints_and_floats():
@@ -334,8 +388,10 @@ class _Shapeless:
         (np.zeros((2, 2)), r"^scan values have shape \(2, 2\), not the axes' \(3, 4\)$"),
         (np.zeros((5, 5)), r"^scan values have shape \(5, 5\), not the axes' \(3, 4\)$"),
         (_Shapeless(np.zeros((2, 2))), r"^scan values block at \[0, 0\] has shape \(2, 2\), not \(3, 4\)$"),
+        (_Shapeless(np.zeros((3, 5))), r"^scan values block at \[0, 0\] has shape \(3, 5\), not \(3, 4\)$"),
+        (_Shapeless(np.zeros((4, 4))), r"^scan values block at \[0, 0\] has shape \(4, 4\), not \(3, 4\)$"),
     ],
-    ids=["smaller", "larger", "smaller-without-shape"],
+    ids=["smaller", "larger", "smaller-without-shape", "more-columns-without-shape", "more-rows-without-shape"],
 )
 def test_scan_csv_refuses_a_mesh_that_does_not_match_its_axes(tmp_path, values, message):
     with pytest.raises(GridMismatch, match=message):
@@ -391,6 +447,39 @@ def test_write_through_a_dangling_symlink_creates_its_target(tmp_path):
     assert link.is_symlink()
     assert (tmp_path / "out" / "made.txt").read_text() == "payload"
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["made.txt"]
+
+
+def test_write_into_a_fifo_reaches_its_reader(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    draws = np.random.default_rng(4).standard_normal((3 * fio.BLOCK_ROWS, 2))  # past a pipe's buffer
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    fio.write_samples_csv(str(fifo), _blocks(draws))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert read == [_reference_samples_text(draws)]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+def test_write_into_a_pipe_through_proc_self_fd():
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end) as reader, os.fdopen(write_end, "w") as writer:
+        fio.atomic_write_text(f"/proc/self/fd/{writer.fileno()}", iter(["a,b\n", "1,2\n"]))
+        writer.close()
+        assert reader.read() == "a,b\n1,2\n"
+
+
+def test_write_to_a_directory_is_refused_before_any_chunk(tmp_path):
+    def chunks():
+        raise AssertionError("a chunk was made")
+        yield
+
+    with pytest.raises(IsADirectoryError, match=f"{tmp_path}'$"):
+        fio.atomic_write_text(str(tmp_path), chunks())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_atomic_write_leaves_a_file_it_did_not_create(tmp_path, monkeypatch):
