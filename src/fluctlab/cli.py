@@ -234,7 +234,8 @@ def _cmd_density_normcheck(args) -> int:
 
 
 def _emit_rows(args, chunks, detail: str) -> int:
-    """Write text chunks to --out, or to stdout ending in a newline; detail goes in the `wrote` line."""
+    """Write text chunks (an io.Table among them) to --out, or to stdout ending
+    in a newline; detail goes in the `wrote` line."""
     if args.out:
         io.atomic_write_text(args.out, chunks)
         print(f"wrote {args.out} ({detail})")
@@ -252,7 +253,7 @@ def _cmd_scenario_eigensweep(args) -> int:
     units = _resolve_units(args)
     grid = _parse_grid_flag(args.grid, args.n_max + 1)
     rows = eigenstate_sweep(args.n_max, args.mass, args.omega, grid, units, args.epsilon)
-    table = io.table_chunks(io.field_names(SweepRow), [io.record_block(rows)], args.format)
+    table = io.Table(io.field_names(SweepRow), [io.record_block(rows)], args.format)
     return _emit_rows(args, table, f"{len(rows)} rows")
 
 
@@ -266,7 +267,7 @@ def _cmd_scenario_thermalsweep(args) -> int:
         raise InvalidRecipe("need at least one temperature")
     grid = _parse_grid_flag(args.grid, args.n_max + 1)
     rows = thermal_sweep(temperatures, args.mass, args.omega, args.n_max, grid, units, args.epsilon)
-    table = io.table_chunks(io.field_names(SweepRow), [io.record_block(rows)], args.format)
+    table = io.Table(io.field_names(SweepRow), [io.record_block(rows)], args.format)
     return _emit_rows(args, table, f"{len(rows)} rows")
 
 
@@ -275,7 +276,7 @@ def _cmd_scenario_walk(args) -> int:
     _admit_rows(args.steps + 1, "walk")
     blocks = walk_blocks(_params_from_flags(args, units), args.steps, args.step_size, args.seed)
     columns = ((rows, products.tolist(), gaps.tolist()) for rows, products, gaps in blocks)
-    return _emit_rows(args, io.table_chunks(io.field_names(WalkTrace), columns, args.format), f"{args.steps + 1} rows")
+    return _emit_rows(args, io.Table(io.field_names(WalkTrace), columns, args.format), f"{args.steps + 1} rows")
 
 
 # --- parser ------------------------------------------------------------------

@@ -17,11 +17,18 @@ state file's two lists sit in its top-level object, so they are still held
 whole as Python floats until the file is decoded.
 
 Every table (a scan, samples, a sweep, a walk) is a header plus rows from
-one formatter, table_chunks: CSV, or for sweeps and walks also a JSON list of
-objects, with sweep and walk headers their row fields.  Scans, samples and
-walks are streamed into the temp file (or stdout) in blocks of at most
-BLOCK_ROWS rows as the rows are made, so their memory is one block whatever
-the row count.
+one formatter, _block_text, shared by table_chunks and the file writer:
+CSV, or for sweeps and walks also a JSON list of objects, with sweep and
+walk headers their row fields.  Scans, samples and walks are streamed into
+the temp file (or stdout) in blocks of at most BLOCK_ROWS rows as the rows
+are made, so their memory is one block whatever the row count.  A table of
+two blocks or more written to a file is formatted by two processes taking
+turns when os.fork exists and os.sched_getaffinity offers two CPUs: a
+forked twin formats and writes the odd blocks while this process does the
+even ones (see _turns), and the file gets the bytes one process writes.
+Otherwise, and always on stdout, one process formats every block.  Python
+3.12 and later warn (DeprecationWarning) when a process with threads forks,
+and numpy's OpenBLAS keeps one.
 MAX_ROWS = 2**27 rows (1 GiB of float64 values) is the one size limit of
 the command line: it refuses a scan, a sample, a walk (steps + 1 rows) or
 a --grid of levels x N values above it with exit code 2 before allocating
@@ -32,8 +39,11 @@ Every output is written to a temp file beside the real target (a symlink's
 target, not the link), created by open(..., "x") under a random
 .fluctlab-*.tmp name, so the kernel gives it the mode of an ordinary open()
 under the process umask (0o644 under umask 022); a rename then puts it in
-place.  An existing FIFO or device (or /proc/self/fd/N of a pipe) is
-written directly instead, and can be left with partial output by a failure.
+place.  A path that reaches an open descriptor of this process
+(/proc/self/fd/N, /dev/fd/N, /dev/stdout) is written through a duplicate of
+that descriptor, keeping its offset and O_APPEND, and an existing FIFO or
+device is written directly; either can be left with partial output by a
+failure.
 """
 
 from __future__ import annotations
@@ -43,10 +53,12 @@ import dataclasses
 import json
 import os
 import stat
-from itertools import repeat
+from functools import partial
+from itertools import chain, count
 
 import numpy as np
 
+from ._turns import Turns
 from .density import BLOCK_ROWS
 from .errors import FileFormatError, GridMismatch
 from .scenarios import SweepRow, WalkTrace
@@ -60,31 +72,63 @@ value takes 16 bytes, so a --grid needs more."""
 
 
 def atomic_write_text(path: str, text) -> None:
-    """Write text (a str or an iterable of str chunks) to path via a temp
-    file and rename, so failures leave no partial file.  A symlink is
+    """Write text (a str, an iterable of str chunks, or a Table) to path via a
+    temp file and rename, so failures leave no partial file.  A symlink is
     followed: the file it points to is written, and the link stays.  A path
-    that names an existing file that is not regular (a FIFO, a device,
-    /proc/self/fd/N of a pipe) is opened and written directly, with no temp
-    file, so a failure there can leave partial output."""
-    chunks = (text,) if isinstance(text, str) else text
+    that reaches an open descriptor of this process (/proc/self/fd/N,
+    /dev/fd/N, /dev/stdout) is written through a duplicate of that
+    descriptor, at its offset and with its O_APPEND; a path that names an
+    existing file that is not regular (a FIFO, a device) is opened and
+    written directly.  Neither has a temp file, so a failure there can leave
+    partial output."""
+    fd = _descriptor(path)
+    if fd is not None:
+        with open(os.dup(fd), "w") as handle:
+            _write(handle, text)
+        return
     try:
-        mode = os.stat(path).st_mode  # the path as given: realpath of /proc/self/fd/N names no file for a pipe
+        mode = os.stat(path).st_mode
     except OSError:  # nothing there yet, or not reachable: the temp file below makes it or reports why not
         mode = stat.S_IFREG
     if not stat.S_ISREG(mode):
         with open(path, "w") as handle:
-            handle.writelines(chunks)
+            _write(handle, text)
         return
     path = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(path), f".fluctlab-{os.urandom(8).hex()}.tmp")
     handle = open(tmp, "x")  # exclusive, so it never follows a link or takes over a file
     try:
         with handle:
-            handle.writelines(chunks)
+            _write(handle, text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _write(handle, text) -> None:
+    if isinstance(text, Table):
+        _write_table(handle, text)
+    else:
+        handle.writelines((text,) if isinstance(text, str) else text)
+
+
+def _descriptor(path: str):
+    """N when path, its symlinks followed one at a time, reaches
+    /proc/<this process>/fd/N or /dev/fd/N; None otherwise.  Those names
+    are links to whatever descriptor N is open on (a file, a pipe, a
+    terminal), so resolving them whole would lose its offset and mode."""
+    fd_dirs = (f"/proc/{os.getpid()}/fd", "/dev/fd")
+    for _ in range(40):  # the kernel's limit on links in one lookup
+        head, name = os.path.split(os.path.abspath(path))
+        head = os.path.realpath(head)
+        if name.isascii() and name.isdigit() and head in fd_dirs:
+            return int(name)
+        link = os.path.join(head, name)
+        if not os.path.islink(link):
+            return None
+        path = os.path.join(head, os.readlink(link))
+    return None
 
 
 def _units_dict(units: UnitSystem) -> dict:
@@ -236,8 +280,22 @@ def load_target(path: str):
 
 # --- tables ------------------------------------------------------------------
 
+class Table:
+    """A table to write: its column names, its blocks (an iterable, read
+    once) and its form, "csv" or "json", as table_chunks takes them.
+    Iterating a Table gives table_chunks' text; atomic_write_text writes a
+    Table to a file through _write_table."""
+
+    def __init__(self, fields, blocks, form: str):
+        self.fields, self.blocks, self.form = fields, blocks, form
+
+    def __iter__(self):
+        return table_chunks(self.fields, self.blocks, self.form)
+
+
 def table_chunks(fields, blocks, form: str):
-    """Text chunks of a table: the header, then one chunk per block of rows.
+    """Text chunks of a table: the header, one chunk per block of rows, and
+    the tail.
 
     fields names the columns.  A block is a tuple of columns, each a list of
     str values or of numbers (int or float); an empty block yields nothing.
@@ -245,27 +303,61 @@ def table_chunks(fields, blocks, form: str):
     it is and each number as its repr; form "json" gives the bytes of
     json.dumps on the list of dict(zip(fields, row)) over every row.
     """
-    blocks = filter(lambda block: block and len(block[0]), blocks)
+    head, tail = _table_ends(fields, form)
+    yield head
     # map, unlike a for loop, lets go of each block before the next one is made
+    yield from map(partial(_block_text, fields, form), count(), filter(_has_rows, blocks))
+    yield tail
+
+
+def _table_ends(fields, form: str) -> tuple:
+    """The text before a table's first block and after its last."""
+    return ("[", "]") if form == "json" else (",".join(fields) + "\n", "")
+
+
+def _has_rows(block) -> bool:
+    return bool(block) and len(block[0]) > 0
+
+
+def _block_text(fields, form: str, k: int, block) -> str:
+    """The text of block k of a table (k counts blocks that have rows).
+
+    CSV: a line per row, each str column as it is and each number as its
+    repr, made by one %-format of the whole block.  JSON: the rows as
+    json.dumps writes them between a list's brackets, after ", " unless k is 0.
+    """
     if form == "json":
-        yield "["
-        for i, rows in enumerate(map(_json_rows, repeat(fields), blocks)):
-            yield ", " + rows if i else rows
-        yield "]"
-        return
-    yield ",".join(fields) + "\n"
-    yield from map(_csv_rows, blocks)
+        rows = json.dumps([dict(zip(fields, row)) for row in zip(*block)])[1:-1]
+        return ", " + rows if k else rows
+    line = ",".join("%s" if isinstance(column[0], str) else "%r" for column in block) + "\n"
+    return line * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _csv_rows(block) -> str:
-    """The block's CSV lines: each str as it is, each number as its repr."""
-    texts = (column if isinstance(column[0], str) else map(repr, column) for column in block)
-    return "\n".join(map(",".join, zip(*texts))) + "\n"
+def _write_table(handle, table: Table) -> None:
+    """Write table to handle, an open text file, block by block.
 
-
-def _json_rows(fields, block) -> str:
-    """The block's rows as the text json.dumps writes between a list's brackets."""
-    return json.dumps([dict(zip(fields, row)) for row in zip(*block)])[1:-1]
+    From the second block on, when os.fork exists and this process may run
+    on two CPUs, a forked twin formats and writes the odd blocks while this
+    process does the even ones: see _turns.Turns.  Both make every block from
+    their own copy of the block iterator, so every check the iterator makes
+    still raises here, at the same block.  Otherwise this process takes
+    every block, in the same loop.
+    """
+    head, tail = _table_ends(table.fields, table.form)
+    handle.write(head)
+    turns, finished, k = Turns(handle), False, 0
+    try:
+        for block in filter(_has_rows, table.blocks):
+            text = _block_text(table.fields, table.form, k, block) if turns.take(k) else ""
+            del block  # let go of each block before the next one is made
+            if text:
+                turns.write(k, text)
+            del text
+            k += 1
+        finished = True
+    finally:
+        turns.end(finished)
+    handle.write(tail)
 
 
 def field_names(cls) -> tuple:
@@ -280,7 +372,7 @@ def record_block(records) -> tuple:
 
 def write_samples_csv(path: str, blocks) -> None:
     """Samples CSV of (k, 2) draw blocks, such as density.sample_blocks yields."""
-    atomic_write_text(path, table_chunks(("x", "p"), ((b[:, 0].tolist(), b[:, 1].tolist()) for b in blocks), "csv"))
+    atomic_write_text(path, Table(("x", "p"), ((b[:, 0].tolist(), b[:, 1].tolist()) for b in blocks), "csv"))
 
 
 def _scan_blocks(xs, ps, values):
@@ -309,7 +401,7 @@ def _scan_blocks(xs, ps, values):
 
 def write_scan_csv(path: str, xs, ps, values) -> None:
     """Mesh dump, one row per (x, p) pair, rows following xs then ps."""
-    atomic_write_text(path, table_chunks(("x", "p", "f"), _scan_blocks(xs, ps, values), "csv"))
+    atomic_write_text(path, Table(("x", "p", "f"), _scan_blocks(xs, ps, values), "csv"))
 
 
 def sweep_rows_csv(rows: list[SweepRow]) -> str:

@@ -245,9 +245,11 @@ StateRecipe = Union[GaussianPacket, OscillatorEigenstate, CoherentState, RawSamp
 
 
 def _normalized_state(grid: GridSpec, amp: np.ndarray) -> PureState:
+    """amp, a complex array the caller gives up, scaled in place to unit norm."""
     norm = math.sqrt(_trapz(np.abs(amp) ** 2, grid.dx))
     require_positive("amplitude norm", norm)
-    return PureState(grid, amp / norm)
+    amp /= norm
+    return PureState(grid, amp)
 
 
 def _gaussian_amplitudes(grid, center, momentum, sigma, units):
@@ -275,7 +277,7 @@ def _eigenstate_levels(n_max, mass, omega, grid, units):
             raise InvalidRecipe(f"eigenstate n={n} must be finite and nonzero on the grid, but it vanishes on "
                                 f"every grid point: it is {where}")
         try:
-            yield _normalized_state(grid, (row * math.sqrt(scale)).astype(np.complex128))
+            yield _normalized_state(grid, np.multiply(row, math.sqrt(scale), out=np.empty(row.shape, np.complex128)))
         except DecayGuardViolation as exc:
             raise DecayGuardViolation(f"eigenstate n={n}: {exc}") from exc
 

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import pytest
@@ -10,6 +11,18 @@ def _default_h(monkeypatch):
     """Every test starts without FLUCTLAB_H, so an exported value cannot change its
     units; a test of the variable sets it itself."""
     monkeypatch.delenv("FLUCTLAB_H", raising=False)
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    """Every test ends with no child process of its own, running or exited: a
+    table's forked twin is reaped before its write returns."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process outlived the test (waitpid: pid {pid}, status {status}; pid 0 is one still running)")
 
 
 @pytest.fixture

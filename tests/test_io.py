@@ -482,6 +482,137 @@ def test_write_to_a_directory_is_refused_before_any_chunk(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["/proc/self/fd/{}", "link-to-fd"])
+def test_write_to_an_open_descriptor_appends_through_it(tmp_path, name):
+    """--out /dev/stdout >> app.txt: the table lands after app.txt's content, in the same file."""
+    app = tmp_path / "app.txt"
+    app.write_text("earlier line\n")
+    inode = app.stat().st_ino
+    draws = np.random.default_rng(6).standard_normal((3 * fio.BLOCK_ROWS, 2))
+    with open(app, "a") as handle:
+        path = name.format(handle.fileno())
+        if name == "link-to-fd":
+            os.symlink(f"/proc/self/fd/{handle.fileno()}", tmp_path / name)
+            path = str(tmp_path / name)
+        fio.write_samples_csv(path, _blocks(draws))
+        handle.write("later line\n")
+    assert app.stat().st_ino == inode
+    assert app.read_text() == "earlier line\n" + _reference_samples_text(draws) + "later line\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["app.txt", name] if name == "link-to-fd" else ["app.txt"])
+
+
+# --- the table writer: two processes taking turns, the same bytes ------------
+
+def _table_blocks(n_blocks):
+    """n_blocks blocks of an int, a float and a str column, with an empty block between each two."""
+    rng = np.random.default_rng(n_blocks)
+    blocks = []
+    for b in range(n_blocks):
+        rows = range(5 * b, 5 * b + 3 + b)
+        blocks += [(rows, rng.standard_normal(len(rows)).tolist(), [f"r{k}" for k in rows]), ([], [], [])]
+    return blocks
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the twins forked during the test, with two CPUs offered whatever the host has."""
+    forked, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+@pytest.mark.parametrize("n_blocks", [0, 1, 2, 3, 4, 5])
+def test_table_file_matches_its_chunks(tmp_path, same_text, forks, form, n_blocks):
+    path = tmp_path / f"table.{form}"
+    fields = ("step", "value", "label")
+    fio.atomic_write_text(str(path), fio.Table(fields, iter(_table_blocks(n_blocks)), form))
+    same_text(path.read_text(), "".join(fio.table_chunks(fields, _table_blocks(n_blocks), form)))
+    assert len(forks) == (n_blocks >= 2)
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+def test_scan_with_rows_longer_than_a_block_matches_its_chunks(tmp_path, same_text, forks, form):
+    xs, ps, values = _mesh(3, 2 * B + 1)
+    path = tmp_path / f"scan.{form}"
+    fio.atomic_write_text(str(path), fio.Table(("x", "p", "f"), fio._scan_blocks(xs, ps, values), form))
+    same_text(path.read_text(), "".join(fio.table_chunks(("x", "p", "f"), fio._scan_blocks(xs, ps, values), form)))
+    assert len(forks) == 1
+
+
+def test_refusal_in_a_twin_block_leaves_no_file(tmp_path, forks):
+    """Block 3 of this mesh is the twin's; the parent makes it too, and refuses it the same way."""
+    xs, ps = np.arange(4.0), np.arange(float(B))
+    with pytest.raises(GridMismatch, match=r"^scan values block at \[3, 0\] has shape \(2, 4096\), not \(1, 4096\)$"):
+        fio.write_scan_csv(str(tmp_path / "scan.csv"), xs, ps, _Shapeless(np.zeros((5, B))))
+    assert len(forks) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_killed_twin_fails_the_command_and_leaves_no_file(tmp_path, capsys, forks, monkeypatch):
+    parent, real_blocks = os.getpid(), cli.sample_blocks
+
+    def blocks_killed_in_the_twin(*args):
+        for k, block in enumerate(real_blocks(*args)):
+            if k == 3 and os.getpid() != parent:
+                os.kill(os.getpid(), 9)  # SIGKILL
+            yield block
+
+    monkeypatch.setattr(cli, "sample_blocks", blocks_killed_in_the_twin)
+    out = tmp_path / "draws.csv"
+    argv = ["density", "sample", "--var-x", "1", "--var-p", "1", "--seed", "3", "--count", str(6 * B), "--out", str(out)]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == "error: the process writing the odd blocks of the table ended early (exit code -9)\n"
+    assert len(forks) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupt_in_the_parent_kills_the_twin_and_leaves_no_file(tmp_path, forks):
+    """The twin waits for a token that never comes; the parent kills and reaps it (the
+    autouse fixture checks that no child is left)."""
+    parent = os.getpid()
+
+    def blocks():
+        for k, block in enumerate(_table_blocks(6)):
+            if k == 6 and os.getpid() == parent:  # table block 3: an empty block follows each one
+                raise KeyboardInterrupt
+            yield block
+
+    with pytest.raises(KeyboardInterrupt):
+        fio.atomic_write_text(str(tmp_path / "table.csv"), fio.Table(("step", "value", "label"), blocks(), "csv"))
+    assert len(forks) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_one_cpu_never_forks(tmp_path, same_text, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
+    path = tmp_path / "table.csv"
+    fio.atomic_write_text(str(path), fio.Table(("step", "value", "label"), iter(_table_blocks(5)), "csv"))
+    same_text(path.read_text(), "".join(fio.table_chunks(("step", "value", "label"), _table_blocks(5), "csv")))
+
+
+def test_refused_fork_writes_the_table_alone(tmp_path, same_text, monkeypatch):
+    def refuse():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", refuse)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    path = tmp_path / "table.csv"
+    fio.atomic_write_text(str(path), fio.Table(("step", "value", "label"), iter(_table_blocks(5)), "csv"))
+    same_text(path.read_text(), "".join(fio.table_chunks(("step", "value", "label"), _table_blocks(5), "csv")))
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
 def test_atomic_write_leaves_a_file_it_did_not_create(tmp_path, monkeypatch):
     taken = tmp_path / f".fluctlab-{bytes(8).hex()}.tmp"
     taken.write_text("another writer's")

@@ -50,6 +50,13 @@ def test_eigenstate_sweep_memory_does_not_grow_with_levels(units, peak_bytes):
     assert many <= 1.5 * few, (few, many)
 
 
+def test_eigenstate_sweep_memory_per_grid_point(units, peak_bytes):
+    """Each level is multiplied into one complex array and scaled in place: about
+    88 bytes a grid point in all, where the level's own copies made it 104."""
+    grid = GridSpec(-15.0, 15.0, 16384)
+    assert peak_bytes(lambda: eigenstate_sweep(30, 1.0, 1.0, grid, units)) / grid.n < 96
+
+
 def test_thermal_sweep_memory_does_not_grow_with_levels(units, peak_bytes):
     grid = GridSpec(-22.0, 22.0, 8192)
     # at T = 1 every level up to 120 keeps a nonzero weight
