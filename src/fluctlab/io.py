@@ -19,22 +19,22 @@ whole as Python floats until the file is decoded.
 Every table (a scan, samples, a sweep, a walk) is a header plus rows from
 one formatter, _block_text, shared by table_chunks and the file writer:
 CSV, or for sweeps and walks also a JSON list of objects, with sweep and
-walk headers their row fields.  Scans, samples and walks are streamed into
-the temp file (or stdout) in blocks of at most BLOCK_ROWS rows as the rows
-are made, so their memory is one block whatever the row count.  A table of
-two blocks or more written to a file is formatted by two processes taking
-turns when os.fork exists and os.sched_getaffinity offers two CPUs: a
-forked twin formats and writes the odd blocks while this process does the
-even ones (see _turns), and the file gets the bytes one process writes.
-Otherwise, and always on stdout, one process formats every block.  Python
-3.12 and later warn (DeprecationWarning) when a process with threads forks,
-and numpy's OpenBLAS keeps one.
+walk headers their row fields.  State and ensemble files are json.dumps'
+text, their lists written BLOCK_ROWS values at a time.  Scans, samples,
+walks and documents are streamed, so their memory is one block.  Two blocks or
+more that replay (documents, write_scan_csv's mesh, the command line's
+samples and walks) are formatted for a file by two processes taking turns
+when os.fork exists and os.sched_getaffinity offers two CPUs (see _turns).
+One process writes a caller's blocks, and anything on stdout.  Python 3.12
+and later warn (DeprecationWarning) when a process with threads forks, and
+numpy's OpenBLAS keeps one.
 MAX_ROWS = 2**27 rows (1 GiB of float64 values) is the one size limit of
 the command line: it refuses a scan, a sample, a walk (steps + 1 rows) or
 a --grid of levels x N values above it with exit code 2 before allocating
-anything.  It bounds a count, not memory: a --grid near the limit needs up to
-about 20 GiB (see the README).  The sweeps hold one level at a time, so their
-memory grows with N, not levels x N.
+anything.  It bounds a count, not memory: state needs about 64 bytes a grid
+point, about 8 GiB at the limit, to build and measure the state it writes
+(see the README).  The sweeps hold one level at a time, so their memory
+grows with N, not levels x N.
 Every output is written to a temp file beside the real target (a symlink's
 target, not the link), created by open(..., "x") under a random
 .fluctlab-*.tmp name, so the kernel gives it the mode of an ordinary open()
@@ -54,11 +54,11 @@ import json
 import os
 import stat
 from functools import partial
-from itertools import chain, count
+from itertools import chain
 
 import numpy as np
 
-from ._turns import Turns
+from ._turns import Blocks, write_blocks
 from .density import BLOCK_ROWS
 from .errors import FileFormatError, GridMismatch
 from .scenarios import SweepRow, WalkTrace
@@ -72,7 +72,7 @@ value takes 16 bytes, so a --grid needs more."""
 
 
 def atomic_write_text(path: str, text) -> None:
-    """Write text (a str, an iterable of str chunks, or a Table) to path via a
+    """Write text (a str, an iterable of str chunks, or Blocks) to path via a
     temp file and rename, so failures leave no partial file.  A symlink is
     followed: the file it points to is written, and the link stays.  A path
     that reaches an open descriptor of this process (/proc/self/fd/N,
@@ -107,8 +107,8 @@ def atomic_write_text(path: str, text) -> None:
 
 
 def _write(handle, text) -> None:
-    if isinstance(text, Table):
-        _write_table(handle, text)
+    if isinstance(text, Blocks):
+        write_blocks(handle, text)
     else:
         handle.writelines((text,) if isinstance(text, str) else text)
 
@@ -157,11 +157,31 @@ def ensemble_document(ensemble: MixedEnsemble, units: UnitSystem) -> dict:
 
 
 def save_state(path: str, state: PureState, units: UnitSystem) -> None:
-    atomic_write_text(path, json.dumps(state_document(state, units)))
+    """Write json.dumps(state_document(state, units)), a block at a time."""
+    atomic_write_text(path, _document(units, state.grid, _amplitude_lists(state, ", "), "]}"))
 
 
 def save_ensemble(path: str, ensemble: MixedEnsemble, units: UnitSystem) -> None:
-    atomic_write_text(path, json.dumps(ensemble_document(ensemble, units)))
+    """Write json.dumps(ensemble_document(ensemble, units)), a block at a time."""
+    members = (_amplitude_lists(m, "]}, {" if i else '], "members": [{') for i, m in enumerate(ensemble.members))
+    lists = chain([(', "weights": [', ensemble.weights)], *members)
+    atomic_write_text(path, _document(units, ensemble.grid, lists, "]}]}"))
+
+
+def _amplitude_lists(state: PureState, lead: str) -> tuple:
+    return (lead + '"psi_re": [', state.amplitudes.real), ('], "psi_im": [', state.amplitudes.imag)
+
+
+def _document(units: UnitSystem, grid: GridSpec, lists, tail: str):
+    """json.dumps' text as Blocks: the units and grid, then each (lead, values)
+    of lists in blocks of BLOCK_ROWS values, then tail."""
+    head = json.dumps({"units": _units_dict(units), "grid": _grid_dict(grid)})[:-1]
+    blocks = ((v[i : i + BLOCK_ROWS], ", " if i else lead) for lead, v in lists for i in range(0, v.size, BLOCK_ROWS))
+    return Blocks(head, tail, _values_text, blocks, replays=True)
+
+
+def _values_text(k: int, block) -> str:
+    return block[1] + ", ".join(map(repr, block[0].tolist()))  # the lead, then the values
 
 
 def _field(mapping, key, kind, where):
@@ -280,17 +300,11 @@ def load_target(path: str):
 
 # --- tables ------------------------------------------------------------------
 
-class Table:
-    """A table to write: its column names, its blocks (an iterable, read
-    once) and its form, "csv" or "json", as table_chunks takes them.
-    Iterating a Table gives table_chunks' text; atomic_write_text writes a
-    Table to a file through _write_table."""
+class Table(Blocks):
+    """A table to write: its fields, blocks and form as table_chunks takes them, and replays as Blocks does."""
 
-    def __init__(self, fields, blocks, form: str):
-        self.fields, self.blocks, self.form = fields, blocks, form
-
-    def __iter__(self):
-        return table_chunks(self.fields, self.blocks, self.form)
+    def __init__(self, fields, blocks, form: str, replays: bool = False):
+        super().__init__(*_table_ends(fields, form), partial(_block_text, fields, form), blocks, replays)
 
 
 def table_chunks(fields, blocks, form: str):
@@ -303,20 +317,12 @@ def table_chunks(fields, blocks, form: str):
     it is and each number as its repr; form "json" gives the bytes of
     json.dumps on the list of dict(zip(fields, row)) over every row.
     """
-    head, tail = _table_ends(fields, form)
-    yield head
-    # map, unlike a for loop, lets go of each block before the next one is made
-    yield from map(partial(_block_text, fields, form), count(), filter(_has_rows, blocks))
-    yield tail
+    return iter(Table(fields, blocks, form))
 
 
 def _table_ends(fields, form: str) -> tuple:
     """The text before a table's first block and after its last."""
     return ("[", "]") if form == "json" else (",".join(fields) + "\n", "")
-
-
-def _has_rows(block) -> bool:
-    return bool(block) and len(block[0]) > 0
 
 
 def _block_text(fields, form: str, k: int, block) -> str:
@@ -333,33 +339,6 @@ def _block_text(fields, form: str, k: int, block) -> str:
     return line * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _write_table(handle, table: Table) -> None:
-    """Write table to handle, an open text file, block by block.
-
-    From the second block on, when os.fork exists and this process may run
-    on two CPUs, a forked twin formats and writes the odd blocks while this
-    process does the even ones: see _turns.Turns.  Both make every block from
-    their own copy of the block iterator, so every check the iterator makes
-    still raises here, at the same block.  Otherwise this process takes
-    every block, in the same loop.
-    """
-    head, tail = _table_ends(table.fields, table.form)
-    handle.write(head)
-    turns, finished, k = Turns(handle), False, 0
-    try:
-        for block in filter(_has_rows, table.blocks):
-            text = _block_text(table.fields, table.form, k, block) if turns.take(k) else ""
-            del block  # let go of each block before the next one is made
-            if text:
-                turns.write(k, text)
-            del text
-            k += 1
-        finished = True
-    finally:
-        turns.end(finished)
-    handle.write(tail)
-
-
 def field_names(cls) -> tuple:
     """Column names of a table of dataclass records: the field names, in order."""
     return tuple(field.name for field in dataclasses.fields(cls))
@@ -371,8 +350,9 @@ def record_block(records) -> tuple:
 
 
 def write_samples_csv(path: str, blocks) -> None:
-    """Samples CSV of (k, 2) draw blocks, such as density.sample_blocks yields."""
-    atomic_write_text(path, Table(("x", "p"), ((b[:, 0].tolist(), b[:, 1].tolist()) for b in blocks), "csv"))
+    """Samples CSV of (k, 2) draw blocks, such as density.sample_blocks yields, written by one process."""
+    columns = ((b[:, 0].tolist(), b[:, 1].tolist()) for b in blocks)
+    atomic_write_text(path, Table(("x", "p"), columns, "csv"))
 
 
 def _scan_blocks(xs, ps, values):
@@ -401,7 +381,7 @@ def _scan_blocks(xs, ps, values):
 
 def write_scan_csv(path: str, xs, ps, values) -> None:
     """Mesh dump, one row per (x, p) pair, rows following xs then ps."""
-    atomic_write_text(path, Table(("x", "p", "f"), _scan_blocks(xs, ps, values), "csv"))
+    atomic_write_text(path, Table(("x", "p", "f"), _scan_blocks(xs, ps, values), "csv", replays=True))
 
 
 def sweep_rows_csv(rows: list[SweepRow]) -> str:

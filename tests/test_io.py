@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import stat
 import threading
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from fluctlab import (
+    CoherentState,
     DecayGuardViolation,
     FileFormatError,
     GaussianPacket,
@@ -18,6 +20,7 @@ from fluctlab import (
     MixedEnsemble,
     NormalizationError,
     OscillatorEigenstate,
+    UnitSystem,
     build_state,
     ensemble_moments,
     oscillator_eigenstates,
@@ -417,11 +420,17 @@ def test_outputs_get_umask_mode(tmp_path, umask, mode):
     assert (tmp_path / "draws.csv").stat().st_mode & 0o777 == mode
 
 
+def _samples_table(draws):
+    """The draws as the command line writes its samples: a Table whose blocks replay."""
+    columns = ((block[:, 0].tolist(), block[:, 1].tolist()) for block in _blocks(draws))
+    return fio.Table(("x", "p"), columns, "csv", replays=True)
+
+
 def test_streamed_writers_memory_is_bounded(tmp_path, peak_bytes):
     draws = np.random.default_rng(3).standard_normal((200_000, 2))
     xs, ps, values = _mesh(501, 401)
     writes = [
-        (tmp_path / "draws.csv", lambda path: fio.write_samples_csv(path, _blocks(draws))),
+        (tmp_path / "draws.csv", lambda path: fio.atomic_write_text(path, _samples_table(draws))),
         (tmp_path / "scan.csv", lambda path: fio.write_scan_csv(path, xs, ps, values)),
     ]
     for path, write in writes:
@@ -534,7 +543,7 @@ def forks(monkeypatch):
 def test_table_file_matches_its_chunks(tmp_path, same_text, forks, form, n_blocks):
     path = tmp_path / f"table.{form}"
     fields = ("step", "value", "label")
-    fio.atomic_write_text(str(path), fio.Table(fields, iter(_table_blocks(n_blocks)), form))
+    fio.atomic_write_text(str(path), fio.Table(fields, iter(_table_blocks(n_blocks)), form, replays=True))
     same_text(path.read_text(), "".join(fio.table_chunks(fields, _table_blocks(n_blocks), form)))
     assert len(forks) == (n_blocks >= 2)
 
@@ -543,7 +552,7 @@ def test_table_file_matches_its_chunks(tmp_path, same_text, forks, form, n_block
 def test_scan_with_rows_longer_than_a_block_matches_its_chunks(tmp_path, same_text, forks, form):
     xs, ps, values = _mesh(3, 2 * B + 1)
     path = tmp_path / f"scan.{form}"
-    fio.atomic_write_text(str(path), fio.Table(("x", "p", "f"), fio._scan_blocks(xs, ps, values), form))
+    fio.atomic_write_text(str(path), fio.Table(("x", "p", "f"), fio._scan_blocks(xs, ps, values), form, replays=True))
     same_text(path.read_text(), "".join(fio.table_chunks(("x", "p", "f"), fio._scan_blocks(xs, ps, values), form)))
     assert len(forks) == 1
 
@@ -570,7 +579,7 @@ def test_killed_twin_fails_the_command_and_leaves_no_file(tmp_path, capsys, fork
     out = tmp_path / "draws.csv"
     argv = ["density", "sample", "--var-x", "1", "--var-p", "1", "--seed", "3", "--count", str(6 * B), "--out", str(out)]
     assert cli.run(argv) == 2
-    assert capsys.readouterr().err == "error: the process writing the odd blocks of the table ended early (exit code -9)\n"
+    assert capsys.readouterr().err == "error: the process writing the odd blocks of the file ended early (exit code -9)\n"
     assert len(forks) == 1
     assert list(tmp_path.iterdir()) == []
 
@@ -587,7 +596,9 @@ def test_interrupt_in_the_parent_kills_the_twin_and_leaves_no_file(tmp_path, for
             yield block
 
     with pytest.raises(KeyboardInterrupt):
-        fio.atomic_write_text(str(tmp_path / "table.csv"), fio.Table(("step", "value", "label"), blocks(), "csv"))
+        fio.atomic_write_text(
+            str(tmp_path / "table.csv"), fio.Table(("step", "value", "label"), blocks(), "csv", replays=True)
+        )
     assert len(forks) == 1
     assert list(tmp_path.iterdir()) == []
 
@@ -596,7 +607,7 @@ def test_one_cpu_never_forks(tmp_path, same_text, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
     path = tmp_path / "table.csv"
-    fio.atomic_write_text(str(path), fio.Table(("step", "value", "label"), iter(_table_blocks(5)), "csv"))
+    fio.atomic_write_text(str(path), fio.Table(("step", "value", "label"), iter(_table_blocks(5)), "csv", replays=True))
     same_text(path.read_text(), "".join(fio.table_chunks(("step", "value", "label"), _table_blocks(5), "csv")))
 
 
@@ -608,9 +619,144 @@ def test_refused_fork_writes_the_table_alone(tmp_path, same_text, monkeypatch):
     monkeypatch.setattr(os, "fork", refuse)
     descriptors = len(os.listdir("/proc/self/fd"))
     path = tmp_path / "table.csv"
-    fio.atomic_write_text(str(path), fio.Table(("step", "value", "label"), iter(_table_blocks(5)), "csv"))
+    fio.atomic_write_text(str(path), fio.Table(("step", "value", "label"), iter(_table_blocks(5)), "csv", replays=True))
     same_text(path.read_text(), "".join(fio.table_chunks(("step", "value", "label"), _table_blocks(5), "csv")))
     assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
+def test_a_callers_blocks_are_written_by_one_process(tmp_path, same_text, forks):
+    """Both processes would read the caller's file through one shared offset,
+    so the twin's blocks would start where the parent's reads had left it."""
+    draws = np.random.default_rng(8).standard_normal((80, 2))
+    source = tmp_path / "draws.f64"
+    draws.tofile(source)
+    with open(source, "rb", buffering=0) as handle:
+        blocks = (np.fromfile(handle, count=16).reshape(-1, 2) for _ in range(5))
+        fio.write_samples_csv(str(tmp_path / "s.csv"), blocks)
+    same_text((tmp_path / "s.csv").read_text(), _reference_samples_text(draws[:40]))
+    assert forks == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "eval", "--var-x", "1", "--var-p", "1", "--scan-x=-1:1:2", f"--scan-p=-1:1:{B}"],
+        ["density", "sample", "--var-x", "1", "--var-p", "1", "--count", str(B + 1), "--seed", "1"],
+        ["scenario", "walk", "--var-x", "1", "--var-p", "1", "--steps", str(B), "--step-size", "0.1", "--seed", "1"],
+        ["state", "--gaussian", f"--grid=-20:20:{B}"],
+    ],
+    ids=["scan", "sample", "walk", "state"],
+)
+def test_the_commands_own_blocks_fork_once(tmp_path, capsys, forks, argv):
+    assert cli.run([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert len(forks) == 1
+
+
+def _doc_case(n, members):
+    """A state (members 0) or an ensemble of that many members, on n points, with complex amplitudes."""
+    grid = GridSpec(-10.0, 10.0, n)
+    states = [build_state(CoherentState(complex(j / 2, 0.5)), grid, UnitSystem()) for j in range(max(members, 1))]
+    if not members:
+        return states[0], fio.save_state, fio.state_document
+    weights = np.array([0.5, 0.3, 0.2][:members])
+    return MixedEnsemble(weights / weights.sum(), tuple(states)), fio.save_ensemble, fio.ensemble_document
+
+
+@pytest.mark.parametrize(
+    "n, members",  # members 0 is a state; n gives lists of 1, 1, 2, 2 and 4 blocks
+    [(8, 0), (B, 0), (B + 1, 0), (2 * B, 0), (3 * B + 1, 0), (8, 1), (8, 3), (B + 1, 1)],
+)
+def test_document_file_is_json_dumps_of_its_view(tmp_path, same_text, units, forks, n, members):
+    target, save, view = _doc_case(n, members)
+    save(str(tmp_path / "doc.json"), target, units)
+    same_text((tmp_path / "doc.json").read_text(), json.dumps(view(target, units)))
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("fork", ["one-cpu", "refused"])
+def test_document_written_alone_is_json_dumps_of_its_view(tmp_path, same_text, units, monkeypatch, fork):
+    def refuse():
+        if fork == "one-cpu":
+            pytest.fail("forked with one CPU")
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if fork == "one-cpu" else {0, 1})
+    monkeypatch.setattr(os, "fork", refuse)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    target, save, view = _doc_case(8, 3)
+    save(str(tmp_path / "doc.json"), target, units)
+    same_text((tmp_path / "doc.json").read_text(), json.dumps(view(target, units)))
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
+def test_killed_twin_fails_the_state_command_and_leaves_no_file(tmp_path, capsys, forks, monkeypatch):
+    parent, real_text = os.getpid(), fio._values_text
+
+    def text_killed_in_the_twin(k, block):
+        if k == 3 and os.getpid() != parent:
+            os.kill(os.getpid(), 9)  # SIGKILL
+        return real_text(k, block)
+
+    monkeypatch.setattr(fio, "_values_text", text_killed_in_the_twin)
+    assert cli.run(["state", "--gaussian", f"--grid=-20:20:{3 * B}", "--out", str(tmp_path / "state.json")]) == 2
+    assert capsys.readouterr().err == "error: the process writing the odd blocks of the file ended early (exit code -9)\n"
+    assert len(forks) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupt_in_the_parent_during_save_state_leaves_no_file(tmp_path, units, forks, monkeypatch):
+    parent, real_text = os.getpid(), fio._values_text
+
+    def text_interrupted_in_the_parent(k, block):
+        if k == 4 and os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real_text(k, block)
+
+    monkeypatch.setattr(fio, "_values_text", text_interrupted_in_the_parent)
+    state = build_state(GaussianPacket(0.0, 0.5, 1.0), GridSpec(-20.0, 20.0, 3 * B), units)
+    with pytest.raises(KeyboardInterrupt):
+        fio.save_state(str(tmp_path / "state.json"), state, units)
+    assert len(forks) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _peak_resident_growth(action) -> int:
+    """The bytes by which a forked child's peak resident memory grows while it
+    runs action.  A forked child's peak starts at its size when forked, so the
+    peaks this process reached before do not hide the growth."""
+    receive, send = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            action()
+            os.write(send, b"%d" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))
+        finally:
+            os._exit(0)
+    os.close(send)
+    try:
+        growth = os.read(receive, 32)
+    finally:
+        os.close(receive)
+        os.waitpid(pid, 0)
+    assert growth, "the action failed in the child"
+    return int(growth) * 1024  # ru_maxrss counts KiB on Linux
+
+
+def test_save_state_memory_is_one_block_whatever_the_grid(tmp_path, units, forks, peak_bytes):
+    """A save holds one block's floats and text, not the file's.  Building the
+    whole text took a tracemalloc peak of 4.5 MiB at 2^14 points, and grew a
+    process's peak resident memory 16 MiB more at 2^18 points than at 2^14.
+    Tracing 2^18 points takes seconds, so the growth is measured untraced, on
+    a narrow packet (mostly 0.0) that is quick to format."""
+    path = str(tmp_path / "state.json")
+    state = build_state(GaussianPacket(0.0, 0.5, 1.0), GridSpec(-40.0, 40.0, 2**14), units)
+    assert peak_bytes(lambda: fio.save_state(path, state, units), warm_up=False) < 2**20
+    growths = []
+    for n in (2**14, 2**18):
+        state = build_state(GaussianPacket(0.0, 0.5, 0.05), GridSpec(-40.0, 40.0, n), units)
+        growths.append(_peak_resident_growth(lambda: fio.save_state(path, state, units)))
+    assert growths[1] - growths[0] < 2**20, growths
 
 
 def test_atomic_write_leaves_a_file_it_did_not_create(tmp_path, monkeypatch):
