@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import re
+import signal
 import sys
 
 import numpy as np
@@ -400,8 +401,37 @@ def run(argv=None) -> int:
         return 2
 
 
+class _Signalled(BaseException):
+    """A SIGTERM or SIGHUP that arrived while a command ran (see main)."""
+
+
+def _raise_signalled(signum, frame):
+    raise _Signalled(signum)
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the command in sys.argv and exit with its code.
+
+    While it runs, SIGTERM and SIGHUP, unless the caller ignores them, raise
+    _Signalled, which no command catches: a temp file is unlinked and a
+    forked twin killed and reaped, as for any exception.  Then the default
+    action is restored and the signal raised again, so the process still
+    ends by it.  A twin that gets the signal itself exits with status 1.
+    """
+    caught = [s for s in (signal.SIGTERM, signal.SIGHUP) if signal.getsignal(s) == signal.SIG_DFL]
+    for signum in caught:
+        signal.signal(signum, _raise_signalled)
+    received = None
+    try:
+        code = run(sys.argv[1:])
+    except _Signalled as exc:
+        received = exc.args[0]
+    finally:
+        for signum in caught:
+            signal.signal(signum, signal.SIG_DFL)
+    if received is not None:
+        signal.raise_signal(received)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

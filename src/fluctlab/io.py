@@ -24,10 +24,15 @@ text, their lists written BLOCK_ROWS values at a time.  Scans, samples,
 walks and documents are streamed, so their memory is one block.  Two blocks or
 more that replay (documents, write_scan_csv's mesh, the command line's
 samples and walks) are formatted for a file by two processes taking turns
-when os.fork exists and os.sched_getaffinity offers two CPUs (see _turns).
-One process writes a caller's blocks, and anything on stdout.  Python 3.12
-and later warn (DeprecationWarning) when a process with threads forks, and
-numpy's OpenBLAS keeps one.
+when _turns.second_cpu() holds: os.fork exists, os.sched_getaffinity offers
+two CPUs and no other Python thread runs.  The sweeps' levels are measured
+by two processes under the same rule (_turns.shared_map).  A refused fork
+leaves the work to one process; a sweep that fails in either process is
+measured again by one, and a file whose twin ends early is not written.
+One process writes a caller's blocks, and anything on stdout.  Moments are
+numpy's pairwise sums, not BLAS dot products, so no output depends on the
+OpenBLAS thread count.  Python 3.12 and later warn (DeprecationWarning)
+when a process with threads forks, and numpy's OpenBLAS keeps one.
 MAX_ROWS = 2**27 rows (1 GiB of float64 values) is the one size limit of
 the command line: it refuses a scan, a sample, a walk (steps + 1 rows) or
 a --grid of levels x N values above it with exit code 2 before allocating

@@ -9,9 +9,11 @@ saturation, not to model any equation of motion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from ._turns import shared_map
 from .audit import SATURATION_EPSILON, _weight_entropy, classify, uncertainty_product
 from .density import BLOCK_ROWS, FluctuationParams
 from .errors import InvalidRecipe, require_count
@@ -19,7 +21,8 @@ from .states import (
     GridSpec,
     UnitSystem,
     _boltzmann_weights,
-    _eigenstate_levels,
+    _eigenstate_level,
+    _hermite_rows,
     _mixture_report,
     phase_space_moments,
 )
@@ -68,8 +71,8 @@ def eigenstate_sweep(
     """One row per oscillator level 0..n_max, each measured, then dropped; products are (2n+1) x bound."""
     n_max = require_count("n_max", n_max, high=MAX_SWEEP_LEVEL)
     return [
-        _sweep_row(f"n={n}", float(n), np.ones(1), phase_space_moments(state, units), units, epsilon)
-        for n, state in enumerate(_eigenstate_levels(n_max, mass, omega, grid, units))
+        _sweep_row(f"n={n}", float(n), np.ones(1), report, units, epsilon)
+        for n, report in enumerate(_level_moments(n_max, mass, omega, grid, units))
     ]
 
 
@@ -85,19 +88,30 @@ def thermal_sweep(
     """One row per temperature for the Boltzmann oscillator mixture (k_B = 1).
 
     Every temperature's weights come first; then the levels down to the deepest
-    any temperature keeps are built, measured and dropped one at a time.  Each row
+    any temperature keeps are built, measured and dropped one at a time, shared
+    by two processes where they can be (see _level_moments).  Each row
     combines the leading levels' moments with its weights, as ensemble_moments(thermal_ensemble(...)) would.
     """
     temperatures = [float(t) for t in temperatures]
     weights = [_boltzmann_weights(omega, mass, t, n_max, units) for t in temperatures]
     if not weights:
         return []
-    levels = _eigenstate_levels(max(w.size for w in weights) - 1, mass, omega, grid, units)
-    reports = [phase_space_moments(level, units) for level in levels]
+    reports = _level_moments(max(w.size for w in weights) - 1, mass, omega, grid, units)
     return [
         _sweep_row(f"T={t:g}", t, w, _mixture_report(w, reports[: w.size]), units, epsilon)
         for t, w in zip(temperatures, weights)
     ]
+
+
+def _level_moments(n_max, mass, omega, grid: GridSpec, units: UnitSystem) -> list:
+    """phase_space_moments of oscillator levels 0..n_max, in order.  Each level is
+    made from its Hermite row, measured and dropped, in one of two processes
+    where two CPUs are free (see _turns.shared_map); each process runs the
+    recurrence itself."""
+    return shared_map(
+        lambda item: phase_space_moments(_eigenstate_level(grid, item), units),
+        partial(_hermite_rows, n_max, mass, omega, grid, units),
+    )
 
 
 def relaxation_walk(

@@ -17,7 +17,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Union
 
 import numpy as np
@@ -264,22 +264,36 @@ def _gaussian_amplitudes(grid, center, momentum, sigma, units):
     return envelope * np.exp(1j * momentum * x / units.hbar)
 
 
-def _eigenstate_levels(n_max, mass, omega, grid, units):
-    """Oscillator eigenstates n = 0..n_max, renormalized on the grid, yielded one at a time."""
+def _hermite_rows(n_max, mass, omega, grid, units):
+    """The arguments of oscillator levels 0..n_max admitted, then (n, h_n, sqrt(s))
+    for each level n in turn: h_n the orthonormal Hermite function sampled on
+    s*x, s = sqrt(m*omega/hbar), from the recurrence."""
     require_positive("mass", mass)
     require_positive("omega", omega)
     n_max = require_count("n_max", n_max)
     scale = math.sqrt(mass * omega / units.hbar)
     require_finite("Hermite argument sqrt(m*omega/hbar)*|x|", scale * max(abs(grid.x_min), abs(grid.x_max)))
+    factor = math.sqrt(scale)
     for n, row in enumerate(_kernels.hermite_basis(scale * grid.points(), n_max)):
-        if not row.any():  # exp(-0.5*xi*xi) is 0 at every grid point
-            where = f"narrower than the grid step {grid.dx!r}" if grid.x_min <= 0 <= grid.x_max else "outside the grid"
-            raise InvalidRecipe(f"eigenstate n={n} must be finite and nonzero on the grid, but it vanishes on "
-                                f"every grid point: it is {where}")
-        try:
-            yield _normalized_state(grid, np.multiply(row, math.sqrt(scale), out=np.empty(row.shape, np.complex128)))
-        except DecayGuardViolation as exc:
-            raise DecayGuardViolation(f"eigenstate n={n}: {exc}") from exc
+        yield n, row, factor
+
+
+def _eigenstate_level(grid: GridSpec, item) -> PureState:
+    """Oscillator level n from its item (n, h_n, sqrt(s)) of _hermite_rows, renormalized on the grid."""
+    n, row, factor = item
+    if not row.any():  # exp(-0.5*xi*xi) is 0 at every grid point
+        where = f"narrower than the grid step {grid.dx!r}" if grid.x_min <= 0 <= grid.x_max else "outside the grid"
+        raise InvalidRecipe(f"eigenstate n={n} must be finite and nonzero on the grid, but it vanishes on "
+                            f"every grid point: it is {where}")
+    try:
+        return _normalized_state(grid, np.multiply(row, factor, out=np.empty(row.shape, np.complex128)))
+    except DecayGuardViolation as exc:
+        raise DecayGuardViolation(f"eigenstate n={n}: {exc}") from exc
+
+
+def _eigenstate_levels(n_max, mass, omega, grid, units):
+    """Oscillator eigenstates n = 0..n_max, renormalized on the grid, made one at a time."""
+    return map(partial(_eigenstate_level, grid), _hermite_rows(n_max, mass, omega, grid, units))
 
 
 def oscillator_eigenstates(n_max, mass, omega, grid, units) -> tuple:
@@ -365,10 +379,10 @@ def phase_space_moments(state: PureState, units: UnitSystem) -> MomentReport:
     p_low, p_high = units.hbar * float(k.min()), units.hbar * float(k.max())
     require_finite("momenta hbar*k", p_low, p_high)
     p = units.hbar * k
-    mean_p = float(power @ p)
+    mean_p = float((power * p).sum())  # numpy's pairwise sum: the same bits whatever BLAS's thread count
     require_finite("squared momentum deviations", *(d * d for d in (p_high - mean_p, mean_p - p_low)))
     require_finite("squared position deviations", *(d * d for d in (float(x[-1]) - mean_x, mean_x - float(x[0]))))
-    var_p = float(power @ (p - mean_p) ** 2)
+    var_p = float((power * (p - mean_p) ** 2).sum())
     if var_p < sys.float_info.min:  # hbar*k underflowed: the variance has lost its digits
         raise InvalidRecipe(f"momentum variance var_p must be a normal float, got {var_p!r} at h = {units.h!r}")
     return MomentReport(

@@ -15,14 +15,30 @@ def _default_h(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _no_child_left():
-    """Every test ends with no child process of its own, running or exited: a
-    table's forked twin is reaped before its write returns."""
+    """Every test ends with no child process of its own, running or exited: the
+    forked twin of a table or a sweep is reaped before its call returns."""
     yield
     try:
         pid, status = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:  # no child at all
         return
     pytest.fail(f"a child process outlived the test (waitpid: pid {pid}, status {status}; pid 0 is one still running)")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the twins forked during the test, with two CPUs offered whatever the host has."""
+    forked, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from fluctlab import (
     OscillatorEigenstate,
     UnitSystem,
     build_state,
+    eigenstate_sweep,
     ensemble_moments,
     oscillator_eigenstates,
     phase_space_moments,
@@ -522,22 +523,6 @@ def _table_blocks(n_blocks):
     return blocks
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the twins forked during the test, with two CPUs offered whatever the host has."""
-    forked, real_fork = [], os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forked
-
-
 @pytest.mark.parametrize("form", ["csv", "json"])
 @pytest.mark.parametrize("n_blocks", [0, 1, 2, 3, 4, 5])
 def test_table_file_matches_its_chunks(tmp_path, same_text, forks, form, n_blocks):
@@ -609,6 +594,26 @@ def test_one_cpu_never_forks(tmp_path, same_text, monkeypatch):
     path = tmp_path / "table.csv"
     fio.atomic_write_text(str(path), fio.Table(("step", "value", "label"), iter(_table_blocks(5)), "csv", replays=True))
     same_text(path.read_text(), "".join(fio.table_chunks(("step", "value", "label"), _table_blocks(5), "csv")))
+
+
+def test_no_fork_while_another_thread_runs(tmp_path, same_text, units, forks):
+    """A lock another thread holds at the fork (numpy's FFT plan cache, say) would
+    stay held in the twin forever, so neither a table nor a sweep forks then."""
+    grid = GridSpec(-15.0, 15.0, 2048)
+    path, fields = tmp_path / "table.csv", ("step", "value", "label")
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        fio.atomic_write_text(str(path), fio.Table(fields, iter(_table_blocks(5)), "csv", replays=True))
+        rows = eigenstate_sweep(9, 1.0, 1.0, grid, units)
+    finally:
+        release.set()
+        other.join()
+    assert forks == []
+    same_text(path.read_text(), "".join(fio.table_chunks(fields, _table_blocks(5), "csv")))
+    assert rows == eigenstate_sweep(9, 1.0, 1.0, grid, units)
+    assert len(forks) == 1
 
 
 def test_refused_fork_writes_the_table_alone(tmp_path, same_text, monkeypatch):

@@ -75,20 +75,25 @@ def test_load_target_parses_each_file_once(tmp_path, grid, units, monkeypatch):
         fio.load_ensemble(state_path)
 
 
-def test_thermal_sweep_builds_levels_once(units, monkeypatch):
+def test_thermal_sweep_builds_levels_once(units, monkeypatch, tmp_path, forks):
+    """Counted across both processes: each recurrence started appends its n_max to a file."""
     grid = GridSpec(-22.0, 22.0, 8192)
     temperatures = [0.0, 0.15, 1.0, 4.0]
     # at T = 0.15 the weights of the deepest levels underflow and are dropped
     assert thermal_ensemble(1.0, 1.0, 0.15, 120, grid, units).weights.size < 121
-    calls = []
-    original = scenarios._eigenstate_levels
+    log = tmp_path / "calls"
+    log.write_text("")
+    original = scenarios._hermite_rows
 
     def counting(n_max, *args):
-        calls.append(n_max)
+        with open(log, "a") as handle:
+            handle.write(f"{n_max}\n")
         return original(n_max, *args)
 
-    monkeypatch.setattr(scenarios, "_eigenstate_levels", counting)
+    monkeypatch.setattr(scenarios, "_hermite_rows", counting)
     rows = thermal_sweep(temperatures, 1.0, 1.0, 120, grid, units)
+    calls = [int(line) for line in log.read_text().split()]
+    assert len(forks) == 1
     assert calls == [120]
     for row, temperature in zip(rows, temperatures):
         ensemble = thermal_ensemble(1.0, 1.0, temperature, 120, grid, units)
