@@ -416,7 +416,9 @@ def main() -> None:
     _Signalled, which no command catches: a temp file is unlinked and a
     forked twin killed and reaped, as for any exception.  Then the default
     action is restored and the signal raised again, so the process still
-    ends by it.  A twin that gets the signal itself exits with status 1.
+    ends by it.  A twin that gets the signal itself exits with status 1,
+    unless it arrives while the twin is being forked: Python drops the
+    signals a forked child has pending.
     """
     caught = [s for s in (signal.SIGTERM, signal.SIGHUP) if signal.getsignal(s) == signal.SIG_DFL]
     for signum in caught:
