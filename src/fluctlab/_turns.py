@@ -1,8 +1,9 @@
-"""The work that fluctlab shares with a forked twin process: the writer of
-a table or document that io writes to a file a block at a time (Blocks, the
-text to write; write_blocks, the one writer loop; and Turns, which of two
-processes formats and writes each block, in what order), and shared_map,
-with which the sweeps measure their levels in two processes.
+"""The one place where fluctlab forks: _Pair, this process and a forked twin
+that take turns through one loop's items, and the two loops that use it.
+write_blocks writes a table or document that io writes to a file a block at
+a time (Blocks, the text to write), the twin formatting and writing the odd
+blocks; shared_map measures the sweeps' levels, the twin measuring the odd
+ones.
 
 Both fork only when second_cpu() holds.  A refused fork leaves the work to
 one process, and so does any error in shared_map, which then raises the
@@ -13,9 +14,9 @@ one process, and numpy's pairwise sums give the same bits whatever the
 thread count, which the dot products did not.
 
 Kept apart from io because each module is compiled on its own: where no
-bytecode is cached (PYTHONDONTWRITEBYTECODE), one io.py holding Turns
-raised the peak resident memory of an audit of a 65536-point state by about
-0.2 MB (40.1 -> 40.3 MB), and the two modules do not.
+bytecode is cached (PYTHONDONTWRITEBYTECODE), one io.py holding the block
+writer raised the peak resident memory of an audit of a 65536-point state
+by about 0.2 MB (40.1 -> 40.3 MB), and the two modules do not.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ from itertools import count
 
 class Blocks:
     """Text to write: head, text(k, block) for each block k of blocks (read
-    once) that has rows, then tail.  replays: a forked copy of blocks yields
-    the same blocks, so two processes may write them (see write_blocks)."""
+    once) that has rows, then tail.  A forked copy of blocks must yield the
+    same blocks (they replay), as the twin of write_blocks makes the odd ones
+    from its own copy.  A caller's iterable, such as one reading a file
+    through a shared offset, does not replay: write it as plain chunks."""
 
-    def __init__(self, head: str, tail: str, text, blocks, replays: bool):
-        self.head, self.tail, self.text, self.blocks, self.replays = head, tail, text, blocks, replays
+    def __init__(self, head: str, tail: str, text, blocks):
+        self.head, self.tail, self.text, self.blocks = head, tail, text, blocks
 
     def __iter__(self):
         yield self.head
@@ -48,119 +51,41 @@ def _has_rows(block) -> bool:
 def write_blocks(handle, doc: Blocks) -> None:
     """Write doc, a table or a document, to handle, an open text file, block by block.
 
-    From the second block on, when doc's blocks replay and second_cpu()
-    holds, a forked twin formats and writes the
-    odd blocks while this process does the even ones: see Turns.  Both make
-    every block from their own copy of the block iterator, so every check the
-    iterator makes still raises here, at the same block.  Otherwise this
-    process takes every block, in the same loop.
+    From the second block on, when second_cpu() holds, a forked twin formats
+    and writes the odd blocks while this process does the even ones (see
+    _Pair).  Both make every block from their own copy of the block
+    iterator, so every check the iterator makes still raises here, at the
+    same block.  Each waits for its turn to write: they share one open file
+    description, and the writer of block k passes a one-byte token over its
+    pipe once block k + 1 exists (so never after the last block), which the
+    writer of block k + 1 reads before it writes.  No data or text crosses
+    between them.  Every block is flushed as it is written, block 0 before
+    the fork, so the twin inherits no buffered text.
     """
     handle.write(doc.head)
-    turns, finished, k = Turns(handle, doc.replays), False, 0
+    pair, finished, k = _Pair(), False, 0  # k counts by hand: enumerate would hold each block while the next is made
     try:
         for block in filter(_has_rows, doc.blocks):
-            text = doc.text(k, block) if turns.take(k) else ""
+            mine = pair.takes(k)
+            text = doc.text(k, block) if mine else ""
             del block  # let go of each block before the next one is made
-            if text:
-                turns.write(k, text)
+            if k >= 2 and pair.pid is not None:  # block k - 1 is the other process's when block k is this one's
+                try:
+                    if not mine:
+                        os.write(pair.send, b".")
+                    elif os.read(pair.receive, 1) != b".":
+                        raise pair.lost()
+                except BrokenPipeError as exc:
+                    raise pair.lost() from exc
+            if mine:
+                handle.write(text)
+                handle.flush()
             del text
             k += 1
         finished = True
     finally:
-        turns.end(finished)
+        pair.end(finished)
     handle.write(doc.tail)
-
-
-class Turns:
-    """Which process formats and writes each block of a table or document, in order.
-
-    Until the second block exists this process takes every block.  When it
-    does, the blocks replay (a forked copy yields them too) and second_cpu()
-    holds, the process forks a twin: the parent keeps the even blocks
-    and the twin takes the odd ones.  Each formats its own blocks, then waits
-    for its turn to write: they share one open file description, and the
-    writer of block k passes a one-byte token over a pipe once block k + 1
-    exists (so never after the last block), which the writer of block k + 1
-    reads before it writes.  No data or text crosses between them.  The twin
-    leaves only through os._exit, in end(); the parent reaps it there,
-    killing it first unless the writing is finished, and raises
-    ChildProcessError when the twin did not finish its blocks.
-
-    Python 3.12 and later warn (DeprecationWarning) when a process with
-    other threads forks; numpy's OpenBLAS keeps one, so a file written there
-    may print that warning.
-    """
-
-    def __init__(self, handle, replays: bool):
-        self.handle, self.replays = handle, replays
-        self.twin = None      # the twin's pid in the parent, 0 in the twin, None when there is none
-        self.status = None    # the twin's wait status, once the parent has reaped it
-        self.owed = False     # this process wrote the block before the newest and owes the token for it
-
-    def take(self, k: int) -> bool:
-        """Block k exists: pass on the token for block k - 1 if this process
-        owes it, or fork at the second block.  True when this process formats block k."""
-        if self.owed:
-            self.owed = False
-            try:
-                os.write(self.send, b".")
-            except BrokenPipeError as exc:
-                raise self._lost() from exc
-        elif k == 1 and self.replays and second_cpu():
-            self._fork()
-        return self.twin is None or k % 2 == (self.twin == 0)  # the twin (pid 0) takes the odd blocks
-
-    def write(self, k: int, text: str) -> None:
-        """Write this process's block k once block k - 1 is written."""
-        if self.twin is not None and k >= 2 and os.read(self.receive, 1) != b".":
-            raise self._lost()
-        self.handle.write(text)
-        self.handle.flush()
-        self.owed = self.twin is not None
-
-    def end(self, finished: bool) -> None:
-        """Leave the table or document.  The twin exits here.  The parent waits
-        for the twin of a finished one, kills it first when it failed or the
-        wait is interrupted, and raises when a finished one's twin did not
-        exit 0."""
-        if self.twin == 0:
-            os._exit(0 if finished else 1)
-        if self.twin is None:
-            return
-        os.close(self.send)
-        os.close(self.receive)
-        try:
-            if finished and self.status is None:
-                self.status = os.waitpid(self.twin, 0)[1]
-        finally:
-            if self.status is None:
-                os.kill(self.twin, 9)  # SIGKILL, without importing the signal module
-                self.status = os.waitpid(self.twin, 0)[1]
-        if finished and self.status != 0:
-            raise self._lost()
-
-    def _fork(self) -> None:
-        """Fork the twin; when the system refuses a process, this one goes on alone."""
-        self.handle.flush()  # else the buffered header would be written by both
-        to_twin, to_parent = os.pipe(), os.pipe()
-        try:
-            self.twin = os.fork()
-        except OSError:
-            for fd in (*to_twin, *to_parent):
-                os.close(fd)
-            return
-        (self.receive, unused_send), (unused_receive, self.send) = (
-            (to_twin, to_parent) if self.twin == 0 else (to_parent, to_twin)
-        )
-        os.close(unused_send)
-        os.close(unused_receive)
-
-    def _lost(self) -> ChildProcessError:
-        """The error for a peer that ended before its blocks did; the parent reaps its twin first."""
-        if self.twin and self.status is None:
-            self.status = os.waitpid(self.twin, 0)[1]
-        code = os.waitstatus_to_exitcode(self.status) if self.twin else None
-        return ChildProcessError(f"the process writing the odd blocks of the file ended early (exit code {code})")
 
 
 def shared_map(fn, source) -> list:
@@ -168,76 +93,104 @@ def shared_map(fn, source) -> list:
 
     source() makes the items afresh, and a forked copy of it yields the same
     ones (they replay).  At the second item, when second_cpu() holds, this
-    process forks a twin.  Both go on through their own copy of the items:
-    this process computes fn of the even ones, the twin fn of the odd ones,
-    which it sends back pickled over a pipe before it exits through
-    os._exit.  If either process fails with an Exception, this one kills and
-    reaps the twin and computes list(map(fn, source())) alone, so an error is
-    the one the serial loop raises, from the first failing item in order.
-    Any other exception (KeyboardInterrupt, a signal the command line turns
-    into one) kills and reaps the twin and propagates.
+    process forks a twin (see _Pair).  Both go on through their own copy of
+    the items: this process computes fn of the even ones, the twin fn of the
+    odd ones, which it sends back pickled over its pipe before it exits.  If
+    either process fails with an Exception, this one kills and reaps the twin
+    and computes list(map(fn, source())) alone, so an error is the one the
+    serial loop raises, from the first failing item in order.  Any other
+    exception (KeyboardInterrupt, a signal the command line turns into one)
+    kills and reaps the twin and propagates.
     """
-    twin = _Twin()
+    pair, finished = _Pair(), False
     try:
-        return twin.merge([fn(item) for k, item in enumerate(source()) if twin.takes(k)])
-    except Exception:
-        twin.end()
-        return list(map(fn, source()))
-    except BaseException:
-        twin.end()
-        raise
-
-
-class _Twin:
-    """The twin of one shared_map: its pid in the parent, 0 in the twin, None when
-    there is none, and the parent's end of the pipe it sends its results through."""
-
-    def __init__(self):
-        self.pid, self.pipe = None, None
-
-    def takes(self, k: int) -> bool:
-        """Item k exists: fork at the second one.  True when this process computes item k."""
-        if k == 1 and second_cpu():
-            receive, send = os.pipe()
-            try:
-                self.pid = os.fork()
-            except OSError:  # the system refused a process: this one goes on alone
-                os.close(receive)
-                os.close(send)
-                return True
-            os.close(send if self.pid else receive)
-            self.pipe = receive if self.pid else send
-        return self.pid is None or k % 2 == (self.pid == 0)  # the twin (pid 0) takes the odd items
-
-    def merge(self, mine: list) -> list:
-        """The twin sends its results and exits; the parent returns both processes' results in item order."""
-        if self.pid is None:
+        try:
+            mine = [fn(item) for k, item in enumerate(source()) if pair.takes(k)]
+            if pair.pid == 0:
+                with open(pair.send, "wb", closefd=False) as pipe:
+                    pickle.dump(mine[1:], pipe)  # mine[0] is item 0's, computed before the fork
+            elif pair.pid:
+                with open(pair.receive, "rb", closefd=False) as pipe:
+                    theirs = pickle.load(pipe)
+            finished = True
+        finally:
+            pair.end(finished)
+        if pair.pid is None:
             return mine
-        pipe, self.pipe = self.pipe, None
-        if self.pid == 0:
-            with open(pipe, "wb") as handle:
-                pickle.dump(mine[1:], handle)  # mine[0] is item 0's, computed before the fork
-            os._exit(0)
-        with open(pipe, "rb") as handle:
-            sent = handle.read()
-        pid, self.pid = self.pid, None
-        status = os.waitpid(pid, 0)[1]
-        if status != 0:
-            raise ChildProcessError(f"the process measuring the odd items failed (wait status {status})")
-        theirs = pickle.loads(sent)
         merged = [None] * (len(mine) + len(theirs))
         merged[::2], merged[1::2] = mine, theirs  # a ValueError unless the counts interleave
         return merged
+    except Exception:
+        return list(map(fn, source()))
 
-    def end(self) -> None:
-        """Leave after a failure: the twin exits; the parent kills and reaps it."""
+
+class _Pair:
+    """This process and the twin it forks to share one loop's items.
+
+    Until the loop's second item exists this process takes every item.  At
+    the second, when second_cpu() holds, it forks a twin, joined to it by one
+    pipe each way: the parent keeps the even items and the twin takes the
+    odd ones.  The twin leaves only through os._exit, in end(); the parent
+    reaps it there, killing it first unless the loop finished, and raises
+    lost() when a finished loop's twin did not exit 0.
+
+    Python 3.12 and later warn (DeprecationWarning) when a process with
+    other threads forks; numpy's OpenBLAS keeps one, so a fork there may
+    print that warning.
+    """
+
+    def __init__(self):
+        self.pid = None       # the twin's pid in the parent, 0 in the twin, None when there is none
+        self.status = None    # the twin's wait status, once the parent has reaped it
+
+    def takes(self, k: int) -> bool:
+        """Item k exists: fork at the second one.  True when this process takes item k."""
+        if k == 1 and second_cpu():
+            self._fork()
+        return self.pid is None or k % 2 == (self.pid == 0)  # the twin (pid 0) takes the odd items
+
+    def end(self, finished: bool) -> None:
+        """Leave the loop.  The twin exits here.  The parent waits for the twin
+        of a finished loop, kills it first when the loop failed or the wait is
+        interrupted, and raises lost() when a finished loop's twin did not
+        exit 0."""
         if self.pid == 0:
-            os._exit(1)
-        if self.pipe is not None:
-            os.close(self.pipe)
-        if self.pid:
-            os.kill(self.pid, 9)  # SIGKILL, without importing the signal module
-            os.waitpid(self.pid, 0)
+            os._exit(0 if finished else 1)
+        if self.pid is None:
+            return
+        os.close(self.send)
+        os.close(self.receive)
+        try:
+            if finished and self.status is None:
+                self.status = os.waitpid(self.pid, 0)[1]
+        finally:
+            if self.status is None:
+                os.kill(self.pid, 9)  # SIGKILL, without importing the signal module
+                self.status = os.waitpid(self.pid, 0)[1]
+        if finished and self.status != 0:
+            raise self.lost()
+
+    def lost(self) -> ChildProcessError:
+        """The error for a peer that ended before its items did; the parent reaps its twin first."""
+        if self.pid and self.status is None:
+            self.status = os.waitpid(self.pid, 0)[1]
+        code = os.waitstatus_to_exitcode(self.status) if self.pid else None
+        return ChildProcessError(f"the process writing the odd blocks of the file ended early (exit code {code})")
+
+    def _fork(self) -> None:
+        """Fork the twin and its pipes; when the system refuses a process, this one goes on alone."""
+        to_twin, to_parent = os.pipe(), os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (*to_twin, *to_parent):
+                os.close(fd)
+            return
+        (self.receive, unused_send), (unused_receive, self.send) = (
+            (to_twin, to_parent) if self.pid == 0 else (to_parent, to_twin)
+        )
+        os.close(unused_send)
+        os.close(unused_receive)
 
 
 def second_cpu() -> bool:

@@ -199,7 +199,7 @@ def _cmd_density_sample(args) -> int:
     _admit_rows(args.count, "sample")
     draws = sample_blocks(_params_from_flags(args, units), args.count, args.seed)
     columns = ((block[:, 0].tolist(), block[:, 1].tolist()) for block in draws)
-    return _emit_rows(args, io.Table(("x", "p"), columns, "csv", replays=True), f"{args.count} draws")
+    return _emit_rows(args, io.Table(("x", "p"), columns, "csv"), f"{args.count} draws")
 
 
 def _cmd_density_extremize(args) -> int:
@@ -276,7 +276,7 @@ def _cmd_scenario_walk(args) -> int:
     _admit_rows(args.steps + 1, "walk")
     blocks = walk_blocks(_params_from_flags(args, units), args.steps, args.step_size, args.seed)
     columns = ((rows, products.tolist(), gaps.tolist()) for rows, products, gaps in blocks)
-    table = io.Table(io.field_names(WalkTrace), columns, args.format, replays=True)
+    table = io.Table(io.field_names(WalkTrace), columns, args.format)
     return _emit_rows(args, table, f"{args.steps + 1} rows")
 
 

@@ -21,15 +21,17 @@ one formatter, _block_text, shared by table_chunks and the file writer:
 CSV, or for sweeps and walks also a JSON list of objects, with sweep and
 walk headers their row fields.  State and ensemble files are json.dumps'
 text, their lists written BLOCK_ROWS values at a time.  Scans, samples,
-walks and documents are streamed, so their memory is one block.  Two blocks or
-more that replay (documents, write_scan_csv's mesh, the command line's
-samples and walks) are formatted for a file by two processes taking turns
-when _turns.second_cpu() holds: os.fork exists, os.sched_getaffinity offers
-two CPUs and no other Python thread runs.  The sweeps' levels are measured
-by two processes under the same rule (_turns.shared_map).  A refused fork
-leaves the work to one process; a sweep that fails in either process is
-measured again by one, and a file whose twin ends early is not written.
-One process writes a caller's blocks, and anything on stdout.  Moments are
+walks and documents are streamed, so their memory is one block.  Every
+Blocks source of two blocks or more (documents, write_scan_csv's mesh, the
+command line's samples and walks) is formatted for a file by two processes
+taking turns when _turns.second_cpu() holds: os.fork exists,
+os.sched_getaffinity offers two CPUs and no other Python thread runs.  The
+sweeps' levels are measured by two processes under the same rule
+(_turns.shared_map), with the same forked twin (_turns._Pair).  A refused
+fork leaves the work to one process; a sweep that fails in either process
+is measured again by one, and a file whose twin ends early is not written.
+write_samples_csv writes a caller's blocks in one process, as plain chunks,
+and one process writes anything on stdout.  Moments are
 numpy's pairwise sums, not BLAS dot products, so no output depends on the
 OpenBLAS thread count.  Python 3.12 and later warn (DeprecationWarning)
 when a process with threads forks, and numpy's OpenBLAS keeps one.
@@ -182,7 +184,7 @@ def _document(units: UnitSystem, grid: GridSpec, lists, tail: str):
     of lists in blocks of BLOCK_ROWS values, then tail."""
     head = json.dumps({"units": _units_dict(units), "grid": _grid_dict(grid)})[:-1]
     blocks = ((v[i : i + BLOCK_ROWS], ", " if i else lead) for lead, v in lists for i in range(0, v.size, BLOCK_ROWS))
-    return Blocks(head, tail, _values_text, blocks, replays=True)
+    return Blocks(head, tail, _values_text, blocks)
 
 
 def _values_text(k: int, block) -> str:
@@ -306,10 +308,10 @@ def load_target(path: str):
 # --- tables ------------------------------------------------------------------
 
 class Table(Blocks):
-    """A table to write: its fields, blocks and form as table_chunks takes them, and replays as Blocks does."""
+    """A table to write: its fields, blocks and form as table_chunks takes them."""
 
-    def __init__(self, fields, blocks, form: str, replays: bool = False):
-        super().__init__(*_table_ends(fields, form), partial(_block_text, fields, form), blocks, replays)
+    def __init__(self, fields, blocks, form: str):
+        super().__init__(*_table_ends(fields, form), partial(_block_text, fields, form), blocks)
 
 
 def table_chunks(fields, blocks, form: str):
@@ -355,9 +357,10 @@ def record_block(records) -> tuple:
 
 
 def write_samples_csv(path: str, blocks) -> None:
-    """Samples CSV of (k, 2) draw blocks, such as density.sample_blocks yields, written by one process."""
+    """Samples CSV of (k, 2) draw blocks, such as density.sample_blocks yields,
+    written by one process as plain chunks: a caller's blocks need not replay."""
     columns = ((b[:, 0].tolist(), b[:, 1].tolist()) for b in blocks)
-    atomic_write_text(path, Table(("x", "p"), columns, "csv"))
+    atomic_write_text(path, table_chunks(("x", "p"), columns, "csv"))
 
 
 def _scan_blocks(xs, ps, values):
@@ -386,7 +389,7 @@ def _scan_blocks(xs, ps, values):
 
 def write_scan_csv(path: str, xs, ps, values) -> None:
     """Mesh dump, one row per (x, p) pair, rows following xs then ps."""
-    atomic_write_text(path, Table(("x", "p", "f"), _scan_blocks(xs, ps, values), "csv", replays=True))
+    atomic_write_text(path, Table(("x", "p", "f"), _scan_blocks(xs, ps, values), "csv"))
 
 
 def sweep_rows_csv(rows: list[SweepRow]) -> str:

@@ -422,9 +422,9 @@ def test_outputs_get_umask_mode(tmp_path, umask, mode):
 
 
 def _samples_table(draws):
-    """The draws as the command line writes its samples: a Table whose blocks replay."""
+    """The draws as the command line writes its samples: a Table, which a forked twin writes with this process."""
     columns = ((block[:, 0].tolist(), block[:, 1].tolist()) for block in _blocks(draws))
-    return fio.Table(("x", "p"), columns, "csv", replays=True)
+    return fio.Table(("x", "p"), columns, "csv")
 
 
 def test_streamed_writers_memory_is_bounded(tmp_path, peak_bytes):
@@ -528,7 +528,7 @@ def _table_blocks(n_blocks):
 def test_table_file_matches_its_chunks(tmp_path, same_text, forks, form, n_blocks):
     path = tmp_path / f"table.{form}"
     fields = ("step", "value", "label")
-    fio.atomic_write_text(str(path), fio.Table(fields, iter(_table_blocks(n_blocks)), form, replays=True))
+    fio.atomic_write_text(str(path), fio.Table(fields, iter(_table_blocks(n_blocks)), form))
     same_text(path.read_text(), "".join(fio.table_chunks(fields, _table_blocks(n_blocks), form)))
     assert len(forks) == (n_blocks >= 2)
 
@@ -537,7 +537,7 @@ def test_table_file_matches_its_chunks(tmp_path, same_text, forks, form, n_block
 def test_scan_with_rows_longer_than_a_block_matches_its_chunks(tmp_path, same_text, forks, form):
     xs, ps, values = _mesh(3, 2 * B + 1)
     path = tmp_path / f"scan.{form}"
-    fio.atomic_write_text(str(path), fio.Table(("x", "p", "f"), fio._scan_blocks(xs, ps, values), form, replays=True))
+    fio.atomic_write_text(str(path), fio.Table(("x", "p", "f"), fio._scan_blocks(xs, ps, values), form))
     same_text(path.read_text(), "".join(fio.table_chunks(("x", "p", "f"), fio._scan_blocks(xs, ps, values), form)))
     assert len(forks) == 1
 
@@ -563,10 +563,12 @@ def test_killed_twin_fails_the_command_and_leaves_no_file(tmp_path, capsys, fork
     monkeypatch.setattr(cli, "sample_blocks", blocks_killed_in_the_twin)
     out = tmp_path / "draws.csv"
     argv = ["density", "sample", "--var-x", "1", "--var-p", "1", "--seed", "3", "--count", str(6 * B), "--out", str(out)]
+    descriptors = len(os.listdir("/proc/self/fd"))
     assert cli.run(argv) == 2
     assert capsys.readouterr().err == "error: the process writing the odd blocks of the file ended early (exit code -9)\n"
     assert len(forks) == 1
     assert list(tmp_path.iterdir()) == []
+    assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
 def test_interrupt_in_the_parent_kills_the_twin_and_leaves_no_file(tmp_path, forks):
@@ -580,11 +582,38 @@ def test_interrupt_in_the_parent_kills_the_twin_and_leaves_no_file(tmp_path, for
                 raise KeyboardInterrupt
             yield block
 
+    descriptors = len(os.listdir("/proc/self/fd"))
     with pytest.raises(KeyboardInterrupt):
         fio.atomic_write_text(
-            str(tmp_path / "table.csv"), fio.Table(("step", "value", "label"), blocks(), "csv", replays=True)
+            str(tmp_path / "table.csv"), fio.Table(("step", "value", "label"), blocks(), "csv")
         )
     assert len(forks) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
+@pytest.mark.parametrize("work", ["sweep", "table"])
+def test_interrupt_while_waiting_for_the_twin_still_reaps_it(tmp_path, units, monkeypatch, forks, work):
+    """A KeyboardInterrupt (or the command line's signal exception) that lands in
+    the parent's wait for a finished twin: the twin is still killed and reaped."""
+    real_waitpid, interrupted = os.waitpid, []
+
+    def waitpid_interrupted_once(pid, options):
+        if not interrupted:
+            interrupted.append(pid)
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", waitpid_interrupted_once)
+    with pytest.raises(KeyboardInterrupt):
+        if work == "sweep":
+            eigenstate_sweep(9, 1.0, 1.0, GridSpec(-15.0, 15.0, 2048), units)
+        else:
+            table = fio.Table(("step", "value", "label"), iter(_table_blocks(5)), "csv")
+            fio.atomic_write_text(str(tmp_path / "table.csv"), table)
+    assert interrupted == forks and len(forks) == 1
+    with pytest.raises(ChildProcessError):  # no child left, running or exited
+        real_waitpid(-1, os.WNOHANG)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -592,7 +621,7 @@ def test_one_cpu_never_forks(tmp_path, same_text, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
     path = tmp_path / "table.csv"
-    fio.atomic_write_text(str(path), fio.Table(("step", "value", "label"), iter(_table_blocks(5)), "csv", replays=True))
+    fio.atomic_write_text(str(path), fio.Table(("step", "value", "label"), iter(_table_blocks(5)), "csv"))
     same_text(path.read_text(), "".join(fio.table_chunks(("step", "value", "label"), _table_blocks(5), "csv")))
 
 
@@ -605,7 +634,7 @@ def test_no_fork_while_another_thread_runs(tmp_path, same_text, units, forks):
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        fio.atomic_write_text(str(path), fio.Table(fields, iter(_table_blocks(5)), "csv", replays=True))
+        fio.atomic_write_text(str(path), fio.Table(fields, iter(_table_blocks(5)), "csv"))
         rows = eigenstate_sweep(9, 1.0, 1.0, grid, units)
     finally:
         release.set()
@@ -624,7 +653,7 @@ def test_refused_fork_writes_the_table_alone(tmp_path, same_text, monkeypatch):
     monkeypatch.setattr(os, "fork", refuse)
     descriptors = len(os.listdir("/proc/self/fd"))
     path = tmp_path / "table.csv"
-    fio.atomic_write_text(str(path), fio.Table(("step", "value", "label"), iter(_table_blocks(5)), "csv", replays=True))
+    fio.atomic_write_text(str(path), fio.Table(("step", "value", "label"), iter(_table_blocks(5)), "csv"))
     same_text(path.read_text(), "".join(fio.table_chunks(("step", "value", "label"), _table_blocks(5), "csv")))
     assert len(os.listdir("/proc/self/fd")) == descriptors
 
@@ -703,10 +732,12 @@ def test_killed_twin_fails_the_state_command_and_leaves_no_file(tmp_path, capsys
         return real_text(k, block)
 
     monkeypatch.setattr(fio, "_values_text", text_killed_in_the_twin)
+    descriptors = len(os.listdir("/proc/self/fd"))
     assert cli.run(["state", "--gaussian", f"--grid=-20:20:{3 * B}", "--out", str(tmp_path / "state.json")]) == 2
     assert capsys.readouterr().err == "error: the process writing the odd blocks of the file ended early (exit code -9)\n"
     assert len(forks) == 1
     assert list(tmp_path.iterdir()) == []
+    assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
 def test_interrupt_in_the_parent_during_save_state_leaves_no_file(tmp_path, units, forks, monkeypatch):

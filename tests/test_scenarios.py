@@ -164,8 +164,10 @@ def test_killed_twin_leaves_the_sweep_to_this_process(units, monkeypatch, forks)
         return real_moments(state, units)
 
     monkeypatch.setattr(scenarios, "phase_space_moments", moments_killed_in_the_twin)
+    descriptors = len(os.listdir("/proc/self/fd"))
     assert eigenstate_sweep(9, 1.0, 1.0, grid, units) == expected
     assert len(forks) == 2
+    assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
 def test_interrupt_in_the_parent_kills_the_sweeps_twin(units, monkeypatch, forks):
@@ -180,9 +182,11 @@ def test_interrupt_in_the_parent_kills_the_sweeps_twin(units, monkeypatch, forks
         return real_moments(state, units)
 
     monkeypatch.setattr(scenarios, "phase_space_moments", moments_interrupted_in_the_parent)
+    descriptors = len(os.listdir("/proc/self/fd"))
     with pytest.raises(KeyboardInterrupt):
         eigenstate_sweep(9, 1.0, 1.0, GridSpec(-15.0, 15.0, 2048), units)
     assert len(forks) == 1
+    assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
 def test_sweep_bytes_do_not_depend_on_blas_threads():
