@@ -10,10 +10,6 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "fluctlab").glob("*.py"))
 
 
-def test_the_package_sources_are_found():
-    assert any(path.name == "_turns.py" for path in SOURCES)
-
-
 @pytest.mark.parametrize("call", ["os.fork(", "os._exit("])
 def test_one_call_site_in_the_package(call):
     sites = [f"{path.name}:{n}" for path in SOURCES
