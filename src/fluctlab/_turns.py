@@ -1,9 +1,8 @@
-"""The one place where fluctlab forks: _Pair, this process and a forked twin
-that take turns through one loop's items, and the two loops that use it.
-write_blocks writes a table or document that io writes to a file a block at
-a time (Blocks, the text to write), the twin formatting and writing the odd
-blocks; shared_map measures the sweeps' levels, the twin measuring the odd
-ones.
+"""The one place where fluctlab forks: _shared, one loop whose odd items a
+forked twin (_Pair) computes and sends back, and its two users.  write_blocks
+writes a table or document that io writes to a file a block at a time
+(Blocks, the text to write), the twin formatting the odd blocks and this
+process writing them all; shared_map measures the sweeps' levels.
 
 Both fork only when second_cpu() holds.  A refused fork leaves the work to
 one process, and so does any error in shared_map, which then raises the
@@ -21,10 +20,15 @@ by about 0.2 MB (40.1 -> 40.3 MB), and the two modules do not.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import threading
 from itertools import count
+
+PIPE_BYTES = 2**20
+"""The twin's pipe.  With the default 64 KiB, a CSV block of about 200 kB
+stalled the twin until this process read it, and scans ran 5-10% slower."""
 
 
 class Blocks:
@@ -51,40 +55,14 @@ def _has_rows(block) -> bool:
 def write_blocks(handle, doc: Blocks) -> None:
     """Write doc, a table or a document, to handle, an open text file, block by block.
 
-    From the second block on, when second_cpu() holds, a forked twin formats
-    and writes the odd blocks while this process does the even ones (see
-    _Pair).  Both make every block from their own copy of the block
-    iterator, so every check the iterator makes still raises here, at the
-    same block.  Each waits for its turn to write: they share one open file
-    description, and the writer of block k passes a one-byte token over its
-    pipe once block k + 1 exists (so never after the last block), which the
-    writer of block k + 1 reads before it writes.  No data or text crosses
-    between them.  Every block is flushed as it is written, block 0 before
-    the fork, so the twin inherits no buffered text.
+    A forked twin may format the odd blocks (see _shared), but this process
+    writes them all.  Each process makes every block from its own copy of the
+    iterator, so any check it makes still raises here, at the same block.
     """
     handle.write(doc.head)
-    pair, finished, k = _Pair(), False, 0  # k counts by hand: enumerate would hold each block while the next is made
-    try:
-        for block in filter(_has_rows, doc.blocks):
-            mine = pair.takes(k)
-            text = doc.text(k, block) if mine else ""
-            del block  # let go of each block before the next one is made
-            if k >= 2 and pair.pid is not None:  # block k - 1 is the other process's when block k is this one's
-                try:
-                    if not mine:
-                        os.write(pair.send, b".")
-                    elif os.read(pair.receive, 1) != b".":
-                        raise pair.lost()
-                except BrokenPipeError as exc:
-                    raise pair.lost() from exc
-            if mine:
-                handle.write(text)
-                handle.flush()
-            del text
-            k += 1
-        finished = True
-    finally:
-        pair.end(finished)
+    # closed here, so that a failed write kills and reaps the twin before the error leaves
+    with contextlib.closing(_shared(doc.text, filter(_has_rows, doc.blocks))) as texts:
+        handle.writelines(texts)
     handle.write(doc.tail)
 
 
@@ -92,36 +70,46 @@ def shared_map(fn, source) -> list:
     """list(map(fn, source())), with the odd items' fn computed by a forked twin.
 
     source() makes the items afresh, and a forked copy of it yields the same
-    ones (they replay).  At the second item, when second_cpu() holds, this
-    process forks a twin (see _Pair).  Both go on through their own copy of
-    the items: this process computes fn of the even ones, the twin fn of the
-    odd ones, which it sends back pickled over its pipe before it exits.  If
-    either process fails with an Exception, this one kills and reaps the twin
-    and computes list(map(fn, source())) alone, so an error is the one the
-    serial loop raises, from the first failing item in order.  Any other
-    exception (KeyboardInterrupt, a signal the command line turns into one)
-    kills and reaps the twin and propagates.
+    ones (they replay); see _shared.  If either process fails with an
+    Exception, this one computes list(map(fn, source())) alone, so an error
+    is the serial loop's, from the first failing item; any other exception
+    (KeyboardInterrupt, say) propagates.
     """
-    pair, finished = _Pair(), False
     try:
-        try:
-            mine = [fn(item) for k, item in enumerate(source()) if pair.takes(k)]
-            if pair.pid == 0:
-                with open(pair.send, "wb", closefd=False) as pipe:
-                    pickle.dump(mine[1:], pipe)  # mine[0] is item 0's, computed before the fork
-            elif pair.pid:
-                with open(pair.receive, "rb", closefd=False) as pipe:
-                    theirs = pickle.load(pipe)
-            finished = True
-        finally:
-            pair.end(finished)
-        if pair.pid is None:
-            return mine
-        merged = [None] * (len(mine) + len(theirs))
-        merged[::2], merged[1::2] = mine, theirs  # a ValueError unless the counts interleave
-        return merged
+        return list(_shared(lambda k, item: fn(item), source()))
     except Exception:
         return list(map(fn, source()))
+
+
+def _shared(fn, items):
+    """Yield fn(k, item) for each item k of items, in order.
+
+    At the second item, when second_cpu() holds, this process forks a twin
+    (see _Pair).  Both go on through their own copy of the items: the twin
+    computes the odd ones and sends each back pickled as soon as it is made,
+    and this process, once it has computed item k, yields the twin's item
+    k - 1, so the two compute at the same time.  The twin yields nothing.
+    An error, or closing this generator early, kills and reaps the twin.
+    """
+    pair, finished, k = _Pair(), False, 0  # k counts by hand: enumerate would hold each item while the next is made
+    try:
+        for item in items:
+            mine = pair.takes(k)
+            value = fn(k, item) if mine else None
+            del item  # let go of each item before the next one is made
+            if mine and pair.pid == 0:
+                pair.send(value)
+            elif mine:
+                if pair.pid:  # item k - 1 is the twin's
+                    yield pair.receive()
+                yield value
+            del value
+            k += 1
+        if pair.pid and k % 2 == 0:  # the last item is the twin's
+            yield pair.receive()
+        finished = True
+    finally:
+        pair.end(finished)
 
 
 class _Pair:
@@ -129,10 +117,8 @@ class _Pair:
 
     Until the loop's second item exists this process takes every item.  At
     the second, when second_cpu() holds, it forks a twin, joined to it by one
-    pipe each way: the parent keeps the even items and the twin takes the
-    odd ones.  The twin leaves only through os._exit, in end(); the parent
-    reaps it there, killing it first unless the loop finished, and raises
-    lost() when a finished loop's twin did not exit 0.
+    pipe, twin to parent: the parent keeps the even items and the twin takes
+    the odd ones.  The twin leaves only through os._exit, in end().
 
     Python 3.12 and later warn (DeprecationWarning) when a process with
     other threads forks; numpy's OpenBLAS keeps one, so a fork there may
@@ -149,17 +135,27 @@ class _Pair:
             self._fork()
         return self.pid is None or k % 2 == (self.pid == 0)  # the twin (pid 0) takes the odd items
 
+    def send(self, value) -> None:
+        """In the twin: send value to the parent now."""
+        pickle.dump(value, self.pipe)
+        self.pipe.flush()
+
+    def receive(self):
+        """In the parent: the twin's next value; lost() when the twin ended first."""
+        try:
+            return pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError) as exc:  # a pipe closed before, or within, a value
+            raise self.lost() from exc
+
     def end(self, finished: bool) -> None:
         """Leave the loop.  The twin exits here.  The parent waits for the twin
         of a finished loop, kills it first when the loop failed or the wait is
-        interrupted, and raises lost() when a finished loop's twin did not
-        exit 0."""
+        interrupted, and raises lost() when a finished loop's twin failed."""
         if self.pid == 0:
             os._exit(0 if finished else 1)
         if self.pid is None:
             return
-        os.close(self.send)
-        os.close(self.receive)
+        self.pipe.close()
         try:
             if finished and self.status is None:
                 self.status = os.waitpid(self.pid, 0)[1]
@@ -171,26 +167,28 @@ class _Pair:
             raise self.lost()
 
     def lost(self) -> ChildProcessError:
-        """The error for a peer that ended before its items did; the parent reaps its twin first."""
-        if self.pid and self.status is None:
+        """The error for a twin that ended before its items did; the parent reaps it first."""
+        if self.status is None:
             self.status = os.waitpid(self.pid, 0)[1]
-        code = os.waitstatus_to_exitcode(self.status) if self.pid else None
+        code = os.waitstatus_to_exitcode(self.status)
         return ChildProcessError(f"the process writing the odd blocks of the file ended early (exit code {code})")
 
     def _fork(self) -> None:
-        """Fork the twin and its pipes; when the system refuses a process, this one goes on alone."""
-        to_twin, to_parent = os.pipe(), os.pipe()
+        """Fork the twin and its pipe; when the system refuses a process, this one goes on alone."""
+        import fcntl  # here, so that importing fluctlab never needs it
+
+        receive, send = os.pipe()
+        # F_SETPIPE_SZ is Linux's; where it is missing or refused, the default pipe is slower, not wrong
+        with contextlib.suppress(AttributeError, OSError):
+            fcntl.fcntl(send, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (*to_twin, *to_parent):
-                os.close(fd)
+            os.close(receive)
+            os.close(send)
             return
-        (self.receive, unused_send), (unused_receive, self.send) = (
-            (to_twin, to_parent) if self.pid == 0 else (to_parent, to_twin)
-        )
-        os.close(unused_send)
-        os.close(unused_receive)
+        os.close(send if self.pid else receive)
+        self.pipe = open(receive, "rb") if self.pid else open(send, "wb")
 
 
 def second_cpu() -> bool:

@@ -24,9 +24,10 @@ text, their lists written BLOCK_ROWS values at a time.  Scans, samples,
 walks and documents are streamed, so their memory is one block.  Every
 Blocks source of two blocks or more (documents, write_scan_csv's mesh, the
 command line's samples and walks) is formatted for a file by two processes
-taking turns when _turns.second_cpu() holds: os.fork exists,
-os.sched_getaffinity offers two CPUs and no other Python thread runs.  The
-sweeps' levels are measured by two processes under the same rule
+when _turns.second_cpu() holds: os.fork exists, os.sched_getaffinity offers
+two CPUs and no other Python thread runs.  A forked twin formats the odd
+blocks and sends them back over a pipe, and this process writes every
+block.  The sweeps' levels are measured by two processes the same way
 (_turns.shared_map), with the same forked twin (_turns._Pair).  A refused
 fork leaves the work to one process; a sweep that fails in either process
 is measured again by one, and a file whose twin ends early is not written.

@@ -130,11 +130,11 @@ class PureState:
     def __post_init__(self):
         amp = _amplitude_array(self.grid, self.amplitudes)
         object.__setattr__(self, "amplitudes", _freeze(amp))
-        prob = np.abs(amp) ** 2
-        norm = math.sqrt(_trapz(prob, self.grid.dx))
+        magnitude = np.abs(amp)
+        norm = math.sqrt(_trapz(magnitude * magnitude, self.grid.dx))
         if abs(norm - 1.0) > NORM_TOL:
             raise NormalizationError(f"L2 norm {norm!r} differs from 1 by more than {NORM_TOL}")
-        peak = float(np.abs(amp).max())
+        peak = float(magnitude.max())
         edge = max(abs(amp[0]), abs(amp[-1]))
         if edge >= DECAY_RATIO * peak:
             raise DecayGuardViolation(

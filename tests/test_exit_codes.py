@@ -188,7 +188,7 @@ def test_sigterm_leaves_no_temp_file_and_no_child(tmp_path, target):
     so the temp file is unlinked and the twin killed and reaped, then the process
     ends by the signal.  The default action alone left 26-39 MB behind.  A twin
     sent SIGTERM exits 1, and the command fails as for any twin that ends early.
-    The signal waits for the first MiB of the file, by when the twin has written
+    The signal waits for the first MiB of the file, by when the twin has sent
     a block: Python drops a signal that reaches a forked child before its
     after-fork cleanup, and 1 run in 20 lost it that way."""
     forks = len(os.sched_getaffinity(0)) >= 2  # the command's twin is forked at its second block

@@ -572,7 +572,7 @@ def test_killed_twin_fails_the_command_and_leaves_no_file(tmp_path, capsys, fork
 
 
 def test_interrupt_in_the_parent_kills_the_twin_and_leaves_no_file(tmp_path, forks):
-    """The twin waits for a token that never comes; the parent kills and reaps it (the
+    """The parent stops reading the twin's blocks, then kills and reaps it (the
     autouse fixture checks that no child is left)."""
     parent = os.getpid()
 
