@@ -3,6 +3,8 @@ forked twin (_Pair) computes and sends back, and its two users.  write_blocks
 writes a table or document that io writes to a file a block at a time
 (Blocks, the text to write), the twin formatting the odd blocks and this
 process writing them all; shared_map measures the sweeps' levels.
+BLOCK_ROWS, the rows of one block, lives here beside the block writer, and
+io, density and scenarios take it from here.
 
 Both fork only when second_cpu() holds.  A refused fork leaves the work to
 one process, and so does any error in shared_map, which then raises the
@@ -25,6 +27,11 @@ import os
 import pickle
 import threading
 from itertools import count
+
+BLOCK_ROWS = 4096
+"""Rows made per block by the streamed sampler and walk, and formatted per
+chunk by the CSV writers; a block's working set (about 200 bytes a row) stays
+a small fraction of any large file."""
 
 PIPE_BYTES = 2**20
 """The twin's pipe.  With the default 64 KiB, a CSV block of about 200 kB
@@ -171,7 +178,7 @@ class _Pair:
         if self.status is None:
             self.status = os.waitpid(self.pid, 0)[1]
         code = os.waitstatus_to_exitcode(self.status)
-        return ChildProcessError(f"the process writing the odd blocks of the file ended early (exit code {code})")
+        return ChildProcessError(f"the forked process making the odd blocks ended early (exit code {code})")
 
     def _fork(self) -> None:
         """Fork the twin and its pipe; when the system refuses a process, this one goes on alone."""

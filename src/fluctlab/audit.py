@@ -5,20 +5,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidRecipe, NonPositiveInput, require_finite
-from .states import (
-    HamiltonianSpec,
-    MixedEnsemble,
-    MomentReport,
-    UnitSystem,
-    _mixture,
-    _state_energy,
-    _total_variance,
-    ensemble_moments,
-)
+from .units import UnitSystem
+
+if TYPE_CHECKING:  # the functions that measure states import states when they run, so density need not load it
+    from .states import HamiltonianSpec, MixedEnsemble, MomentReport
 
 SATURATION_EPSILON = 1e-6  # default relative half-width of the saturation band
 
@@ -104,6 +99,8 @@ def _weight_entropy(w) -> float:
 
 def entropy_surrogate(ensemble: MixedEnsemble) -> float:
     """Weight entropy of a mixture (a pure state counts as the one-member mixture)."""
+    from .states import _mixture
+
     return _weight_entropy(_mixture(ensemble)[0])
 
 
@@ -114,6 +111,8 @@ def self_similarity_report(
     ensemble spread (about the ensemble mean); each member is measured
     once and the ensemble spread combines those measurements by the law of
     total variance.  A pure state counts as the one-member mixture."""
+    from .states import _mixture, _state_energy, _total_variance
+
     weights, members = _mixture(ensemble)
     energies = [_state_energy(m, hamiltonian, units) for m in members]
     member = tuple(math.sqrt(var) for _, var in energies)
@@ -133,6 +132,8 @@ def audit_report(target, units: UnitSystem, epsilon: float = SATURATION_EPSILON,
     delta_t is filled from an externally supplied energy spread when given,
     else null; the moment data alone carries no energy scale.
     """
+    from .states import ensemble_moments
+
     result = classify(ensemble_moments(target, units), units, epsilon)
     return {
         "product": result.product,

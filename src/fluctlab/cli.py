@@ -16,35 +16,15 @@ import os
 import re
 import signal
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import io
-from .audit import SATURATION_EPSILON, audit_report
-from .density import (
-    FD_STEP,
-    HALF_WIDTH_SIGMAS,
-    FluctuationParams,
-    PhasePoint,
-    density_grid,
-    extremal_variances,
-    normalization_check,
-    reduced_box_integral,
-    reduced_grid,
-    sample_blocks,
-    verify_extremum,
-)
 from .errors import FluctLabError, InvalidRecipe, NumericalFailure, require_finite
-from .scenarios import SweepRow, WalkTrace, eigenstate_sweep, thermal_sweep, walk_blocks
-from .states import (
-    CoherentState,
-    GaussianPacket,
-    GridSpec,
-    OscillatorEigenstate,
-    UnitSystem,
-    build_state,
-    phase_space_moments,
-)
+
+if TYPE_CHECKING:  # each handler imports what it calls, so a command loads only the modules it runs
+    from .density import FluctuationParams
+    from .states import GridSpec
+    from .units import UnitSystem
 
 class _Parser(argparse.ArgumentParser):
     """argparse flavor that exits 1 (not 2) on usage errors, accepts
@@ -67,6 +47,8 @@ def _fmt6(value: float) -> str:
 
 
 def _resolve_units(args) -> UnitSystem:
+    from .units import UnitSystem
+
     if getattr(args, "h", None) is not None:
         return UnitSystem(h=args.h)
     env = os.environ.get("FLUCTLAB_H")
@@ -77,6 +59,14 @@ def _resolve_units(args) -> UnitSystem:
             raise InvalidRecipe(f"FLUCTLAB_H={env!r} is not a number") from exc
         return UnitSystem(h=h)
     return UnitSystem()
+
+
+def _out_path(text: str) -> str:
+    """The type of every --out flag: a path, refused while parsing when empty,
+    since the empty string names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file name, got ''")
+    return text
 
 
 def _parse_range(text: str, what: str) -> tuple:
@@ -93,6 +83,8 @@ def _parse_range(text: str, what: str) -> tuple:
 def _parse_grid_flag(text: str, levels: int) -> GridSpec:
     """The --grid flag MIN:MAX:N, admitted for `levels` states of N points each
     (levels x N values) before anything is allocated."""
+    from .states import GridSpec
+
     grid = GridSpec(*_parse_range(text, "grid"))
     _admit_rows(levels * grid.n, "grid (levels x points)")
     return grid
@@ -128,6 +120,8 @@ def _parse_complex_flag(text: str) -> complex:
 
 
 def _params_from_flags(args, units: UnitSystem) -> FluctuationParams:
+    from .density import FluctuationParams
+
     if args.var_x is None or args.var_p is None:
         raise InvalidRecipe("this mode needs --var-x and --var-p")
     return FluctuationParams(
@@ -138,6 +132,8 @@ def _params_from_flags(args, units: UnitSystem) -> FluctuationParams:
 # --- handlers ----------------------------------------------------------------
 
 def _cmd_state(args) -> int:
+    from .states import CoherentState, GaussianPacket, OscillatorEigenstate, build_state, phase_space_moments
+
     units = _resolve_units(args)
     grid = _parse_grid_flag(args.grid, 1 if args.eigenstate is None else args.eigenstate + 1)
     if args.gaussian:
@@ -154,6 +150,9 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .audit import audit_report
+    from .units import UnitSystem
+
     target, file_units = io.load_target(args.in_path)
     units = UnitSystem(h=args.h) if args.h is not None else file_units
     report = audit_report(target, units, epsilon=args.epsilon, delta_e=args.delta_e)
@@ -165,6 +164,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_density_eval(args) -> int:
+    import numpy as np
+
+    from .density import PhasePoint, density_grid, reduced_grid
+
     units = _resolve_units(args)
     scan = bool(args.scan_x or args.scan_p or args.out)  # --out asks for a scan too
     if scan:
@@ -195,6 +198,8 @@ def _cmd_density_eval(args) -> int:
 
 
 def _cmd_density_sample(args) -> int:
+    from .density import sample_blocks
+
     units = _resolve_units(args)
     _admit_rows(args.count, "sample")
     draws = sample_blocks(_params_from_flags(args, units), args.count, args.seed)
@@ -203,6 +208,8 @@ def _cmd_density_sample(args) -> int:
 
 
 def _cmd_density_extremize(args) -> int:
+    from .density import PhasePoint, extremal_variances
+
     units = _resolve_units(args)
     var_x, var_p = extremal_variances(args.mean_x, args.mean_p, PhasePoint(args.x, args.p), units)
     print(f"var_x={_fmt6(var_x)} var_p={_fmt6(var_p)}")
@@ -210,6 +217,8 @@ def _cmd_density_extremize(args) -> int:
 
 
 def _cmd_density_verify(args) -> int:
+    from .density import PhasePoint, verify_extremum
+
     units = _resolve_units(args)
     check = verify_extremum(
         args.mean_x, args.mean_p, PhasePoint(args.x, args.p), units, fd_step=args.fd_step
@@ -222,6 +231,8 @@ def _cmd_density_verify(args) -> int:
 
 
 def _cmd_density_normcheck(args) -> int:
+    from .density import normalization_check, reduced_box_integral
+
     units = _resolve_units(args)
     if args.reduced:
         if args.box_half_width is None:
@@ -250,6 +261,8 @@ def _emit_rows(args, chunks, detail: str) -> int:
 
 
 def _cmd_scenario_eigensweep(args) -> int:
+    from .scenarios import SweepRow, eigenstate_sweep
+
     units = _resolve_units(args)
     grid = _parse_grid_flag(args.grid, args.n_max + 1)
     rows = eigenstate_sweep(args.n_max, args.mass, args.omega, grid, units, args.epsilon)
@@ -258,6 +271,8 @@ def _cmd_scenario_eigensweep(args) -> int:
 
 
 def _cmd_scenario_thermalsweep(args) -> int:
+    from .scenarios import SweepRow, thermal_sweep
+
     units = _resolve_units(args)
     try:
         temperatures = [float(t) for t in args.temperatures.split(",") if t.strip()]
@@ -272,6 +287,8 @@ def _cmd_scenario_thermalsweep(args) -> int:
 
 
 def _cmd_scenario_walk(args) -> int:
+    from .scenarios import WalkTrace, walk_blocks
+
     units = _resolve_units(args)
     _admit_rows(args.steps + 1, "walk")
     blocks = walk_blocks(_params_from_flags(args, units), args.steps, args.step_size, args.seed)
@@ -297,14 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
     variances = _parent(dict.fromkeys(("--var-x", "--var-p"), dict(type=float)))
     required_variances = _parent(dict.fromkeys(("--var-x", "--var-p"), dict(type=float, required=True)))
     point = _parent(dict.fromkeys(("--x", "--p"), dict(type=float, required=True)))
-    # CoherentState shares OscillatorEigenstate's mass and omega defaults
+    # Every numeric default is the library's, written out so that parsing loads none of the
+    # numeric modules; test_parser_defaults_are_the_librarys pins each to its source.
+    # CoherentState shares OscillatorEigenstate's mass and omega defaults.
     oscillator = _parent({
-        "--mass": dict(type=float, default=OscillatorEigenstate.mass),
-        "--omega": dict(type=float, default=OscillatorEigenstate.omega),
+        "--mass": dict(type=float, default=1.0),
+        "--omega": dict(type=float, default=1.0),
         "--grid": dict(required=True, metavar="MIN:MAX:N"),
     })
-    epsilon = _parent({"--epsilon": dict(type=float, default=SATURATION_EPSILON)})
-    table = _parent({"--out": {}, "--format": dict(choices=("csv", "json"), default="csv")})
+    epsilon = _parent({"--epsilon": dict(type=float, default=1e-6)})
+    table = _parent({"--out": dict(type=_out_path), "--format": dict(choices=("csv", "json"), default="csv")})
 
     parser = _Parser(prog="fluctlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -314,17 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
     recipe.add_argument("--gaussian", action="store_true", help="Gaussian packet recipe")
     recipe.add_argument("--eigenstate", type=int, metavar="N", help="oscillator level N")
     recipe.add_argument("--coherent", metavar="RE[,IM]", help="coherent state amplitude")
-    state.add_argument("--center", type=float, default=GaussianPacket.center)
-    state.add_argument("--momentum", type=float, default=GaussianPacket.momentum)
-    state.add_argument("--sigma", type=float, default=GaussianPacket.sigma)
-    state.add_argument("--out", required=True)
+    state.add_argument("--center", type=float, default=0.0)
+    state.add_argument("--momentum", type=float, default=0.0)
+    state.add_argument("--sigma", type=float, default=1.0)
+    state.add_argument("--out", type=_out_path, required=True)
     state.set_defaults(handler=_cmd_state)
 
     audit = sub.add_parser("audit", parents=[units, epsilon], help="audit a state or ensemble file")
     audit.add_argument("--in", dest="in_path", required=True, metavar="FILE")
     audit.add_argument("--delta-e", type=float, help="energy spread used to fill delta_t in the report")
     audit.add_argument("--strict", action="store_true", help="exit 2 on a below-bound product")
-    audit.add_argument("--out")
+    audit.add_argument("--out", type=_out_path)
     audit.set_defaults(handler=_cmd_audit)
 
     density = sub.add_parser("density", help="fluctuation-density operations")
@@ -337,25 +356,25 @@ def build_parser() -> argparse.ArgumentParser:
     d_eval.add_argument("--reduced", action="store_true", help="use the reduced closed form")
     d_eval.add_argument("--scan-x", metavar="MIN:MAX:N")
     d_eval.add_argument("--scan-p", metavar="MIN:MAX:N")
-    d_eval.add_argument("--out", help="CSV destination for scan mode")
+    d_eval.add_argument("--out", type=_out_path, help="CSV destination for scan mode")
     d_eval.set_defaults(handler=_cmd_density_eval)
 
     d_sample = dsub.add_parser("sample", parents=[units, means, required_variances],
                                help="draw seeded samples to CSV")
     d_sample.add_argument("--count", type=int, required=True)
     d_sample.add_argument("--seed", type=int, required=True)
-    d_sample.add_argument("--out", required=True)
+    d_sample.add_argument("--out", type=_out_path, required=True)
     d_sample.set_defaults(handler=_cmd_density_sample)
 
     d_ext = dsub.add_parser("extremize", parents=[units, means, point], help="extremal variance pair at a phase point")
     d_ext.set_defaults(handler=_cmd_density_extremize)
 
     d_verify = dsub.add_parser("verify", parents=[units, means, point], help="finite-difference extremum check")
-    d_verify.add_argument("--fd-step", type=float, default=FD_STEP)
+    d_verify.add_argument("--fd-step", type=float, default=1e-4)
     d_verify.set_defaults(handler=_cmd_density_verify)
 
     d_norm = dsub.add_parser("normcheck", parents=[units, means, variances], help="quadrature of the density")
-    d_norm.add_argument("--half-width", type=float, default=HALF_WIDTH_SIGMAS,
+    d_norm.add_argument("--half-width", type=float, default=10.0,
                         help="integration half-width in spreads per axis")
     d_norm.add_argument("--reduced", action="store_true", help="box-integrate the reduced density")
     d_norm.add_argument("--box-half-width", type=float)

@@ -11,6 +11,9 @@ leaves a one-parameter family g(s) over the position variance s; its
 interior maximum is the extremal-variance pair, and substituting that pair
 back collapses the density to the reduced closed form with the constant
 peak 2/h.
+
+This module needs no state machinery: UnitSystem comes from units, and the
+sampler's block size, BLOCK_ROWS, from _turns, beside the block writer.
 """
 
 from __future__ import annotations
@@ -21,21 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._turns import BLOCK_ROWS
 from .audit import uncertainty_product
 from .errors import InvalidRecipe, NumericalFailure, ResolutionError, StepTooLarge, ZeroSeparation
 from .errors import require_count, require_finite, require_positive
-from .states import TWO_PI, UnitSystem, _trapz
+from .units import TWO_PI, UnitSystem, _trapz
 
 PRODUCT_SLACK = 1e-9      # admissibility slack on var_x*var_p vs the squared bound
 REL_SLOPE_TOL = 1e-5      # |g'| * s / g(s) accepted as a vanishing first derivative
 MAX_QUAD_NODES = 4097     # per-axis cap for the normalization mesh
 FD_STEP = 1e-4            # default relative step of verify_extremum's finite differences
 HALF_WIDTH_SIGMAS = 10.0  # default half-width of normalization_check's mesh, in spreads per axis
-
-BLOCK_ROWS = 4096
-"""Rows made per block by the streamed sampler and walk, and formatted per
-chunk by the CSV writers; a block's working set (about 200 bytes a row) stays
-a small fraction of any large file."""
 
 
 @dataclass(frozen=True)

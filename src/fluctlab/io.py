@@ -52,6 +52,10 @@ place.  A path that reaches an open descriptor of this process
 that descriptor, keeping its offset and O_APPEND, and an existing FIFO or
 device is written directly; either can be left with partial output by a
 failure.
+Every command loads this module, so it imports no density module, and the
+modules it does use only where they are used: states where a state is built
+(_parse_grid and _parse_document), scenarios in sweep_rows_csv and
+walk_rows_csv.  BLOCK_ROWS comes from _turns, beside the block writer.
 """
 
 from __future__ import annotations
@@ -63,14 +67,17 @@ import os
 import stat
 from functools import partial
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._turns import Blocks, write_blocks
-from .density import BLOCK_ROWS
+from ._turns import BLOCK_ROWS, Blocks, write_blocks
 from .errors import FileFormatError, GridMismatch
-from .scenarios import SweepRow, WalkTrace
-from .states import GridSpec, MixedEnsemble, PureState, UnitSystem
+from .units import UnitSystem
+
+if TYPE_CHECKING:  # imported where they are used, so a command loads only the modules it runs
+    from .scenarios import SweepRow, WalkTrace
+    from .states import GridSpec, MixedEnsemble, PureState
 
 
 MAX_ROWS = 2**27
@@ -232,6 +239,8 @@ def _parse_units(doc) -> UnitSystem:
 
 
 def _parse_grid(doc) -> GridSpec:
+    from .states import GridSpec
+
     grid = _field(doc, "grid", dict, "document")
     return GridSpec(
         x_min=_field(grid, "x_min", float, "grid"),
@@ -277,6 +286,8 @@ def _parse_document(doc: dict, ensemble: bool):
     """(PureState or MixedEnsemble, UnitSystem) from a parsed state or
     ensemble document; constructors re-verify normalization and the decay
     guard, so tampered files fail loudly."""
+    from .states import MixedEnsemble, PureState
+
     units = _parse_units(doc)
     grid = _parse_grid(doc)
     if not ensemble:
@@ -394,8 +405,12 @@ def write_scan_csv(path: str, xs, ps, values) -> None:
 
 
 def sweep_rows_csv(rows: list[SweepRow]) -> str:
+    from .scenarios import SweepRow
+
     return "".join(table_chunks(field_names(SweepRow), [record_block(rows)], "csv"))
 
 
 def walk_rows_csv(rows: list[WalkTrace]) -> str:
+    from .scenarios import WalkTrace
+
     return "".join(table_chunks(field_names(WalkTrace), [record_block(rows)], "csv"))

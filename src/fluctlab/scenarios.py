@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._turns import shared_map
+from ._turns import BLOCK_ROWS, shared_map
 from .audit import SATURATION_EPSILON, _weight_entropy, classify, uncertainty_product
-from .density import BLOCK_ROWS, FluctuationParams
 from .errors import InvalidRecipe, require_count
 from .states import (
     GridSpec,
@@ -26,6 +26,9 @@ from .states import (
     _mixture_report,
     phase_space_moments,
 )
+
+if TYPE_CHECKING:  # a sweep needs no density module; the walk's caller makes the params
+    from .density import FluctuationParams
 
 MAX_SWEEP_LEVEL = 30
 

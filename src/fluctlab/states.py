@@ -33,31 +33,11 @@ from .errors import (
     require_finite,
     require_positive,
 )
-
-TWO_PI = 2.0 * math.pi
+from .units import TWO_PI, UnitSystem, _trapz  # UnitSystem stays one of this module's names
 
 NORM_TOL = 1e-10          # |L2 norm - 1| allowed for states and weight sums
 DECAY_RATIO = 1e-6        # edge amplitude allowed relative to the peak
 TAIL_TOL = 1e-8           # truncated Boltzmann tail mass allowed
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Working units, fixed by the Planck constant h (default h = 2*pi, i.e. hbar = 1)."""
-
-    h: float = TWO_PI
-
-    def __post_init__(self):
-        require_positive("Planck constant", self.h)
-
-    @property
-    def hbar(self) -> float:
-        return self.h / TWO_PI
-
-    @property
-    def bound(self) -> float:
-        """Lower bound h/(4*pi) on the product of position and momentum spreads."""
-        return self.h / (4.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -94,10 +74,6 @@ class GridSpec:
 
     def __reduce__(self):  # a pickle or copy carries the fields, not the arrays
         return GridSpec, (self.x_min, self.x_max, self.n)
-
-
-def _trapz(y: np.ndarray, dx: float) -> float:
-    return float(dx * (y.sum() - 0.5 * (y[0] + y[-1])))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 
 from fluctlab import GridSpec, PureState
 from fluctlab import io as fio
-from fluctlab.cli import build_parser, run
+from fluctlab.cli import _out_path, build_parser, run
 
 
 def test_state_audit_pipeline(tmp_path, capsys):
@@ -315,15 +315,17 @@ class _Allocated(Exception):
 @pytest.fixture
 def no_allocation(monkeypatch):
     """Make every allocating step of scans, samples, states, sweeps and walks
-    raise, so a test fails loudly if admission lets a request through to numpy."""
-    import fluctlab.cli as cli
+    raise, so a test fails loudly if admission lets a request through to numpy.
+    Each is patched where it is defined: a handler imports it when it runs."""
+    from fluctlab import density, scenarios, states
 
     def refuse(*args, **kwargs):
         raise _Allocated
 
-    for name in ("density_grid", "reduced_grid", "sample_blocks", "build_state", "eigenstate_sweep", "thermal_sweep",
-                 "walk_blocks"):
-        monkeypatch.setattr(cli, name, refuse)
+    for module, name in ((density, "density_grid"), (density, "reduced_grid"), (density, "sample_blocks"),
+                         (states, "build_state"), (scenarios, "eigenstate_sweep"), (scenarios, "thermal_sweep"),
+                         (scenarios, "walk_blocks")):
+        monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(np, "linspace", refuse)
     monkeypatch.setattr(np, "empty", refuse)
 
@@ -405,7 +407,7 @@ FLAGS = {
         ("--mass", "mass", "1.0", float, False, None, None),
         ("--omega", "omega", "1.0", float, False, None, None),
         ("--grid", "grid", "None", None, True, None, "MIN:MAX:N"),
-        ("--out", "out", "None", None, True, None, None),
+        ("--out", "out", "None", _out_path, True, None, None),
     },
     "audit": {
         ("--h", "h", "None", float, False, None, None),
@@ -413,7 +415,7 @@ FLAGS = {
         ("--epsilon", "epsilon", "1e-06", float, False, None, None),
         ("--delta-e", "delta_e", "None", float, False, None, None),
         ("--strict", "strict", "False", None, False, None, None),
-        ("--out", "out", "None", None, False, None, None),
+        ("--out", "out", "None", _out_path, False, None, None),
     },
     "density eval": {
         ("--h", "h", "None", float, False, None, None),
@@ -426,7 +428,7 @@ FLAGS = {
         ("--reduced", "reduced", "False", None, False, None, None),
         ("--scan-x", "scan_x", "None", None, False, None, "MIN:MAX:N"),
         ("--scan-p", "scan_p", "None", None, False, None, "MIN:MAX:N"),
-        ("--out", "out", "None", None, False, None, None),
+        ("--out", "out", "None", _out_path, False, None, None),
     },
     "density sample": {
         ("--h", "h", "None", float, False, None, None),
@@ -436,7 +438,7 @@ FLAGS = {
         ("--var-p", "var_p", "None", float, True, None, None),
         ("--count", "count", "None", int, True, None, None),
         ("--seed", "seed", "None", int, True, None, None),
-        ("--out", "out", "None", None, True, None, None),
+        ("--out", "out", "None", _out_path, True, None, None),
     },
     "density extremize": {
         ("--h", "h", "None", float, False, None, None),
@@ -470,7 +472,7 @@ FLAGS = {
         ("--omega", "omega", "1.0", float, False, None, None),
         ("--grid", "grid", "None", None, True, None, "MIN:MAX:N"),
         ("--epsilon", "epsilon", "1e-06", float, False, None, None),
-        ("--out", "out", "None", None, False, None, None),
+        ("--out", "out", "None", _out_path, False, None, None),
         ("--format", "format", "'csv'", None, False, ("csv", "json"), None),
     },
     "scenario thermalsweep": {
@@ -481,7 +483,7 @@ FLAGS = {
         ("--n-max", "n_max", "None", int, True, None, None),
         ("--grid", "grid", "None", None, True, None, "MIN:MAX:N"),
         ("--epsilon", "epsilon", "1e-06", float, False, None, None),
-        ("--out", "out", "None", None, False, None, None),
+        ("--out", "out", "None", _out_path, False, None, None),
         ("--format", "format", "'csv'", None, False, ("csv", "json"), None),
     },
     "scenario walk": {
@@ -493,7 +495,7 @@ FLAGS = {
         ("--steps", "steps", "None", int, True, None, None),
         ("--step-size", "step_size", "None", float, True, None, None),
         ("--seed", "seed", "None", int, True, None, None),
-        ("--out", "out", "None", None, False, None, None),
+        ("--out", "out", "None", _out_path, False, None, None),
         ("--format", "format", "'csv'", None, False, ("csv", "json"), None),
     },
 }
@@ -520,3 +522,54 @@ def test_flag_table_is_pinned():
     recipes = [(tuple(a.dest for a in group._group_actions), group.required)
                for group in parsers["state"]._mutually_exclusive_groups]
     assert recipes == [(("gaussian", "eigenstate", "coherent"), True)]
+
+
+def test_parser_defaults_are_the_librarys():
+    """The parser writes out the library's numeric defaults, so that parsing loads
+    none of the numeric modules; each copy must be its source's value."""
+    from fluctlab.audit import SATURATION_EPSILON
+    from fluctlab.density import FD_STEP, HALF_WIDTH_SIGMAS
+    from fluctlab.states import CoherentState, GaussianPacket, OscillatorEigenstate
+
+    sources = {
+        "mass": OscillatorEigenstate.mass,
+        "omega": OscillatorEigenstate.omega,
+        "center": GaussianPacket.center,
+        "momentum": GaussianPacket.momentum,
+        "sigma": GaussianPacket.sigma,
+        "epsilon": SATURATION_EPSILON,
+        "fd_step": FD_STEP,
+        "half_width": HALF_WIDTH_SIGMAS,
+    }
+    copies = {(words, a.dest): a.default for words, parser in _subcommands(build_parser())
+              for a in parser._actions if a.dest in sources}
+    assert {dest for _, dest in copies} == set(sources)
+    assert {key: repr(default) for key, default in copies.items()} == {
+        (words, dest): repr(sources[dest]) for words, dest in copies}
+    assert (CoherentState.mass, CoherentState.omega) == (OscillatorEigenstate.mass, OscillatorEigenstate.omega)
+
+
+EMPTY_OUT = {
+    "state": ["state", "--gaussian", "--grid=-10:10:256"],
+    "audit": ["audit", "--in", "s.json"],
+    "density eval": ["density", "eval", "--var-x", "1", "--var-p", "1", "--x", "0", "--p", "0"],
+    "density sample": ["density", "sample", "--var-x", "1", "--var-p", "1", "--count", "3", "--seed", "1"],
+    "scenario eigensweep": ["scenario", "eigensweep", "--n-max", "1", "--grid=-10:10:256"],
+    "scenario thermalsweep": ["scenario", "thermalsweep", "--temperatures", "0", "--n-max", "1", "--grid=-10:10:256"],
+    "scenario walk": ["scenario", "walk", "--var-x", "1", "--var-p", "1", "--steps", "3", "--step-size", "0.1",
+                      "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", EMPTY_OUT.values(), ids=EMPTY_OUT.keys())
+def test_empty_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    """--out '' names no file: every command refuses it while parsing, before
+    any work, and writes nothing (not even a temp file beside the directory)."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run([*argv, "--out", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(": error: argument --out: expected a file name, got ''\n")
+    assert [p.name for p in tmp_path.rglob("*")] == ["work"]

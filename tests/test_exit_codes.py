@@ -66,6 +66,9 @@ BAD_INPUTS = {
     "coherent-infinite-mass": (["state", "--coherent", "1,1", "--mass", "inf", "--grid", "-12:12:256",
                                 "--out", "{tmp}/draws.csv"], 2),
     "eval-far-point": (["density", "eval", "--var-x", "1", "--var-p", "1", "--x", "1e200", "--p", "0"], 0),
+    "state-empty-out": (["state", "--gaussian", "--grid=-10:10:256", "--out", ""], 1),
+    "eval-point-with-empty-out": (["density", "eval", "--var-x", "1", "--var-p", "1", "--x", "0", "--p", "0",
+                                   "--out", ""], 1),
     "eval-point-with-out": (["density", "eval", "--var-x", "1", "--var-p", "1", "--x", "0", "--p", "0",
                              "--out", "{tmp}/draws.csv"], 2),
     "gaussian-tiny-sigma": (["state", "--gaussian", "--sigma", "1e-200", "--grid", "-12:12:256",
@@ -218,7 +221,7 @@ def test_sigterm_leaves_no_temp_file_and_no_child(tmp_path, target):
         assert (process.returncode, out, err) == (-signal.SIGTERM, "", "")
     else:
         assert (process.returncode, out, err) == (
-            2, "", "error: the process writing the odd blocks of the file ended early (exit code 1)\n"
+            2, "", "error: the forked process making the odd blocks ended early (exit code 1)\n"
         )
     assert len(twins) == forks
     assert list(tmp_path.iterdir()) == []

@@ -27,7 +27,7 @@ from fluctlab import (
     oscillator_eigenstates,
     phase_space_moments,
 )
-from fluctlab import cli
+from fluctlab import cli, density
 from fluctlab import io as fio
 
 
@@ -552,7 +552,7 @@ def test_refusal_in_a_twin_block_leaves_no_file(tmp_path, forks):
 
 
 def test_killed_twin_fails_the_command_and_leaves_no_file(tmp_path, capsys, forks, monkeypatch):
-    parent, real_blocks = os.getpid(), cli.sample_blocks
+    parent, real_blocks = os.getpid(), density.sample_blocks
 
     def blocks_killed_in_the_twin(*args):
         for k, block in enumerate(real_blocks(*args)):
@@ -560,12 +560,12 @@ def test_killed_twin_fails_the_command_and_leaves_no_file(tmp_path, capsys, fork
                 os.kill(os.getpid(), 9)  # SIGKILL
             yield block
 
-    monkeypatch.setattr(cli, "sample_blocks", blocks_killed_in_the_twin)
+    monkeypatch.setattr(density, "sample_blocks", blocks_killed_in_the_twin)  # the handler imports it when it runs
     out = tmp_path / "draws.csv"
     argv = ["density", "sample", "--var-x", "1", "--var-p", "1", "--seed", "3", "--count", str(6 * B), "--out", str(out)]
     descriptors = len(os.listdir("/proc/self/fd"))
     assert cli.run(argv) == 2
-    assert capsys.readouterr().err == "error: the process writing the odd blocks of the file ended early (exit code -9)\n"
+    assert capsys.readouterr().err == "error: the forked process making the odd blocks ended early (exit code -9)\n"
     assert len(forks) == 1
     assert list(tmp_path.iterdir()) == []
     assert len(os.listdir("/proc/self/fd")) == descriptors
@@ -734,7 +734,7 @@ def test_killed_twin_fails_the_state_command_and_leaves_no_file(tmp_path, capsys
     monkeypatch.setattr(fio, "_values_text", text_killed_in_the_twin)
     descriptors = len(os.listdir("/proc/self/fd"))
     assert cli.run(["state", "--gaussian", f"--grid=-20:20:{3 * B}", "--out", str(tmp_path / "state.json")]) == 2
-    assert capsys.readouterr().err == "error: the process writing the odd blocks of the file ended early (exit code -9)\n"
+    assert capsys.readouterr().err == "error: the forked process making the odd blocks ended early (exit code -9)\n"
     assert len(forks) == 1
     assert list(tmp_path.iterdir()) == []
     assert len(os.listdir("/proc/self/fd")) == descriptors

@@ -53,7 +53,7 @@ def test_a_twin_that_dies_within_a_value_is_lost(forks, monkeypatch):
         os.kill(os.getpid(), 9)  # SIGKILL
 
     monkeypatch.setattr(_turns._Pair, "send", send_half)
-    lost = r"^the process writing the odd blocks of the file ended early \(exit code -9\)$"
+    lost = r"^the forked process making the odd blocks ended early \(exit code -9\)$"
     with pytest.raises(ChildProcessError, match=lost):
         list(_turns._shared(_value, iter(range(3))))
     assert len(forks) == 1
