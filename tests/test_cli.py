@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fluctlab import GridSpec, PureState
+from fluctlab import GaussianPacket, GridSpec, PureState, build_state
 from fluctlab import io as fio
 from fluctlab.cli import _out_path, build_parser, run
 
@@ -573,3 +573,30 @@ def test_empty_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     assert out == ""
     assert err.endswith(": error: argument --out: expected a file name, got ''\n")
     assert [p.name for p in tmp_path.rglob("*")] == ["work"]
+
+
+SLASHED_OUT = {
+    "state": ["state", "--gaussian", "--grid=-10:10:256"],
+    "density sample": ["density", "sample", "--var-x", "1", "--var-p", "1", "--count", "3", "--seed", "1"],
+    "audit": ["audit", "--in", "s.json"],
+}
+
+
+@pytest.mark.parametrize("out, refusal", [
+    ("newdir/", "[Errno 21] Is a directory: 'newdir/'"),
+    ("newdir/.", "[Errno 2] No such file or directory: 'newdir/.'"),
+    ("kept.txt/", "[Errno 21] Is a directory: 'kept.txt/'"),
+    ("kept.txt/.", "[Errno 20] Not a directory: 'kept.txt/.'"),
+], ids=["missing-slash", "missing-dot", "file-slash", "file-dot"])
+@pytest.mark.parametrize("argv", SLASHED_OUT.values(), ids=SLASHED_OUT.keys())
+def test_out_that_names_no_file_is_refused(tmp_path, capsys, monkeypatch, units, argv, out, refusal):
+    """An --out whose last name is no file's is refused as open(out, "w")
+    refuses it: exit 2, no file made or replaced, and no temp file."""
+    monkeypatch.chdir(tmp_path)
+    fio.save_state("s.json", build_state(GaussianPacket(), GridSpec(-10.0, 10.0, 256), units), units)
+    (tmp_path / "kept.txt").write_text("kept\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "kept.txt").read_text() == "kept\n"

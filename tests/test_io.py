@@ -5,9 +5,12 @@ import os
 import resource
 import stat
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluctlab import (
     CoherentState,
@@ -208,6 +211,13 @@ def test_ensemble_load_holds_one_members_floats(tmp_path, units, peak_bytes):
     peak = peak_bytes(lambda: fio.load_target(path))
     # the file's bytes and their decoded str are about 2x its size; every float of it at once is about 3.3x
     assert peak < 2.2 * os.path.getsize(path), (peak, os.path.getsize(path))
+
+
+def test_ensemble_load_holds_one_members_text(tmp_path, units, peak_bytes):
+    path = _write(tmp_path, _ensemble_doc(units, levels=40, grid=GridSpec(-16.0, 16.0, 1024)))
+    peak = peak_bytes(lambda: fio.load_target(path))
+    # the file is read a window at a time and each member decoded on its own, so its whole text is never held
+    assert peak < 1.0 * os.path.getsize(path), (peak, os.path.getsize(path))
 
 
 def test_number_arrays_take_ints_and_floats():
@@ -472,6 +482,31 @@ def test_write_into_a_fifo_reaches_its_reader(tmp_path):
     assert read == [_reference_samples_text(draws)]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+@pytest.mark.parametrize("cut", [0, 1], ids=["whole", "cut"])
+def test_load_from_a_fifo_reads_it_once(tmp_path, grid, units, cut):
+    """A pipe cannot be read again from its start, so one json.load reads it
+    whole: a valid state loads, and a cut one gets json.load's message."""
+    state = build_state(GaussianPacket(0.0, 0.0, 1.0), grid, units)
+    fio.save_state(str(tmp_path / "s.json"), state, units)
+    text = (tmp_path / "s.json").read_text()
+    text = text[: len(text) - cut]
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    if cut:
+        with pytest.raises(json.JSONDecodeError) as whole:
+            json.loads(text)
+        with pytest.raises(FileFormatError) as caught:
+            fio.load_state(str(fifo))
+        assert str(caught.value) == f"{fifo}: not valid JSON ({whole.value})"
+    else:
+        loaded, _ = fio.load_state(str(fifo))
+        assert np.array_equal(loaded.amplitudes, state.amplitudes)
+    writer.join(timeout=30)
+    assert not writer.is_alive()
 
 
 def test_write_into_a_pipe_through_proc_self_fd():
@@ -831,3 +866,122 @@ def test_load_refuses_a_top_level_list(tmp_path):
     path = _write(tmp_path, [STATE_DOC])
     with pytest.raises(FileFormatError, match=r"top level must be an object$"):
         fio.load_target(path)
+
+
+def _whole_load(path):
+    """The single json.load that reads a file whole: the reference for io._load_json."""
+    with open(path) as handle:
+        try:
+            doc = json.load(handle, object_hook=fio._admit_amplitudes)
+        except (ValueError, RecursionError) as exc:
+            raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{path}: top level must be an object")
+    return doc
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except FileFormatError as exc:
+        return exc
+
+
+def _same(a, b) -> bool:
+    """Equal values of the same types; arrays by dtype and array_equal, NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, FileFormatError):
+        return str(a) == str(b)
+    return a == b or a != a and b != b
+
+
+def _array(items, space):
+    return "[" + space + ("," + space).join(items) + space + "]"
+
+
+def _object(entries, space):
+    return "{" + space + ("," + space).join(key + space + ":" + space + value for key, value in entries) + space + "}"
+
+
+SPACE = st.text(" \t\n\r", max_size=3)
+STRING = st.builds(json.dumps, st.text(st.sampled_from('ab"\\/[]{},: é \n\t'), max_size=6),
+                   ensure_ascii=st.booleans())
+NUMBER = st.one_of(st.floats(), st.integers(-10**20, 10**20), st.integers(2**1024, 2**1030)).map(json.dumps)
+SCALAR = st.one_of(NUMBER, STRING, st.sampled_from(["true", "false", "null", "-0", "1e400", "0.5E-3"]))
+KEY = st.one_of(st.sampled_from(["units", "grid", "h", "n", "psi_re", "psi_im", "weights", "members"]).map(json.dumps),
+                STRING)
+AMPLITUDES = st.builds(_array, st.lists(st.one_of(NUMBER, st.sampled_from(["true", "false"])), max_size=5), SPACE)
+MEMBERS = st.builds(_array, st.lists(st.builds(
+    _object, st.lists(st.tuples(st.sampled_from(['"psi_re"', '"psi_im"']), AMPLITUDES), max_size=3), SPACE),
+    max_size=3), SPACE)
+VALUE = st.recursive(
+    st.one_of(SCALAR, AMPLITUDES),
+    lambda children: st.one_of(st.builds(_array, st.lists(children, max_size=3), SPACE),
+                               st.builds(_object, st.lists(st.tuples(KEY, children), max_size=3), SPACE)),
+    max_leaves=8,
+)
+DOCUMENT = st.builds(lambda entries, space: space + _object(entries, space) + space,
+                     st.lists(st.tuples(KEY, st.one_of(VALUE, MEMBERS)), max_size=6), SPACE)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(text=DOCUMENT, mutation=st.sampled_from(["none", "cut", "trailing comma", "extra data", "bom", "list"]),
+       window=st.integers(1, 7), data=st.data())
+def test_windowed_load_is_one_json_load(tmp_path_factory, text, mutation, window, data):
+    """Any text, read through a window of 1 to 7 characters, so that every key,
+    number, literal and escape straddles reads, loads as one json.load of the
+    whole file loads it, or fails with its message; and the walk itself takes
+    every text that is a JSON object, so none of them is read twice."""
+    if mutation == "cut":
+        text = text[: data.draw(st.integers(0, len(text) - 1), label="cut at")]
+    elif mutation == "trailing comma":
+        end = text.rindex("}")
+        text = text[:end] + "," + text[end:]
+    elif mutation == "extra data":
+        text += data.draw(st.sampled_from([" 1", "{}", "x", "]", "\f"]), label="extra")
+    elif mutation == "bom":
+        text = "﻿" + text
+    elif mutation == "list":
+        text = data.draw(st.one_of(VALUE, st.just(_array([text], ""))), label="top level")
+    path = str(tmp_path_factory.getbasetemp() / "window.json")
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
+    with mock.patch.object(fio, "_WINDOW", window), mock.patch.object(json, "load", wraps=json.load) as whole:
+        loaded = _outcome(fio._load_json, path)
+    expected = _outcome(_whole_load, path)
+    assert _same(loaded, expected), (text, loaded, expected)
+    assert whole.called != isinstance(expected, dict), text  # json.load reads only what the walk does not take
+
+
+def _nested_depth(value) -> int:
+    """The depth of [[...[]...]]: a list that holds one list, and so on down to []."""
+    depth = 0
+    while value:
+        value, depth = value[0], depth + 1
+    return depth + 1
+
+
+def test_deep_nesting_is_json_loads(tmp_path):
+    """A value nested deeper than _Window decodes goes to json.load, so the
+    recursion limit refuses the same files that one json.load refuses (here
+    from a depth of about 950 on)."""
+    path = str(tmp_path / "deep.json")
+    for depth in (fio._NESTING - 1, fio._NESTING, fio._NESTING + 1, *range(880, 1001)):
+        nested = "[" * depth + "]" * depth
+        for key, text in (("a", '{"a": %s}' % nested), ("members", '{"members": [%s]}' % nested)):
+            with open(path, "w") as handle:
+                handle.write(text)
+            loaded, expected = _outcome(fio._load_json, path), _outcome(_whole_load, path)
+            assert type(loaded) is type(expected), depth
+            if isinstance(expected, FileFormatError):
+                assert str(loaded) == str(expected)
+            else:
+                assert list(loaded) == [key]
+                assert _nested_depth(loaded[key]) == _nested_depth(expected[key]) == depth + (key == "members")

@@ -2,6 +2,7 @@
 load, and one basis build per thermal sweep."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -36,19 +37,39 @@ def test_pure_moments_equal_one_member_mixture(recipe, grid, units):
     assert entropy_surrogate(state) == 0.0
 
 
-def _count_json_loads(monkeypatch):
-    calls = []
+def _count_reads(monkeypatch):
+    """[path, characters read] for each file fluctlab.io opens, and the files json.load reads."""
+    opened, json_loads = [], []
+
+    def counting_open(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)
+        entry = [path, 0]
+        opened.append(entry)
+        read = handle.read
+
+        def counting_read(*size):
+            text = read(*size)
+            entry[1] += len(text)
+            return text
+
+        handle.read = counting_read
+        return handle
+
     original = json.load
 
-    def counting(handle, *args, **kwargs):
-        calls.append(handle.name)
+    def counting_load(handle, *args, **kwargs):
+        json_loads.append(handle.name)
         return original(handle, *args, **kwargs)
 
-    monkeypatch.setattr(json, "load", counting)
-    return calls
+    monkeypatch.setattr(fio, "open", counting_open, raising=False)
+    monkeypatch.setattr(json, "load", counting_load)
+    return opened, json_loads
 
 
 def test_load_target_parses_each_file_once(tmp_path, grid, units, monkeypatch):
+    """A valid file is opened once and each of its characters read once, by
+    the streamed reader; a bad one is read again from its start, by one
+    json.load, which names the fault."""
     state = build_state(GaussianPacket(), grid, units)
     ensemble = MixedEnsemble(
         np.array([0.25, 0.75]),
@@ -57,22 +78,34 @@ def test_load_target_parses_each_file_once(tmp_path, grid, units, monkeypatch):
     state_path, ensemble_path = str(tmp_path / "s.json"), str(tmp_path / "e.json")
     fio.save_state(state_path, state, units)
     fio.save_ensemble(ensemble_path, ensemble, units)
-    calls = _count_json_loads(monkeypatch)
+    state_size, ensemble_size = os.path.getsize(state_path), os.path.getsize(ensemble_path)
+    opened, json_loads = _count_reads(monkeypatch)
 
     loaded, _ = fio.load_target(state_path)
-    assert calls == [state_path]
+    assert opened == [[state_path, state_size]]
     assert isinstance(loaded, PureState)
     np.testing.assert_array_equal(loaded.amplitudes, state.amplitudes)
 
     loaded, _ = fio.load_target(ensemble_path)
-    assert calls == [state_path, ensemble_path]
+    assert opened == [[state_path, state_size], [ensemble_path, ensemble_size]]
     assert isinstance(loaded, MixedEnsemble)
     np.testing.assert_array_equal(loaded.weights, ensemble.weights)
+    assert json_loads == []
 
     with pytest.raises(FileFormatError):
         fio.load_state(ensemble_path)
     with pytest.raises(FileFormatError):
         fio.load_ensemble(state_path)
+    assert json_loads == []
+
+    bad_path = str(tmp_path / "bad.json")
+    with open(bad_path, "w") as handle:
+        handle.write(open(ensemble_path).read()[:-1])
+    del opened[:]
+    with pytest.raises(FileFormatError, match="not valid JSON"):
+        fio.load_target(bad_path)
+    assert opened == [[bad_path, 2 * os.path.getsize(bad_path)]]
+    assert json_loads == [bad_path]
 
 
 def test_thermal_sweep_builds_levels_once(units, monkeypatch, tmp_path, forks):
