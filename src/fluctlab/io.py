@@ -365,7 +365,7 @@ class _Window:
             pieces = [self.text[self.pos :]]
             while (piece := self.handle.read(_WINDOW)) and end.find(piece) < 0:
                 pieces.append(piece)
-            pieces.append(piece)
+            pieces.append(piece)  # the piece that holds the end, or "" at the end of the file
             self.text, self.pos = "".join(pieces), 0  # the pending reads, joined once
             del pieces  # so that the text is held once while it is decoded
         value, self.pos = self.decode(self.text, self.pos)
