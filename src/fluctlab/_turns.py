@@ -1,8 +1,8 @@
 """The one place where fluctlab forks: _shared, one loop whose odd items a
 forked twin (_Pair) computes and sends back, and its two users.  write_blocks
-writes a table or document that io writes to a file a block at a time
-(Blocks, the text to write), the twin formatting the odd blocks and this
-process writing them all; shared_map measures the sweeps' levels.
+writes a table or document that io writes, to a file or to stdout, a block
+at a time (Blocks, the text to write), the twin formatting the odd blocks
+and this process writing them all; shared_map measures the sweeps' levels.
 BLOCK_ROWS, the rows of one block, lives here beside the block writer, and
 io, density and scenarios take it from here.
 

@@ -245,18 +245,16 @@ def _cmd_density_normcheck(args) -> int:
 
 
 def _emit_rows(args, chunks, detail: str) -> int:
-    """Write text chunks (an io.Table among them) to --out, or to stdout ending
-    in a newline; detail goes in the `wrote` line."""
+    """Write text chunks or an io.Table, as every file is written, to --out
+    with detail in the `wrote` line, or to stdout ending in a newline: a CSV
+    table (an io.Table with no tail) ends its own last line."""
     if args.out:
         io.atomic_write_text(args.out, chunks)
         print(f"wrote {args.out} ({detail})")
-        return 0
-    last = ""
-    for chunk in chunks:
-        sys.stdout.write(chunk)
-        last = chunk or last
-    if not last.endswith("\n"):
-        sys.stdout.write("\n")
+    else:
+        io._write(sys.stdout, chunks)
+        if not isinstance(chunks, io.Table) or chunks.tail:
+            sys.stdout.write("\n")
     return 0
 
 

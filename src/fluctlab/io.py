@@ -29,19 +29,20 @@ walk headers their row fields.  State and ensemble files are json.dumps'
 text, their lists written BLOCK_ROWS values at a time.  Scans, samples,
 walks and documents are streamed, so their memory is one block.  Every
 Blocks source of two blocks or more (documents, write_scan_csv's mesh, the
-command line's samples and walks) is formatted for a file by two processes
-when _turns.second_cpu() holds: os.fork exists, os.sched_getaffinity offers
-two CPUs and no other Python thread runs.  A forked twin formats the odd
-blocks and sends them back over a pipe, and this process writes every
-block.  The sweeps' levels are measured by two processes the same way
-(_turns.shared_map), with the same forked twin (_turns._Pair).  A refused
-fork leaves the work to one process; a sweep that fails in either process
-is measured again by one, and a file whose twin ends early is not written.
-write_samples_csv writes a caller's blocks in one process, as plain chunks,
-and one process writes anything on stdout.  Moments are
-numpy's pairwise sums, not BLAS dot products, so no output depends on the
-OpenBLAS thread count.  Python 3.12 and later warn (DeprecationWarning)
-when a process with threads forks, and numpy's OpenBLAS keeps one.
+command line's samples and walks) is formatted by two processes, for a file
+or for stdout alike, when _turns.second_cpu() holds: os.fork exists,
+os.sched_getaffinity offers two CPUs and no other Python thread runs.  A
+forked twin formats the odd blocks and sends them back over a pipe, and
+this process writes every block.  The sweeps' levels are measured by two
+processes the same way (_turns.shared_map), with the same forked twin
+(_turns._Pair).  A refused fork leaves the work to one process; a sweep that
+fails in either process is measured again by one, and a file whose twin ends
+early is not written.  write_samples_csv writes a caller's blocks in one
+process, as plain chunks.  Moments are numpy's pairwise sums, not BLAS dot
+products, so no output depends on the OpenBLAS thread count.  Python 3.12
+and later warn (DeprecationWarning) when a process with threads forks, and
+numpy's OpenBLAS keeps one, so a table written to a file or to stdout may
+print that warning.
 MAX_ROWS = 2**27 rows (1 GiB of float64 values) is the one size limit of
 the command line: it refuses a scan, a sample, a walk (steps + 1 rows) or
 a --grid of levels x N values above it with exit code 2 before allocating
@@ -52,12 +53,13 @@ grows with N, not levels x N.
 Every output is written to a temp file beside the real target (a symlink's
 target, not the link), created by open(..., "x") under a random
 .fluctlab-*.tmp name, so the kernel gives it the mode of an ordinary open()
-under the process umask (0o644 under umask 022); a rename then puts it in
-place.  A path that reaches an open descriptor of this process
-(/proc/self/fd/N, /dev/fd/N, /dev/stdout) is written through a duplicate of
-that descriptor, keeping its offset and O_APPEND, and an existing FIFO or
-device is written directly; either can be left with partial output by a
-failure.
+under the process umask (0o644 under umask 022); one that replaces a
+regular file is given that file's permission bits, as open() would keep
+them.  A rename then puts it in place.  A path that reaches an open
+descriptor of this process (/proc/self/fd/N, /dev/fd/N, /dev/stdout) is
+written through a duplicate of that descriptor, keeping its offset and
+O_APPEND, and an existing FIFO or device is written directly; either can be
+left with partial output by a failure.
 Every command loads this module, so it imports no density module, and the
 modules it does use only where they are used: states where a state is built
 (_parse_grid and _parse_document), scenarios in sweep_rows_csv and
@@ -96,15 +98,16 @@ value takes 16 bytes, so a --grid needs more."""
 def atomic_write_text(path: str, text) -> None:
     """Write text (a str, an iterable of str chunks, or Blocks) to path via a
     temp file and rename, so failures leave no partial file.  A symlink is
-    followed: the file it points to is written, and the link stays.  A path
-    that reaches an open descriptor of this process (/proc/self/fd/N,
-    /dev/fd/N, /dev/stdout) is written through a duplicate of that
-    descriptor, at its offset and with its O_APPEND; a path that names an
-    existing file that is not regular (a FIFO, a device) is opened and
-    written directly.  Neither has a temp file, so a failure there can leave
-    partial output.  A path whose last name is empty, "." or ".." (one that
-    ends in a separator, say) names no file, and is refused as
-    open(path, "w") refuses it."""
+    followed: the file it points to is written, and the link stays.  A file
+    replaced keeps its permission bits.  A path that reaches an open
+    descriptor of this process (/proc/self/fd/N, /dev/fd/N, /dev/stdout) is
+    written through a duplicate of that descriptor, at its offset and with
+    its O_APPEND; a path that names an existing file that is not regular (a
+    FIFO, a device) is opened and written directly.  Neither has a temp
+    file, so a failure there can leave partial output.  A path whose last name is empty, "." or ".." (one that
+    ends in a separator, say) names no file, and a path that os.stat cannot
+    follow for any reason but a missing file (a symlink loop, say) may not
+    either: both are refused as open(path, "w") refuses them."""
     fd = _descriptor(path)
     if fd is not None:
         with open(os.dup(fd), "w") as handle:
@@ -112,10 +115,12 @@ def atomic_write_text(path: str, text) -> None:
         return
     try:
         mode = os.stat(path).st_mode
-    except OSError:  # nothing there yet, or not reachable: the temp file below makes it or reports why not
-        mode = stat.S_IFREG
+    except FileNotFoundError:  # nothing there yet (a dangling link's target, say): the temp file below makes it
+        mode = None
+    except OSError:  # a link loop, say: open() below refuses it with its own error
+        mode = 0
     # a last name that is no file's ("dir/", "dir/.") goes to open() too, which refuses it where realpath would drop it
-    if not stat.S_ISREG(mode) or os.path.basename(path) in ("", ".", ".."):
+    if (mode is not None and not stat.S_ISREG(mode)) or os.path.basename(path) in ("", ".", ".."):
         with open(path, "w") as handle:
             _write(handle, text)
         return
@@ -124,6 +129,8 @@ def atomic_write_text(path: str, text) -> None:
     handle = open(tmp, "x")  # exclusive, so it never follows a link or takes over a file
     try:
         with handle:
+            if mode is not None:  # a file replaced keeps its permission bits
+                os.fchmod(handle.fileno(), stat.S_IMODE(mode) & 0o777)
             _write(handle, text)
         os.replace(tmp, path)
     except BaseException:

@@ -237,7 +237,16 @@ def _gaussian_amplitudes(grid, center, momentum, sigma, units):
     require_finite("phase momentum*x/hbar", momentum * max(abs(grid.x_min), abs(float(x[-1]))) * (1.0 / units.hbar))
     with np.errstate(over="ignore"):  # an overflow here is +inf, and exp(-inf) is exactly 0
         envelope = (TWO_PI * variance) ** -0.25 * np.exp(-((x - center) ** 2) / (4.0 * variance))
+    if not envelope.any():
+        raise _vanishing(f"packet of center {center!r} and sigma {sigma!r}", center, grid)
     return envelope * np.exp(1j * momentum * x / units.hbar)
+
+
+def _vanishing(what: str, center: float, grid: GridSpec) -> InvalidRecipe:
+    """The refusal of what, centered at center, that is 0 at every grid point."""
+    where = f"narrower than the grid step {grid.dx!r}" if grid.x_min <= center <= grid.x_max else "outside the grid"
+    return InvalidRecipe(f"{what} must be finite and nonzero on the grid, but it vanishes on every grid point: "
+                         f"it is {where}")
 
 
 def _hermite_rows(n_max, mass, omega, grid, units):
@@ -258,9 +267,7 @@ def _eigenstate_level(grid: GridSpec, item) -> PureState:
     """Oscillator level n from its item (n, h_n, sqrt(s)) of _hermite_rows, renormalized on the grid."""
     n, row, factor = item
     if not row.any():  # exp(-0.5*xi*xi) is 0 at every grid point
-        where = f"narrower than the grid step {grid.dx!r}" if grid.x_min <= 0 <= grid.x_max else "outside the grid"
-        raise InvalidRecipe(f"eigenstate n={n} must be finite and nonzero on the grid, but it vanishes on "
-                            f"every grid point: it is {where}")
+        raise _vanishing(f"eigenstate n={n}", 0.0, grid)
     try:
         return _normalized_state(grid, np.multiply(row, factor, out=np.empty(row.shape, np.complex128)))
     except DecayGuardViolation as exc:

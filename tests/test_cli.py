@@ -1,8 +1,10 @@
 """Command-line behavior: pipelines, output formats, exit codes."""
 
 import argparse
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -221,6 +223,27 @@ def test_vanishing_eigenstate_is_named(tmp_path, capsys):
     assert run(["state", "--eigenstate", "0", "--grid=40:50:64", "--out", out]) == 2
     assert capsys.readouterr().err.endswith("eigenstate n=0 must be finite and nonzero on the grid, "
                                             "but it vanishes on every grid point: it is outside the grid\n")
+
+
+@pytest.mark.parametrize("argv, packet, where", [
+    (["--gaussian", "--center", "1000"], "center 1000.0 and sigma 1.0", "outside the grid"),
+    (["--gaussian", "--sigma", "1e-4", "--center", "0.01"], "center 0.01 and sigma 0.0001",
+     "narrower than the grid step 0.09375"),
+    (["--coherent", "1e200"], "center 1.414213562373095e+200 and sigma 0.7071067811865476", "outside the grid"),
+], ids=["gaussian-outside", "gaussian-narrow", "coherent-outside"])
+def test_vanishing_packet_is_named(tmp_path, capsys, argv, packet, where):
+    """A packet that is 0 at every grid point is refused as an eigenstate is,
+    naming its center and sigma, instead of by its zero norm."""
+    assert run(["state", *argv, "--grid=-12:12:256", "--out", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: packet of {packet} must be finite and nonzero on the grid, "
+                                       f"but it vanishes on every grid point: it is {where}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_coherent_flag_without_an_imaginary_part(tmp_path, capsys):
+    for alpha in ("1.5", "1.5,0"):
+        assert run(["state", "--coherent", alpha, "--grid=-12:12:256", "--out", str(tmp_path / f"{alpha}.json")]) == 0
+    assert (tmp_path / "1.5.json").read_bytes() == (tmp_path / "1.5,0.json").read_bytes()
 
 
 def test_strict_audit_flags_below_bound(tmp_path, capsys, units):
@@ -587,16 +610,23 @@ SLASHED_OUT = {
     ("newdir/.", "[Errno 2] No such file or directory: 'newdir/.'"),
     ("kept.txt/", "[Errno 21] Is a directory: 'kept.txt/'"),
     ("kept.txt/.", "[Errno 20] Not a directory: 'kept.txt/.'"),
-], ids=["missing-slash", "missing-dot", "file-slash", "file-dot"])
+    ("loop", f"[Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: 'loop'"),
+    ("a", f"[Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: 'a'"),
+], ids=["missing-slash", "missing-dot", "file-slash", "file-dot", "link-loop", "two-link-loop"])
 @pytest.mark.parametrize("argv", SLASHED_OUT.values(), ids=SLASHED_OUT.keys())
 def test_out_that_names_no_file_is_refused(tmp_path, capsys, monkeypatch, units, argv, out, refusal):
-    """An --out whose last name is no file's is refused as open(out, "w")
-    refuses it: exit 2, no file made or replaced, and no temp file."""
+    """An --out whose last name is no file's, or that is a symlink loop (which
+    _descriptor follows for its 40 links), is refused as open(out, "w")
+    refuses it: exit 2, no file or link made or replaced, and no temp file."""
     monkeypatch.chdir(tmp_path)
     fio.save_state("s.json", build_state(GaussianPacket(), GridSpec(-10.0, 10.0, 256), units), units)
     (tmp_path / "kept.txt").write_text("kept\n")
+    links = {"loop": "loop", "a": "b", "b": "a"}
+    for name, target in links.items():
+        os.symlink(target, name)
     before = sorted(p.name for p in tmp_path.iterdir())
     assert run([*argv, "--out", out]) == 2
     assert capsys.readouterr().err == f"error: {refusal}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert (tmp_path / "kept.txt").read_text() == "kept\n"
+    assert {name: os.readlink(name) for name in links} == links

@@ -275,6 +275,8 @@ REFUSALS = {
                                "--out", "{tmp}/s.csv"], "scan mode needs --scan-x, --scan-p, and --out"),
     "coherent-three-parts": (["state", "--coherent", "1,2,3", "--grid", "-12:12:256", "--out", "{tmp}/s.json"],
                              "complex flag must be RE or RE,IM, got '1,2,3'"),
+    "coherent-not-a-number": (["state", "--coherent", "abc", "--grid", "-12:12:256", "--out", "{tmp}/s.json"],
+                              "complex flag must be RE or RE,IM, got 'abc'"),
     "temperatures-empty": (["scenario", "thermalsweep", "--temperatures", ",", "--n-max", "4",
                             "--grid", "-12:12:256"], "need at least one temperature"),
     "temperatures-not-a-number": (["scenario", "thermalsweep", "--temperatures", "a", "--n-max", "4",

@@ -30,7 +30,7 @@ from fluctlab import (
     oscillator_eigenstates,
     phase_space_moments,
 )
-from fluctlab import cli, density
+from fluctlab import cli, density, scenarios
 from fluctlab import io as fio
 
 
@@ -431,6 +431,27 @@ def test_outputs_get_umask_mode(tmp_path, umask, mode):
     assert (tmp_path / "draws.csv").stat().st_mode & 0o777 == mode
 
 
+@pytest.mark.parametrize("mode", [0o600, 0o640], ids=["0600", "0640"])
+@pytest.mark.parametrize("writer", ["atomic_write_text", "save_state", "through-a-symlink"])
+def test_a_replaced_file_keeps_its_permission_bits(tmp_path, units, writer, mode):
+    """open(path, "w") keeps an existing file's mode; so does the rename that
+    replaces it, whatever the umask would give a new file."""
+    target = tmp_path / "out.json"
+    target.write_text("old")
+    target.chmod(mode)
+    path = str(target)
+    if writer == "through-a-symlink":
+        path = str(tmp_path / "link.json")
+        os.symlink("out.json", path)
+    if writer == "save_state":
+        fio.save_state(path, build_state(GaussianPacket(), GridSpec(-10.0, 10.0, 64), units), units)
+    else:
+        fio.atomic_write_text(path, "payload")
+    assert target.stat().st_mode & 0o7777 == mode
+    assert target.read_text() != "old"
+    assert not list(tmp_path.glob(".fluctlab-*.tmp"))
+
+
 def _samples_table(draws):
     """The draws as the command line writes its samples: a Table, which a forked twin writes with this process."""
     columns = ((block[:, 0].tolist(), block[:, 1].tolist()) for block in _blocks(draws))
@@ -624,6 +645,41 @@ def test_interrupt_in_the_parent_kills_the_twin_and_leaves_no_file(tmp_path, for
         )
     assert len(forks) == 1
     assert list(tmp_path.iterdir()) == []
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
+WALK_ARGV = ["scenario", "walk", "--var-x", "1", "--var-p", "1", "--step-size", "0.1", "--seed", "1"]
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+def test_a_walk_on_stdout_forks_once_and_prints_its_file(tmp_path, capsys, same_text, forks, form):
+    """stdout gets a table through the writer every file goes through: the same
+    bytes, and for JSON a newline after them, with the twin formatting the odd blocks."""
+    argv = [*WALK_ARGV, "--steps", "10000", "--format", form]  # 10001 rows: 3 blocks
+    assert cli.run(argv) == 0
+    assert len(forks) == 1
+    printed = capsys.readouterr().out
+    assert cli.run([*argv, "--out", str(tmp_path / "walk")]) == 0
+    assert len(forks) == 2
+    same_text(printed, (tmp_path / "walk").read_text() + ("\n" if form == "json" else ""))
+
+
+def test_interrupt_in_the_parent_kills_the_twin_of_a_stdout_table(monkeypatch, forks):
+    """A walk printed to stdout forks its twin as a file does, and an interrupt
+    in the parent's own block kills and reaps it (the autouse fixture checks)."""
+    parent, real_walk_blocks = os.getpid(), scenarios.walk_blocks
+
+    def walk_blocks(*args):
+        for k, block in enumerate(real_walk_blocks(*args)):
+            if k == 2 and os.getpid() == parent:  # the parent's second block; the twin made block 1
+                raise KeyboardInterrupt
+            yield block
+
+    monkeypatch.setattr(scenarios, "walk_blocks", walk_blocks)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(KeyboardInterrupt):
+        cli.run([*WALK_ARGV, "--steps", str(3 * B)])
+    assert len(forks) == 1
     assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
@@ -932,7 +988,8 @@ DOCUMENT = st.builds(lambda entries, space: space + _object(entries, space) + sp
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(text=DOCUMENT, mutation=st.sampled_from(["none", "cut", "trailing comma", "extra data", "bom", "list"]),
+@given(text=DOCUMENT, mutation=st.sampled_from(["none", "cut", "trailing comma", "extra data", "bom", "list",
+                                                "key not a string"]),
        window=st.integers(1, 7), data=st.data())
 def test_windowed_load_is_one_json_load(tmp_path_factory, text, mutation, window, data):
     """Any text, read through a window of 1 to 7 characters, so that every key,
@@ -950,6 +1007,9 @@ def test_windowed_load_is_one_json_load(tmp_path_factory, text, mutation, window
         text = "﻿" + text
     elif mutation == "list":
         text = data.draw(st.one_of(VALUE, st.just(_array([text], ""))), label="top level")
+    elif mutation == "key not a string":
+        start = text.index("{") + 1
+        text = text[:start] + data.draw(st.sampled_from(["1", "null", "[]", "{}"]), label="first key") + ":1," + text[start:]
     path = str(tmp_path_factory.getbasetemp() / "window.json")
     with open(path, "w", newline="") as handle:
         handle.write(text)

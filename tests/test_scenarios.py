@@ -225,6 +225,11 @@ def test_thermal_sweep_matches_coth(units):
     assert rows[2].entropy_surrogate > rows[1].entropy_surrogate > 0.0
 
 
+def test_thermal_sweep_of_no_temperatures_is_empty(units, monkeypatch):
+    monkeypatch.setattr(scenarios, "_level_moments", lambda *args: pytest.fail("a level was measured"))
+    assert thermal_sweep([], 1.0, 1.0, 40, GridSpec(-15.0, 15.0, 2048), units) == []
+
+
 def test_thermal_sweep_monotone(units):
     grid = GridSpec(-15.0, 15.0, 2048)
     rows = thermal_sweep([0.1, 0.25, 0.5, 1.0], 1.0, 1.0, 60, grid, units)
