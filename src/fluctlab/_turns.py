@@ -1,18 +1,21 @@
 """The one place where fluctlab forks: _shared, one loop whose odd items a
-forked twin (_Pair) computes and sends back, and its two users.  write_blocks
-writes a table or document that io writes, to a file or to stdout, a block
-at a time (Blocks, the text to write), the twin formatting the odd blocks
-and this process writing them all; shared_map measures the sweeps' levels.
+forked twin (_Pair) computes and sends back, and its three users.
+write_blocks writes a table or document that io writes, to a file or to
+stdout, a block at a time (Blocks, the text to write), the twin formatting
+the odd blocks and this process writing them all; shared_map measures the
+sweeps' levels; and io._load_json decodes a state or ensemble file, the twin
+decoding every other value of the walk (io._Window) and sending it back.
 BLOCK_ROWS, the rows of one block, lives here beside the block writer, and
 io, density and scenarios take it from here.
 
-Both fork only when second_cpu() holds.  A refused fork leaves the work to
-one process, and so does any error in shared_map, which then raises the
-serial loop's error; a table or document whose twin ends early is not
-written.  shared_map pays only because the moments it computes use no BLAS:
-two OpenBLAS thread pools on two CPUs made the eigensweep twice as slow as
-one process, and numpy's pairwise sums give the same bits whatever the
-thread count, which the dot products did not.
+All three fork only when second_cpu() holds.  A refused fork leaves the work
+to one process, and so does any error in shared_map, which then raises the
+serial loop's error, and any error in a load but the walk's own refusal,
+which then walks the file again alone; a table or document whose twin ends
+early is not written.  shared_map pays only because the moments it computes
+use no BLAS: two OpenBLAS thread pools on two CPUs made the eigensweep twice
+as slow as one process, and numpy's pairwise sums give the same bits
+whatever the thread count, which the dot products did not.
 
 Kept apart from io because each module is compiled on its own: where no
 bytecode is cached (PYTHONDONTWRITEBYTECODE), one io.py holding the block
@@ -43,7 +46,8 @@ class Blocks:
     once) that has rows, then tail.  A forked copy of blocks must yield the
     same blocks (they replay), as the twin of write_blocks makes the odd ones
     from its own copy.  A caller's iterable, such as one reading a file
-    through a shared offset, does not replay: write it as plain chunks."""
+    through a shared offset, does not replay: write it as plain chunks.
+    (io._Window replays because it reads at an offset of its own, by os.pread.)"""
 
     def __init__(self, head: str, tail: str, text, blocks):
         self.head, self.tail, self.text, self.blocks = head, tail, text, blocks

@@ -7,20 +7,23 @@ and hands the parsed document to one parser; loaders re-verify
 normalization and the decay guard instead of silently repairing data, and
 refuse with FileFormatError what Python itself cannot read: integers too
 large for a float or longer than its digit limit, and nesting deeper than
-its recursion limit.  A load reads its file _WINDOW (16 Ki) characters at
-a time and decodes one top-level value, or one ensemble member, at a time
-(_Window), so it holds the window, one value's text, that value's Python
-floats and the amplitudes as float64 arrays, never the file's whole text:
-the decoder's object hook turns an object's psi_re and psi_im into arrays
-as soon as the object is decoded, a state's top-level lists become arrays
-as soon as each is decoded, and each member's arrays are dropped once its
-state is built.  An audit of a 121-member ensemble of 4096 points (a
-13.6 MB file) peaks at about 39 MB of resident memory, against 54 MB when
-the whole text was read first and 79 MB when every float was built first;
-loading a 40-member ensemble of 1024 points peaks at 0.71 times its file
-size under tracemalloc, against 2.0 times.  A file that is not a JSON
-object, or not valid JSON, is read again from its start by one json.load,
-so every refusal and its message are json.load's.
+its recursion limit.  A load reads its file _WINDOW (16 Ki) bytes at a
+time, by os.pread, and decodes one top-level value, or one ensemble member,
+at a time (_Window), so it holds the window, one value's text, that value's
+Python floats and the amplitudes as float64 arrays, never the file's whole
+text: the decoder's object hook turns an object's psi_re and psi_im into
+arrays as soon as the object is decoded, a state's top-level lists become
+arrays as soon as each is decoded, and each member's arrays are dropped once
+its state is built.  With two CPUs a forked twin decodes every other value
+(_turns._shared): both processes walk the whole file, each at its own
+offset, and the twin sends back the values it decodes.  An audit of a
+121-member ensemble of 4096 points (a 13.6 MB file) peaks at about 39 MB of
+resident memory, against 54 MB when the whole text was read first and 79 MB
+when every float was built first; loading a 40-member ensemble of 1024
+points peaks at 0.69 times its file size under tracemalloc in this process,
+against 2.0 times.  A file that is not a JSON object, or not valid JSON, is
+read again from its start by one json.load, so every refusal and its
+message are json.load's.
 
 Every table (a scan, samples, a sweep, a walk) is a header plus rows from
 one formatter, _block_text, shared by table_chunks and the file writer:
@@ -35,9 +38,10 @@ os.sched_getaffinity offers two CPUs and no other Python thread runs.  A
 forked twin formats the odd blocks and sends them back over a pipe, and
 this process writes every block.  The sweeps' levels are measured by two
 processes the same way (_turns.shared_map), with the same forked twin
-(_turns._Pair).  A refused fork leaves the work to one process; a sweep that
-fails in either process is measured again by one, and a file whose twin ends
-early is not written.  write_samples_csv writes a caller's blocks in one
+(_turns._Pair), and so are the values of a state or ensemble file (_Window).
+A refused fork leaves the work to one process; a sweep or a load that fails
+in either process is done again by one, and a file whose twin ends early is
+not written.  write_samples_csv writes a caller's blocks in one
 process, as plain chunks.  Moments are numpy's pairwise sums, not BLAS dot
 products, so no output depends on the OpenBLAS thread count.  Python 3.12
 and later warn (DeprecationWarning) when a process with threads forks, and
@@ -68,19 +72,21 @@ walk_rows_csv.  BLOCK_ROWS comes from _turns, beside the block writer.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import dataclasses
 import json
 import os
 import re
 import stat
+from collections import deque
 from functools import partial
-from itertools import chain
+from itertools import chain, count
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._turns import BLOCK_ROWS, Blocks, write_blocks
+from ._turns import BLOCK_ROWS, Blocks, _shared, write_blocks
 from .errors import FileFormatError, GridMismatch
 from .units import UnitSystem
 
@@ -281,17 +287,27 @@ def _admit_amplitudes(obj: dict) -> dict:
     float64 arrays at once when _number_array admits them, so the floats of
     one member are freed before the next member is read.  A list it refuses
     stays a list, for the parser to name under its path."""
-    for key in ("psi_re", "psi_im"):
-        if isinstance(obj.get(key), list):
-            with contextlib.suppress(FileFormatError):
-                obj[key] = _number_array(obj[key], key)
+    for key in _AMPLITUDES:
+        if key in obj:
+            obj[key] = _admitted(obj[key])
     return obj
 
 
+_AMPLITUDES = ("psi_re", "psi_im")
+
+
+def _admitted(values):
+    """values as a float64 array when it is a list that _number_array admits; anything else as it is."""
+    if isinstance(values, list):
+        with contextlib.suppress(FileFormatError):
+            return _number_array(values, "")
+    return values
+
+
 _WINDOW = 1 << 14
-"""Characters read from a state or ensemble file at a time.  Loading a
-40-member ensemble of 1024 points (a 1.1 MB file) peaks at 0.71 times its
-size under tracemalloc with 16 Ki, 0.88 with 64 Ki, and 3.4 with 1 Mi,
+"""Bytes read from a state or ensemble file at a time.  Loading a 40-member
+ensemble of 1024 points (a 1.1 MB file) in one process peaked at 0.71 times
+its size under tracemalloc with 16 Ki, 0.88 with 64 Ki, and 3.4 with 1 Mi,
 which holds that whole file in the window."""
 
 _NESTING = 100
@@ -303,52 +319,92 @@ _SCALAR = re.compile(r"[\w.+-]*")  # every character a number or a literal can h
 
 
 class _Window:
-    """A JSON file read _WINDOW characters at a time.  Its top-level object is
+    """A JSON file read _WINDOW bytes at a time.  Its top-level object is
     walked here, and each key and value in it is decoded whole by one
     raw_decode once its end is in the window, so a load holds the window,
-    one value's text and what is decoded, never the file's whole text."""
+    one value's text and what is decoded, never the file's whole text.
+
+    The walk's values (each top-level value, and each element of a top-level
+    "members" list) are the items of a _turns._shared loop: with two CPUs, a
+    forked twin decodes the odd ones and sends them back, and this process
+    decodes the even ones.  Both processes walk the whole file, finding where
+    every value ends, so each reads it with os.pread at an offset of its own
+    and an incremental decoder of the handle's encoding: the descriptor's
+    offset, which a fork shares, is never moved, so neither process's reads
+    move the other's.  Newlines are not translated as the handle would
+    translate them, which changes no value: no JSON value holds a raw line
+    break, and between values "\r" and "\n" are both whitespace."""
 
     def __init__(self, handle):
-        self.handle, self.text, self.pos = handle, "", 0
+        self.fd, self.offset = handle.fileno(), 0
+        self.chars = codecs.getincrementaldecoder(handle.encoding)(handle.errors)
+        self.text, self.pos = "", 0
         self.decode = json.JSONDecoder(object_hook=_admit_amplitudes).raw_decode
 
-    def document(self) -> dict:
+    def document(self, loop) -> dict:
         """The file's top-level object as json.load with _admit_amplitudes
         returns it, or ValueError where the walk stops short of that (a top
         level that is not an object, bad syntax, extra data, deep nesting).
-        A top-level "members" list is decoded one element at a time, and
-        top-level psi_re and psi_im are admitted as soon as they are decoded."""
-        doc = {}
+        loop is _shared, or _alone for one process.  A top-level "members"
+        list is decoded one element at a time, and top-level psi_re and
+        psi_im are admitted by the process that decodes them."""
+        doc, places = {}, deque()
+        for value in loop(self.decoded, self.items(doc, places)):
+            places.popleft()(value)
+        return doc
 
-        def entry():
-            key = self.value()
+    def items(self, doc, places):
+        """Yield (admit, pieces) for each value of the walk in turn: whether
+        it is a top-level psi_re or psi_im, and its text (see span).  Append
+        to places, in the same order, what puts that value into doc.  Keys
+        are decoded here, by both processes."""
+        for _ in self.sequence("{", "}"):
+            key = self.decoded(0, (False, self.span()))
             if not isinstance(key, str):
                 raise ValueError("a key that is not a string")
             self.take(":")
             if key == "members" and self.peek() == "[":
-                value = []
-                self.sequence("[", "]", lambda: value.append(self.value()))
+                doc[key] = members = []
+                for _ in self.sequence("[", "]"):
+                    places.append(members.append)
+                    yield False, self.span()
             else:
-                value = self.value()
-            doc[key] = value
-            if key in ("psi_re", "psi_im"):
-                _admit_amplitudes(doc)
-
-        self.sequence("{", "}", entry)
+                doc[key] = None  # its place in doc now, as json.load keeps a repeated key's first place
+                places.append(partial(doc.__setitem__, key))
+                yield key in _AMPLITUDES, self.span()
         if self.peek():
             raise ValueError("extra data")
-        return doc
 
-    def sequence(self, opener: str, closer: str, take) -> None:
-        """An array or an object: opener, then items separated by commas, each
-        taken by take(), then closer."""
+    def decoded(self, k: int, item):
+        """The value of item (admit, pieces), decoded, and an array when admit holds and _admitted takes it."""
+        admit, pieces = item
+        text = "".join(pieces)
+        pieces.clear()  # so that the text is held once while it is decoded
+        value, end = self.decode(text)
+        if end != len(text):  # a number or literal run on by letters: the walk would stop at them
+            raise ValueError("a value that ends before the next character")
+        return _admitted(value) if admit else value
+
+    def sequence(self, opener: str, closer: str):
+        """An array or an object: opener, then items separated by commas, then
+        closer.  Yields once for each item, which the caller takes before
+        the walk goes on."""
         self.take(opener)
         if self.peek() != closer:
-            take()
+            yield
             while self.peek() == ",":
                 self.pos += 1
-                take()
+                yield
         self.take(closer)
+
+    def read(self) -> str:
+        """The file's next characters, from its next _WINDOW bytes or more; "" at its end."""
+        while True:
+            data = os.pread(self.fd, _WINDOW, self.offset)
+            self.offset += len(data)
+            text = self.chars.decode(data, final=not data)
+            if text or not data:  # a read that ends inside a character gives none
+                return text
 
     def peek(self) -> str:
         """The character after any whitespace, not taken; "" at the end of the file."""
@@ -356,7 +412,7 @@ class _Window:
             self.pos = json.decoder.WHITESPACE.match(self.text, self.pos).end()
             if self.pos < len(self.text):
                 return self.text[self.pos]
-            self.text, self.pos = self.handle.read(_WINDOW), 0
+            self.text, self.pos = self.read(), 0
             if not self.text:
                 return ""
 
@@ -365,18 +421,26 @@ class _Window:
             raise ValueError(f"expected {char!r}")
         self.pos += 1
 
-    def value(self):
-        """The value at the next character, decoded once its end is in the window."""
+    def span(self) -> list:
+        """The pieces of text that join into the value at the next character,
+        read until the window holds its end, which the walk then moves past.
+        Only the process that decodes the value joins them.  A process that
+        skips a value still holds its pieces until the next one is read: a
+        variant that let each piece go once read left an audit of a
+        121-member ensemble 1.3 MB higher in peak resident memory."""
         end = _End(self.peek())
-        if end.find(self.text, self.pos) < 0:
-            pieces = [self.text[self.pos :]]
-            while (piece := self.handle.read(_WINDOW)) and end.find(piece) < 0:
-                pieces.append(piece)
-            pieces.append(piece)  # the piece that holds the end, or "" at the end of the file
-            self.text, self.pos = "".join(pieces), 0  # the pending reads, joined once
-            del pieces  # so that the text is held once while it is decoded
-        value, self.pos = self.decode(self.text, self.pos)
-        return value
+        stop = end.find(self.text, self.pos)
+        if stop >= 0:
+            pieces, self.pos = [self.text[self.pos : stop]], stop
+            return pieces
+        pieces = [self.text[self.pos :]]
+        while (piece := self.read()) and (stop := end.find(piece)) < 0:
+            pieces.append(piece)
+        if not (piece or end.scalar):
+            raise ValueError("the file ends inside a value")
+        pieces.append(piece[:stop])  # the piece that holds the end; at the end of the file, ""
+        self.text, self.pos = piece, stop if piece else 0  # the walk goes on in that piece
+        return pieces
 
 
 class _End:
@@ -435,14 +499,21 @@ class _End:
 
 
 def _load_json(path: str) -> dict:
-    """The file's top-level object, read through a _Window.  A file the walk
-    does not take, and a pipe, which cannot be read twice, is read from its
-    start by one json.load, so every refusal is json.load's."""
+    """The file's top-level object, read through a _Window whose values two
+    processes decode when _turns.second_cpu() holds (see _Window).  Any
+    other error than the walk's own (a twin that failed, say) walks the file
+    again in this process alone.  A file the walk does not take, and a pipe,
+    which cannot be read twice, is read from its start by one json.load, so
+    every refusal is json.load's."""
     with open(path) as handle:
         if handle.seekable():
-            with contextlib.suppress(ValueError, RecursionError):
-                return _Window(handle).document()
-            handle.seek(0)
+            try:
+                return _Window(handle).document(_shared)
+            except (ValueError, RecursionError):  # this process's walk refused the file: so would one alone
+                pass
+            except Exception:  # a twin that failed, say
+                with contextlib.suppress(ValueError, RecursionError):
+                    return _Window(handle).document(_alone)
         try:
             doc = json.load(handle, object_hook=_admit_amplitudes)
         except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and Python's digit limit
@@ -450,6 +521,11 @@ def _load_json(path: str) -> dict:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     return doc
+
+
+def _alone(fn, items):
+    """_turns._shared's loop, in this process alone."""
+    return map(fn, count(), items)
 
 
 def _parse_document(doc: dict, ensemble: bool):

@@ -220,15 +220,21 @@ class RawSamples:
 StateRecipe = Union[GaussianPacket, OscillatorEigenstate, CoherentState, RawSamples]
 
 
-def _normalized_state(grid: GridSpec, amp: np.ndarray) -> PureState:
-    """amp, a complex array the caller gives up, scaled in place to unit norm."""
+def _normalized_state(grid: GridSpec, amp: np.ndarray, what: str | None = None, center: float = 0.0) -> PureState:
+    """amp, a complex array the caller gives up, scaled in place to unit norm.
+    A recipe's amplitudes (what names it, centered at center) whose norm is 0
+    are refused by _vanishing, naming it: every point 0, or their squares
+    all underflowing."""
     norm = math.sqrt(_trapz(np.abs(amp) ** 2, grid.dx))
+    if norm == 0.0 and what is not None:
+        raise _vanishing(what, center, grid, underflows=bool(amp.any()))
     require_positive("amplitude norm", norm)
     amp /= norm
     return PureState(grid, amp)
 
 
-def _gaussian_amplitudes(grid, center, momentum, sigma, units):
+def _gaussian_packet(grid, center, momentum, sigma, units) -> PureState:
+    """The Gaussian packet of center, momentum and sigma on grid, normalized."""
     require_finite("center and momentum", center, momentum)
     variance = sigma * sigma  # sigma**2 without its OverflowError
     require_positive(f"2*pi*sigma**2 at sigma = {sigma}", TWO_PI * variance)
@@ -237,16 +243,17 @@ def _gaussian_amplitudes(grid, center, momentum, sigma, units):
     require_finite("phase momentum*x/hbar", momentum * max(abs(grid.x_min), abs(float(x[-1]))) * (1.0 / units.hbar))
     with np.errstate(over="ignore"):  # an overflow here is +inf, and exp(-inf) is exactly 0
         envelope = (TWO_PI * variance) ** -0.25 * np.exp(-((x - center) ** 2) / (4.0 * variance))
-    if not envelope.any():
-        raise _vanishing(f"packet of center {center!r} and sigma {sigma!r}", center, grid)
-    return envelope * np.exp(1j * momentum * x / units.hbar)
+    amp = envelope * np.exp(1j * momentum * x / units.hbar)
+    return _normalized_state(grid, amp, f"packet of center {center!r} and sigma {sigma!r}", center)
 
 
-def _vanishing(what: str, center: float, grid: GridSpec) -> InvalidRecipe:
-    """The refusal of what, centered at center, that is 0 at every grid point."""
+def _vanishing(what: str, center: float, grid: GridSpec, underflows: bool) -> InvalidRecipe:
+    """The refusal of what, centered at center, whose norm on the grid is 0:
+    it is 0 at every grid point, or (underflows) its squares are."""
+    how = ("its squared amplitudes underflow to 0 on every grid point" if underflows
+           else "it vanishes on every grid point")
     where = f"narrower than the grid step {grid.dx!r}" if grid.x_min <= center <= grid.x_max else "outside the grid"
-    return InvalidRecipe(f"{what} must be finite and nonzero on the grid, but it vanishes on every grid point: "
-                         f"it is {where}")
+    return InvalidRecipe(f"{what} must be finite and nonzero on the grid, but {how}: it is {where}")
 
 
 def _hermite_rows(n_max, mass, omega, grid, units):
@@ -266,10 +273,9 @@ def _hermite_rows(n_max, mass, omega, grid, units):
 def _eigenstate_level(grid: GridSpec, item) -> PureState:
     """Oscillator level n from its item (n, h_n, sqrt(s)) of _hermite_rows, renormalized on the grid."""
     n, row, factor = item
-    if not row.any():  # exp(-0.5*xi*xi) is 0 at every grid point
-        raise _vanishing(f"eigenstate n={n}", 0.0, grid)
     try:
-        return _normalized_state(grid, np.multiply(row, factor, out=np.empty(row.shape, np.complex128)))
+        return _normalized_state(grid, np.multiply(row, factor, out=np.empty(row.shape, np.complex128)),
+                                 f"eigenstate n={n}")
     except DecayGuardViolation as exc:
         raise DecayGuardViolation(f"eigenstate n={n}: {exc}") from exc
 
@@ -293,9 +299,7 @@ def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureS
     """
     if isinstance(recipe, GaussianPacket):
         require_positive("sigma", recipe.sigma)
-        return _normalized_state(
-            grid, _gaussian_amplitudes(grid, recipe.center, recipe.momentum, recipe.sigma, units)
-        )
+        return _gaussian_packet(grid, recipe.center, recipe.momentum, recipe.sigma, units)
     if isinstance(recipe, OscillatorEigenstate):
         return deque(_eigenstate_levels(recipe.n, recipe.mass, recipe.omega, grid, units), maxlen=1).pop()
     if isinstance(recipe, CoherentState):
@@ -307,7 +311,7 @@ def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureS
         center = math.sqrt(2.0 * hbar / (recipe.mass * recipe.omega)) * alpha.real
         momentum = math.sqrt(2.0 * hbar * recipe.mass * recipe.omega) * alpha.imag
         sigma = math.sqrt(hbar / (2.0 * recipe.mass * recipe.omega))
-        return _normalized_state(grid, _gaussian_amplitudes(grid, center, momentum, sigma, units))
+        return _gaussian_packet(grid, center, momentum, sigma, units)
     if isinstance(recipe, RawSamples):
         return _normalized_state(grid, _amplitude_array(grid, recipe.amplitudes))
     raise InvalidRecipe(f"unknown recipe type {type(recipe).__name__}")

@@ -240,6 +240,25 @@ def test_vanishing_packet_is_named(tmp_path, capsys, argv, packet, where):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, recipe, where", [
+    (["--gaussian", "--center", "1000", "--sigma", "25", "--grid=-12:12:256"],
+     "packet of center 1000.0 and sigma 25.0", "outside the grid"),
+    (["--coherent", "29.7", "--grid=-12:12:256"],
+     "packet of center 42.002142802480925 and sigma 0.7071067811865476", "outside the grid"),
+    (["--gaussian", "--center", "0.046875", "--sigma", "0.001", "--grid=-12:12:256"],
+     "packet of center 0.046875 and sigma 0.001", "narrower than the grid step 0.09375"),
+    (["--eigenstate", "0", "--grid=36:37:64"], "eigenstate n=0", "outside the grid"),
+], ids=["gaussian-outside", "coherent-outside", "gaussian-narrow", "eigenstate-outside"])
+def test_underflowing_recipe_is_named(tmp_path, capsys, argv, recipe, where):
+    """A recipe that is nonzero on the grid but whose squared amplitudes all
+    underflow to 0 (about 1e-171 and below) is refused naming it, as a
+    vanishing one is, instead of by its zero norm."""
+    assert run(["state", *argv, "--out", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: {recipe} must be finite and nonzero on the grid, but its squared "
+                                       f"amplitudes underflow to 0 on every grid point: it is {where}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_coherent_flag_without_an_imaginary_part(tmp_path, capsys):
     for alpha in ("1.5", "1.5,0"):
         assert run(["state", "--coherent", alpha, "--grid=-12:12:256", "--out", str(tmp_path / f"{alpha}.json")]) == 0

@@ -30,7 +30,7 @@ from fluctlab import (
     oscillator_eigenstates,
     phase_space_moments,
 )
-from fluctlab import cli, density, scenarios
+from fluctlab import _turns, cli, density, scenarios
 from fluctlab import io as fio
 
 
@@ -814,6 +814,161 @@ def test_document_written_alone_is_json_dumps_of_its_view(tmp_path, same_text, u
     assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
+def _load_case(tmp_path, members, n=64):
+    """A state file (members 0) or an ensemble file of that many members, on n points; its path and target."""
+    grid, units = GridSpec(-10.0, 10.0, n), UnitSystem()
+    states = [build_state(CoherentState(complex(j / 60, 0.5 - j / 240)), grid, units) for j in range(max(members, 1))]
+    path = str(tmp_path / f"load{members}.json")
+    if not members:
+        fio.save_state(path, states[0], units)
+        return path, states[0]
+    weights = np.arange(1.0, members + 1)
+    ensemble = MixedEnsemble(weights / weights.sum(), tuple(states))
+    fio.save_ensemble(path, ensemble, units)
+    return path, ensemble
+
+
+def _alone(monkeypatch, action):
+    """action() with second_cpu forced false: the load in one process, as before it was shared."""
+    with monkeypatch.context() as alone:
+        alone.setattr(_turns, "second_cpu", lambda: False)
+        return action()
+
+
+@pytest.mark.parametrize("members", [0, 1, 2, 3, 121], ids=["state", "1", "2", "3", "121"])
+def test_a_load_in_two_processes_is_the_load_in_one(tmp_path, capsys, monkeypatch, forks, members):
+    """The twin decodes every other value of the file (for an ensemble, every
+    other member); the command gets the same state or ensemble, bit for bit,
+    and an audit prints the same report, with one fork per load."""
+    path, target = _load_case(tmp_path, members)
+    del forks[:]  # the save forked too
+    loaded, units = fio.load_target(path)
+    assert len(forks) == 1
+    alone, alone_units = _alone(monkeypatch, lambda: fio.load_target(path))
+    assert len(forks) == 1
+    assert type(loaded) is type(alone) is type(target) and units == alone_units
+    if members:
+        assert np.array_equal(loaded.weights, alone.weights) and np.array_equal(loaded.weights, target.weights)
+        pairs = list(zip(loaded.members, alone.members, target.members, strict=True))
+    else:
+        pairs = [(loaded, alone, target)]
+    for mine, one, saved in pairs:
+        assert np.array_equal(mine.amplitudes, one.amplitudes) and np.array_equal(mine.amplitudes, saved.amplitudes)
+    assert cli.run(["audit", "--in", path]) == 0
+    printed = capsys.readouterr()
+    assert len(forks) == 2
+    assert _alone(monkeypatch, lambda: cli.run(["audit", "--in", path])) == 0
+    assert capsys.readouterr() == printed
+
+
+def test_a_load_from_a_pipe_never_forks(tmp_path, forks):
+    """A pipe cannot be read at an offset of one's own, so /dev/stdin on a pipe is read by one json.load."""
+    path, state = _load_case(tmp_path, 0)
+    del forks[:]
+    read_end, write_end = os.pipe()
+    with open(path, "rb") as source:
+        os.write(write_end, source.read())  # a small file: the pipe holds it whole, so no writer thread runs
+    os.close(write_end)
+    stdin = os.dup(0)
+    try:
+        os.dup2(read_end, 0)
+        loaded, _ = fio.load_target("/dev/stdin")
+    finally:
+        os.dup2(stdin, 0)
+        os.close(stdin)
+        os.close(read_end)
+    assert forks == []
+    assert np.array_equal(loaded.amplitudes, state.amplitudes)
+
+
+@pytest.mark.parametrize("fork", ["one-cpu", "refused"])
+def test_a_load_that_cannot_fork_is_made_alone(tmp_path, monkeypatch, fork):
+    path, ensemble = _load_case(tmp_path, 3)
+
+    def refuse():
+        if fork == "one-cpu":
+            pytest.fail("forked with one CPU")
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if fork == "one-cpu" else {0, 1})
+    monkeypatch.setattr(os, "fork", refuse)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    loaded, _ = fio.load_target(path)
+    assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(loaded.members, ensemble.members, strict=True))
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
+def _member_at(text: str, i: int) -> int:
+    """Where member i's object starts in an ensemble file's text."""
+    at = text.index('"members": [') + len('"members": [')
+    for _ in range(i):
+        at = text.index("}, {", at) + len("}, ")
+    return at
+
+
+def _with_number(text: str, at: int, key: str, k: int, number: str) -> str:
+    """text with value k of the list under key, the first such list from at on, replaced by number."""
+    start = text.index(f'"{key}": [', at) + len(f'"{key}": [')
+    values = text[start:].split(", ", k + 1)
+    return text[:start] + ", ".join([*values[:k], number, *values[k + 1:]])
+
+
+SPOILED = {
+    "str-in-member-3": (5, lambda t: _with_number(t, _member_at(t, 3), "psi_re", 7, '"0.5"'),
+                        "error: members[3].psi_re[7]: expected a number, got str\n"),
+    "str-in-member-4": (5, lambda t: _with_number(t, _member_at(t, 4), "psi_re", 7, '"0.5"'),
+                        "error: members[4].psi_re[7]: expected a number, got str\n"),
+    "str-in-psi_im": (0, lambda t: _with_number(t, 0, "psi_im", 7, "true"),
+                      "error: document.psi_im[7]: expected a number, got bool\n"),
+    "cut-in-member-3": (5, lambda t: t[: _member_at(t, 3) + 200], None),
+    "bad-syntax-in-member-2": (5, lambda t: _with_number(t, _member_at(t, 2), "psi_im", 3, "0.5.5"), None),
+    "extra-data": (2, lambda t: t + " {}", None),
+}
+
+
+@pytest.mark.parametrize("case", SPOILED)
+def test_a_refusal_is_the_same_whichever_process_decodes_the_value(tmp_path, capsys, monkeypatch, forks, case):
+    """A bad value refused where the twin decodes it, or where the command
+    does, exits 2 with the message one process gives: a number the parser
+    refuses comes back from the twin as its plain list, and text the twin
+    cannot decode sends the command back to one process, then to json.load."""
+    members, spoil, message = SPOILED[case]
+    path, _ = _load_case(tmp_path, members)
+    with open(path) as handle:
+        text = spoil(handle.read())
+    with open(path, "w") as handle:
+        handle.write(text)
+    assert _alone(monkeypatch, lambda: cli.run(["audit", "--in", path])) == 2
+    alone = capsys.readouterr()
+    if message is None:  # refused as not JSON: json.load's own message
+        with pytest.raises(json.JSONDecodeError) as whole:
+            json.loads(text)
+        message = f"error: {path}: not valid JSON ({whole.value})\n"
+    assert alone == ("", message)
+    del forks[:]
+    assert cli.run(["audit", "--in", path]) == 2
+    assert capsys.readouterr() == alone
+    assert len(forks) == 1
+
+
+def test_interrupt_while_a_load_waits_for_the_twin_reaps_it(tmp_path, monkeypatch, forks):
+    """A KeyboardInterrupt that lands while the command waits for the twin's
+    value kills and reaps the twin (the autouse fixture checks), and is not
+    taken for a failure that the load in one process would mend."""
+    path, _ = _load_case(tmp_path, 3)
+    del forks[:]
+
+    def interrupted(pair):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(_turns._Pair, "receive", interrupted)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(KeyboardInterrupt):
+        cli.run(["audit", "--in", path])
+    assert len(forks) == 1
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
 def test_killed_twin_fails_the_state_command_and_leaves_no_file(tmp_path, capsys, forks, monkeypatch):
     parent, real_text = os.getpid(), fio._values_text
 
@@ -1045,3 +1200,17 @@ def test_deep_nesting_is_json_loads(tmp_path):
             else:
                 assert list(loaded) == [key]
                 assert _nested_depth(loaded[key]) == _nested_depth(expected[key]) == depth + (key == "members")
+
+
+@pytest.mark.parametrize("text", ['{"a": 1x}', '{"a": 1.2.3, "b": 1}', '{"a": truex}', '{"a": 1-2}',
+                                  '{"members": [1, 2x]}', '{"a": [1], "b": nullnull}', '{"a": 1, "b": 2é}'])
+def test_a_number_or_literal_run_on_is_refused_as_json_load_refuses_it(tmp_path, text):
+    """The walk finds a scalar's end at the first character no number or
+    literal holds, past where the decoder stops; a value whose decoder stops
+    short of that end is refused, as json.load refuses the text."""
+    path = str(tmp_path / "run-on.json")
+    with open(path, "w") as handle:
+        handle.write(text)
+    loaded = _outcome(fio._load_json, path)
+    assert isinstance(loaded, FileFormatError)
+    assert _same(loaded, _outcome(_whole_load, path))

@@ -38,12 +38,15 @@ def test_pure_moments_equal_one_member_mixture(recipe, grid, units):
 
 
 def _count_reads(monkeypatch):
-    """[path, characters read] for each file fluctlab.io opens, and the files json.load reads."""
-    opened, json_loads = [], []
+    """[path, characters read] for each file fluctlab.io opens, and the files
+    json.load reads.  Reads by this process count, through the handle or by
+    os.pread at the handle's descriptor (the files are ASCII: a byte is a
+    character); a forked twin's reads do not."""
+    opened, json_loads, by_descriptor, real_pread = [], [], {}, os.pread
 
     def counting_open(path, *args, **kwargs):
         handle = open(path, *args, **kwargs)
-        entry = [path, 0]
+        entry = by_descriptor[handle.fileno()] = [path, 0]
         opened.append(entry)
         read = handle.read
 
@@ -54,6 +57,13 @@ def _count_reads(monkeypatch):
 
         handle.read = counting_read
         return handle
+
+    def counting_pread(fd, size, offset):
+        data = real_pread(fd, size, offset)
+        by_descriptor[fd][1] += len(data)
+        return data
+
+    monkeypatch.setattr(os, "pread", counting_pread)
 
     original = json.load
 
