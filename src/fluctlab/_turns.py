@@ -8,14 +8,15 @@ decoding every other value of the walk (io._Window) and sending it back.
 BLOCK_ROWS, the rows of one block, lives here beside the block writer, and
 io, density and scenarios take it from here.
 
-All three fork only when second_cpu() holds.  A refused fork leaves the work
-to one process, and so does any error in shared_map, which then raises the
-serial loop's error, and any error in a load but the walk's own refusal,
-which then walks the file again alone; a table or document whose twin ends
-early is not written.  shared_map pays only because the moments it computes
-use no BLAS: two OpenBLAS thread pools on two CPUs made the eigensweep twice
-as slow as one process, and numpy's pairwise sums give the same bits
-whatever the thread count, which the dot products did not.
+All three fork only when second_cpu() holds, and a refused fork leaves the
+work to one process.  One rule mends a twin that fails: this process keeps
+each of the twin's items until its value comes back, and when the twin ends
+without sending it (killed, or raised), this process computes that item and
+every later one itself, so each user gets what one process would give.
+shared_map pays only because the moments it computes use no BLAS: two
+OpenBLAS thread pools on two CPUs made the eigensweep twice as slow as one
+process, and numpy's pairwise sums give the same bits whatever the thread
+count, which the dot products did not.
 
 Kept apart from io because each module is compiled on its own: where no
 bytecode is cached (PYTHONDONTWRITEBYTECODE), one io.py holding the block
@@ -77,50 +78,70 @@ def write_blocks(handle, doc: Blocks) -> None:
     handle.write(doc.tail)
 
 
-def shared_map(fn, source) -> list:
-    """list(map(fn, source())), with the odd items' fn computed by a forked twin.
-
-    source() makes the items afresh, and a forked copy of it yields the same
-    ones (they replay); see _shared.  If either process fails with an
-    Exception, this one computes list(map(fn, source())) alone, so an error
-    is the serial loop's, from the first failing item; any other exception
-    (KeyboardInterrupt, say) propagates.
-    """
-    try:
-        return list(_shared(lambda k, item: fn(item), source()))
-    except Exception:
-        return list(map(fn, source()))
+def shared_map(fn, items) -> list:
+    """list(map(fn, items)), with the odd items' fn computed by a forked twin
+    from its own copy of items, which must yield the same ones (they replay).
+    A twin that fails leaves its items to this process (see _shared), so the
+    list, or the error of the first failing item, is the serial loop's."""
+    return list(_shared(lambda k, item: fn(item), items))
 
 
 def _shared(fn, items):
-    """Yield fn(k, item) for each item k of items, in order.
+    """Yield fn(k, item) for each item k of items, in order, as the serial
+    loop does, or raise the error of the first item, or of items, that fails.
 
     At the second item, when second_cpu() holds, this process forks a twin
     (see _Pair).  Both go on through their own copy of the items: the twin
     computes the odd ones and sends each back pickled as soon as it is made,
     and this process, once it has computed item k, yields the twin's item
     k - 1, so the two compute at the same time.  The twin yields nothing.
-    An error, or closing this generator early, kills and reaps the twin.
+
+    This process holds the twin's item until its value comes back, so items
+    must not reuse one buffer from one item to the next.  A twin that ends
+    without sending it (killed, or failed with an Exception) is reaped, and
+    this process computes that item and every later one itself.  When its
+    own item k, or items, fails with an Exception, the held item k - 1 is
+    settled first, so an earlier item's error wins.  Any other exception
+    (KeyboardInterrupt), or closing this generator early, kills and reaps
+    the twin at once.
     """
-    pair, finished, k = _Pair(), False, 0  # k counts by hand: enumerate would hold each item while the next is made
+    pair, finished, k, held = _Pair(), False, 0, []  # k counts by hand: enumerate would hold each item while the next is made
     try:
-        for item in items:
-            mine = pair.takes(k)
-            value = fn(k, item) if mine else None
-            del item  # let go of each item before the next one is made
-            if mine and pair.pid == 0:
-                pair.send(value)
-            elif mine:
-                if pair.pid:  # item k - 1 is the twin's
-                    yield pair.receive()
-                yield value
-            del value
-            k += 1
-        if pair.pid and k % 2 == 0:  # the last item is the twin's
-            yield pair.receive()
+        try:
+            for item in items:
+                mine = pair.takes(k)
+                value = fn(k, item) if mine else None
+                if not mine and pair.pid:  # the twin's item, held until its value comes back
+                    held.append(item)
+                del item  # let go of each item before the next one is made
+                if mine and pair.pid == 0:
+                    pair.send(value)
+                elif mine:
+                    if held:  # item k - 1 is the twin's
+                        yield _settled(pair, fn, k - 1, held)
+                    yield value
+                del value
+                k += 1
+        except Exception:
+            if held:
+                yield _settled(pair, fn, k - 1, held)
+            raise
+        if held:  # the last item is the twin's
+            yield _settled(pair, fn, k - 1, held)
         finished = True
     finally:
         pair.end(finished)
+
+
+def _settled(pair, fn, k: int, held: list):
+    """The value of item k, held (the list's one item) until now: the twin's,
+    or, when the twin ended without sending it, computed here."""
+    item = held.pop()
+    try:
+        return pair.receive()
+    except (EOFError, pickle.UnpicklingError):  # the pipe closed before, or within, the value
+        pair.end(False)  # reaped; every later item is this process's
+    return fn(k, item)
 
 
 class _Pair:
@@ -129,7 +150,8 @@ class _Pair:
     Until the loop's second item exists this process takes every item.  At
     the second, when second_cpu() holds, it forks a twin, joined to it by one
     pipe, twin to parent: the parent keeps the even items and the twin takes
-    the odd ones.  The twin leaves only through os._exit, in end().
+    the odd ones.  The twin leaves only through os._exit, in end(): a twin
+    that fails exits 1 without sending anything, so no exception is pickled.
 
     Python 3.12 and later warn (DeprecationWarning) when a process with
     other threads forks; numpy's OpenBLAS keeps one, so a fork there may
@@ -137,8 +159,7 @@ class _Pair:
     """
 
     def __init__(self):
-        self.pid = None       # the twin's pid in the parent, 0 in the twin, None when there is none
-        self.status = None    # the twin's wait status, once the parent has reaped it
+        self.pid = None  # the twin's pid in the parent, 0 in the twin, None when there is none (or no longer)
 
     def takes(self, k: int) -> bool:
         """Item k exists: fork at the second one.  True when this process takes item k."""
@@ -152,37 +173,27 @@ class _Pair:
         self.pipe.flush()
 
     def receive(self):
-        """In the parent: the twin's next value; lost() when the twin ended first."""
-        try:
-            return pickle.load(self.pipe)
-        except (EOFError, pickle.UnpicklingError) as exc:  # a pipe closed before, or within, a value
-            raise self.lost() from exc
+        """In the parent: the twin's next value."""
+        return pickle.load(self.pipe)
 
     def end(self, finished: bool) -> None:
-        """Leave the loop.  The twin exits here.  The parent waits for the twin
-        of a finished loop, kills it first when the loop failed or the wait is
-        interrupted, and raises lost() when a finished loop's twin failed."""
+        """Leave the loop, or part from a twin that has ended.  The twin
+        exits here.  The parent kills the twin unless the loop finished, or
+        when the wait is interrupted, reaps it, and from then on has none."""
         if self.pid == 0:
             os._exit(0 if finished else 1)
         if self.pid is None:
             return
+        pid, self.pid = self.pid, None
         self.pipe.close()
+        if not finished:
+            os.kill(pid, 9)  # SIGKILL, without importing the signal module
         try:
-            if finished and self.status is None:
-                self.status = os.waitpid(self.pid, 0)[1]
-        finally:
-            if self.status is None:
-                os.kill(self.pid, 9)  # SIGKILL, without importing the signal module
-                self.status = os.waitpid(self.pid, 0)[1]
-        if finished and self.status != 0:
-            raise self.lost()
-
-    def lost(self) -> ChildProcessError:
-        """The error for a twin that ended before its items did; the parent reaps it first."""
-        if self.status is None:
-            self.status = os.waitpid(self.pid, 0)[1]
-        code = os.waitstatus_to_exitcode(self.status)
-        return ChildProcessError(f"the forked process making the odd blocks ended early (exit code {code})")
+            os.waitpid(pid, 0)
+        except BaseException:  # an interrupted wait: kill the twin, so that this wait returns
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            raise
 
     def _fork(self) -> None:
         """Fork the twin and its pipe; when the system refuses a process, this one goes on alone."""

@@ -18,12 +18,10 @@ its state is built.  With two CPUs a forked twin decodes every other value
 (_turns._shared): both processes walk the whole file, each at its own
 offset, and the twin sends back the values it decodes.  An audit of a
 121-member ensemble of 4096 points (a 13.6 MB file) peaks at about 39 MB of
-resident memory, against 54 MB when the whole text was read first and 79 MB
-when every float was built first; loading a 40-member ensemble of 1024
-points peaks at 0.69 times its file size under tracemalloc in this process,
-against 2.0 times.  A file that is not a JSON object, or not valid JSON, is
-read again from its start by one json.load, so every refusal and its
-message are json.load's.
+resident memory, and loading a 40-member ensemble of 1024 points peaks at
+0.69 times its file size under tracemalloc in this process.  A file that is
+not a JSON object, or not valid JSON, is read again from its start by one
+json.load, so every refusal and its message are json.load's.
 
 Every table (a scan, samples, a sweep, a walk) is a header plus rows from
 one formatter, _block_text, shared by table_chunks and the file writer:
@@ -39,10 +37,11 @@ forked twin formats the odd blocks and sends them back over a pipe, and
 this process writes every block.  The sweeps' levels are measured by two
 processes the same way (_turns.shared_map), with the same forked twin
 (_turns._Pair), and so are the values of a state or ensemble file (_Window).
-A refused fork leaves the work to one process; a sweep or a load that fails
-in either process is done again by one, and a file whose twin ends early is
-not written.  write_samples_csv writes a caller's blocks in one
-process, as plain chunks.  Moments are numpy's pairwise sums, not BLAS dot
+A refused fork leaves the work to one process, and a twin that ends before
+it sends a block or value leaves that one and every later one to this
+process, so a table, a sweep or a load gives what one process gives, or its
+error.  write_samples_csv writes a caller's blocks in one process, as plain
+chunks.  Moments are numpy's pairwise sums, not BLAS dot
 products, so no output depends on the OpenBLAS thread count.  Python 3.12
 and later warn (DeprecationWarning) when a process with threads forks, and
 numpy's OpenBLAS keeps one, so a table written to a file or to stdout may
@@ -81,7 +80,7 @@ import re
 import stat
 from collections import deque
 from functools import partial
-from itertools import chain, count
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -341,15 +340,15 @@ class _Window:
         self.text, self.pos = "", 0
         self.decode = json.JSONDecoder(object_hook=_admit_amplitudes).raw_decode
 
-    def document(self, loop) -> dict:
+    def document(self) -> dict:
         """The file's top-level object as json.load with _admit_amplitudes
         returns it, or ValueError where the walk stops short of that (a top
         level that is not an object, bad syntax, extra data, deep nesting).
-        loop is _shared, or _alone for one process.  A top-level "members"
-        list is decoded one element at a time, and top-level psi_re and
-        psi_im are admitted by the process that decodes them."""
+        A top-level "members" list is decoded one element at a time, and
+        top-level psi_re and psi_im are admitted by the process that decodes
+        them."""
         doc, places = {}, deque()
-        for value in loop(self.decoded, self.items(doc, places)):
+        for value in _shared(self.decoded, self.items(doc, places)):
             places.popleft()(value)
         return doc
 
@@ -500,20 +499,13 @@ class _End:
 
 def _load_json(path: str) -> dict:
     """The file's top-level object, read through a _Window whose values two
-    processes decode when _turns.second_cpu() holds (see _Window).  Any
-    other error than the walk's own (a twin that failed, say) walks the file
-    again in this process alone.  A file the walk does not take, and a pipe,
-    which cannot be read twice, is read from its start by one json.load, so
-    every refusal is json.load's."""
+    processes decode when _turns.second_cpu() holds (see _Window).  A file
+    the walk does not take, and a pipe, which cannot be read twice, is read
+    from its start by one json.load, so every refusal is json.load's."""
     with open(path) as handle:
         if handle.seekable():
-            try:
-                return _Window(handle).document(_shared)
-            except (ValueError, RecursionError):  # this process's walk refused the file: so would one alone
-                pass
-            except Exception:  # a twin that failed, say
-                with contextlib.suppress(ValueError, RecursionError):
-                    return _Window(handle).document(_alone)
+            with contextlib.suppress(ValueError, RecursionError):  # the walk refused the file
+                return _Window(handle).document()
         try:
             doc = json.load(handle, object_hook=_admit_amplitudes)
         except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and Python's digit limit
@@ -521,11 +513,6 @@ def _load_json(path: str) -> dict:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
     return doc
-
-
-def _alone(fn, items):
-    """_turns._shared's loop, in this process alone."""
-    return map(fn, count(), items)
 
 
 def _parse_document(doc: dict, ensemble: bool):

@@ -9,7 +9,6 @@ saturation, not to model any equation of motion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -113,7 +112,7 @@ def _level_moments(n_max, mass, omega, grid: GridSpec, units: UnitSystem) -> lis
     recurrence itself."""
     return shared_map(
         lambda item: phase_space_moments(_eigenstate_level(grid, item), units),
-        partial(_hermite_rows, n_max, mass, omega, grid, units),
+        _hermite_rows(n_max, mass, omega, grid, units),
     )
 
 

@@ -607,8 +607,21 @@ def test_refusal_in_a_twin_block_leaves_no_file(tmp_path, forks):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_killed_twin_fails_the_command_and_leaves_no_file(tmp_path, capsys, forks, monkeypatch):
-    parent, real_blocks = os.getpid(), density.sample_blocks
+KILLED_AT_BLOCK_3 = {
+    "sample-to-file": (density, "sample_blocks",
+                       ["density", "sample", "--var-x", "1", "--var-p", "1", "--seed", "3", "--count", str(6 * B)]),
+    "walk-to-stdout": (scenarios, "walk_blocks",
+                       ["scenario", "walk", "--var-x", "2", "--var-p", "2", "--steps", str(6 * B),
+                        "--step-size", "0.05", "--seed", "7"]),
+}
+
+
+@pytest.mark.parametrize("case", KILLED_AT_BLOCK_3)
+def test_killed_twin_leaves_its_blocks_to_the_command(tmp_path, capsys, forks, monkeypatch, case):
+    """The command formats the block the twin was killed in, and every later
+    one, so the file, or stdout, has the bytes one process writes."""
+    module, name, argv = KILLED_AT_BLOCK_3[case]
+    parent, real_blocks = os.getpid(), getattr(module, name)
 
     def blocks_killed_in_the_twin(*args):
         for k, block in enumerate(real_blocks(*args)):
@@ -616,15 +629,17 @@ def test_killed_twin_fails_the_command_and_leaves_no_file(tmp_path, capsys, fork
                 os.kill(os.getpid(), 9)  # SIGKILL
             yield block
 
-    monkeypatch.setattr(density, "sample_blocks", blocks_killed_in_the_twin)  # the handler imports it when it runs
-    out = tmp_path / "draws.csv"
-    argv = ["density", "sample", "--var-x", "1", "--var-p", "1", "--seed", "3", "--count", str(6 * B), "--out", str(out)]
+    monkeypatch.setattr(module, name, blocks_killed_in_the_twin)  # the handler imports it when it runs
+    out = tmp_path / "rows.csv"
+    argv = [*argv, "--out", str(out)] if case.endswith("file") else argv
     descriptors = len(os.listdir("/proc/self/fd"))
-    assert cli.run(argv) == 2
-    assert capsys.readouterr().err == "error: the forked process making the odd blocks ended early (exit code -9)\n"
+    assert cli.run(argv) == 0
+    shared = capsys.readouterr(), out.read_bytes() if out.exists() else None
     assert len(forks) == 1
-    assert list(tmp_path.iterdir()) == []
     assert len(os.listdir("/proc/self/fd")) == descriptors
+    assert list(tmp_path.iterdir()) == ([out] if case.endswith("file") else [])
+    assert _alone(monkeypatch, lambda: cli.run(argv)) == 0
+    assert (capsys.readouterr(), out.read_bytes() if out.exists() else None) == shared
 
 
 def test_interrupt_in_the_parent_kills_the_twin_and_leaves_no_file(tmp_path, forks):
@@ -898,6 +913,37 @@ def test_a_load_that_cannot_fork_is_made_alone(tmp_path, monkeypatch, fork):
     assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
+def test_a_load_whose_twin_is_killed_is_finished_by_the_command(tmp_path, monkeypatch, forks):
+    """Item 5 of a 5-member ensemble's walk (units, grid, weights, then the
+    members) is member 2, the twin's.  Killed while it decodes that member,
+    the twin leaves it and every later value to the command, which reads the
+    file once, as a load that loses no twin does."""
+    path, _ = _load_case(tmp_path, 5)
+    del forks[:]
+    parent, real_decoded, real_pread, read = os.getpid(), fio._Window.decoded, os.pread, []
+
+    def decoded_killed_in_the_twin(window, k, item):
+        if k == 5 and os.getpid() != parent:
+            os.kill(os.getpid(), 9)  # SIGKILL
+        return real_decoded(window, k, item)
+
+    def counting_pread(fd, size, offset):
+        data = real_pread(fd, size, offset)
+        if os.getpid() == parent:
+            read.append(len(data))
+        return data
+
+    monkeypatch.setattr(fio._Window, "decoded", decoded_killed_in_the_twin)
+    monkeypatch.setattr(os, "pread", counting_pread)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    loaded, units = fio.load_target(path)
+    assert len(forks) == 1 and sum(read) == os.path.getsize(path)
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+    alone, alone_units = _alone(monkeypatch, lambda: fio.load_target(path))
+    assert units == alone_units and np.array_equal(loaded.weights, alone.weights)
+    assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(loaded.members, alone.members, strict=True))
+
+
 def _member_at(text: str, i: int) -> int:
     """Where member i's object starts in an ensemble file's text."""
     at = text.index('"members": [') + len('"members": [')
@@ -931,7 +977,8 @@ def test_a_refusal_is_the_same_whichever_process_decodes_the_value(tmp_path, cap
     """A bad value refused where the twin decodes it, or where the command
     does, exits 2 with the message one process gives: a number the parser
     refuses comes back from the twin as its plain list, and text the twin
-    cannot decode sends the command back to one process, then to json.load."""
+    cannot decode ends the twin, so the command decodes it, refuses it, and
+    hands the file to json.load."""
     members, spoil, message = SPOILED[case]
     path, _ = _load_case(tmp_path, members)
     with open(path) as handle:
@@ -954,7 +1001,7 @@ def test_a_refusal_is_the_same_whichever_process_decodes_the_value(tmp_path, cap
 def test_interrupt_while_a_load_waits_for_the_twin_reaps_it(tmp_path, monkeypatch, forks):
     """A KeyboardInterrupt that lands while the command waits for the twin's
     value kills and reaps the twin (the autouse fixture checks), and is not
-    taken for a failure that the load in one process would mend."""
+    taken for a twin that ended, whose values the command would decode."""
     path, _ = _load_case(tmp_path, 3)
     del forks[:]
 
@@ -969,21 +1016,39 @@ def test_interrupt_while_a_load_waits_for_the_twin_reaps_it(tmp_path, monkeypatc
     assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
-def test_killed_twin_fails_the_state_command_and_leaves_no_file(tmp_path, capsys, forks, monkeypatch):
+@pytest.mark.parametrize("how", ["killed", "raises", "refuses"])
+def test_failing_twin_leaves_the_state_to_the_command(tmp_path, capsys, forks, monkeypatch, how):
+    """Block 3 of the state file is the twin's.  A twin killed there, or one
+    that raises a ValueError there (and only there), leaves that block and
+    every later one to the command, which writes one process's bytes; a block
+    that fails in both processes (InvalidRecipe, a ValueError the command
+    line reports) fails the command as it fails one process, and no file is left."""
     parent, real_text = os.getpid(), fio._values_text
 
-    def text_killed_in_the_twin(k, block):
+    def text_failing_at_block_3(k, block):
+        if k == 3 and how == "refuses":
+            raise InvalidRecipe("block 3 refused")
         if k == 3 and os.getpid() != parent:
-            os.kill(os.getpid(), 9)  # SIGKILL
+            if how == "killed":
+                os.kill(os.getpid(), 9)  # SIGKILL
+            raise ValueError("block 3 failed in the twin")
         return real_text(k, block)
 
-    monkeypatch.setattr(fio, "_values_text", text_killed_in_the_twin)
+    monkeypatch.setattr(fio, "_values_text", text_failing_at_block_3)
+    out = tmp_path / "state.json"
+    argv = ["state", "--gaussian", f"--grid=-20:20:{3 * B}", "--out", str(out)]
     descriptors = len(os.listdir("/proc/self/fd"))
-    assert cli.run(["state", "--gaussian", f"--grid=-20:20:{3 * B}", "--out", str(tmp_path / "state.json")]) == 2
-    assert capsys.readouterr().err == "error: the forked process making the odd blocks ended early (exit code -9)\n"
+    code = cli.run(argv)
+    shared = code, capsys.readouterr(), out.read_bytes() if code == 0 else None
     assert len(forks) == 1
-    assert list(tmp_path.iterdir()) == []
     assert len(os.listdir("/proc/self/fd")) == descriptors
+    assert list(tmp_path.iterdir()) == ([out] if code == 0 else [])
+    code = _alone(monkeypatch, lambda: cli.run(argv))
+    assert (code, capsys.readouterr(), out.read_bytes() if code == 0 else None) == shared
+    if how == "refuses":
+        assert shared[:2] == (2, ("", "error: block 3 refused\n"))
+    else:
+        assert shared[0] == 0
 
 
 def test_interrupt_in_the_parent_during_save_state_leaves_no_file(tmp_path, units, forks, monkeypatch):

@@ -118,6 +118,28 @@ def test_load_target_parses_each_file_once(tmp_path, grid, units, monkeypatch):
     assert json_loads == [bad_path]
 
 
+def test_bad_syntax_the_twin_decodes_is_read_at_most_twice(tmp_path, grid, units, monkeypatch, forks):
+    """Member 2 of 6 is the twin's (the walk's item 5).  The twin ends on its
+    bad syntax, the command decodes that member itself and refuses it, and
+    json.load names the fault: this process reads the file at most twice
+    over, where a second walk of its own read 2.36 times its size."""
+    states = [build_state(GaussianPacket(center=j / 4), grid, units) for j in range(6)]
+    path = str(tmp_path / "e.json")
+    fio.save_ensemble(path, MixedEnsemble(np.full(6, 1 / 6), tuple(states)), units)
+    with open(path) as handle:
+        text = handle.read()
+    member_2 = text.index('"psi_im": [', text.index("}, {", text.index("}, {") + 1)) + len('"psi_im": [')
+    with open(path, "w") as handle:
+        handle.write(text[:member_2] + "0.5.5, " + text[member_2:])
+    del forks[:]
+    opened, json_loads = _count_reads(monkeypatch)
+    with pytest.raises(FileFormatError, match="not valid JSON"):
+        fio.load_target(path)
+    assert len(forks) == 1 and json_loads == [path]
+    [[_, read]] = opened
+    assert read <= 2 * os.path.getsize(path)
+
+
 def test_thermal_sweep_builds_levels_once(units, monkeypatch, tmp_path, forks):
     """Counted across both processes: each recurrence started appends its n_max to a file."""
     grid = GridSpec(-22.0, 22.0, 8192)

@@ -45,15 +45,61 @@ def test_shared_yields_the_serial_values(forks, monkeypatch, how, n):
     assert resized == ([fcntl.F_SETPIPE_SZ] * len(forks) if how == "pipe size refused" else [])
 
 
-def test_a_twin_that_dies_within_a_value_is_lost(forks, monkeypatch):
-    """Half a pickle, then the pipe closes: the same error as a twin that sent nothing."""
+def test_a_twin_that_dies_within_a_value_leaves_it_to_this_process(forks, monkeypatch):
+    """Half a pickle, then the pipe closes: this process reaps the twin and
+    computes that item and every later one, so the values are the serial ones."""
     def send_half(pair, value):
         data = pickle.dumps(value)
         os.write(pair.pipe.fileno(), data[: len(data) // 2])
         os.kill(os.getpid(), 9)  # SIGKILL
 
     monkeypatch.setattr(_turns._Pair, "send", send_half)
-    lost = r"^the forked process making the odd blocks ended early \(exit code -9\)$"
-    with pytest.raises(ChildProcessError, match=lost):
-        list(_turns._shared(_value, iter(range(3))))
+    descriptors = len(os.listdir("/proc/self/fd"))
+    assert list(_turns._shared(_value, iter(range(5)))) == [_value(k, x) for k, x in enumerate(range(5))]
     assert len(forks) == 1
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+
+
+def _outcome(values) -> tuple:
+    """The values a loop yields before it ends, and its error's message, None when it finishes."""
+    got = []
+    try:
+        for value in values:
+            got.append(value)
+    except ValueError as exc:
+        return got, str(exc)
+    return got, None
+
+
+FAILURES = {
+    "twin's item": ({3}, "both"),
+    "own item": ({4}, "both"),
+    "twin's item, then own": ({3, 4}, "both"),
+    "last item, the twin's": ({5}, "both"),
+    "the items": ({"items"}, "both"),
+    "in the twin only": ({3}, "twin"),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_a_failure_gives_the_serial_values_then_its_error(forks, case):
+    """An item that fails in both processes, or items that end in an error,
+    give the values before the first failing item, then its error, as the
+    serial loop does; an item that fails only in the twin is computed here."""
+    fails, where = FAILURES[case]
+    parent = os.getpid()
+
+    def fn(k, item):
+        if k in fails and (where == "both" or os.getpid() != parent):
+            raise ValueError(f"item {k}")
+        return _value(k, item)
+
+    def items():
+        yield from range(4 if "items" in fails else 6)
+        if "items" in fails:
+            raise ValueError("the items")
+
+    descriptors = len(os.listdir("/proc/self/fd"))
+    assert _outcome(_turns._shared(fn, items())) == _outcome(fn(k, x) for k, x in enumerate(items()))
+    assert len(forks) == 1
+    assert len(os.listdir("/proc/self/fd")) == descriptors
