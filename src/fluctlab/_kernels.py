@@ -19,12 +19,16 @@ _TINY = sys.float_info.min  # smallest normal float
 
 def hermite_basis(xi, n_max):
     """Orthonormal Hermite functions h_0..h_n_max sampled on xi, yielded one row at a
-    time; the three-term recurrence (with h_-1 = 0) holds only the two previous rows."""
+    time, each a new array; the three-term recurrence (with h_-1 = 0) holds only
+    the two previous rows, and makes each row in place, with one temporary."""
     with np.errstate(over="ignore"):  # an overflow here is +inf, and exp(-inf) is exactly 0
         prev, row = 0.0, _PI_QRT * np.exp(-0.5 * xi * xi)
     yield row
     for k in range(n_max):
-        prev, row = row, math.sqrt(2.0 / (k + 1)) * xi * row - math.sqrt(k / (k + 1)) * prev
+        new = np.multiply(math.sqrt(2.0 / (k + 1)), xi)
+        new *= row
+        new -= math.sqrt(k / (k + 1)) * prev
+        prev, row = row, new
         yield row
 
 

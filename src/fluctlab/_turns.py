@@ -97,7 +97,7 @@ def _shared(fn, items):
     k - 1, so the two compute at the same time.  The twin yields nothing.
 
     This process holds the twin's item until its value comes back, so items
-    must not reuse one buffer from one item to the next.  A twin that ends
+    must not share a buffer, though fn may reuse its own.  A twin that ends
     without sending it (killed, or failed with an Exception) is reaped, and
     this process computes that item and every later one itself.  When its
     own item k, or items, fails with an Exception, the held item k - 1 is

@@ -49,10 +49,10 @@ print that warning.
 MAX_ROWS = 2**27 rows (1 GiB of float64 values) is the one size limit of
 the command line: it refuses a scan, a sample, a walk (steps + 1 rows) or
 a --grid of levels x N values above it with exit code 2 before allocating
-anything.  It bounds a count, not memory: state needs about 64 bytes a grid
-point, about 8 GiB at the limit, to build and measure the state it writes
-(see the README).  The sweeps hold one level at a time, so their memory
-grows with N, not levels x N.
+anything.  It bounds a count, not memory: state needs 73 bytes a grid point
+(tracemalloc at 2^20), about 9 GiB at the limit, to build and measure the
+state it writes (see the README).  The sweeps hold one level at a time,
+so their memory grows with N, not levels x N.
 Every output is written to a temp file beside the real target (a symlink's
 target, not the link), created by open(..., "x") under a random
 .fluctlab-*.tmp name, so the kernel gives it the mode of an ordinary open()
@@ -278,7 +278,8 @@ def _parse_amplitudes(mapping, grid, where) -> np.ndarray:
         raise FileFormatError(
             f"{where}: psi_re/psi_im lengths ({re.size}, {im.size}) do not match grid.n = {grid.n}"
         )
-    return re + 1j * im
+    amp = np.multiply(im, 1j)  # re + 1j*im's bits, in the array a state adopts
+    return np.add(re, amp, out=amp)
 
 
 def _admit_amplitudes(obj: dict) -> dict:
@@ -524,12 +525,12 @@ def _parse_document(doc: dict, ensemble: bool):
     units = _parse_units(doc)
     grid = _parse_grid(doc)
     if not ensemble:
-        return PureState(grid, _parse_amplitudes(doc, grid, "document")), units
+        return PureState._adopt(grid, _parse_amplitudes(doc, grid, "document")), units
     weights = _number_array(_field(doc, "weights", list, "document"), "weights")
     members_doc = _field(doc, "members", list, "document")
     members = []
     for i, m in enumerate(members_doc):
-        members.append(PureState(grid, _parse_amplitudes(m, grid, f"members[{i}]")))
+        members.append(PureState._adopt(grid, _parse_amplitudes(m, grid, f"members[{i}]")))
         members_doc[i] = None  # its psi_re and psi_im arrays go as its state is built
     return MixedEnsemble(weights, members), units
 

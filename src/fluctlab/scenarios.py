@@ -23,7 +23,7 @@ from .states import (
     _eigenstate_level,
     _hermite_rows,
     _mixture_report,
-    phase_space_moments,
+    _moments,
 )
 
 if TYPE_CHECKING:  # a sweep needs no density module; the walk's caller makes the params
@@ -74,7 +74,7 @@ def eigenstate_sweep(
     n_max = require_count("n_max", n_max, high=MAX_SWEEP_LEVEL)
     return [
         _sweep_row(f"n={n}", float(n), np.ones(1), report, units, epsilon)
-        for n, report in enumerate(_level_moments(n_max, mass, omega, grid, units))
+        for n, report in enumerate(_measured_levels(n_max, mass, omega, grid, units))
     ]
 
 
@@ -91,29 +91,35 @@ def thermal_sweep(
 
     Every temperature's weights come first; then the levels down to the deepest
     any temperature keeps are built, measured and dropped one at a time, shared
-    by two processes where they can be (see _level_moments).  Each row
+    by two processes where they can be (see _measured_levels).  Each row
     combines the leading levels' moments with its weights, as ensemble_moments(thermal_ensemble(...)) would.
     """
     temperatures = [float(t) for t in temperatures]
     weights = [_boltzmann_weights(omega, mass, t, n_max, units) for t in temperatures]
     if not weights:
         return []
-    reports = _level_moments(max(w.size for w in weights) - 1, mass, omega, grid, units)
+    reports = _measured_levels(max(w.size for w in weights) - 1, mass, omega, grid, units)
     return [
         _sweep_row(f"T={t:g}", t, w, _mixture_report(w, reports[: w.size]), units, epsilon)
         for t, w in zip(temperatures, weights)
     ]
 
 
-def _level_moments(n_max, mass, omega, grid: GridSpec, units: UnitSystem) -> list:
-    """phase_space_moments of oscillator levels 0..n_max, in order.  Each level is
-    made from its Hermite row, measured and dropped, in one of two processes
-    where two CPUs are free (see _turns.shared_map); each process runs the
-    recurrence itself."""
-    return shared_map(
-        lambda item: phase_space_moments(_eigenstate_level(grid, item), units),
-        _hermite_rows(n_max, mass, omega, grid, units),
-    )
+def _measured_levels(n_max, mass, omega, grid: GridSpec, units: UnitSystem) -> list:
+    """_level_moments of oscillator levels 0..n_max, in order, in one of two
+    processes where two CPUs are free (see _turns.shared_map).  Each process
+    runs the recurrence itself, and builds and measures every level it takes
+    in the same three arrays, its own copy of the ones made here."""
+    level = grid, units, np.empty(grid.n, np.complex128), np.empty(grid.n), np.empty(grid.n)
+    return shared_map(lambda item: _level_moments(*level, item), _hermite_rows(n_max, mass, omega, grid, units))
+
+
+def _level_moments(grid: GridSpec, units: UnitSystem, amp, prob, scratch, item):
+    """phase_space_moments of the oscillator level of item (see states._hermite_rows),
+    built into amp (complex), admitted as its state would be, and measured
+    there: the admission's |psi|^2 in prob is the probability, and the DFT
+    overwrites amp, as the level is dropped.  scratch is a third array."""
+    return _moments(grid, units, prob, np.fft.fft(_eigenstate_level(grid, item, amp, prob), out=amp), scratch)
 
 
 def relaxation_walk(

@@ -23,6 +23,7 @@ from fluctlab import (
     MixedEnsemble,
     NormalizationError,
     OscillatorEigenstate,
+    PureState,
     UnitSystem,
     build_state,
     eigenstate_sweep,
@@ -43,6 +44,18 @@ def test_state_round_trip(tmp_path, grid, units):
     assert loaded.grid == grid
     assert np.array_equal(loaded.amplitudes, state.amplitudes)
     assert phase_space_moments(loaded, units) == phase_space_moments(state, units)
+
+
+def test_loaded_amplitudes_are_re_plus_1j_im(tmp_path, grid, units):
+    """A load builds each state's array in place, with the bits of re + 1j*im,
+    signed zeros included (-0.0 + 1j*0.0 has real part 0.0), and adopts it."""
+    amp = build_state(GaussianPacket(0.3, -1.1, 0.9), grid, units).amplitudes.copy()
+    amp[:4] = [-0.0 + 0.0j, complex(-0.0, -0.0), complex(0.0, -0.0), 0.0]
+    path = tmp_path / "state.json"
+    fio.save_state(str(path), PureState(grid, amp), units)
+    doc = json.loads(path.read_text())
+    re, im = np.array(doc["psi_re"]), np.array(doc["psi_im"])
+    assert fio.load_state(str(path))[0].amplitudes.tobytes() == (re + 1j * im).tobytes()
 
 
 def test_state_schema_keys(tmp_path, grid, units):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -57,10 +58,12 @@ def test_eigenstate_sweep_memory_does_not_grow_with_levels(units, peak_bytes):
 
 
 def test_eigenstate_sweep_memory_per_grid_point(units, peak_bytes):
-    """Each level is multiplied into one complex array and scaled in place: about
-    88 bytes a grid point in all, where the level's own copies made it 104."""
+    """Every level is built and measured in one complex and two float arrays made
+    once for the sweep, beside the recurrence's rows: 72.7 bytes a grid point
+    here (80.9 when each level made its own arrays).  The bound leaves 3.3
+    bytes, less than one more float array of the grid."""
     grid = GridSpec(-15.0, 15.0, 16384)
-    assert peak_bytes(lambda: eigenstate_sweep(30, 1.0, 1.0, grid, units)) / grid.n < 96
+    assert peak_bytes(lambda: eigenstate_sweep(30, 1.0, 1.0, grid, units)) / grid.n < 76
 
 
 def test_thermal_sweep_memory_does_not_grow_with_levels(units, peak_bytes):
@@ -153,39 +156,54 @@ def test_sweep_error_is_the_serial_one(units, capsys, monkeypatch, forks, half_w
     assert shared[1:] == (3, ("", f"error: {shared[0]}\n"))
 
 
-def test_killed_twin_leaves_the_sweep_to_this_process(units, monkeypatch, forks):
+def test_killed_twin_leaves_the_sweep_to_this_process(units, monkeypatch, forks, tmp_path):
+    """The twin is killed in its first level (1); this process then measures
+    level 1 and every later level itself, in order."""
     grid = GridSpec(-15.0, 15.0, 2048)
     expected = eigenstate_sweep(9, 1.0, 1.0, grid, units)
-    parent, real_moments = os.getpid(), scenarios.phase_space_moments
+    parent, real_level, mine, killed = os.getpid(), scenarios._level_moments, [], tmp_path / "killed"
 
-    def moments_killed_in_the_twin(state, units):
+    def level_killed_in_the_twin(*args):
         if os.getpid() != parent:
+            killed.write_text(args[-1][0])  # the item's label
             os.kill(os.getpid(), 9)  # SIGKILL
-        return real_moments(state, units)
+        mine.append(args[-1][0])
+        return real_level(*args)
 
-    monkeypatch.setattr(scenarios, "phase_space_moments", moments_killed_in_the_twin)
+    monkeypatch.setattr(scenarios, "_level_moments", level_killed_in_the_twin)
     descriptors = len(os.listdir("/proc/self/fd"))
     assert eigenstate_sweep(9, 1.0, 1.0, grid, units) == expected
     assert len(forks) == 2
+    assert killed.read_text() == "eigenstate n=1"
+    assert mine == [f"eigenstate n={n}" for n in (0, 2, 1, 3, 4, 5, 6, 7, 8, 9)]
     assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
-def test_interrupt_in_the_parent_kills_the_sweeps_twin(units, monkeypatch, forks):
-    """The parent kills and reaps the twin (the autouse fixture checks that no child is left)."""
-    parent, real_moments, calls = os.getpid(), scenarios.phase_space_moments, []
+def test_interrupt_in_the_parent_kills_the_sweeps_twin(units, monkeypatch, forks, tmp_path):
+    """The parent kills and reaps the twin (the autouse fixture checks that no
+    child is left) while the twin still waits in its second level (3), so the
+    twin never finishes it."""
+    parent, real_level, calls, finished = os.getpid(), scenarios._level_moments, [], tmp_path / "finished"
 
-    def moments_interrupted_in_the_parent(state, units):
+    def level_interrupted_in_the_parent(*args):
         if os.getpid() == parent:
             calls.append(1)
             if len(calls) == 3:
                 raise KeyboardInterrupt
-        return real_moments(state, units)
+        elif args[-1][0] == "eigenstate n=3":
+            time.sleep(5.0)  # a twin left alive finishes the level after this
+        report = real_level(*args)
+        if os.getpid() != parent:
+            with open(finished, "a") as handle:
+                handle.write(args[-1][0] + "\n")
+        return report
 
-    monkeypatch.setattr(scenarios, "phase_space_moments", moments_interrupted_in_the_parent)
+    monkeypatch.setattr(scenarios, "_level_moments", level_interrupted_in_the_parent)
     descriptors = len(os.listdir("/proc/self/fd"))
     with pytest.raises(KeyboardInterrupt):
         eigenstate_sweep(9, 1.0, 1.0, GridSpec(-15.0, 15.0, 2048), units)
     assert len(forks) == 1
+    assert finished.read_text() == "eigenstate n=1\n"
     assert len(os.listdir("/proc/self/fd")) == descriptors
 
 

@@ -215,6 +215,24 @@ def test_amplitudes_are_immutable(grid, units):
         state.amplitudes[0] = 1.0
 
 
+def test_pure_state_copies_the_callers_array(grid, units):
+    """Only the builders hand their own arrays over; a caller's array stays the caller's."""
+    amplitudes = build_state(GaussianPacket(0.5, 0.3, 1.0), grid, units).amplitudes.copy()
+    state = PureState(grid, amplitudes)
+    kept = state.amplitudes.copy()
+    amplitudes[:] = 0.0
+    assert not np.shares_memory(state.amplitudes, amplitudes)
+    assert state.amplitudes.tobytes() == kept.tobytes()
+    assert not state.amplitudes.flags.writeable and amplitudes.flags.writeable
+
+
+def test_gaussian_build_memory_per_grid_point(units, peak_bytes):
+    """The packet's complex array becomes the state's, with no copy: 40 bytes a
+    grid point at the peak (56 when the state copied it), in the phase factor."""
+    grid = GridSpec(-40.0, 40.0, 2**16)
+    assert peak_bytes(lambda: build_state(GaussianPacket(momentum=0.5), grid, units)) / grid.n < 44
+
+
 # --- ensembles ----------------------------------------------------------------
 
 def test_single_member_ensemble_degenerates(grid, units):
