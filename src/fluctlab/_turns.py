@@ -61,7 +61,7 @@ class Blocks:
 
 
 def _has_rows(block) -> bool:
-    return bool(block) and len(block[0]) > 0
+    return len(block) > 0 and len(block[0]) > 0  # len, not bool, so that a block may be a 2-D array
 
 
 def write_blocks(handle, doc: Blocks) -> None:

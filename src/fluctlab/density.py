@@ -159,7 +159,10 @@ def verify_extremum(
     prefactor is then constant, so g(s*(1+e))/g(s*) reduces to an exact
     exponent difference that is evaluated through expm1 to survive both
     huge and tiny curvatures.  fd_step is the relative step and must lie in
-    (1e-8, 1e-1).
+    (1e-8, 1e-1).  At an exact maximum the central difference is not 0 but
+    its own truncation, about a*eta**2/(2*(1 - eta**2)) / s* for a step eta
+    and a = (x - mean_x)**2 / s*, so the verdict measures the first
+    derivative from the same differences taken at an exact maximum.
     """
     s_star, _ = extremal_variances(mean_x, mean_p, pt, units)
     if not (1e-8 < fd_step < 1e-1) or s_star * (1.0 - fd_step) <= 0.0:
@@ -168,20 +171,25 @@ def verify_extremum(
     try:
         a = (pt.x - mean_x) ** 2 / s_star
         b = (pt.p - mean_p) ** 2 / units.bound**2 * s_star
-        mismatch = b - a  # ~roundoff iff s_star is truly critical
-        delta_plus = 0.5 * eta * (mismatch + a * eta / (1.0 + eta))
-        delta_minus = 0.5 * eta * (a * eta / (1.0 - eta) - mismatch)
-        e_plus = math.expm1(-delta_plus)
-        e_minus = math.expm1(-delta_minus)
+        # at the mismatch b - a, ~roundoff iff s_star is truly critical, and at an exact maximum's 0
+        (e_plus, e_minus), (at_max_plus, at_max_minus) = (_differences(a, m, eta) for m in (b - a, 0.0))
         step = eta * s_star
         first = (e_plus - e_minus) / (2.0 * step)
         second = (e_plus + e_minus) / step**2
     except (OverflowError, ZeroDivisionError) as exc:
         raise NumericalFailure(f"finite-difference terms leave the float range at s_star {s_star}: {exc}") from exc
-    is_max = abs(first) * s_star <= REL_SLOPE_TOL and second < 0.0
+    truncation = (at_max_plus - at_max_minus) / (2.0 * step)
+    is_max = abs(first - truncation) * s_star <= REL_SLOPE_TOL and second < 0.0
     return ExtremumCheck(
         s_star=s_star, first_derivative=first, second_derivative=second, is_max=is_max
     )
+
+
+def _differences(a: float, mismatch: float, eta: float) -> tuple:
+    """g(s*(1 + eta))/g(s*) - 1 and g(s*(1 - eta))/g(s*) - 1, where the
+    exponent's two terms at s* are a and a + mismatch."""
+    return (math.expm1(-0.5 * eta * (mismatch + a * eta / (1.0 + eta))),
+            math.expm1(-0.5 * eta * (a * eta / (1.0 - eta) - mismatch)))
 
 
 def sample(params: FluctuationParams, count: int, seed: int) -> np.ndarray:

@@ -7,21 +7,33 @@ and hands the parsed document to one parser; loaders re-verify
 normalization and the decay guard instead of silently repairing data, and
 refuse with FileFormatError what Python itself cannot read: integers too
 large for a float or longer than its digit limit, and nesting deeper than
-its recursion limit.  A load reads its file _WINDOW (16 Ki) bytes at a
-time, by os.pread, and decodes one top-level value, or one ensemble member,
-at a time (_Window), so it holds the window, one value's text, that value's
-Python floats and the amplitudes as float64 arrays, never the file's whole
-text: the decoder's object hook turns an object's psi_re and psi_im into
-arrays as soon as the object is decoded, a state's top-level lists become
-arrays as soon as each is decoded, and each member's arrays are dropped once
-its state is built.  With two CPUs a forked twin decodes every other value
-(_turns._shared): both processes walk the whole file, each at its own
-offset, and the twin sends back the values it decodes.  An audit of a
-121-member ensemble of 4096 points (a 13.6 MB file) peaks at about 39 MB of
-resident memory, and loading a 40-member ensemble of 1024 points peaks at
-0.69 times its file size under tracemalloc in this process.  A file that is
-not a JSON object, or not valid JSON, is read again from its start by one
-json.load, so every refusal and its message are json.load's.
+its recursion limit.
+
+Tables, documents and loads are each one _turns._shared loop, and each
+keeps one rule: an item is raw data that both processes can replay, and
+only the function that makes an item's value makes Python objects of it.
+A table's block holds the arrays its source made (the draws, the walk's
+products and gaps, the mesh's values), and _block_text alone turns them
+into Python numbers, in the process that formats the block; a document's
+block is a slice of an amplitude array, which _values_text formats.  A
+load's item holds the bytes of one value of the file, and _Window.decoded
+alone makes text of them, with the handle's encoding, and then JSON values.
+
+A load reads its file _WINDOW (16 Ki) bytes at a time, by os.pread, and
+decodes one top-level value, or one ensemble member, at a time (_Window),
+so it holds the window, one value's bytes and text, that value's Python
+floats and the amplitudes as float64 arrays, never the file's whole text:
+the decoder's object hook turns an object's psi_re and psi_im into arrays
+as soon as the object is decoded, a state's top-level lists become arrays
+as soon as each is decoded, and each member's arrays are dropped once its
+state is built.  With two CPUs a forked twin decodes every other value:
+both processes walk the whole file, each at its own offset, and the twin
+sends back the values it decodes.  The walk finds where each value ends by
+JSON's ASCII punctuation.  A file that is not a JSON object, or not valid
+JSON, or whose encoding lets a character's bytes pass for that punctuation
+where the walk meets one (Shift-JIS, UTF-16), is read again from its start
+by one json.load, so every refusal and its message, and every such file's
+values, are json.load's.
 
 Every table (a scan, samples, a sweep, a walk) is a header plus rows from
 one formatter, _block_text, shared by table_chunks and the file writer:
@@ -36,12 +48,11 @@ os.sched_getaffinity offers two CPUs and no other Python thread runs.  A
 forked twin formats the odd blocks and sends them back over a pipe, and
 this process writes every block.  The sweeps' levels are measured by two
 processes the same way (_turns.shared_map), with the same forked twin
-(_turns._Pair), and so are the values of a state or ensemble file (_Window).
-A refused fork leaves the work to one process, and a twin that ends before
-it sends a block or value leaves that one and every later one to this
-process, so a table, a sweep or a load gives what one process gives, or its
-error.  write_samples_csv writes a caller's blocks in one process, as plain
-chunks.  Moments are numpy's pairwise sums, not BLAS dot
+(_turns._Pair).  A refused fork leaves the work to one process, and a twin
+that ends before it sends a block or value leaves that one and every later
+one to this process, so a table, a sweep or a load gives what one process
+gives, or its error.  write_samples_csv writes a caller's blocks in one
+process, as plain chunks.  Moments are numpy's pairwise sums, not BLAS dot
 products, so no output depends on the OpenBLAS thread count.  Python 3.12
 and later warn (DeprecationWarning) when a process with threads forks, and
 numpy's OpenBLAS keeps one, so a table written to a file or to stdout may
@@ -49,10 +60,9 @@ print that warning.
 MAX_ROWS = 2**27 rows (1 GiB of float64 values) is the one size limit of
 the command line: it refuses a scan, a sample, a walk (steps + 1 rows) or
 a --grid of levels x N values above it with exit code 2 before allocating
-anything.  It bounds a count, not memory: state needs 73 bytes a grid point
-(tracemalloc at 2^20), about 9 GiB at the limit, to build and measure the
-state it writes (see the README).  The sweeps hold one level at a time,
-so their memory grows with N, not levels x N.
+anything.  It bounds a count, not memory: building and measuring a state
+takes several times its values (see the README).  The sweeps hold one level
+at a time, so their memory grows with N, not levels x N.
 Every output is written to a temp file beside the real target (a symlink's
 target, not the link), created by open(..., "x") under a random
 .fluctlab-*.tmp name, so the kernel gives it the mode of an ordinary open()
@@ -71,7 +81,6 @@ walk_rows_csv.  BLOCK_ROWS comes from _turns, beside the block writer.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import dataclasses
 import json
@@ -315,30 +324,42 @@ _NESTING = 100
 two levels deeper than _Window does, so a file nested deeper goes to
 json.load, and the recursion limit refuses the same files."""
 
-_SCALAR = re.compile(r"[\w.+-]*")  # every character a number or a literal can hold, and more
+_WHITESPACE = re.compile(rb"[ \t\n\r]*")
+_SCALAR = re.compile(rb"[\w.+-]*")  # every byte a number or a literal can hold, and more
 
 
 class _Window:
     """A JSON file read _WINDOW bytes at a time.  Its top-level object is
-    walked here, and each key and value in it is decoded whole by one
-    raw_decode once its end is in the window, so a load holds the window,
-    one value's text and what is decoded, never the file's whole text.
+    walked here, in bytes, and each key and value in it is decoded whole by
+    one raw_decode once its end is in the window, so a load holds the window,
+    one value's bytes and text and what is decoded, never the file's whole
+    text.
 
     The walk's values (each top-level value, and each element of a top-level
     "members" list) are the items of a _turns._shared loop: with two CPUs, a
     forked twin decodes the odd ones and sends them back, and this process
-    decodes the even ones.  Both processes walk the whole file, finding where
-    every value ends, so each reads it with os.pread at an offset of its own
-    and an incremental decoder of the handle's encoding: the descriptor's
-    offset, which a fork shares, is never moved, so neither process's reads
-    move the other's.  Newlines are not translated as the handle would
-    translate them, which changes no value: no JSON value holds a raw line
-    break, and between values "\r" and "\n" are both whitespace."""
+    decodes the even ones.  An item is the value's bytes, and only decoded
+    makes text of them, with the handle's encoding.  Both processes walk the
+    whole file, finding where every value ends, so each reads it with
+    os.pread at an offset of its own: the descriptor's offset, which a fork
+    shares, is never moved, so neither process's reads move the other's.
+
+    The walk finds ends by JSON's ASCII punctuation, which is exact in UTF-8,
+    where no byte of a character beyond ASCII is an ASCII byte.  In an
+    encoding where one can be (Shift-JIS holds \\ [ ] { } as second bytes),
+    an end found at the wrong byte leaves bytes that do not decode, or a
+    text that raw_decode does not end at its end (a value cut short never
+    ends there, and one run on ends before it), and a UTF-16 file's first
+    bytes (a byte order mark, or a zero byte beside "{") stop the walk at once.
+    Each raises ValueError, so such a file goes to json.load, which reads it
+    with the handle's encoding.
+    Newlines are not translated as the handle would translate them, which
+    changes no value: no JSON value holds a raw line break, and between
+    values "\r" and "\n" are both whitespace."""
 
     def __init__(self, handle):
-        self.fd, self.offset = handle.fileno(), 0
-        self.chars = codecs.getincrementaldecoder(handle.encoding)(handle.errors)
-        self.text, self.pos = "", 0
+        self.handle, self.offset = handle, 0
+        self.data, self.pos = b"", 0
         self.decode = json.JSONDecoder(object_hook=_admit_amplitudes).raw_decode
 
     def document(self) -> dict:
@@ -355,17 +376,17 @@ class _Window:
 
     def items(self, doc, places):
         """Yield (admit, pieces) for each value of the walk in turn: whether
-        it is a top-level psi_re or psi_im, and its text (see span).  Append
+        it is a top-level psi_re or psi_im, and its bytes (see span).  Append
         to places, in the same order, what puts that value into doc.  Keys
         are decoded here, by both processes."""
-        for _ in self.sequence("{", "}"):
+        for _ in self.sequence(b"{", b"}"):
             key = self.decoded(0, (False, self.span()))
             if not isinstance(key, str):
                 raise ValueError("a key that is not a string")
-            self.take(":")
-            if key == "members" and self.peek() == "[":
+            self.take(b":")
+            if key == "members" and self.peek() == b"[":
                 doc[key] = members = []
-                for _ in self.sequence("[", "]"):
+                for _ in self.sequence(b"[", b"]"):
                     places.append(members.append)
                     yield False, self.span()
             else:
@@ -376,97 +397,97 @@ class _Window:
             raise ValueError("extra data")
 
     def decoded(self, k: int, item):
-        """The value of item (admit, pieces), decoded, and an array when admit holds and _admitted takes it."""
+        """The value of item (admit, pieces): its bytes decoded to text with the
+        handle's encoding, that text decoded as JSON, and an array when admit
+        holds and _admitted takes it."""
         admit, pieces = item
-        text = "".join(pieces)
-        pieces.clear()  # so that the text is held once while it is decoded
+        text = b"".join(pieces)
+        pieces.clear()  # so that the pieces go before the text is made
+        text = text.decode(self.handle.encoding, self.handle.errors)
         value, end = self.decode(text)
-        if end != len(text):  # a number or literal run on by letters: the walk would stop at them
+        if end != len(text):  # a number or literal run on by letters, or an end found at the wrong byte
             raise ValueError("a value that ends before the next character")
         return _admitted(value) if admit else value
 
-    def sequence(self, opener: str, closer: str):
+    def sequence(self, opener: bytes, closer: bytes):
         """An array or an object: opener, then items separated by commas, then
         closer.  Yields once for each item, which the caller takes before
         the walk goes on."""
         self.take(opener)
         if self.peek() != closer:
             yield
-            while self.peek() == ",":
+            while self.peek() == b",":
                 self.pos += 1
                 yield
         self.take(closer)
 
-    def read(self) -> str:
-        """The file's next characters, from its next _WINDOW bytes or more; "" at its end."""
-        while True:
-            data = os.pread(self.fd, _WINDOW, self.offset)
-            self.offset += len(data)
-            text = self.chars.decode(data, final=not data)
-            if text or not data:  # a read that ends inside a character gives none
-                return text
+    def read(self) -> bytes:
+        """The file's next _WINDOW bytes; b"" at its end."""
+        data = os.pread(self.handle.fileno(), _WINDOW, self.offset)
+        self.offset += len(data)
+        return data
 
-    def peek(self) -> str:
-        """The character after any whitespace, not taken; "" at the end of the file."""
+    def peek(self) -> bytes:
+        """The byte after any whitespace, not taken; b"" at the end of the file."""
         while True:
-            self.pos = json.decoder.WHITESPACE.match(self.text, self.pos).end()
-            if self.pos < len(self.text):
-                return self.text[self.pos]
-            self.text, self.pos = self.read(), 0
-            if not self.text:
-                return ""
+            self.pos = _WHITESPACE.match(self.data, self.pos).end()
+            if self.pos < len(self.data):
+                return self.data[self.pos : self.pos + 1]
+            self.data, self.pos = self.read(), 0
+            if not self.data:
+                return b""
 
-    def take(self, char: str) -> None:
+    def take(self, char: bytes) -> None:
         if self.peek() != char:
             raise ValueError(f"expected {char!r}")
         self.pos += 1
 
     def span(self) -> list:
-        """The pieces of text that join into the value at the next character,
+        """The pieces of bytes that join into the value at the next byte,
         read until the window holds its end, which the walk then moves past.
         Only the process that decodes the value joins them.  A process that
         skips a value still holds its pieces until the next one is read: a
         variant that let each piece go once read left an audit of a
         121-member ensemble 1.3 MB higher in peak resident memory."""
         end = _End(self.peek())
-        stop = end.find(self.text, self.pos)
+        stop = end.find(self.data, self.pos)
         if stop >= 0:
-            pieces, self.pos = [self.text[self.pos : stop]], stop
+            pieces, self.pos = [self.data[self.pos : stop]], stop
             return pieces
-        pieces = [self.text[self.pos :]]
+        pieces = [self.data[self.pos :]]
         while (piece := self.read()) and (stop := end.find(piece)) < 0:
             pieces.append(piece)
         if not (piece or end.scalar):
             raise ValueError("the file ends inside a value")
-        pieces.append(piece[:stop])  # the piece that holds the end; at the end of the file, ""
-        self.text, self.pos = piece, stop if piece else 0  # the walk goes on in that piece
+        pieces.append(piece[:stop])  # the piece that holds the end; at the end of the file, b""
+        self.data, self.pos = piece, stop if piece else 0  # the walk goes on in that piece
         return pieces
 
 
 class _End:
-    """Where the JSON value that starts with char ends, found in the pieces of
-    text that hold it, in turn: past the bracket that closes an array or an
-    object, or the quote that closes a string; at the first character after a
-    number or a literal, since a read may have cut one short."""
+    """Where the JSON value that starts with byte char ends, found in the
+    pieces of bytes that hold it, in turn: past the bracket that closes an
+    array or an object, or the quote that closes a string; at the first byte
+    after a number or a literal, since a read may have cut one short."""
 
-    def __init__(self, char: str):
-        self.scalar = char not in ("[", "{", '"')
+    def __init__(self, char: bytes):
+        self.scalar = char not in (b"[", b"{", b'"')
         self.depth = 0
         self.quoted = self.escaped = False
 
-    def find(self, text: str, i: int = 0) -> int:
-        """The index in text where the value ends, or -1 if text ends first."""
-        n = len(text)
+    def find(self, data: bytes, i: int = 0) -> int:
+        """The index in data where the value ends, or -1 if data ends first."""
+        n = len(data)
         if self.scalar:
-            i = _SCALAR.match(text, i).end()
+            i = _SCALAR.match(data, i).end()
             return i if i < n else -1
         at = [-1] * 5  # the next of each of '[]{}"' at or after i, n for none
         while i < n:
             if self.escaped:
                 self.escaped, i = False, i + 1
             elif self.quoted:
-                quote = text.find('"', i)
-                escape = text.find("\\", i, n if quote < 0 else quote)
+                quote = data.find(b'"', i)
+                escape = data.find(b"\\", i, n if quote < 0 else quote)
                 if escape >= 0:
                     self.escaped, i = True, escape + 1
                 elif quote < 0:
@@ -476,18 +497,18 @@ class _End:
                     if not self.depth:
                         return i
             else:
-                for k, char in enumerate('[]{}"'):
+                for k, char in enumerate(b'[]{}"'):
                     if at[k] < i:
-                        found = text.find(char, i)
+                        found = data.find(char, i)
                         at[k] = n if found < 0 else found
                 i = min(at)
                 if i == n:
                     return -1
-                char = text[i]
+                char = data[i : i + 1]
                 i += 1
-                if char == '"':
+                if char == b'"':
                     self.quoted = True
-                elif char in "[{":
+                elif char in b"[{":
                     self.depth += 1
                     if self.depth > _NESTING:
                         raise ValueError("nested deeper than _Window decodes")
@@ -565,7 +586,8 @@ def table_chunks(fields, blocks, form: str):
     the tail.
 
     fields names the columns.  A block is a tuple of columns, each a list of
-    str values or of numbers (int or float); an empty block yields nothing.
+    str values, a sequence of numbers (int or float) or a numpy array of
+    them; an empty block yields nothing.
     Form "csv" gives a line of the names, then a line per row with each str as
     it is and each number as its repr; form "json" gives the bytes of
     json.dumps on the list of dict(zip(fields, row)) over every row.
@@ -581,10 +603,13 @@ def _table_ends(fields, form: str) -> tuple:
 def _block_text(fields, form: str, k: int, block) -> str:
     """The text of block k of a table (k counts blocks that have rows).
 
-    CSV: a line per row, each str column as it is and each number as its
-    repr, made by one %-format of the whole block.  JSON: the rows as
-    json.dumps writes them between a list's brackets, after ", " unless k is 0.
+    The one place where a table's numbers become Python values: each numpy
+    column's tolist(), here, in the process that formats the block.  CSV: a
+    line per row, each str column as it is and each number as its repr, made
+    by one %-format of the whole block.  JSON: the rows as json.dumps writes
+    them between a list's brackets, after ", " unless k is 0.
     """
+    block = [column.tolist() if isinstance(column, np.ndarray) else column for column in block]
     if form == "json":
         rows = json.dumps([dict(zip(fields, row)) for row in zip(*block)])[1:-1]
         return ", " + rows if k else rows
@@ -605,8 +630,7 @@ def record_block(records) -> tuple:
 def write_samples_csv(path: str, blocks) -> None:
     """Samples CSV of (k, 2) draw blocks, such as density.sample_blocks yields,
     written by one process as plain chunks: a caller's blocks need not replay."""
-    columns = ((b[:, 0].tolist(), b[:, 1].tolist()) for b in blocks)
-    atomic_write_text(path, table_chunks(("x", "p"), columns, "csv"))
+    atomic_write_text(path, table_chunks(("x", "p"), (b.T for b in blocks), "csv"))
 
 
 def _scan_blocks(xs, ps, values):
@@ -630,7 +654,7 @@ def _scan_blocks(xs, ps, values):
             block_shape = (len(x_block), len(p_block))
             if f.shape != block_shape:
                 raise GridMismatch(f"scan values block at [{i}, {j}] has shape {f.shape}, not {block_shape}")
-            yield [x for x in x_block for _ in p_block], p_block * len(x_block), f.ravel().tolist()
+            yield [x for x in x_block for _ in p_block], p_block * len(x_block), f.ravel()
 
 
 def write_scan_csv(path: str, xs, ps, values) -> None:

@@ -70,7 +70,11 @@ class GridSpec:
 
     @cached_property
     def _wavenumbers(self) -> np.ndarray:
-        return _freeze(TWO_PI * np.fft.fftfreq(self.n, d=self.dx))
+        # TWO_PI * np.fft.fftfreq(n, d=dx), bit for bit, made in place in its one array
+        k = np.arange(float(self.n))
+        k[(self.n + 1) // 2 :] -= self.n
+        k *= 1.0 / (self.n * self.dx)
+        return _freeze(np.multiply(k, TWO_PI, out=k))
 
     def __reduce__(self):  # a pickle or copy carries the fields, not the arrays
         return GridSpec, (self.x_min, self.x_max, self.n)

@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -303,14 +304,15 @@ def test_each_grid_makes_its_wavenumbers_once(tmp_path, capsys, monkeypatch, uni
 
     path = str(tmp_path / "ensemble.json")
     fio.save_ensemble(path, thermal_ensemble(1.0, 1.0, 1.0, 40, GridSpec(-15.0, 15.0, 1024), units), units)
-    calls = []
-    original = np.fft.fftfreq
+    calls, made = [], GridSpec._wavenumbers.func
 
-    def counting(*args, **kwargs):
+    def counting(grid):
         calls.append(1)
-        return original(*args, **kwargs)
+        return made(grid)
 
-    monkeypatch.setattr(np.fft, "fftfreq", counting)
+    wavenumbers = functools.cached_property(counting)
+    wavenumbers.__set_name__(GridSpec, "_wavenumbers")
+    monkeypatch.setattr(GridSpec, "_wavenumbers", wavenumbers)
     assert run(["audit", "--in", path]) == 0
     assert len(calls) == 1
     assert run(["scenario", "thermalsweep", "--temperatures", "0.5,1,2", "--n-max", "40", "--grid=-15:15:1024"]) == 0

@@ -26,6 +26,7 @@ from fluctlab import (
     sample,
     verify_extremum,
 )
+from fluctlab import cli, density
 
 INV_PI = 0.318309886183790672          # 1/pi, mpmath 40 digits
 INV_PI_E1 = 0.117099663048638321       # (1/pi) e^-1
@@ -174,6 +175,27 @@ def test_verify_extremum_flags_wrong_candidate(units):
     check = verify_extremum(0.0, 0.0, PhasePoint(1.0, 2.0), units, fd_step=1e-4)
     assert check.s_star == pytest.approx(0.25, rel=1e-12)
     assert check.is_max
+
+
+@pytest.mark.parametrize("flags", [["--x", "40", "--p", "40"], ["--x", "1", "--p", "1", "--fd-step", "0.05"]],
+                         ids=["far-point", "large-step"])
+def test_verify_holds_at_the_exact_maximum_whatever_the_truncation(flags, capsys):
+    """The central difference at an exact maximum is its own truncation,
+    a*eta**2/(2*(1 - eta**2)) relative, here above REL_SLOPE_TOL: 1.6e-5
+    far from the means at the default step, 2.5e-3 at a step of 0.05."""
+    assert cli.run(["density", "verify", *flags]) == 0
+    assert capsys.readouterr().out.endswith(" is_max=true\n")
+
+
+@pytest.mark.parametrize("step", [1e-4, 0.05])
+@pytest.mark.parametrize("x, p", [(1.0, 1.0), (40.0, 40.0)])
+def test_verify_refuses_a_detuned_maximum(units, monkeypatch, x, p, step):
+    """s* detuned by 1% is no maximum, whatever the step's truncation."""
+    exact = density.extremal_variances
+    monkeypatch.setattr(density, "extremal_variances", lambda *args: tuple(1.01 * v for v in exact(*args)))
+    check = verify_extremum(0.0, 0.0, PhasePoint(x, p), units, fd_step=step)
+    assert check.s_star == 1.01 * exact(0.0, 0.0, PhasePoint(x, p), units)[0]
+    assert not check.is_max
 
 
 def test_sample_count_and_determinism(units):

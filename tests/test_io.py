@@ -1253,6 +1253,46 @@ def test_windowed_load_is_one_json_load(tmp_path_factory, text, mutation, window
     assert whole.called != isinstance(expected, dict), text  # json.load reads only what the walk does not take
 
 
+ENCODED = {  # (encoding, what the text adds, whether the walk leaves the file to json.load)
+    "shift_jis-exact": ("shift_jis", '"note": "アイ"', False),  # no byte of these is ASCII
+    "shift_jis-backslash": ("shift_jis", '"note": "ソ"', True),  # 83 5C: the walk takes 5C for an escape
+    "shift_jis-brackets": ("shift_jis", '"ソ": 1, "note": ["マゼ", {"ボ": "ゾ"}]', True),  # 7D 5B 7B 5D as well
+    "shift_jis-in-a-member": ("shift_jis", None, True),
+    # the walk ends "note" at the last "}", past its true end, and goes on as if at the end of the object
+    "shift_jis-run-on": ("shift_jis", '"note": ["ソ"], "b": {":\\"}": 1}', True),
+    "utf-16": ("utf-16", '"note": "ソ"', True),  # a BOM, then two bytes a character
+    "utf-16-le": ("utf-16-le", '"note": "ア"', True),  # "{", then a zero byte
+    "utf-16-be": ("utf-16-be", '"note": "ア"', True),  # a zero byte, then "{"
+}
+
+
+@pytest.mark.parametrize("case", ENCODED)
+def test_a_file_in_another_encoding_loads_as_json_load_of_its_handle(tmp_path, monkeypatch, forks, case):
+    """The walk finds ends by ASCII bytes, which a Shift-JIS character may
+    hold as its second byte and a UTF-16 one nearly always does: such a file
+    loads as one json.load of a handle in its encoding loads it, by the walk
+    where every end it finds is right, and by json.load where one is not."""
+    encoding, note, fallback = ENCODED[case]
+    path, _ = _load_case(tmp_path, 3)
+    with open(path) as handle:
+        text = handle.read()
+    if note is None:
+        at = _member_at(text, 1) + 1
+        text = text[:at] + '"note": "ソ\\"マ", ' + text[at:]
+    else:
+        text = text[:-1] + ", " + note + "}"
+    with open(path, "w", encoding=encoding) as handle:
+        handle.write(text)
+    with open(path, encoding=encoding) as handle:
+        expected = json.load(handle, object_hook=fio._admit_amplitudes)
+    real_open = open
+    monkeypatch.setattr(fio, "open", lambda path: real_open(path, encoding=encoding), raising=False)
+    with mock.patch.object(json, "load", wraps=json.load) as whole:
+        loaded = fio._load_json(path)
+    assert _same(loaded, expected)
+    assert whole.called == fallback
+
+
 def _nested_depth(value) -> int:
     """The depth of [[...[]...]]: a list that holds one list, and so on down to []."""
     depth = 0

@@ -31,6 +31,7 @@ from fluctlab import (
     thermal_ensemble,
     uncertainty_product,
 )
+from fluctlab.units import TWO_PI
 
 # oscillator eigenfunctions at m = omega = hbar = 1, mpmath at 40 digits
 PSI_ORACLE = {
@@ -87,6 +88,20 @@ def test_grid_arrays_are_freed_with_the_grid(units):
     finally:
         tracemalloc.stop()
     assert held < 2**20, held
+
+
+@pytest.mark.parametrize("n", [8, 9, 63, 64, 65, 4097, 65536, 65537])
+def test_wavenumbers_are_fftfreqs_bits(n):
+    for x_min, x_max in ((-12.0, 12.0), (-40.0, 40.0), (-1e-3, 2e-3), (0.0, 1e5), (-1e150, 1e150), (0.1, 0.7)):
+        grid = GridSpec(x_min, x_max, n)
+        assert grid._wavenumbers.tobytes() == (TWO_PI * np.fft.fftfreq(n, d=grid.dx)).tobytes(), (n, x_min, x_max)
+
+
+def test_wavenumbers_take_one_array_to_make(peak_bytes):
+    """8 bytes a grid point, made in place: fftfreq's integers, their float
+    product and its product with 2*pi took 24."""
+    n = 2**16
+    assert peak_bytes(lambda: GridSpec(-12.0, 12.0, n)._wavenumbers) / n < 8.5
 
 
 def test_a_pickled_grid_leaves_its_arrays_behind(units):
