@@ -2,9 +2,10 @@
 forked twin (_Pair) computes and sends back, and its three users.
 write_blocks writes a table or document that io writes, to a file or to
 stdout, a block at a time (Blocks, the text to write), the twin formatting
-the odd blocks and this process writing them all; shared_map measures the
-sweeps' levels; and io._load_json decodes a state or ensemble file, the twin
-decoding every other value of the walk (io._Window) and sending it back.
+the odd blocks and this process writing them all; scenarios._measured_levels
+measures the sweeps' levels; and io._load_json decodes a state or ensemble
+file, the twin decoding every other value of the walk (io._Window) and
+sending it back.
 BLOCK_ROWS, the rows of one block, lives here beside the block writer, and
 io, density and scenarios take it from here.
 
@@ -13,7 +14,7 @@ work to one process.  One rule mends a twin that fails: this process keeps
 each of the twin's items until its value comes back, and when the twin ends
 without sending it (killed, or raised), this process computes that item and
 every later one itself, so each user gets what one process would give.
-shared_map pays only because the moments it computes use no BLAS: two
+The sweeps' share pays only because the moments they compute use no BLAS: two
 OpenBLAS thread pools on two CPUs made the eigensweep twice as slow as one
 process, and numpy's pairwise sums give the same bits whatever the thread
 count, which the dot products did not.
@@ -76,14 +77,6 @@ def write_blocks(handle, doc: Blocks) -> None:
     with contextlib.closing(_shared(doc.text, filter(_has_rows, doc.blocks))) as texts:
         handle.writelines(texts)
     handle.write(doc.tail)
-
-
-def shared_map(fn, items) -> list:
-    """list(map(fn, items)), with the odd items' fn computed by a forked twin
-    from its own copy of items, which must yield the same ones (they replay).
-    A twin that fails leaves its items to this process (see _shared), so the
-    list, or the error of the first failing item, is the serial loop's."""
-    return list(_shared(lambda k, item: fn(item), items))
 
 
 def _shared(fn, items):

@@ -163,6 +163,13 @@ def verify_extremum(
     its own truncation, about a*eta**2/(2*(1 - eta**2)) / s* for a step eta
     and a = (x - mean_x)**2 / s*, so the verdict measures the first
     derivative from the same differences taken at an exact maximum.
+
+    A step is also refused (StepTooLarge) where the profile falls too far
+    within it to carry a slope.  The least slope the verdict must see,
+    REL_SLOPE_TOL, moves each ratio g(s*(1 +- eta))/g(s*) by about
+    eta * REL_SLOPE_TOL times that ratio, and the differences hold a ratio
+    as ratio - 1, to an ulp of 1.0 at best; so the smaller of an exact
+    maximum's two ratios must exceed ulp(1.0) / (eta * REL_SLOPE_TOL).
     """
     s_star, _ = extremal_variances(mean_x, mean_p, pt, units)
     if not (1e-8 < fd_step < 1e-1) or s_star * (1.0 - fd_step) <= 0.0:
@@ -171,8 +178,12 @@ def verify_extremum(
     try:
         a = (pt.x - mean_x) ** 2 / s_star
         b = (pt.p - mean_p) ** 2 / units.bound**2 * s_star
-        # at the mismatch b - a, ~roundoff iff s_star is truly critical, and at an exact maximum's 0
-        (e_plus, e_minus), (at_max_plus, at_max_minus) = (_differences(a, m, eta) for m in (b - a, 0.0))
+        at_max_plus, at_max_minus = _differences(a, 0.0, eta)  # an exact maximum's: its mismatch b - a is 0
+        ratio = 1.0 + min(at_max_plus, at_max_minus)
+        if ratio < math.ulp(1.0) / (eta * REL_SLOPE_TOL):
+            raise StepTooLarge(f"fd_step {fd_step} too large at s_star {s_star}: g(s*(1 +- fd_step))/g(s*) "
+                               f"falls to {ratio:.3g}, too small to carry a slope")
+        e_plus, e_minus = _differences(a, b - a, eta)  # the mismatch b - a is ~roundoff iff s_star is critical
         step = eta * s_star
         first = (e_plus - e_minus) / (2.0 * step)
         second = (e_plus + e_minus) / step**2

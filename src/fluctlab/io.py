@@ -16,24 +16,26 @@ A table's block holds the arrays its source made (the draws, the walk's
 products and gaps, the mesh's values), and _block_text alone turns them
 into Python numbers, in the process that formats the block; a document's
 block is a slice of an amplitude array, which _values_text formats.  A
-load's item holds the bytes of one value of the file, and _Window.decoded
-alone makes text of them, with the handle's encoding, and then JSON values.
+load's item is where one value lies in the file, its start and stop
+offsets, and _Window.decoded alone reads those bytes, by one os.pread, and
+makes text of them, with the handle's encoding, and then JSON values.
 
-A load reads its file _WINDOW (16 Ki) bytes at a time, by os.pread, and
-decodes one top-level value, or one ensemble member, at a time (_Window),
-so it holds the window, one value's bytes and text, that value's Python
-floats and the amplitudes as float64 arrays, never the file's whole text:
-the decoder's object hook turns an object's psi_re and psi_im into arrays
-as soon as the object is decoded, a state's top-level lists become arrays
-as soon as each is decoded, and each member's arrays are dropped once its
-state is built.  With two CPUs a forked twin decodes every other value:
-both processes walk the whole file, each at its own offset, and the twin
-sends back the values it decodes.  The walk finds where each value ends by
-JSON's ASCII punctuation.  A file that is not a JSON object, or not valid
-JSON, or whose encoding lets a character's bytes pass for that punctuation
-where the walk meets one (Shift-JIS, UTF-16), is read again from its start
-by one json.load, so every refusal and its message, and every such file's
-values, are json.load's.
+A load walks its file _WINDOW (16 Ki) bytes at a time, by os.pread, to find
+where each top-level value, or each ensemble member, ends, and decodes one
+value at a time (_Window), so it holds the window, one value's bytes and
+text, that value's Python floats and the amplitudes as float64 arrays, never
+the file's whole text: the decoder's object hook turns an object's psi_re
+and psi_im into arrays as soon as the object is decoded, a state's
+top-level lists become arrays as soon as each is decoded, and each member's
+arrays are dropped once its state is built.  With two CPUs a forked twin
+decodes every other value: both processes walk the whole file, each at its
+own offset, each reads again the values it decodes, and the twin sends back
+its values.  The walk finds where each value ends by JSON's ASCII
+punctuation.  A file that is not a JSON object, or not valid JSON, or whose
+encoding lets a character's bytes pass for that punctuation where the walk
+meets one (Shift-JIS, UTF-16), is read again from its start by one
+json.load, so every refusal and its message, and every such file's values,
+are json.load's.
 
 Every table (a scan, samples, a sweep, a walk) is a header plus rows from
 one formatter, _block_text, shared by table_chunks and the file writer:
@@ -47,8 +49,8 @@ or for stdout alike, when _turns.second_cpu() holds: os.fork exists,
 os.sched_getaffinity offers two CPUs and no other Python thread runs.  A
 forked twin formats the odd blocks and sends them back over a pipe, and
 this process writes every block.  The sweeps' levels are measured by two
-processes the same way (_turns.shared_map), with the same forked twin
-(_turns._Pair).  A refused fork leaves the work to one process, and a twin
+processes the same way (scenarios._measured_levels), with the same forked
+twin (_turns._Pair).  A refused fork leaves the work to one process, and a twin
 that ends before it sends a block or value leaves that one and every later
 one to this process, so a table, a sweep or a load gives what one process
 gives, or its error.  write_samples_csv writes a caller's blocks in one
@@ -330,19 +332,20 @@ _SCALAR = re.compile(rb"[\w.+-]*")  # every byte a number or a literal can hold,
 
 class _Window:
     """A JSON file read _WINDOW bytes at a time.  Its top-level object is
-    walked here, in bytes, and each key and value in it is decoded whole by
-    one raw_decode once its end is in the window, so a load holds the window,
-    one value's bytes and text and what is decoded, never the file's whole
-    text.
+    walked here, in bytes, to find where each key and value in it lies, and
+    each is decoded whole by one raw_decode of its own bytes, so a load holds
+    the window, one value's bytes and text and what is decoded, never the
+    file's whole text.
 
     The walk's values (each top-level value, and each element of a top-level
     "members" list) are the items of a _turns._shared loop: with two CPUs, a
     forked twin decodes the odd ones and sends them back, and this process
-    decodes the even ones.  An item is the value's bytes, and only decoded
-    makes text of them, with the handle's encoding.  Both processes walk the
-    whole file, finding where every value ends, so each reads it with
-    os.pread at an offset of its own: the descriptor's offset, which a fork
-    shares, is never moved, so neither process's reads move the other's.
+    decodes the even ones.  An item is where the value lies in the file, and
+    only decoded reads its bytes and makes text of them, with the handle's
+    encoding.  Both processes walk the whole file, finding where every value
+    ends, and read it with os.pread, each at offsets of its own: the
+    descriptor's offset, which a fork shares, is never moved, so neither
+    process's reads move the other's.
 
     The walk finds ends by JSON's ASCII punctuation, which is exact in UTF-8,
     where no byte of a character beyond ASCII is an ASCII byte.  In an
@@ -375,12 +378,12 @@ class _Window:
         return doc
 
     def items(self, doc, places):
-        """Yield (admit, pieces) for each value of the walk in turn: whether
-        it is a top-level psi_re or psi_im, and its bytes (see span).  Append
-        to places, in the same order, what puts that value into doc.  Keys
-        are decoded here, by both processes."""
+        """Yield (admit, start, stop) for each value of the walk in turn:
+        whether it is a top-level psi_re or psi_im, and where its bytes lie
+        in the file (see span).  Append to places, in the same order, what
+        puts that value into doc.  Keys are decoded here, by both processes."""
         for _ in self.sequence(b"{", b"}"):
-            key = self.decoded(0, (False, self.span()))
+            key = self.decoded(0, (False, *self.span()))
             if not isinstance(key, str):
                 raise ValueError("a key that is not a string")
             self.take(b":")
@@ -388,22 +391,21 @@ class _Window:
                 doc[key] = members = []
                 for _ in self.sequence(b"[", b"]"):
                     places.append(members.append)
-                    yield False, self.span()
+                    yield False, *self.span()
             else:
                 doc[key] = None  # its place in doc now, as json.load keeps a repeated key's first place
                 places.append(partial(doc.__setitem__, key))
-                yield key in _AMPLITUDES, self.span()
+                yield key in _AMPLITUDES, *self.span()
         if self.peek():
             raise ValueError("extra data")
 
     def decoded(self, k: int, item):
-        """The value of item (admit, pieces): its bytes decoded to text with the
-        handle's encoding, that text decoded as JSON, and an array when admit
-        holds and _admitted takes it."""
-        admit, pieces = item
-        text = b"".join(pieces)
-        pieces.clear()  # so that the pieces go before the text is made
-        text = text.decode(self.handle.encoding, self.handle.errors)
+        """The value of item (admit, start, stop): the file's bytes from start
+        to stop, read by one os.pread, decoded to text with the handle's
+        encoding, that text decoded as JSON, and an array when admit holds
+        and _admitted takes it."""
+        admit, start, stop = item
+        text = os.pread(self.handle.fileno(), stop - start, start).decode(self.handle.encoding, self.handle.errors)
         value, end = self.decode(text)
         if end != len(text):  # a number or literal run on by letters, or an end found at the wrong byte
             raise ValueError("a value that ends before the next character")
@@ -442,26 +444,19 @@ class _Window:
             raise ValueError(f"expected {char!r}")
         self.pos += 1
 
-    def span(self) -> list:
-        """The pieces of bytes that join into the value at the next byte,
-        read until the window holds its end, which the walk then moves past.
-        Only the process that decodes the value joins them.  A process that
-        skips a value still holds its pieces until the next one is read: a
-        variant that let each piece go once read left an audit of a
-        121-member ensemble 1.3 MB higher in peak resident memory."""
+    def span(self) -> tuple:
+        """The file offsets (start, stop) of the value at the next byte: the
+        walk reads windows until one holds the value's end, and goes on from
+        there.  The walk keeps none of the value's bytes; decoded reads them
+        again, in the process that decodes the value."""
         end = _End(self.peek())
-        stop = end.find(self.data, self.pos)
-        if stop >= 0:
-            pieces, self.pos = [self.data[self.pos : stop]], stop
-            return pieces
-        pieces = [self.data[self.pos :]]
-        while (piece := self.read()) and (stop := end.find(piece)) < 0:
-            pieces.append(piece)
-        if not (piece or end.scalar):
+        start = self.offset - len(self.data) + self.pos
+        while (stop := end.find(self.data, self.pos)) < 0 and self.data:
+            self.data, self.pos = self.read(), 0
+        if stop < 0 and not end.scalar:
             raise ValueError("the file ends inside a value")
-        pieces.append(piece[:stop])  # the piece that holds the end; at the end of the file, b""
-        self.data, self.pos = piece, stop if piece else 0  # the walk goes on in that piece
-        return pieces
+        self.pos = max(stop, 0)  # stop < 0: the end of the file, which ends a number or a literal
+        return start, self.offset - len(self.data) + self.pos
 
 
 class _End:

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._turns import BLOCK_ROWS, shared_map
+from ._turns import BLOCK_ROWS, _shared
 from .audit import SATURATION_EPSILON, _weight_entropy, classify, uncertainty_product
 from .errors import InvalidRecipe, require_count
 from .states import (
@@ -107,11 +107,11 @@ def thermal_sweep(
 
 def _measured_levels(n_max, mass, omega, grid: GridSpec, units: UnitSystem) -> list:
     """_level_moments of oscillator levels 0..n_max, in order, in one of two
-    processes where two CPUs are free (see _turns.shared_map).  Each process
+    processes where two CPUs are free (see _turns._shared).  Each process
     runs the recurrence itself, and builds and measures every level it takes
     in the same three arrays, its own copy of the ones made here."""
     level = grid, units, np.empty(grid.n, np.complex128), np.empty(grid.n), np.empty(grid.n)
-    return shared_map(lambda item: _level_moments(*level, item), _hermite_rows(n_max, mass, omega, grid, units))
+    return list(_shared(lambda k, item: _level_moments(*level, item), _hermite_rows(n_max, mass, omega, grid, units)))
 
 
 def _level_moments(grid: GridSpec, units: UnitSystem, amp, prob, scratch, item):

@@ -1,9 +1,12 @@
+import json
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from fluctlab import GridSpec, UnitSystem
+from fluctlab import io as fio
 
 
 @pytest.fixture(autouse=True)
@@ -39,6 +42,68 @@ def forks(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", counting_fork)
     return forked
+
+
+@pytest.fixture
+def load_reads(monkeypatch):
+    """What this process reads of the files that fluctlab.io loads, in order;
+    a forked twin's reads go to its own copy, and do not count.
+
+    windows: (start, stop) in the file of the bytes each _Window.read returns, when it returns any.
+    spans: (start, stop) of every other os.pread, by its offset and the bytes it returns.
+    decoded: (start, stop) of each key or value that _Window.decoded decodes.
+    handles: [path, characters read through the handle] for each file fluctlab.io opens.
+    json_loads: the path of each file that json.load reads.
+    whole(size): the windows of a walk that reads a file of size bytes to its end."""
+    reads = SimpleNamespace(windows=[], spans=[], decoded=[], handles=[], json_loads=[])
+    reads.whole = lambda size: [(i, min(i + fio._WINDOW, size)) for i in range(0, size, fio._WINDOW)]
+    real_pread, real_read, real_decoded, real_load = os.pread, fio._Window.read, fio._Window.decoded, json.load
+    in_read = []
+
+    def counting_pread(fd, size, offset):
+        data = real_pread(fd, size, offset)
+        if not in_read:
+            reads.spans.append((offset, offset + len(data)))
+        return data
+
+    def counting_read(window):
+        in_read.append(window)
+        try:
+            data = real_read(window)
+        finally:
+            in_read.pop()
+        if data:
+            reads.windows.append((window.offset - len(data), window.offset))
+        return data
+
+    def counting_decoded(window, k, item):
+        reads.decoded.append(tuple(item[1:]))
+        return real_decoded(window, k, item)
+
+    def counting_open(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)
+        entry = [path, 0]
+        reads.handles.append(entry)
+        read = handle.read
+
+        def counting_handle_read(*size):
+            text = read(*size)
+            entry[1] += len(text)
+            return text
+
+        handle.read = counting_handle_read
+        return handle
+
+    def counting_load(handle, *args, **kwargs):
+        reads.json_loads.append(handle.name)
+        return real_load(handle, *args, **kwargs)
+
+    monkeypatch.setattr(os, "pread", counting_pread)
+    monkeypatch.setattr(fio._Window, "read", counting_read)
+    monkeypatch.setattr(fio._Window, "decoded", counting_decoded)
+    monkeypatch.setattr(fio, "open", counting_open, raising=False)
+    monkeypatch.setattr(json, "load", counting_load)
+    return reads
 
 
 @pytest.fixture

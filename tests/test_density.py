@@ -188,14 +188,33 @@ def test_verify_holds_at_the_exact_maximum_whatever_the_truncation(flags, capsys
 
 
 @pytest.mark.parametrize("step", [1e-4, 0.05])
-@pytest.mark.parametrize("x, p", [(1.0, 1.0), (40.0, 40.0)])
+@pytest.mark.parametrize("x, p", [(1.0, 1.0), (40.0, 40.0), (100.0, 100.0), (300.0, 300.0), (1000.0, 1000.0),
+                                  (1e4, 1e4)])
 def test_verify_refuses_a_detuned_maximum(units, monkeypatch, x, p, step):
-    """s* detuned by 1% is no maximum, whatever the step's truncation."""
+    """s* detuned by 1% is no maximum, whatever the step's truncation.  From
+    x = p = 100 on, a step of 0.05 is refused: the profile falls by e**-26
+    or more within it, and both differences saturate near -1, so they carry
+    no slope (they read first_derivative=0.0 at x = p = 1000)."""
     exact = density.extremal_variances
     monkeypatch.setattr(density, "extremal_variances", lambda *args: tuple(1.01 * v for v in exact(*args)))
+    s_star = 1.01 * exact(0.0, 0.0, PhasePoint(x, p), units)[0]
+    if x >= 100.0 and step == 0.05:
+        with pytest.raises(StepTooLarge, match=f"fd_step 0.05 too large at s_star {s_star}"):
+            verify_extremum(0.0, 0.0, PhasePoint(x, p), units, fd_step=step)
+        return
     check = verify_extremum(0.0, 0.0, PhasePoint(x, p), units, fd_step=step)
-    assert check.s_star == 1.01 * exact(0.0, 0.0, PhasePoint(x, p), units)[0]
+    assert check.s_star == s_star
     assert not check.is_max
+
+
+def test_verify_refuses_a_step_too_large_for_the_profile(capsys):
+    """At x = p = 1000 a step of 0.05 leaves g(s*(1 +- 0.05))/g(s*) at 0.0,
+    where both differences read -1 and the first derivative 0.0."""
+    assert cli.run(["density", "verify", "--x", "1000", "--p", "1000", "--fd-step", "0.05"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == ("error: fd_step 0.05 too large at s_star 0.5: g(s*(1 +- fd_step))/g(s*) falls to 0, "
+                           "too small to carry a slope\n")
 
 
 def test_sample_count_and_determinism(units):

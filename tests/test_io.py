@@ -5,6 +5,7 @@ import os
 import resource
 import stat
 import threading
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -856,6 +857,25 @@ def _load_case(tmp_path, members, n=64):
     return path, ensemble
 
 
+@pytest.mark.parametrize("members", [0, 3], ids=["state", "ensemble"])
+def test_each_item_of_a_load_is_where_its_value_lies_in_the_file(tmp_path, members):
+    """Each item of the walk is (admit, start, stop): whether it is a
+    top-level psi_re or psi_im, and the file's bytes [start, stop), which are
+    that value's JSON text, so they decode to what one json.load of the file
+    holds in its place (each top-level value, and each member)."""
+    path, _ = _load_case(tmp_path, members)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    expected = []
+    for key, value in json.loads(data).items():
+        expected += [(False, m) for m in value] if key == "members" else [(key in ("psi_re", "psi_im"), value)]
+    with open(path) as handle:
+        items = list(fio._Window(handle).items({}, deque()))
+    for (admit, start, stop), (amplitudes, value) in zip(items, expected, strict=True):
+        assert admit is amplitudes and type(start) is type(stop) is int
+        assert data[start:stop] == json.dumps(value).encode() and json.loads(data[start:stop]) == value
+
+
 def _alone(monkeypatch, action):
     """action() with second_cpu forced false: the load in one process, as before it was shared."""
     with monkeypatch.context() as alone:
@@ -926,32 +946,30 @@ def test_a_load_that_cannot_fork_is_made_alone(tmp_path, monkeypatch, fork):
     assert len(os.listdir("/proc/self/fd")) == descriptors
 
 
-def test_a_load_whose_twin_is_killed_is_finished_by_the_command(tmp_path, monkeypatch, forks):
+def test_a_load_whose_twin_is_killed_is_finished_by_the_command(tmp_path, monkeypatch, forks, load_reads):
     """Item 5 of a 5-member ensemble's walk (units, grid, weights, then the
     members) is member 2, the twin's.  Killed while it decodes that member,
-    the twin leaves it and every later value to the command, which reads the
-    file once, as a load that loses no twin does."""
+    the twin leaves it and every later value to the command, which walks the
+    file once, as a load that loses no twin does, and reads each value it
+    decodes, the lost ones too, once more at its span."""
     path, _ = _load_case(tmp_path, 5)
-    del forks[:]
-    parent, real_decoded, real_pread, read = os.getpid(), fio._Window.decoded, os.pread, []
+    del forks[:], load_reads.handles[:]
+    parent, real_decoded = os.getpid(), fio._Window.decoded
 
     def decoded_killed_in_the_twin(window, k, item):
         if k == 5 and os.getpid() != parent:
             os.kill(os.getpid(), 9)  # SIGKILL
         return real_decoded(window, k, item)
 
-    def counting_pread(fd, size, offset):
-        data = real_pread(fd, size, offset)
-        if os.getpid() == parent:
-            read.append(len(data))
-        return data
-
     monkeypatch.setattr(fio._Window, "decoded", decoded_killed_in_the_twin)
-    monkeypatch.setattr(os, "pread", counting_pread)
     descriptors = len(os.listdir("/proc/self/fd"))
     loaded, units = fio.load_target(path)
-    assert len(forks) == 1 and sum(read) == os.path.getsize(path)
-    assert len(os.listdir("/proc/self/fd")) == descriptors
+    assert len(forks) == 1 and len(os.listdir("/proc/self/fd")) == descriptors
+    assert load_reads.windows == load_reads.whole(os.path.getsize(path))
+    # 4 keys, then items 0, 2 and 4 (units, weights, member 1), then the lost item 5 and items 6 and 7
+    assert len(set(load_reads.decoded)) == len(load_reads.decoded) == 4 + 6
+    assert load_reads.spans == load_reads.decoded
+    assert load_reads.handles == [[path, 0]] and load_reads.json_loads == []
     alone, alone_units = _alone(monkeypatch, lambda: fio.load_target(path))
     assert units == alone_units and np.array_equal(loaded.weights, alone.weights)
     assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(loaded.members, alone.members, strict=True))

@@ -1,7 +1,6 @@
 """A pure state is the one-member mixture: one moments path, one parse per
 load, and one basis build per thermal sweep."""
 
-import json
 import os
 
 import numpy as np
@@ -37,49 +36,13 @@ def test_pure_moments_equal_one_member_mixture(recipe, grid, units):
     assert entropy_surrogate(state) == 0.0
 
 
-def _count_reads(monkeypatch):
-    """[path, characters read] for each file fluctlab.io opens, and the files
-    json.load reads.  Reads by this process count, through the handle or by
-    os.pread at the handle's descriptor (the files are ASCII: a byte is a
-    character); a forked twin's reads do not."""
-    opened, json_loads, by_descriptor, real_pread = [], [], {}, os.pread
-
-    def counting_open(path, *args, **kwargs):
-        handle = open(path, *args, **kwargs)
-        entry = by_descriptor[handle.fileno()] = [path, 0]
-        opened.append(entry)
-        read = handle.read
-
-        def counting_read(*size):
-            text = read(*size)
-            entry[1] += len(text)
-            return text
-
-        handle.read = counting_read
-        return handle
-
-    def counting_pread(fd, size, offset):
-        data = real_pread(fd, size, offset)
-        by_descriptor[fd][1] += len(data)
-        return data
-
-    monkeypatch.setattr(os, "pread", counting_pread)
-
-    original = json.load
-
-    def counting_load(handle, *args, **kwargs):
-        json_loads.append(handle.name)
-        return original(handle, *args, **kwargs)
-
-    monkeypatch.setattr(fio, "open", counting_open, raising=False)
-    monkeypatch.setattr(json, "load", counting_load)
-    return opened, json_loads
-
-
-def test_load_target_parses_each_file_once(tmp_path, grid, units, monkeypatch):
-    """A valid file is opened once and each of its characters read once, by
-    the streamed reader; a bad one is read again from its start, by one
-    json.load, which names the fault."""
+def test_load_target_parses_each_file_once(tmp_path, grid, units, load_reads, forks):
+    """A valid file is walked once, window by window, in order, and each key
+    and value is read once more, at its span, by the process that decodes it
+    (here the command decodes every key and the even values, and the twin
+    the odd ones); json.load never runs.  A bad one is walked once as far as
+    the walk gets, and read again from its start by one json.load, which
+    names the fault."""
     state = build_state(GaussianPacket(), grid, units)
     ensemble = MixedEnsemble(
         np.array([0.25, 0.75]),
@@ -88,56 +51,76 @@ def test_load_target_parses_each_file_once(tmp_path, grid, units, monkeypatch):
     state_path, ensemble_path = str(tmp_path / "s.json"), str(tmp_path / "e.json")
     fio.save_state(state_path, state, units)
     fio.save_ensemble(ensemble_path, ensemble, units)
-    state_size, ensemble_size = os.path.getsize(state_path), os.path.getsize(ensemble_path)
-    opened, json_loads = _count_reads(monkeypatch)
+    del forks[:]
 
-    loaded, _ = fio.load_target(state_path)
-    assert opened == [[state_path, state_size]]
+    def loaded_once(load, path, decodes, by_json_load=False):
+        """load(path), checked against this process's reads: the whole file
+        in windows, one os.pread of the span of each of its decodes, and, by
+        a file the walk refuses, one json.load of the whole file."""
+        for reads in (load_reads.windows, load_reads.spans, load_reads.decoded, load_reads.handles, load_reads.json_loads):
+            del reads[:]
+        try:
+            return load(path)
+        finally:
+            assert load_reads.windows == load_reads.whole(os.path.getsize(path))
+            assert load_reads.spans == load_reads.decoded
+            assert len(set(load_reads.decoded)) == len(load_reads.decoded) == decodes
+            assert load_reads.handles == [[path, os.path.getsize(path) if by_json_load else 0]]
+            assert load_reads.json_loads == [path][:by_json_load]
+
+    # 4 keys, and of the values units, grid, psi_re and psi_im, units and psi_re
+    loaded, _ = loaded_once(fio.load_target, state_path, 4 + 2)
     assert isinstance(loaded, PureState)
     np.testing.assert_array_equal(loaded.amplitudes, state.amplitudes)
 
-    loaded, _ = fio.load_target(ensemble_path)
-    assert opened == [[state_path, state_size], [ensemble_path, ensemble_size]]
+    # 4 keys, and of the values units, grid, weights and the 2 members, units, weights and member 1
+    loaded, _ = loaded_once(fio.load_target, ensemble_path, 4 + 3)
     assert isinstance(loaded, MixedEnsemble)
     np.testing.assert_array_equal(loaded.weights, ensemble.weights)
-    assert json_loads == []
 
     with pytest.raises(FileFormatError):
-        fio.load_state(ensemble_path)
+        loaded_once(fio.load_state, ensemble_path, 4 + 3)
     with pytest.raises(FileFormatError):
-        fio.load_ensemble(state_path)
-    assert json_loads == []
+        loaded_once(fio.load_ensemble, state_path, 4 + 2)
 
     bad_path = str(tmp_path / "bad.json")
     with open(bad_path, "w") as handle:
         handle.write(open(ensemble_path).read()[:-1])
-    del opened[:]
     with pytest.raises(FileFormatError, match="not valid JSON"):
-        fio.load_target(bad_path)
-    assert opened == [[bad_path, 2 * os.path.getsize(bad_path)]]
-    assert json_loads == [bad_path]
+        loaded_once(fio.load_target, bad_path, 4 + 3, by_json_load=True)
+    assert len(forks) == 5
 
 
-def test_bad_syntax_the_twin_decodes_is_read_at_most_twice(tmp_path, grid, units, monkeypatch, forks):
+def test_bad_syntax_the_twin_decodes_is_read_at_its_span_then_by_json_load(tmp_path, grid, units, load_reads, forks):
     """Member 2 of 6 is the twin's (the walk's item 5).  The twin ends on its
-    bad syntax, the command decodes that member itself and refuses it, and
-    json.load names the fault: this process reads the file at most twice
-    over, where a second walk of its own read 2.36 times its size."""
+    bad syntax, the command decodes that member itself, at its span, and
+    refuses it, and json.load names the fault.  This process walks the file
+    once, as far as the window that holds the end of member 3 (its own item
+    6), reads each key and value it decodes once more at its span, and
+    json.load reads the whole file: 2.18 times its size in all, where a
+    second walk of its own read 2.36 times."""
     states = [build_state(GaussianPacket(center=j / 4), grid, units) for j in range(6)]
     path = str(tmp_path / "e.json")
     fio.save_ensemble(path, MixedEnsemble(np.full(6, 1 / 6), tuple(states)), units)
     with open(path) as handle:
         text = handle.read()
-    member_2 = text.index('"psi_im": [', text.index("}, {", text.index("}, {") + 1)) + len('"psi_im": [')
+    start = text.index("}, {", text.index("}, {") + 1) + len("}, ")
+    cut = text.index('"psi_im": [', start) + len('"psi_im": [')
+    text = text[:cut] + "0.5.5, " + text[cut:]
     with open(path, "w") as handle:
-        handle.write(text[:member_2] + "0.5.5, " + text[member_2:])
-    del forks[:]
-    opened, json_loads = _count_reads(monkeypatch)
+        handle.write(text)
+    member_2 = start, text.index("}, {", start) + len("}")
+    size = os.path.getsize(path)
+    del forks[:], load_reads.handles[:]
     with pytest.raises(FileFormatError, match="not valid JSON"):
         fio.load_target(path)
-    assert len(forks) == 1 and json_loads == [path]
-    [[_, read]] = opened
-    assert read <= 2 * os.path.getsize(path)
+    assert len(forks) == 1 and load_reads.json_loads == [path]
+    # 4 keys, then items 0, 2, 4 and 6 (units, weights, members 1 and 3), then the twin's item 5 (member 2)
+    assert len(set(load_reads.decoded)) == len(load_reads.decoded) == 4 + 5 and load_reads.decoded[-1] == member_2
+    assert load_reads.spans == load_reads.decoded
+    windows, member_3_stop = load_reads.windows, load_reads.decoded[-2][1]
+    assert windows == load_reads.whole(size)[: len(windows)] and windows[-1][0] < member_3_stop <= windows[-1][1]
+    assert load_reads.handles == [[path, size]]
 
 
 def test_thermal_sweep_builds_levels_once(units, monkeypatch, tmp_path, forks):
