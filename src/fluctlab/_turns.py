@@ -4,8 +4,8 @@ write_blocks writes a table or document that io writes, to a file or to
 stdout, a block at a time (Blocks, the text to write), the twin formatting
 the odd blocks and this process writing them all; scenarios._measured_levels
 measures the sweeps' levels; and io._load_json decodes a state or ensemble
-file, the twin decoding every other value of the walk (io._Window) and
-sending it back.
+file of io._FORK_BYTES or more, the twin decoding every other value of the
+walk (io._Window) and sending it back.
 BLOCK_ROWS, the rows of one block, lives here beside the block writer, and
 io, density and scenarios take it from here.
 
@@ -79,12 +79,12 @@ def write_blocks(handle, doc: Blocks) -> None:
     handle.write(doc.tail)
 
 
-def _shared(fn, items):
+def _shared(fn, items, fork: bool = True):
     """Yield fn(k, item) for each item k of items, in order, as the serial
     loop does, or raise the error of the first item, or of items, that fails.
 
-    At the second item, when second_cpu() holds, this process forks a twin
-    (see _Pair).  Both go on through their own copy of the items: the twin
+    At the second item, when fork and second_cpu() hold, this process forks
+    a twin (see _Pair).  Both go on through their own copy of the items: the twin
     computes the odd ones and sends each back pickled as soon as it is made,
     and this process, once it has computed item k, yields the twin's item
     k - 1, so the two compute at the same time.  The twin yields nothing.
@@ -102,7 +102,7 @@ def _shared(fn, items):
     try:
         try:
             for item in items:
-                mine = pair.takes(k)
+                mine = pair.takes(k, fork)
                 value = fn(k, item) if mine else None
                 if not mine and pair.pid:  # the twin's item, held until its value comes back
                     held.append(item)
@@ -154,9 +154,9 @@ class _Pair:
     def __init__(self):
         self.pid = None  # the twin's pid in the parent, 0 in the twin, None when there is none (or no longer)
 
-    def takes(self, k: int) -> bool:
-        """Item k exists: fork at the second one.  True when this process takes item k."""
-        if k == 1 and second_cpu():
+    def takes(self, k: int, fork: bool) -> bool:
+        """Item k exists: fork at the second one, if fork.  True when this process takes item k."""
+        if k == 1 and fork and second_cpu():
             self._fork()
         return self.pid is None or k % 2 == (self.pid == 0)  # the twin (pid 0) takes the odd items
 

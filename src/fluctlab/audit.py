@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidRecipe, NonPositiveInput, require_finite
-from .units import UnitSystem
+from .units import UnitSystem, _Record
 
 if TYPE_CHECKING:  # the functions that measure states import states when they run, so density need not load it
     from .states import HamiltonianSpec, MixedEnsemble, MomentReport
@@ -32,16 +31,14 @@ class Verdict(str, Enum):
     BELOW_BOUND = "below_bound"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     verdict: Verdict
     product: float
     bound: float
     relative_excess: float
 
 
-@dataclass(frozen=True)
-class SelfSimilarityReport:
+class SelfSimilarityReport(_Record):
     """Energy spreads of each member next to the ensemble spread.
 
     max_relative_spread is reported, never asserted small: generic mixtures
@@ -77,7 +74,7 @@ def classify(report: MomentReport, units: UnitSystem, epsilon: float = SATURATIO
         verdict = Verdict.STRICT
     else:
         verdict = Verdict.BELOW_BOUND
-    return Classification(verdict=verdict, product=product, bound=bound, relative_excess=excess)
+    return Classification(verdict, product, bound, excess)
 
 
 def time_energy(delta_e: float, units: UnitSystem) -> float:

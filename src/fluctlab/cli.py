@@ -263,7 +263,7 @@ def _cmd_scenario_eigensweep(args) -> int:
     units = _resolve_units(args)
     grid = _parse_grid_flag(args.grid, args.n_max + 1)
     rows = eigenstate_sweep(args.n_max, args.mass, args.omega, grid, units, args.epsilon)
-    table = io.Table(io.field_names(SweepRow), [io.record_block(rows)], args.format)
+    table = io.Table(SweepRow._fields, [io.record_block(rows)], args.format)
     return _emit_rows(args, table, f"{len(rows)} rows")
 
 
@@ -279,7 +279,7 @@ def _cmd_scenario_thermalsweep(args) -> int:
         raise InvalidRecipe("need at least one temperature")
     grid = _parse_grid_flag(args.grid, args.n_max + 1)
     rows = thermal_sweep(temperatures, args.mass, args.omega, args.n_max, grid, units, args.epsilon)
-    table = io.Table(io.field_names(SweepRow), [io.record_block(rows)], args.format)
+    table = io.Table(SweepRow._fields, [io.record_block(rows)], args.format)
     return _emit_rows(args, table, f"{len(rows)} rows")
 
 
@@ -289,7 +289,7 @@ def _cmd_scenario_walk(args) -> int:
     units = _resolve_units(args)
     _admit_rows(args.steps + 1, "walk")
     blocks = walk_blocks(_params_from_flags(args, units), args.steps, args.step_size, args.seed)
-    table = io.Table(io.field_names(WalkTrace), blocks, args.format)
+    table = io.Table(WalkTrace._fields, blocks, args.format)
     return _emit_rows(args, table, f"{args.steps + 1} rows")
 
 

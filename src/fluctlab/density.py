@@ -19,7 +19,6 @@ sampler's block size, BLOCK_ROWS, from _turns, beside the block writer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from ._turns import BLOCK_ROWS
 from .audit import uncertainty_product
 from .errors import InvalidRecipe, NumericalFailure, ResolutionError, StepTooLarge, ZeroSeparation
 from .errors import require_count, require_finite, require_positive
-from .units import TWO_PI, UnitSystem, _trapz
+from .units import TWO_PI, UnitSystem, _Record, _trapz
 
 PRODUCT_SLACK = 1e-9      # admissibility slack on var_x*var_p vs the squared bound
 REL_SLOPE_TOL = 1e-5      # |g'| * s / g(s) accepted as a vanishing first derivative
@@ -37,8 +36,7 @@ FD_STEP = 1e-4            # default relative step of verify_extremum's finite di
 HALF_WIDTH_SIGMAS = 10.0  # default half-width of normalization_check's mesh, in spreads per axis
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(_Record):
     x: float
     p: float
 
@@ -46,8 +44,7 @@ class PhasePoint:
         require_finite("phase point", self.x, self.p)
 
 
-@dataclass(frozen=True)
-class FluctuationParams:
+class FluctuationParams(_Record):
     """Means and variances of the factorized Gaussian density.
 
     Admissible parameters keep var_x * var_p at or above the squared bound
@@ -78,8 +75,7 @@ class FluctuationParams:
         return math.sqrt(self.var_p)
 
 
-@dataclass(frozen=True)
-class ExtremumCheck:
+class ExtremumCheck(_Record):
     """Finite-difference probe of the constrained density profile g(s).
 
     first_derivative and second_derivative are central differences of the

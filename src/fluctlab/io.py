@@ -27,7 +27,8 @@ text, that value's Python floats and the amplitudes as float64 arrays, never
 the file's whole text: the decoder's object hook turns an object's psi_re
 and psi_im into arrays as soon as the object is decoded, a state's
 top-level lists become arrays as soon as each is decoded, and each member's
-arrays are dropped once its state is built.  With two CPUs a forked twin
+arrays are dropped once its state is built.  With two CPUs, and a file of
+_FORK_BYTES (1 MiB) or more, where the twin pays for its fork, a forked twin
 decodes every other value: both processes walk the whole file, each at its
 own offset, each reads again the values it decodes, and the twin sends back
 its values.  The walk finds where each value ends by JSON's ASCII
@@ -84,7 +85,6 @@ walk_rows_csv.  BLOCK_ROWS comes from _turns, beside the block writer.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import os
 import re
@@ -326,6 +326,16 @@ _NESTING = 100
 two levels deeper than _Window does, so a file nested deeper goes to
 json.load, and the recursion limit refuses the same files."""
 
+_FORK_BYTES = 2**20
+"""The smallest file whose load forks a twin (see _Window.document): the
+measured break-even.  Fresh `audit --in` runs of Gaussian state files, medians
+of 15 alternating runs with the twin and alone (2-vCPU host, Python 3.11):
+0.91 MB 100.5 against 100.1 ms (the twin faster in 2 of 15), 1.11 MB 102.4
+against 102.4 (7 of 15), 1.27 MB 104.2 against 104.7 (11 of 15), 1.81 MB
+109.6 against 111.5 (15 of 15); a 115 kB one-member ensemble 93.3 against
+88.9 ms (1 of 15).  Forking and reaping the twin cost about 4 ms whatever
+the file; what the twin saves, about half of the decoding, grows with it."""
+
 _WHITESPACE = re.compile(rb"[ \t\n\r]*")
 _SCALAR = re.compile(rb"[\w.+-]*")  # every byte a number or a literal can hold, and more
 
@@ -371,9 +381,10 @@ class _Window:
         level that is not an object, bad syntax, extra data, deep nesting).
         A top-level "members" list is decoded one element at a time, and
         top-level psi_re and psi_im are admitted by the process that decodes
-        them."""
+        them.  A file smaller than _FORK_BYTES is decoded by this process alone."""
         doc, places = {}, deque()
-        for value in _shared(self.decoded, self.items(doc, places)):
+        fork = os.fstat(self.handle.fileno()).st_size >= _FORK_BYTES
+        for value in _shared(self.decoded, self.items(doc, places), fork):
             places.popleft()(value)
         return doc
 
@@ -516,7 +527,8 @@ class _End:
 
 def _load_json(path: str) -> dict:
     """The file's top-level object, read through a _Window whose values two
-    processes decode when _turns.second_cpu() holds (see _Window).  A file
+    processes decode when _turns.second_cpu() holds and the file has
+    _FORK_BYTES or more (see _Window).  A file
     the walk does not take, and a pipe, which cannot be read twice, is read
     from its start by one json.load, so every refusal is json.load's."""
     with open(path) as handle:
@@ -612,13 +624,10 @@ def _block_text(fields, form: str, k: int, block) -> str:
     return line * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
 
 
-def field_names(cls) -> tuple:
-    """Column names of a table of dataclass records: the field names, in order."""
-    return tuple(field.name for field in dataclasses.fields(cls))
-
-
 def record_block(records) -> tuple:
-    """Dataclass records as one table block: a column per field, in field order."""
+    """Records (units._Record) as one table block: a column per field, in
+    field order, which is the order of each record's vars() and of its
+    class's _fields, the table's column names."""
     return tuple(zip(*(vars(record).values() for record in records)))
 
 
@@ -660,10 +669,10 @@ def write_scan_csv(path: str, xs, ps, values) -> None:
 def sweep_rows_csv(rows: list[SweepRow]) -> str:
     from .scenarios import SweepRow
 
-    return "".join(table_chunks(field_names(SweepRow), [record_block(rows)], "csv"))
+    return "".join(table_chunks(SweepRow._fields, [record_block(rows)], "csv"))
 
 
 def walk_rows_csv(rows: list[WalkTrace]) -> str:
     from .scenarios import WalkTrace
 
-    return "".join(table_chunks(field_names(WalkTrace), [record_block(rows)], "csv"))
+    return "".join(table_chunks(WalkTrace._fields, [record_block(rows)], "csv"))

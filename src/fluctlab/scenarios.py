@@ -8,7 +8,6 @@ saturation, not to model any equation of motion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,6 +24,7 @@ from .states import (
     _mixture_report,
     _moments,
 )
+from .units import _Record
 
 if TYPE_CHECKING:  # a sweep needs no density module; the walk's caller makes the params
     from .density import FluctuationParams
@@ -32,8 +32,7 @@ if TYPE_CHECKING:  # a sweep needs no density module; the walk's caller makes th
 MAX_SWEEP_LEVEL = 30
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Record):
     label: str
     parameter: float
     product: float
@@ -42,8 +41,7 @@ class SweepRow:
     entropy_surrogate: float
 
 
-@dataclass(frozen=True)
-class WalkTrace:
+class WalkTrace(_Record):
     step: int
     product: float
     distance_to_bound: float
@@ -52,14 +50,7 @@ class WalkTrace:
 def _sweep_row(label: str, parameter: float, weights, report, units: UnitSystem, epsilon: float) -> SweepRow:
     """Audit of a mixture of these weights (one weight 1 for a pure state) whose moments are `report`."""
     result = classify(report, units, epsilon)
-    return SweepRow(
-        label=label,
-        parameter=parameter,
-        product=result.product,
-        bound=result.bound,
-        classification=result.verdict.value,
-        entropy_surrogate=_weight_entropy(weights),
-    )
+    return SweepRow(label, parameter, result.product, result.bound, result.verdict.value, _weight_entropy(weights))
 
 
 def eigenstate_sweep(
@@ -135,7 +126,7 @@ def relaxation_walk(
     the bound.  The trace has steps + 1 points and is monotone nonincreasing.
     """
     return [
-        WalkTrace(step=k, product=product, distance_to_bound=gap)
+        WalkTrace(k, product, gap)
         for rows, products, gaps in walk_blocks(start, steps, step_size, seed)
         for k, product, gap in zip(rows, products.tolist(), gaps.tolist())
     ]

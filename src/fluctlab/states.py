@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
@@ -33,15 +32,14 @@ from .errors import (
     require_finite,
     require_positive,
 )
-from .units import TWO_PI, UnitSystem, _trapz  # UnitSystem stays one of this module's names
+from .units import TWO_PI, UnitSystem, _Record, _trapz  # UnitSystem stays one of this module's names
 
 NORM_TOL = 1e-10          # |L2 norm - 1| allowed for states and weight sums
 DECAY_RATIO = 1e-6        # edge amplitude allowed relative to the peak
 TAIL_TOL = 1e-8           # truncated Boltzmann tail mass allowed
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """Uniform grid of n points x_min + j*dx, j = 0..n-1, with dx = (x_max - x_min)/n."""
 
     x_min: float
@@ -49,12 +47,13 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        require_finite("grid endpoints and span", self.x_min, self.x_max, self.x_max - self.x_min)
-        if self.x_max <= self.x_min:
-            raise InvalidRecipe(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
-        if not self.n >= 8:  # NaN too
-            raise InvalidRecipe(f"need at least 8 sample points, got n={self.n}")
-        object.__setattr__(self, "n", require_count("sample points n", self.n))
+        x_min, x_max, n = self.x_min, self.x_max, self.n
+        require_finite("grid endpoints and span", x_min, x_max, x_max - x_min)
+        if x_max <= x_min:
+            raise InvalidRecipe(f"need x_max > x_min, got [{x_min}, {x_max}]")
+        if not n >= 8:  # NaN too
+            raise InvalidRecipe(f"need at least 8 sample points, got n={n}")
+        vars(self)["n"] = require_count("sample points n", n)
 
     @property
     def dx(self) -> float:
@@ -112,8 +111,7 @@ def _admitted(grid: GridSpec, amp: np.ndarray, prob=None, guard: str = "") -> np
     return amp
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(_Record):
     """Normalized complex amplitudes on a grid.
 
     The constructor enforces unit L2 norm under trapezoid quadrature and the
@@ -125,7 +123,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _freeze(_admitted(self.grid, np.array(self.amplitudes, np.complex128))))
+        vars(self)["amplitudes"] = _freeze(_admitted(self.grid, np.array(self.amplitudes, np.complex128)))
 
     @classmethod
     def _adopt(cls, grid: GridSpec, amp: np.ndarray, prob=None, guard: str = "") -> "PureState":
@@ -137,8 +135,7 @@ class PureState:
         return state
 
 
-@dataclass(frozen=True)
-class MixedEnsemble:
+class MixedEnsemble(_Record):
     """Statistical mixture: strictly positive weights summing to 1 over shared-grid members."""
 
     weights: np.ndarray
@@ -158,16 +155,14 @@ class MixedEnsemble:
                 raise InvalidRecipe(f"member {i}: expected PureState, got {type(member).__name__}")
             if member.grid != members[0].grid:
                 raise GridMismatch(f"member {i} grid {member.grid} differs from {members[0].grid}")
-        object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "members", members)
+        vars(self).update(weights=_freeze(w), members=members)
 
     @property
     def grid(self) -> GridSpec:
         return self.members[0].grid
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
+class HamiltonianSpec(_Record):
     """Kinetic term p^2/(2m) plus a potential sampled on the grid."""
 
     mass: float
@@ -178,7 +173,7 @@ class HamiltonianSpec:
         v = np.array(self.potential, dtype=np.float64, copy=True)
         if v.ndim != 1 or not np.all(np.isfinite(v)):
             raise InvalidRecipe("potential must be a finite 1-D sample array")
-        object.__setattr__(self, "potential", _freeze(v))
+        vars(self)["potential"] = _freeze(v)
 
     @classmethod
     def harmonic(cls, grid: GridSpec, mass: float, omega: float) -> "HamiltonianSpec":
@@ -188,8 +183,7 @@ class HamiltonianSpec:
         return cls(mass=mass, potential=0.5 * mass * omega_squared * grid.points() ** 2)
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(_Record):
     """Means and variances of position and momentum for a state or ensemble."""
 
     mean_x: float
@@ -198,16 +192,15 @@ class MomentReport:
     var_p: float
 
     def __post_init__(self):
-        for name in ("mean_x", "mean_p", "var_x", "var_p"):
-            require_finite(name, getattr(self, name))
+        for name, value in vars(self).items():
+            require_finite(name, value)
         if self.var_x < 0 or self.var_p < 0:
             raise InvalidRecipe("variances must be nonnegative")
 
 
 # --- state recipes -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianPacket:
+class GaussianPacket(_Record):
     """Real Gaussian envelope of position spread sigma, boosted to mean momentum."""
 
     center: float = 0.0
@@ -215,15 +208,13 @@ class GaussianPacket:
     sigma: float = 1.0
 
 
-@dataclass(frozen=True)
-class OscillatorEigenstate:
+class OscillatorEigenstate(_Record):
     n: int
     mass: float = 1.0
     omega: float = 1.0
 
 
-@dataclass(frozen=True)
-class CoherentState:
+class CoherentState(_Record):
     """Displaced oscillator ground state, alpha = (x0/s + i*p0*s/hbar)/sqrt(2), s = sqrt(hbar/(m*omega))."""
 
     alpha: complex
@@ -231,8 +222,7 @@ class CoherentState:
     omega: float = 1.0
 
 
-@dataclass(frozen=True)
-class RawSamples:
+class RawSamples(_Record):
     amplitudes: tuple
 
 
@@ -367,7 +357,7 @@ def _mixture_report(weights, reports) -> MomentReport:
     """Moments of a mixture whose members' moments are `reports`."""
     mean_x, var_x = _total_variance(weights, [r.mean_x for r in reports], [r.var_x for r in reports])
     mean_p, var_p = _total_variance(weights, [r.mean_p for r in reports], [r.var_p for r in reports])
-    return MomentReport(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p)
+    return MomentReport(mean_x, mean_p, var_x, var_p)
 
 
 def _moments(grid: GridSpec, units: UnitSystem, prob: np.ndarray, spectrum: np.ndarray, scratch: np.ndarray):

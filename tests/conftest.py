@@ -30,7 +30,8 @@ def _no_child_left():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the twins forked during the test, with two CPUs offered whatever the host has."""
+    """The pids of the twins forked during the test, with two CPUs offered whatever the host has,
+    and a load of a file of any size sharing its values with a twin (fio._FORK_BYTES 0)."""
     forked, real_fork = [], os.fork
 
     def counting_fork():
@@ -41,6 +42,7 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(fio, "_FORK_BYTES", 0)
     return forked
 
 

@@ -909,6 +909,26 @@ def test_a_load_in_two_processes_is_the_load_in_one(tmp_path, capsys, monkeypatc
     assert capsys.readouterr() == printed
 
 
+FORK_BYTES = fio._FORK_BYTES  # read before the forks fixture sets it to 0
+
+
+@pytest.mark.parametrize("size, twins", [(FORK_BYTES - 1, 0), (FORK_BYTES, 1)], ids=["below", "at"])
+def test_a_load_forks_only_for_a_file_of_fork_bytes_or_more(tmp_path, monkeypatch, forks, size, twins):
+    """A twin's fork pays only for a large file (see io._FORK_BYTES): a file
+    one byte smaller is decoded by the command alone, through the same loop,
+    and one of that size shares its values with a twin.  Both load the state
+    that was saved; the file is a small state padded with whitespace."""
+    path, state = _load_case(tmp_path, 0)
+    monkeypatch.setattr(fio, "_FORK_BYTES", FORK_BYTES)
+    with open(path, "a") as handle:
+        handle.write(" " * (size - os.path.getsize(path)))
+    assert os.path.getsize(path) == size
+    del forks[:]
+    loaded, _ = fio.load_target(path)
+    assert len(forks) == twins
+    assert np.array_equal(loaded.amplitudes, state.amplitudes)
+
+
 def test_a_load_from_a_pipe_never_forks(tmp_path, forks):
     """A pipe cannot be read at an offset of one's own, so /dev/stdin on a pipe is read by one json.load."""
     path, state = _load_case(tmp_path, 0)

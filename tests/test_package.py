@@ -54,15 +54,18 @@ def test_unknown_name_is_an_attribute_error():
         exec("from fluctlab import no_such_name", {})
 
 
-def _loaded(stderr: str) -> set:
-    """The fluctlab modules that -X importtime's report names, without the package."""
-    names = (line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines() if line.startswith("import time:"))
-    return {name.split(".", 1)[1] for name in names if name.startswith("fluctlab.")}
+def _loaded(stderr: str) -> tuple:
+    """The fluctlab modules that -X importtime's report names, without the
+    package, and whether it names the stdlib's dataclasses, which no command
+    needs: the package's records are built without it."""
+    names = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines() if line.startswith("import time:")}
+    return {name.split(".", 1)[1] for name in names if name.startswith("fluctlab.")}, "dataclasses" in names
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     """Four fresh processes, started together: the package alone loads no
-    module, and each command loads what it runs (cli runs as __main__)."""
+    module, and each command loads what it runs (cli runs as __main__), and
+    none of them the stdlib's dataclasses."""
     state = str(tmp_path / "s.json")
     units = UnitSystem()
     fio.save_state(state, build_state(GaussianPacket(), GridSpec(-12.0, 12.0, 256), units), units)
@@ -85,4 +88,4 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         _, err = process.communicate(timeout=60)
         assert process.returncode == 0, (key, err)
         loaded[key] = _loaded(err)
-    assert loaded == {key: modules for key, (_, modules) in cases.items()}
+    assert loaded == {key: (modules, False) for key, (_, modules) in cases.items()}

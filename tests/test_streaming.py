@@ -137,7 +137,7 @@ def _walk_tables(n, form, tmp_path):
     through the command line, which formats walk_blocks' blocks as they come."""
     rows = _reference_walk(n - 1) if n else []
     whole = fio.walk_rows_csv(rows) if form == "csv" else "".join(
-        fio.table_chunks(fio.field_names(WalkTrace), [fio.record_block(rows)], form)
+        fio.table_chunks(WalkTrace._fields, [fio.record_block(rows)], form)
     )
     tables = [(rows, whole)]
     if n:
@@ -151,7 +151,7 @@ def _sweep_tables(n, form, tmp_path):
     """n sweep rows, the first the ground level n=0, through the table the command line writes
     (and sweep_rows_csv)."""
     rows = [SweepRow(f"n={k}", float(k), k + 0.5, 0.5, "strict" if k else "minimal", k / 3) for k in range(n)]
-    tables = [(rows, "".join(fio.table_chunks(fio.field_names(SweepRow), [fio.record_block(rows)], form)))]
+    tables = [(rows, "".join(fio.table_chunks(SweepRow._fields, [fio.record_block(rows)], form)))]
     if form == "csv":
         tables.append((rows, fio.sweep_rows_csv(rows)))
     return tables
