@@ -434,6 +434,18 @@ def main() -> None:
     ends by it.  A twin that gets the signal itself exits with status 1,
     unless it arrives while the twin is being forked: Python drops the
     signals a forked child has pending.
+
+    Otherwise the process ends without tearing down the interpreter: stdout
+    and stderr (each unless it is None) are flushed, then os._exit ends it
+    with the code, skipping the final garbage collections and module
+    teardown, 19-33 ms of every command.  Every file a command writes is
+    closed before run() returns, so nothing else is left to flush.  atexit
+    callbacks do not run, those that site hooks (.pth files) register
+    included.  Two cases end through sys.exit(code) and the interpreter's
+    teardown as before: a flush that raises (OSError, ValueError), which the
+    interpreter then reports as it flushes again, exiting 120; and an
+    installed profiler or tracer (cProfile, coverage, pdb), whose report is
+    printed at that exit.
     """
     caught = [s for s in (signal.SIGTERM, signal.SIGHUP) if signal.getsignal(s) == signal.SIG_DFL]
     for signum in caught:
@@ -448,7 +460,24 @@ def main() -> None:
             signal.signal(signum, signal.SIG_DFL)
     if received is not None:
         signal.raise_signal(received)
+    if not _watched():
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except (OSError, ValueError):
+            pass  # the teardown below flushes again, and reports a failure, as it always has
+        else:
+            os._exit(code)
     sys.exit(code)
+
+
+def _watched() -> bool:
+    """True when a profiler or tracer is installed.  From Python 3.12 on,
+    cProfile (and coverage, on request) use sys.monitoring and set neither hook."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.getprofile() is not None or sys.gettrace() is not None
+            or (monitoring is not None and any(monitoring.get_tool(tool) is not None for tool in range(6))))
 
 
 if __name__ == "__main__":

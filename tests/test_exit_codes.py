@@ -3,9 +3,11 @@ exit code rather than a Python traceback.
 
 Every case runs in-process through cli.run, as every other command-line test
 does: an exception that escapes it, or a RuntimeWarning (an error under this
-suite's warning filter), fails the test by itself.  Only the entry-point test
-starts fresh `python -m fluctlab.cli` processes, one per exit code, because
-only a real process shows main()'s wiring and its exit status."""
+suite's warning filter), fails the test by itself.  Only the entry-point
+tests start fresh `python -m fluctlab.cli` processes, one per exit code, a
+table to stdout, and three that end with stdout gone or under cProfile,
+because only a real process shows main()'s wiring, how it ends and its exit
+status."""
 
 import json
 import math
@@ -155,22 +157,50 @@ def test_bad_input_exits_without_traceback(argv, code, state_file, tmp_path, cap
         assert not NON_FINITE.search(out + written), (out, written[:500])
 
 
-ENTRY_POINT = ["eval-far-point", "abbreviated-top-level-h", "sample-negative-seed", "eigenstate-huge-grid"]
+CLI = [sys.executable, "-m", "fluctlab.cli"]
+ENTRY_POINT = {key: BAD_INPUTS[key] for key in
+               ["eval-far-point", "abbreviated-top-level-h", "sample-negative-seed", "eigenstate-huge-grid"]}
+# rows to stdout in blocks of 4096, 4096 and 1: the twin formats the second, and the third
+# (about 50 bytes) is still buffered when run returns, so only main's flush writes it
+ENTRY_POINT["walk-table-to-stdout"] = (["scenario", "walk", "--var-x", "2", "--var-p", "2", "--steps", "8192",
+                                        "--step-size", "0.05", "--seed", "7"], 0)
+EVAL_POINT = ENTRY_POINT["eval-far-point"][0]
+
+
+def _fresh_env() -> dict:
+    """The test process's environment for a fresh process, with src on the path,
+    no FLUCTLAB_H and no PYTHONUNBUFFERED, so stdout is block-buffered as in a
+    user's pipe or file, whoever runs the suite."""
+    env = {name: value for name, value in os.environ.items() if name not in ("FLUCTLAB_H", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 @pytest.fixture(scope="module")
 def entry_point_runs(tmp_path_factory):
     """{key: (argv, exit status, stdout, stderr)} of each ENTRY_POINT case run as
-    `python -m fluctlab.cli`, in fresh processes started together."""
+    `python -m fluctlab.cli`, and of `density eval` point mode ended three more
+    ways: its stdout a pipe whose reader is gone ("closed-pipe", stdout None),
+    its stdout descriptor closed ("closed-stdout"), and run under cProfile
+    ("cprofile"); all in fresh processes started together."""
     tmp = tmp_path_factory.mktemp("entry-point")
-    # a module fixture runs before the autouse one that drops FLUCTLAB_H
-    env = {name: value for name, value in os.environ.items() if name != "FLUCTLAB_H"}
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env = _fresh_env()  # a module fixture runs before the autouse one that drops FLUCTLAB_H
+
+    def start(command, stdout=subprocess.PIPE):
+        return subprocess.Popen(command, env=env, text=True, stdout=stdout, stderr=subprocess.PIPE)
+
     started = {}
-    for key in ENTRY_POINT:
-        argv = [a.format(tmp=tmp) for a in BAD_INPUTS[key][0]]
-        started[key] = argv, subprocess.Popen([sys.executable, "-m", "fluctlab.cli", *argv], env=env, text=True,
-                                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for key, (argv, _) in ENTRY_POINT.items():
+        argv = [a.format(tmp=tmp) for a in argv]
+        started[key] = argv, start([*CLI, *argv])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        started["closed-pipe"] = EVAL_POINT, start([*CLI, *EVAL_POINT], stdout=write)
+    finally:
+        os.close(write)
+    started["closed-stdout"] = EVAL_POINT, start(["sh", "-c", 'exec "$@" >&-', "sh", *CLI, *EVAL_POINT])
+    started["cprofile"] = EVAL_POINT, start([sys.executable, "-m", "cProfile", *CLI[1:], *EVAL_POINT])
     runs = {}
     for key, (argv, process) in started.items():
         out, err = process.communicate(timeout=60)
@@ -180,9 +210,34 @@ def entry_point_runs(tmp_path_factory):
 
 @pytest.mark.parametrize("key", ENTRY_POINT)  # exits 0, 1, 2 and 3
 def test_entry_point_exits_with_the_code_run_returns(key, entry_point_runs, capsys):
+    """The exit status is run's code, and every byte run prints reaches buffered stdout and stderr."""
     argv, status, out, err = entry_point_runs[key]
-    assert status == cli.run(argv) == BAD_INPUTS[key][1], err
+    assert status == cli.run(argv) == ENTRY_POINT[key][1], err
     assert capsys.readouterr() == (out, err)
+
+
+def test_a_failed_flush_at_exit_is_reported_by_the_interpreter(entry_point_runs):
+    """Buffered stdout into a pipe with no reader: main's flush fails, so the
+    interpreter's own exit flushes again, reports it and exits 120."""
+    _, status, _, err = entry_point_runs["closed-pipe"]
+    assert status == 120
+    assert re.fullmatch(r"Exception ignored in: <_io\.TextIOWrapper name='<stdout>' mode='w' encoding='[^']+'>\n"
+                        r"BrokenPipeError: \[Errno 32\] Broken pipe\n", err), err
+
+
+def test_a_closed_stdout_exits_with_the_code_run_returns(entry_point_runs):
+    _, status, out, err = entry_point_runs["closed-stdout"]  # sys.stdout is None: print writes nothing
+    assert (status, out, err) == (0, "", "")
+
+
+def test_a_profiled_command_still_prints_its_profile(entry_point_runs, capsys):
+    """Under cProfile main ends through sys.exit, which the profiler catches to print its table."""
+    argv, status, out, err = entry_point_runs["cprofile"]
+    assert cli.run(argv) == status == 0, err
+    printed, profile = out.split("\n", 1)
+    assert (f"{printed}\n", err) == capsys.readouterr()
+    assert re.search(r"\d+ function calls .*in [\d.]+ seconds", profile), profile
+    assert "(main)" in profile
 
 
 @pytest.mark.parametrize("target", ["command", "twin"])
@@ -199,12 +254,10 @@ def test_sigterm_leaves_no_temp_file_and_no_child(tmp_path, target):
     forks = len(os.sched_getaffinity(0)) >= 2  # the command's twin is forked at its second block
     if target == "twin" and not forks:
         pytest.skip("with one CPU the command forks no twin")
-    env = {name: value for name, value in os.environ.items() if name != "FLUCTLAB_H"}
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env = _fresh_env()
     argv = ["density", "sample", "--var-x", "1", "--var-p", "1", "--count", "20000000", "--seed", "1",
             "--out", str(tmp_path / "x.csv")]
-    process = subprocess.Popen([sys.executable, "-m", "fluctlab.cli", *argv], env=env, text=True,
-                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    process = subprocess.Popen([*CLI, *argv], env=env, text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     twins, deadline = [], time.monotonic() + 60
     try:
         while time.monotonic() < deadline and not (
