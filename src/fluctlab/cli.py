@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 data error (malformed or
 non-normalized files, inadmissible parameter values, below-bound audits in
 strict mode), 3 numerical failure (decay guard, truncation, resolution).
 errors.NumericalFailure and its subclasses map to 3; every other fluctlab
-error, and any OSError, maps to 2.
+error, and any OSError or MemoryError, maps to 2.
 """
 
 from __future__ import annotations
@@ -411,8 +411,8 @@ def run(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FluctLabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FluctLabError, OSError, MemoryError) as exc:  # numpy's MemoryError says what it could not allocate;
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # only Python's own comes here without text
         return 2
 
 

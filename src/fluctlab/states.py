@@ -291,29 +291,29 @@ def _eigenstate_level(grid: GridSpec, item, amp: np.ndarray, prob, admit=_admitt
     return _normalized_state(grid, np.multiply(row, factor, out=amp), what, 0.0, prob, admit, f"{what}: ")
 
 
-def _eigenstate_levels(n_max, mass, omega, grid, units):
-    """Oscillator eigenstates n = 0..n_max, renormalized on the grid, made one at a time."""
-    return (_eigenstate_level(grid, item, np.empty(grid.n, np.complex128), None, PureState._adopt)
-            for item in _hermite_rows(n_max, mass, omega, grid, units))
-
-
 def oscillator_eigenstates(n_max, mass, omega, grid, units) -> tuple:
     """Eigenstates n = 0..n_max of the harmonic oscillator from the stable orthonormal
-    Hermite recurrence, renormalized on the grid and all held at once."""
-    return tuple(_eigenstate_levels(n_max, mass, omega, grid, units))
+    Hermite recurrence, each renormalized on the grid and admitted in turn (a
+    refusal names the first level that fails), and all held at once."""
+    return tuple(_eigenstate_level(grid, item, np.empty(grid.n, np.complex128), None, PureState._adopt)
+                 for item in _hermite_rows(n_max, mass, omega, grid, units))
 
 
 def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureState:
     """Realize a recipe on a grid as a normalized PureState.
 
     Raises InvalidRecipe for out-of-range parameters and DecayGuardViolation
-    when the state does not vanish at the grid edges.
+    when the state does not vanish at the grid edges.  Every recipe admits
+    exactly one state, the one returned: an OscillatorEigenstate(n) runs the
+    Hermite recurrence through its n + 1 rows but normalizes and checks only
+    the last, level n, so a refusal is level n's own.
     """
     if isinstance(recipe, GaussianPacket):
         require_positive("sigma", recipe.sigma)
         return _gaussian_packet(grid, recipe.center, recipe.momentum, recipe.sigma, units)
     if isinstance(recipe, OscillatorEigenstate):
-        return deque(_eigenstate_levels(recipe.n, recipe.mass, recipe.omega, grid, units), maxlen=1).pop()
+        item = deque(_hermite_rows(recipe.n, recipe.mass, recipe.omega, grid, units), maxlen=1).pop()
+        return _eigenstate_level(grid, item, np.empty(grid.n, np.complex128), None, PureState._adopt)
     if isinstance(recipe, CoherentState):
         require_positive("mass", recipe.mass)
         require_positive("omega", recipe.omega)

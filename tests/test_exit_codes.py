@@ -7,12 +7,14 @@ suite's warning filter), fails the test by itself.  Only the entry-point
 tests start fresh `python -m fluctlab.cli` processes, one per exit code, a
 table to stdout, and three that end with stdout gone or under cProfile,
 because only a real process shows main()'s wiring, how it ends and its exit
-status."""
+status; so do the SIGTERM tests, and the out-of-memory tests, whose address
+space is capped in the child alone."""
 
 import json
 import math
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -281,6 +283,86 @@ def test_sigterm_leaves_no_temp_file_and_no_child(tmp_path, target):
     assert len(twins) == forks
     assert list(tmp_path.iterdir()) == []
     assert not [pid for pid in twins if os.path.exists(f"/proc/{pid}")]
+
+
+# sizes within io.MAX_ROWS that the capped address space cannot hold
+OUT_OF_MEMORY = {
+    "state": ["state", "--gaussian", "--grid=-40:40:33554432", "--out", "{tmp}/big.json"],
+    "eigensweep": ["scenario", "eigensweep", "--n-max", "3", "--grid=-40:40:33554432"],
+}
+ADDRESS_SPACE = 640 * 2**20  # the first 2^25-point array fits, the next does not; RSS stays under 300 MB
+
+
+def _address_space_capped():
+    """In the child only, before it runs Python: cap its address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def _session(sid: int) -> list:
+    """The pids of the processes left in session sid."""
+    pids = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()  # state, ppid, pgrp, session, ...
+        except (FileNotFoundError, ProcessLookupError):  # it ended
+            continue
+        if int(fields[3]) == sid:
+            pids.append(int(pid))
+    return pids
+
+
+@pytest.fixture(scope="module")
+def out_of_memory_runs(tmp_path_factory):
+    """{key: (tmp, pid, exit status, stdout, stderr)} of each OUT_OF_MEMORY case run
+    as `python -m fluctlab.cli` in a session of its own, all started together.
+    One BLAS thread, as the address space an OpenBLAS thread reserves grows with the host's CPUs."""
+    env = {**_fresh_env(), "OPENBLAS_NUM_THREADS": "1"}
+    started = {}
+    for key, argv in OUT_OF_MEMORY.items():
+        tmp = tmp_path_factory.mktemp(f"out-of-memory-{key}")
+        started[key] = tmp, subprocess.Popen([*CLI, *(a.format(tmp=tmp) for a in argv)], env=env, text=True,
+                                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                             preexec_fn=_address_space_capped, start_new_session=True)
+    runs = {}
+    for key, (tmp, process) in started.items():
+        out, err = process.communicate(timeout=60)
+        runs[key] = tmp, process.pid, process.returncode, out, err
+    return runs
+
+
+@pytest.mark.parametrize("key", OUT_OF_MEMORY)
+def test_out_of_memory_exits_2_with_numpys_message(key, out_of_memory_runs):
+    """A MemoryError is refused as a bad input is: one error line, no traceback, no file, no child."""
+    tmp, pid, status, out, err = out_of_memory_runs[key]
+    assert (status, out) == (2, ""), err
+    assert re.fullmatch(r"error: Unable to allocate [^\n]+\n", err), err
+    assert list(tmp.iterdir()) == []
+    assert _session(pid) == []
+
+
+@pytest.mark.parametrize("exc, message", [(MemoryError(), "out of memory"),
+                                          (MemoryError("Unable to allocate 1 MiB"), "Unable to allocate 1 MiB")],
+                         ids=["no-text", "numpy-text"])
+def test_out_of_memory_in_a_load_exits_2(exc, message, forks, monkeypatch, tmp_path, capsys):
+    """The error comes at psi_re, after the twin is forked (at the grid); the
+    twin fails too, and is killed and reaped (the autouse fixture checks)."""
+    path = str(tmp_path / "s.json")
+    units = UnitSystem()
+    fio.save_state(path, build_state(GaussianPacket(), GridSpec(-12.0, 12.0, 256), units), units)
+    forks.clear()
+    real = fio._Window.decoded
+
+    def decoded(window, k, item):
+        if item[0]:  # psi_re or psi_im
+            raise exc
+        return real(window, k, item)
+
+    monkeypatch.setattr(fio._Window, "decoded", decoded)
+    assert cli.run(["audit", "--in", path, "--out", str(tmp_path / "report.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert os.listdir(tmp_path) == ["s.json"]
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("key", ["eval-infinite-peak", "scan-infinite-peak", "normcheck-infinite-peak"])

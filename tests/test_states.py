@@ -2,10 +2,13 @@
 
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluctlab import (
     CoherentState,
@@ -31,6 +34,7 @@ from fluctlab import (
     thermal_ensemble,
     uncertainty_product,
 )
+from fluctlab import FluctLabError, states
 from fluctlab.units import TWO_PI
 
 # oscillator eigenfunctions at m = omega = hbar = 1, mpmath at 40 digits
@@ -388,6 +392,54 @@ def test_eigenstates_share_basis_with_build_state(units):
     family = oscillator_eigenstates(4, 1.0, 1.0, g, units)
     single = build_state(OscillatorEigenstate(4), g, units)
     assert np.array_equal(family[4].amplitudes, single.amplitudes)
+
+
+@pytest.fixture
+def admissions(monkeypatch):
+    """The number of states admitted (states._admitted calls) so far in the test."""
+    calls, real = [], states._admitted
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(states, "_admitted", counting)
+    return calls
+
+
+@pytest.mark.parametrize("recipe", [GaussianPacket(), CoherentState(1 + 2j),
+                                    RawSamples((0.0,) * 30 + (1.0,) * 4 + (0.0,) * 30),
+                                    *map(OscillatorEigenstate, (0, 1, 10))],
+                         ids=["gaussian", "coherent", "raw", "eigenstate-0", "eigenstate-1", "eigenstate-10"])
+def test_a_build_admits_only_the_state_it_returns(recipe, admissions, units):
+    """An eigenstate n runs the recurrence through levels 0..n but normalizes and checks level n alone."""
+    build_state(recipe, GridSpec(-12.0, 12.0, 64), units)
+    assert len(admissions) == 1
+
+
+def test_oscillator_eigenstates_admit_each_level_once(admissions, units):
+    assert len(oscillator_eigenstates(10, 1.0, 1.0, GridSpec(-12.0, 12.0, 64), units)) == len(admissions) == 11
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(0, 39), mass=st.one_of(st.just(1.0), st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)),
+       half_width=st.floats(4.0, 30.0), points=st.integers(6, 12).map(lambda bits: 2**bits))
+def test_an_eigenstate_is_its_level_of_the_family(n, mass, half_width, points):
+    """build_state's level n is the family's level n, bit for bit, wherever the
+    family is admitted; a refusal of level n names level n, not a lower one."""
+    grid, units = GridSpec(-half_width, half_width, points), UnitSystem()
+    try:
+        family = oscillator_eigenstates(n, mass, 1.0, grid, units)
+    except FluctLabError:
+        family = None
+    try:
+        single = build_state(OscillatorEigenstate(n, mass), grid, units)
+    except FluctLabError as exc:
+        assert family is None
+        assert re.search(rf"\beigenstate n={n}\b", str(exc)), exc
+        return
+    if family is not None:
+        assert single.amplitudes.tobytes() == family[n].amplitudes.tobytes()
 
 
 def _gaussian(grid, units):
