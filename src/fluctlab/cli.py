@@ -108,15 +108,10 @@ def _admit_rows(rows: int, what: str) -> None:
 
 
 def _parse_complex_flag(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise InvalidRecipe(f"complex flag must be RE or RE,IM, got {text!r}")
+        return complex(*map(float, text.split(",")))  # RE or RE,IM: a third part is a TypeError
+    except (ValueError, TypeError):
+        raise InvalidRecipe(f"complex flag must be RE or RE,IM, got {text!r}") from None
 
 
 def _params_from_flags(args, units: UnitSystem) -> FluctuationParams:

@@ -239,7 +239,8 @@ def _normalized_state(grid, amp, what=None, center=0.0, prob=None, admit=PureSta
     prob = np.square(np.abs(amp, out=prob), out=prob)
     norm = math.sqrt(_trapz(prob, grid.dx))
     if norm == 0.0 and what is not None:
-        raise _vanishing(what, center, grid, underflows=bool(amp.any()))
+        raise _vanishing(what, center, grid, "its squared amplitudes underflow to 0 on every grid point"
+                         if amp.any() else "it vanishes on every grid point")
     require_positive("amplitude norm", norm)
     amp /= norm
     return admit(grid, amp, prob, guard)
@@ -259,11 +260,9 @@ def _gaussian_packet(grid, center, momentum, sigma, units) -> PureState:
     return _normalized_state(grid, amp, f"packet of center {center!r} and sigma {sigma!r}", center)
 
 
-def _vanishing(what: str, center: float, grid: GridSpec, underflows: bool) -> InvalidRecipe:
-    """The refusal of what, centered at center, whose norm on the grid is 0:
-    it is 0 at every grid point, or (underflows) its squares are."""
-    how = ("its squared amplitudes underflow to 0 on every grid point" if underflows
-           else "it vanishes on every grid point")
+def _vanishing(what: str, center: float, grid: GridSpec, how: str) -> InvalidRecipe:
+    """The refusal of what, centered at center, that the grid cannot hold:
+    how says what its amplitudes do there."""
     where = f"narrower than the grid step {grid.dx!r}" if grid.x_min <= center <= grid.x_max else "outside the grid"
     return InvalidRecipe(f"{what} must be finite and nonzero on the grid, but {how}: it is {where}")
 
@@ -291,12 +290,24 @@ def _eigenstate_level(grid: GridSpec, item, amp: np.ndarray, prob, admit=_admitt
     return _normalized_state(grid, np.multiply(row, factor, out=amp), what, 0.0, prob, admit, f"{what}: ")
 
 
+def _eigenstate(grid: GridSpec, n: int, item) -> PureState:
+    """The state of oscillator level n, item of _hermite_rows, in a new array
+    (see _eigenstate_level).  Level n has n + 1 lobes; where |psi|^2 is
+    nonzero on fewer grid points, the grid cannot hold them, and _vanishing
+    refuses the level (level 0, one lobe, is held by any point)."""
+    prob = np.empty(grid.n)
+    state = _eigenstate_level(grid, item, np.empty(grid.n, np.complex128), prob, PureState._adopt)
+    if (points := np.count_nonzero(prob)) <= n:
+        how = f"its {n + 1} lobes need as many grid points where |psi|^2 > 0, and it has {points}"
+        raise _vanishing(item[0], 0.0, grid, how)
+    return state
+
+
 def oscillator_eigenstates(n_max, mass, omega, grid, units) -> tuple:
     """Eigenstates n = 0..n_max of the harmonic oscillator from the stable orthonormal
     Hermite recurrence, each renormalized on the grid and admitted in turn (a
-    refusal names the first level that fails), and all held at once."""
-    return tuple(_eigenstate_level(grid, item, np.empty(grid.n, np.complex128), None, PureState._adopt)
-                 for item in _hermite_rows(n_max, mass, omega, grid, units))
+    refusal names the first level that fails, see _eigenstate), and all held at once."""
+    return tuple(_eigenstate(grid, n, item) for n, item in enumerate(_hermite_rows(n_max, mass, omega, grid, units)))
 
 
 def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureState:
@@ -306,14 +317,14 @@ def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureS
     when the state does not vanish at the grid edges.  Every recipe admits
     exactly one state, the one returned: an OscillatorEigenstate(n) runs the
     Hermite recurrence through its n + 1 rows but normalizes and checks only
-    the last, level n, so a refusal is level n's own.
+    the last, level n, so a refusal is level n's own (see _eigenstate).
     """
     if isinstance(recipe, GaussianPacket):
         require_positive("sigma", recipe.sigma)
         return _gaussian_packet(grid, recipe.center, recipe.momentum, recipe.sigma, units)
     if isinstance(recipe, OscillatorEigenstate):
-        item = deque(_hermite_rows(recipe.n, recipe.mass, recipe.omega, grid, units), maxlen=1).pop()
-        return _eigenstate_level(grid, item, np.empty(grid.n, np.complex128), None, PureState._adopt)
+        rows = _hermite_rows(recipe.n, recipe.mass, recipe.omega, grid, units)
+        return _eigenstate(grid, recipe.n, deque(rows, maxlen=1).pop())
     if isinstance(recipe, CoherentState):
         require_positive("mass", recipe.mass)
         require_positive("omega", recipe.omega)

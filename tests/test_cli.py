@@ -226,6 +226,25 @@ def test_vanishing_eigenstate_is_named(tmp_path, capsys):
                                             "but it vanishes on every grid point: it is outside the grid\n")
 
 
+@pytest.mark.parametrize("argv, step, moments", [
+    (["--mass", "7e295", "--grid=-29:29:128"], "0.453125", "var_x=0.0, var_p=16.022"),
+    (["--mass", "1e6", "--grid=-12:12:64"], "0.375", "var_x=0.0, var_p=23.3889"),
+], ids=["mass-7e295", "mass-1e6"])
+def test_an_eigenstate_narrower_than_the_grid_step_is_refused(tmp_path, capsys, argv, step, moments):
+    """At these masses level 0 is a spike on the one grid point x = 0, and so is
+    every even level: level 2, three lobes on one point, is refused and writes
+    no file, while level 0, one lobe, is still written."""
+    out = str(tmp_path / "s.json")
+    assert run(["state", "--eigenstate", "2", *argv, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: eigenstate n=2 must be finite and nonzero on the grid, but its 3 lobes need as many grid points "
+        f"where |psi|^2 > 0, and it has 1: it is narrower than the grid step {step}\n"
+    )
+    assert not os.path.exists(out)
+    assert run(["state", "--eigenstate", "0", *argv, "--out", out]) == 0
+    assert capsys.readouterr().out == f"wrote {out} ({moments})\n"
+
+
 @pytest.mark.parametrize("argv, packet, where", [
     (["--gaussian", "--center", "1000"], "center 1000.0 and sigma 1.0", "outside the grid"),
     (["--gaussian", "--sigma", "1e-4", "--center", "0.01"], "center 0.01 and sigma 0.0001",

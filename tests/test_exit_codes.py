@@ -8,7 +8,8 @@ tests start fresh `python -m fluctlab.cli` processes, one per exit code, a
 table to stdout, and three that end with stdout gone or under cProfile,
 because only a real process shows main()'s wiring, how it ends and its exit
 status; so do the SIGTERM tests, and the out-of-memory tests, whose address
-space is capped in the child alone."""
+space is capped in the child alone, above what one more fresh interpreter
+measures after the imports."""
 
 import json
 import math
@@ -290,12 +291,16 @@ OUT_OF_MEMORY = {
     "state": ["state", "--gaussian", "--grid=-40:40:33554432", "--out", "{tmp}/big.json"],
     "eigensweep": ["scenario", "eigensweep", "--n-max", "3", "--grid=-40:40:33554432"],
 }
-ADDRESS_SPACE = 640 * 2**20  # the first 2^25-point array fits, the next does not; RSS stays under 300 MB
+HEADROOM = 384 * 2**20  # above the imports: one 2^25-point float array (256 MiB) fits, a second does not
+PROBE = "import fluctlab.cli, fluctlab.io, fluctlab.scenarios; print(open('/proc/self/status').read())"
 
 
-def _address_space_capped():
-    """In the child only, before it runs Python: cap its address space."""
-    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+def _address_space(env: dict) -> int:
+    """The address space (VmSize, bytes) of a fresh interpreter once it has
+    imported numpy and what the commands import: it depends on the host's
+    numpy build and libraries, so the cap is set above it."""
+    status = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True).stdout
+    return int(re.search(r"^VmSize:\s+(\d+) kB$", status, re.M)[1]) * 1024
 
 
 def _session(sid: int) -> list:
@@ -315,15 +320,19 @@ def _session(sid: int) -> list:
 @pytest.fixture(scope="module")
 def out_of_memory_runs(tmp_path_factory):
     """{key: (tmp, pid, exit status, stdout, stderr)} of each OUT_OF_MEMORY case run
-    as `python -m fluctlab.cli` in a session of its own, all started together.
-    One BLAS thread, as the address space an OpenBLAS thread reserves grows with the host's CPUs."""
+    as `python -m fluctlab.cli` in a session of its own, all started together,
+    with its address space capped at HEADROOM above _address_space, in the
+    child only, before it runs Python.  One BLAS thread, as the address space
+    an OpenBLAS thread reserves grows with the host's CPUs."""
     env = {**_fresh_env(), "OPENBLAS_NUM_THREADS": "1"}
+    cap = _address_space(env) + HEADROOM
     started = {}
     for key, argv in OUT_OF_MEMORY.items():
         tmp = tmp_path_factory.mktemp(f"out-of-memory-{key}")
         started[key] = tmp, subprocess.Popen([*CLI, *(a.format(tmp=tmp) for a in argv)], env=env, text=True,
                                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                             preexec_fn=_address_space_capped, start_new_session=True)
+                                             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+                                             start_new_session=True)
     runs = {}
     for key, (tmp, process) in started.items():
         out, err = process.communicate(timeout=60)

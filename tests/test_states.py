@@ -1,9 +1,11 @@
 """States, ensembles, and moment operations."""
 
+import importlib.util
 import math
 import pickle
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ from fluctlab import (
 )
 from fluctlab import FluctLabError, states
 from fluctlab.units import TWO_PI
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # oscillator eigenfunctions at m = omega = hbar = 1, mpmath at 40 digits
 PSI_ORACLE = {
@@ -419,6 +423,34 @@ def test_a_build_admits_only_the_state_it_returns(recipe, admissions, units):
 
 def test_oscillator_eigenstates_admit_each_level_once(admissions, units):
     assert len(oscillator_eigenstates(10, 1.0, 1.0, GridSpec(-12.0, 12.0, 64), units)) == len(admissions) == 11
+
+
+def test_a_level_with_fewer_points_than_lobes_is_refused_by_both_builds(units):
+    """On 64 points over +-20 at mass 1000, |psi|^2 of level 3 is nonzero on
+    the two points beside x = 0, fewer than its 4 lobes: the family and
+    build_state refuse it alike, and the levels below stay admitted."""
+    grid = GridSpec(-20.0, 20.0, 64)
+    refusal = (r"eigenstate n=3 must be finite and nonzero on the grid, but its 4 lobes need as many grid points "
+               r"where \|psi\|\^2 > 0, and it has 2: it is narrower than the grid step 0\.625")
+    with pytest.raises(InvalidRecipe, match=f"^{refusal}$"):
+        oscillator_eigenstates(3, 1e3, 1.0, grid, units)
+    with pytest.raises(InvalidRecipe, match=f"^{refusal}$"):
+        build_state(OscillatorEigenstate(3, 1e3), grid, units)
+    assert len(oscillator_eigenstates(2, 1e3, 1.0, grid, units)) == 3
+
+
+def test_the_harsh_scan_runs(tmp_path, capsys):
+    """scripts/harsh_scan.py keeps working: a few draws, counted and recorded one a line."""
+    spec = importlib.util.spec_from_file_location("harsh_scan", ROOT / "scripts" / "harsh_scan.py")
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    record = tmp_path / "record.txt"
+    assert scan.main(["--seed", "0", "--draws", "6", "--record", str(record)]) == 0
+    lines = record.read_text().splitlines()
+    assert [line.split("\t")[0] for line in lines] == list(map(str, range(6)))
+    assert all(re.search(r"\t(sha256 [0-9a-f]{64}|refused \w+: .+)$", line) for line in lines), lines
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total[0] == "total" and sum(map(int, total[1:])) == 6
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
