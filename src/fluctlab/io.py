@@ -1,21 +1,26 @@
 """JSON state/ensemble files, tables, and atomic writes.
 
-Floats are serialized through Python's shortest round-trip repr, so files
-reload to bit-identical doubles.  A state file and each member of an
-ensemble file share one amplitude layout.  Every load parses its file once
-and hands the parsed document to one parser; loaders re-verify
-normalization and the decay guard instead of silently repairing data, and
-refuse with FileFormatError what Python itself cannot read: integers too
-large for a float or longer than its digit limit, and nesting deeper than
-its recursion limit.
+Floats are serialized as Python's shortest round-trip repr, so files reload
+to bit-identical doubles.  repr's bytes are made a block at a time by
+_floattext, with no Python float per value, for every list of a state or
+ensemble file and every CSV table whose columns are float64 or integer
+arrays (scans, samples, walks); the sweeps' tables of records, and every
+JSON table, are made by Python's repr and json.dumps.  A state file and
+each member of an ensemble file share one amplitude layout.  Every load
+parses its file once and hands the parsed document to one parser;
+loaders re-verify normalization and the decay guard instead of silently
+repairing data, and refuse with FileFormatError what Python itself cannot
+read: integers too large for a float or longer than its digit limit, and
+nesting deeper than its recursion limit.
 
 Tables, documents and loads are each one _turns._shared loop, and each
 keeps one rule: an item is raw data that both processes can replay, and
 only the function that makes an item's value makes Python objects of it.
 A table's block holds the arrays its source made (the draws, the walk's
-products and gaps, the mesh's values), and _block_text alone turns them
-into Python numbers, in the process that formats the block; a document's
-block is a slice of an amplitude array, which _values_text formats.  A
+products and gaps, a scan's x and p values and the mesh's values), and
+_block_text alone turns them into text, in the process that formats the
+block; a document's block is a slice of an amplitude array, which
+_values_text formats.  A
 load's item is where one value lies in the file, its start and stop
 offsets, and _Window.decoded alone reads those bytes, by one os.pread, and
 makes text of them, with the handle's encoding, and then JSON values.
@@ -79,7 +84,12 @@ left with partial output by a failure.
 Every command loads this module, so it imports no density module, and the
 modules it does use only where they are used: states where a state is built
 (_parse_grid and _parse_document), scenarios in sweep_rows_csv and
-walk_rows_csv.  BLOCK_ROWS comes from _turns, beside the block writer.
+walk_rows_csv, _floattext in _values_text and _block_text, so that only a
+command that writes a document or a numeric table compiles it.
+load_state and load_ensemble refuse a file of the other kind at its first
+key of that kind, with the message that the whole file would get, before
+any amplitude is decoded and before a twin is forked (see _Window.items).
+BLOCK_ROWS comes from _turns, beside the block writer.
 """
 
 from __future__ import annotations
@@ -229,7 +239,9 @@ def _document(units: UnitSystem, grid: GridSpec, lists, tail: str):
 
 
 def _values_text(k: int, block) -> str:
-    return block[1] + ", ".join(map(repr, block[0].tolist()))  # the lead, then the values
+    from . import _floattext
+
+    return block[1] + _floattext.joined(block[0], ", ")  # the lead, then the values
 
 
 def _field(mapping, key, kind, where):
@@ -305,6 +317,9 @@ def _admit_amplitudes(obj: dict) -> dict:
 
 
 _AMPLITUDES = ("psi_re", "psi_im")
+_OTHER_KIND = {"psi_re": ("weights", "members"), "weights": _AMPLITUDES}
+"""The key that a load of each kind needs first (load_state, load_ensemble),
+and the keys that mark a file of the other kind (see _Window.items)."""
 
 
 def _admitted(values):
@@ -375,40 +390,69 @@ class _Window:
         self.data, self.pos = b"", 0
         self.decode = json.JSONDecoder(object_hook=_admit_amplitudes).raw_decode
 
-    def document(self) -> dict:
+    def document(self, wanted=None) -> dict:
         """The file's top-level object as json.load with _admit_amplitudes
         returns it, or ValueError where the walk stops short of that (a top
         level that is not an object, bad syntax, extra data, deep nesting).
         A top-level "members" list is decoded one element at a time, and
         top-level psi_re and psi_im are admitted by the process that decodes
-        them.  A file smaller than _FORK_BYTES is decoded by this process alone."""
+        them.  A file smaller than _FORK_BYTES is decoded by this process
+        alone.  wanted, the key that a load of one kind needs, may leave doc
+        without it, and without the file's amplitudes (see items)."""
         doc, places = {}, deque()
         fork = os.fstat(self.handle.fileno()).st_size >= _FORK_BYTES
-        for value in _shared(self.decoded, self.items(doc, places), fork):
+        for value in _shared(self.decoded, self.items(doc, places, wanted), fork):
             places.popleft()(value)
         return doc
 
-    def items(self, doc, places):
+    def items(self, doc, places, wanted=None):
         """Yield (admit, start, stop) for each value of the walk in turn:
         whether it is a top-level psi_re or psi_im, and where its bytes lie
-        in the file (see span).  Append to places, in the same order, what
-        puts that value into doc.  Keys are decoded here, by both processes."""
+        in the file (see span), a top-level value once the key after it is
+        read.  Append to places, in the same order, what puts that value into
+        doc.  Keys are decoded here, by both processes.
+
+        When a key of the other kind (see _OTHER_KIND) comes before wanted,
+        the key a load of one kind needs, the file is of the other kind: no
+        value from there on is yielded, nor the one before it, held until
+        that key is read, so no amplitude is decoded and, where the values
+        before are units and grid, no twin is forked.  The rest of the
+        object is still walked, and its units and grid are decoded here, so
+        that doc holds what the parser reads before it refuses the missing
+        key, with the message the whole file would get.  wanted met after
+        all raises ValueError, so json.load reads the file."""
+        pending, refused = None, None
         for _ in self.sequence(b"{", b"}"):
             key = self.decoded(0, (False, *self.span()))
             if not isinstance(key, str):
                 raise ValueError("a key that is not a string")
             self.take(b":")
+            if refused is None and key in _OTHER_KIND.get(wanted, ()) and wanted not in doc:
+                refused = [pending] if pending else []
+            if refused is not None:
+                if key == wanted:
+                    raise ValueError("keys of both kinds")
+                refused.append((key, (False, *self.span())))
+                continue
+            if pending:
+                yield pending[1]
             if key == "members" and self.peek() == b"[":
                 doc[key] = members = []
                 for _ in self.sequence(b"[", b"]"):
                     places.append(members.append)
                     yield False, *self.span()
+                pending = None
             else:
                 doc[key] = None  # its place in doc now, as json.load keeps a repeated key's first place
                 places.append(partial(doc.__setitem__, key))
-                yield key in _AMPLITUDES, *self.span()
+                pending = key, (key in _AMPLITUDES, *self.span())
+        if pending and refused is None:
+            yield pending[1]
         if self.peek():
             raise ValueError("extra data")
+        for key, item in refused or ():
+            if key in ("units", "grid"):
+                doc[key] = self.decoded(0, item)
 
     def decoded(self, k: int, item):
         """The value of item (admit, start, stop): the file's bytes from start
@@ -525,16 +569,18 @@ class _End:
         return -1
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, wanted=None) -> dict:
     """The file's top-level object, read through a _Window whose values two
     processes decode when _turns.second_cpu() holds and the file has
-    _FORK_BYTES or more (see _Window).  A file
+    _FORK_BYTES or more (see _Window); one of the other kind than wanted, the
+    key a load of one kind needs, only as far as the parser reads it before
+    it refuses that key (see _Window.items).  A file
     the walk does not take, and a pipe, which cannot be read twice, is read
     from its start by one json.load, so every refusal is json.load's."""
     with open(path) as handle:
         if handle.seekable():
             with contextlib.suppress(ValueError, RecursionError):  # the walk refused the file
-                return _Window(handle).document()
+                return _Window(handle).document(wanted)
         try:
             doc = json.load(handle, object_hook=_admit_amplitudes)
         except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and Python's digit limit
@@ -565,12 +611,12 @@ def _parse_document(doc: dict, ensemble: bool):
 
 def load_state(path: str):
     """Read a state file; returns (PureState, UnitSystem)."""
-    return _parse_document(_load_json(path), ensemble=False)
+    return _parse_document(_load_json(path, "psi_re"), ensemble=False)
 
 
 def load_ensemble(path: str):
     """Read an ensemble file; returns (MixedEnsemble, UnitSystem)."""
-    return _parse_document(_load_json(path), ensemble=True)
+    return _parse_document(_load_json(path, "weights"), ensemble=True)
 
 
 def load_target(path: str):
@@ -610,18 +656,38 @@ def _table_ends(fields, form: str) -> tuple:
 def _block_text(fields, form: str, k: int, block) -> str:
     """The text of block k of a table (k counts blocks that have rows).
 
-    The one place where a table's numbers become Python values: each numpy
-    column's tolist(), here, in the process that formats the block.  CSV: a
-    line per row, each str column as it is and each number as its repr, made
-    by one %-format of the whole block.  JSON: the rows as json.dumps writes
-    them between a list's brackets, after ", " unless k is 0.
+    CSV: a line per row, each str column as it is and each number as its
+    repr.  A block whose columns are all numpy float64 or integer arrays (or
+    ranges) is laid out whole by _floattext, with no Python object per
+    value, into repr's bytes; any other block, such as the sweeps' records,
+    is made by one %-format of its columns' Python values (each numpy
+    column's tolist(), here, in the process that formats the block).  JSON:
+    the rows as json.dumps writes them between a list's brackets, after ", "
+    unless k is 0.  A scan's block (see _scan_blocks) is a mesh: its x
+    values, its p values and their (x, p) values, a row for each pair.
     """
+    mesh = getattr(block[-1], "ndim", 1) == 2
+    if form == "csv" and all(map(_numeric, block)):
+        from . import _floattext
+
+        columns = [np.arange(c.start, c.stop, c.step) if isinstance(c, range) else c for c in block]
+        return _floattext.csv_lines(columns, mesh)
+    if mesh:
+        x, p, f = block
+        block = np.repeat(x, len(p)), np.tile(p, len(x)), f.ravel()
     block = [column.tolist() if isinstance(column, np.ndarray) else column for column in block]
     if form == "json":
         rows = json.dumps([dict(zip(fields, row)) for row in zip(*block)])[1:-1]
         return ", " + rows if k else rows
     line = ",".join("%s" if isinstance(column[0], str) else "%r" for column in block) + "\n"
     return line * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
+
+
+def _numeric(column) -> bool:
+    """Whether _floattext lays out column: a range, or a float64 or integer array."""
+    if isinstance(column, np.ndarray):
+        return column.dtype.kind in "iu" or column.dtype == np.float64
+    return isinstance(column, range)
 
 
 def record_block(records) -> tuple:
@@ -638,19 +704,20 @@ def write_samples_csv(path: str, blocks) -> None:
 
 
 def _scan_blocks(xs, ps, values):
-    """The mesh's (x, p, f) columns in blocks of at most BLOCK_ROWS rows: whole
-    x-rows, or slices of one x-row when a row is longer than a block.  Each
-    axis value is formatted once, and goes in as a str.  Values whose shape,
-    or whose block's shape, differs from the axes' raise GridMismatch."""
-    x_text, p_text = (list(map(repr, np.asarray(axis, dtype=float).tolist())) for axis in (xs, ps))
-    shape = (len(x_text), len(p_text))
+    """The mesh in blocks of at most BLOCK_ROWS (x, p) rows: whole x-rows, or
+    slices of one x-row when a row is longer than a block, each block its x
+    values, its p values and their (x, p) values, so that each axis value
+    is formatted once a block.  Values whose shape, or whose block's shape,
+    differs from the axes' raise GridMismatch."""
+    xs, ps = (np.asarray(axis, dtype=float) for axis in (xs, ps))
+    shape = (len(xs), len(ps))
     if getattr(values, "shape", shape) != shape:
         raise GridMismatch(f"scan values have shape {values.shape}, not the axes' {shape}")
-    p_step = min(len(p_text), BLOCK_ROWS) or 1
+    p_step = min(len(ps), BLOCK_ROWS) or 1
     x_step = BLOCK_ROWS // p_step
-    for i in range(0, len(x_text), x_step):
-        for j in range(0, len(p_text), p_step):
-            x_block, p_block = x_text[i : i + x_step], p_text[j : j + p_step]
+    for i in range(0, len(xs), x_step):
+        for j in range(0, len(ps), p_step):
+            x_block, p_block = xs[i : i + x_step], ps[j : j + p_step]
             # a last block's slice runs to the mesh's end, so rows or columns past the axes show in its shape
             rows = slice(i, i + x_step if i + x_step < shape[0] else None)
             columns = slice(j, j + p_step if j + p_step < shape[1] else None)
@@ -658,7 +725,7 @@ def _scan_blocks(xs, ps, values):
             block_shape = (len(x_block), len(p_block))
             if f.shape != block_shape:
                 raise GridMismatch(f"scan values block at [{i}, {j}] has shape {f.shape}, not {block_shape}")
-            yield [x for x in x_block for _ in p_block], p_block * len(x_block), f.ravel()
+            yield x_block, p_block, f
 
 
 def write_scan_csv(path: str, xs, ps, values) -> None:

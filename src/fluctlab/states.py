@@ -229,17 +229,18 @@ class RawSamples(_Record):
 StateRecipe = Union[GaussianPacket, OscillatorEigenstate, CoherentState, RawSamples]
 
 
-def _normalized_state(grid, amp, what=None, center=0.0, prob=None, admit=PureState._adopt, guard=""):
+def _normalized_state(grid, amp, what=None, center=0.0, width=0.0, prob=None, admit=PureState._adopt, guard=""):
     """amp, a complex array the caller gives up, scaled in place to unit norm
     and then admitted by admit(grid, amp, prob, guard): PureState._adopt, which
     makes it a state's, or _admitted.  prob, a float array of the grid's size
     (made here when None), is left holding |amp|^2.  A recipe's amplitudes
-    (what names it, centered at center) whose norm is 0 are refused by
-    _vanishing, naming it: every point 0, or their squares all underflowing."""
+    (what names it, centered at center, of the given width) whose norm is 0
+    are refused by _vanishing, naming it: every point 0, or their squares
+    all underflowing."""
     prob = np.square(np.abs(amp, out=prob), out=prob)
     norm = math.sqrt(_trapz(prob, grid.dx))
     if norm == 0.0 and what is not None:
-        raise _vanishing(what, center, grid, "its squared amplitudes underflow to 0 on every grid point"
+        raise _vanishing(what, center, width, grid, "its squared amplitudes underflow to 0 on every grid point"
                          if amp.any() else "it vanishes on every grid point")
     require_positive("amplitude norm", norm)
     amp /= norm
@@ -257,37 +258,45 @@ def _gaussian_packet(grid, center, momentum, sigma, units) -> PureState:
     with np.errstate(over="ignore"):  # an overflow here is +inf, and exp(-inf) is exactly 0
         envelope = (TWO_PI * variance) ** -0.25 * np.exp(-((x - center) ** 2) / (4.0 * variance))
     amp = envelope * np.exp(1j * momentum * x / units.hbar)
-    return _normalized_state(grid, amp, f"packet of center {center!r} and sigma {sigma!r}", center)
+    return _normalized_state(grid, amp, f"packet of center {center!r} and sigma {sigma!r}", center, sigma)
 
 
-def _vanishing(what: str, center: float, grid: GridSpec, how: str) -> InvalidRecipe:
-    """The refusal of what, centered at center, that the grid cannot hold:
-    how says what its amplitudes do there."""
-    where = f"narrower than the grid step {grid.dx!r}" if grid.x_min <= center <= grid.x_max else "outside the grid"
+def _vanishing(what: str, center: float, width: float, grid: GridSpec, how: str) -> InvalidRecipe:
+    """The refusal of what, centered at center and of the given width, that
+    the grid cannot hold: how says what its amplitudes do there, and the end
+    says why: its center is off the grid, or it is wider than the grid's
+    span, or else narrower than its step."""
+    if not grid.x_min <= center <= grid.x_max:
+        where = "outside the grid"
+    elif width > grid.x_max - grid.x_min:
+        where = f"wider than the grid span {grid.x_max - grid.x_min!r}"
+    else:
+        where = f"narrower than the grid step {grid.dx!r}"
     return InvalidRecipe(f"{what} must be finite and nonzero on the grid, but {how}: it is {where}")
 
 
 def _hermite_rows(n_max, mass, omega, grid, units):
     """The arguments of oscillator levels 0..n_max admitted, then
-    ("eigenstate n=<n>", h_n, sqrt(s)) for each level n in turn: h_n the
+    ("eigenstate n=<n>", h_n, sqrt(s), 1/s) for each level n in turn: h_n the
     orthonormal Hermite function sampled on s*x, s = sqrt(m*omega/hbar), from
-    the recurrence, a new array each."""
+    the recurrence, a new array each, and 1/s the levels' width, inf where
+    m*omega/hbar underflows to 0."""
     require_positive("mass", mass)
     require_positive("omega", omega)
     n_max = require_count("n_max", n_max)
     scale = math.sqrt(mass * omega / units.hbar)
     require_finite("Hermite argument sqrt(m*omega/hbar)*|x|", scale * max(abs(grid.x_min), abs(grid.x_max)))
-    factor = math.sqrt(scale)
+    factor, width = math.sqrt(scale), 1.0 / scale if scale else math.inf
     for n, row in enumerate(_kernels.hermite_basis(scale * grid.points(), n_max)):
-        yield f"eigenstate n={n}", row, factor
+        yield f"eigenstate n={n}", row, factor, width
 
 
 def _eigenstate_level(grid: GridSpec, item, amp: np.ndarray, prob, admit=_admitted):
-    """The oscillator level of item (what, h_n, sqrt(s)) of _hermite_rows,
+    """The oscillator level of item (what, h_n, sqrt(s), 1/s) of _hermite_rows,
     built into amp (complex) and renormalized on the grid, then admitted by
     admit (see _normalized_state); prob (float, or None) is left holding |amp|^2."""
-    what, row, factor = item
-    return _normalized_state(grid, np.multiply(row, factor, out=amp), what, 0.0, prob, admit, f"{what}: ")
+    what, row, factor, width = item
+    return _normalized_state(grid, np.multiply(row, factor, out=amp), what, 0.0, width, prob, admit, f"{what}: ")
 
 
 def _eigenstate(grid: GridSpec, n: int, item) -> PureState:
@@ -299,7 +308,7 @@ def _eigenstate(grid: GridSpec, n: int, item) -> PureState:
     state = _eigenstate_level(grid, item, np.empty(grid.n, np.complex128), prob, PureState._adopt)
     if (points := np.count_nonzero(prob)) <= n:
         how = f"its {n + 1} lobes need as many grid points where |psi|^2 > 0, and it has {points}"
-        raise _vanishing(item[0], 0.0, grid, how)
+        raise _vanishing(item[0], 0.0, item[3], grid, how)
     return state
 
 

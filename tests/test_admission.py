@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fluctlab.audit import time_energy
+from fluctlab.cli import run
 from fluctlab.density import (
     FluctuationParams,
     PhasePoint,
@@ -242,3 +243,23 @@ def test_four_hundred_digit_seed_still_works():
     walk = relaxation_walk(FluctuationParams(0.0, 0.0, 2.0, 2.0, UNITS), 5, 0.05, seed)
     assert len(walk) == 6
     assert walk == relaxation_walk(FluctuationParams(0.0, 0.0, 2.0, 2.0, UNITS), 5, 0.05, seed)
+
+
+@pytest.mark.parametrize("argv, how, where", [
+    (["--eigenstate", "3", "--mass", "1e-320", "--grid=-12:12:64"],
+     "its squared amplitudes underflow to 0 on every grid point", "wider than the grid span 24.0"),
+    (["--eigenstate", "0", "--mass", "1e-200", "--omega", "1e-200", "--grid=-12:12:64"],
+     "it vanishes on every grid point", "wider than the grid span 24.0"),
+    (["--eigenstate", "1", "--omega", "1e300", "--grid=-12:12:64"],
+     "it vanishes on every grid point", "narrower than the grid step 0.375"),
+], ids=["too-wide", "zero-scale", "too-narrow"])
+def test_a_vanishing_state_says_whether_it_is_too_wide_or_too_narrow(tmp_path, capsys, argv, how, where):
+    """A level that is 0 on every grid point, or whose squares all underflow,
+    is refused with exit 2, and the message says why: its width
+    sqrt(hbar/(m*omega)) (about 1e160 at mass 1e-320, infinite where
+    m*omega/hbar underflows to 0) exceeds the grid's span, or else the level
+    is narrower than the grid step."""
+    assert run(["state", *argv, "--out", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: eigenstate n={argv[1]} must be finite and nonzero on the grid, "
+                                       f"but {how}: it is {where}\n")
+    assert list(tmp_path.iterdir()) == []

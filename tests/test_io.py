@@ -1,5 +1,6 @@
 """File formats: JSON state/ensemble schemas, the scan and sample CSVs, atomic writes."""
 
+import importlib
 import json
 import os
 import resource
@@ -876,6 +877,48 @@ def test_each_item_of_a_load_is_where_its_value_lies_in_the_file(tmp_path, membe
         assert data[start:stop] == json.dumps(value).encode() and json.loads(data[start:stop]) == value
 
 
+@pytest.mark.parametrize("load, members, n, missing", [
+    (fio.load_ensemble, 0, 65536, "weights"), (fio.load_state, 3, 4096, "psi_re"),
+], ids=["ensemble-of-a-state-file", "state-of-an-ensemble-file"])
+def test_a_file_of_the_other_kind_is_refused_at_its_first_key_of_that_kind(
+        tmp_path, forks, load_reads, load, members, n, missing):
+    """The load refuses the file where the walk meets psi_re (or weights),
+    with the parser's message for the key it needs: no amplitude list is
+    decoded, only the 4 keys, units and grid, and no twin is forked, though
+    every load here is shared (the forks fixture) and the 65536-point state
+    file is 2.5 MB.  The walk still reads the file to its end, so a file
+    with bad syntax after that key is still refused as not valid JSON."""
+    path, _ = _load_case(tmp_path, members, n)
+    del forks[:], load_reads.decoded[:]
+    with pytest.raises(FileFormatError, match=rf"^document\.{missing}: missing$"):
+        load(path)
+    assert forks == []
+    with open(path, "rb") as handle:
+        data = handle.read()
+    decoded = [json.loads(data[start:stop]) for start, stop in load_reads.decoded]
+    keys = ["units", "grid", "psi_re", "psi_im"] if not members else ["units", "grid", "weights", "members"]
+    assert sorted(map(str, decoded)) == sorted([*keys, str(json.loads(data)["units"]), str(json.loads(data)["grid"])])
+    with open(path, "w") as handle:
+        handle.write(data.decode()[:-1])
+    with pytest.raises(FileFormatError, match="not valid JSON"):
+        load(path)
+
+
+def test_a_file_with_keys_of_both_kinds_loads_as_json_load_reads_it(tmp_path, forks):
+    """psi_re before weights: the walk stops taking values at psi_re, meets
+    weights after all, and leaves the file to json.load, whose document the
+    ensemble parser reads as before, ignoring psi_re and psi_im."""
+    path, ensemble = _load_case(tmp_path, 2)
+    with open(path) as handle:
+        doc = json.load(handle)
+    both = {"units": doc["units"], "grid": doc["grid"], "psi_re": [0.0], "psi_im": [0.0], **doc}
+    with open(path, "w") as handle:
+        json.dump(both, handle)
+    loaded, _ = fio.load_ensemble(path)
+    assert np.array_equal(loaded.weights, ensemble.weights)
+    assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(loaded.members, ensemble.members, strict=True))
+
+
 def _alone(monkeypatch, action):
     """action() with second_cpu forced false: the load in one process, as before it was shared."""
     with monkeypatch.context() as alone:
@@ -1149,6 +1192,8 @@ def test_save_state_memory_is_one_block_whatever_the_grid(tmp_path, units, forks
     a narrow packet (mostly 0.0) that is quick to format."""
     path = str(tmp_path / "state.json")
     state = build_state(GaussianPacket(0.0, 0.5, 1.0), GridSpec(-40.0, 40.0, 2**14), units)
+    # compiled once a process, at its first write, in about 1 MB of the compiler's memory that is freed at once
+    importlib.import_module("fluctlab._floattext")
     assert peak_bytes(lambda: fio.save_state(path, state, units), warm_up=False) < 2**20
     growths = []
     for n in (2**14, 2**18):

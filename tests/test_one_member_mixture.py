@@ -78,9 +78,10 @@ def test_load_target_parses_each_file_once(tmp_path, grid, units, load_reads, fo
     assert isinstance(loaded, MixedEnsemble)
     np.testing.assert_array_equal(loaded.weights, ensemble.weights)
 
-    with pytest.raises(FileFormatError):
-        loaded_once(fio.load_state, ensemble_path, 4 + 3)
-    with pytest.raises(FileFormatError):
+    # a file of the other kind: 4 keys, and of the values units and grid, with no twin (see test_io.py)
+    with pytest.raises(FileFormatError, match=r"^document\.psi_re: missing$"):
+        loaded_once(fio.load_state, ensemble_path, 4 + 2)
+    with pytest.raises(FileFormatError, match=r"^document\.weights: missing$"):
         loaded_once(fio.load_ensemble, state_path, 4 + 2)
 
     bad_path = str(tmp_path / "bad.json")
@@ -88,7 +89,7 @@ def test_load_target_parses_each_file_once(tmp_path, grid, units, load_reads, fo
         handle.write(open(ensemble_path).read()[:-1])
     with pytest.raises(FileFormatError, match="not valid JSON"):
         loaded_once(fio.load_target, bad_path, 4 + 3, by_json_load=True)
-    assert len(forks) == 5
+    assert len(forks) == 3
 
 
 def test_bad_syntax_the_twin_decodes_is_read_at_its_span_then_by_json_load(tmp_path, grid, units, load_reads, forks):

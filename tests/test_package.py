@@ -63,9 +63,11 @@ def _loaded(stderr: str) -> tuple:
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    """Four fresh processes, started together: the package alone loads no
+    """Five fresh processes, started together: the package alone loads no
     module, and each command loads what it runs (cli runs as __main__), and
-    none of them the stdlib's dataclasses."""
+    none of them the stdlib's dataclasses.  Only a command that writes a
+    state, an ensemble or a numeric table loads _floattext: not audit, and
+    not the sweeps, whose tables of records keep the Python formatter."""
     state = str(tmp_path / "s.json")
     units = UnitSystem()
     fio.save_state(state, build_state(GaussianPacket(), GridSpec(-12.0, 12.0, 256), units), units)
@@ -75,8 +77,10 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     cases = {
         "import fluctlab": (["-c", "import fluctlab"], set()),
         "state": ([*cli, "state", "--gaussian", "--grid=-12:12:256", "--out", str(tmp_path / "t.json")],
-                  {"errors", "io", "_turns", "units", "states", "_kernels"}),
+                  {"errors", "io", "_turns", "units", "states", "_kernels", "_floattext"}),
         "audit": ([*cli, "audit", "--in", state], {"errors", "io", "_turns", "units", "states", "_kernels", "audit"}),
+        "scenario eigensweep": ([*cli, "scenario", "eigensweep", "--n-max", "2", "--grid=-12:12:64"],
+                                {"errors", "io", "_turns", "units", "states", "_kernels", "audit", "scenarios"}),
         "density eval": ([*cli, "density", "eval", "--var-x", "1", "--var-p", "1", "--x", "0", "--p", "0"],
                          {"errors", "io", "_turns", "units", "audit", "density", "_kernels"}),
     }
