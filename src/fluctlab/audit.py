@@ -129,14 +129,21 @@ def audit_report(target, units: UnitSystem, epsilon: float = SATURATION_EPSILON,
     delta_t is filled from an externally supplied energy spread when given,
     else null; the moment data alone carries no energy scale.
     """
-    from .states import ensemble_moments
+    from .states import _mixture, ensemble_moments
 
-    result = classify(ensemble_moments(target, units), units, epsilon)
+    return _verdict(ensemble_moments(target, units), _mixture(target)[0], units, epsilon, delta_e)
+
+
+def _verdict(moments: MomentReport, weights, units: UnitSystem, epsilon: float, delta_e) -> dict:
+    """The audit of a mixture of weights whose moments are moments: the one
+    core of audit_report and of the command line's audit, which measures
+    each member of a file as it is loaded."""
+    result = classify(moments, units, epsilon)
     return {
         "product": result.product,
         "bound": result.bound,
         "classification": result.verdict.value,
         "relative_excess": result.relative_excess,
         "delta_t": time_energy(delta_e, units) if delta_e is not None else None,
-        "entropy_surrogate": entropy_surrogate(target),
+        "entropy_surrogate": _weight_entropy(weights),
     }

@@ -145,12 +145,33 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    from .audit import audit_report
+    """audit_report of the file's state or ensemble, with each member measured
+    as soon as the load admits it, and only its moments kept, so the load
+    holds one member at a time.  A measurement's failure is kept and raised
+    where audit_report meets it: after the whole file is read and parsed and
+    the units are resolved."""
+    import numpy as np
+
+    from .audit import _verdict
+    from .states import _measurer, _mixture_report, _mixture_weights
     from .units import UnitSystem
 
-    target, file_units = io.load_target(args.in_path)
+    measure, failures = _measurer(), []
+
+    def measured(state, file_units):
+        if not failures:
+            try:
+                return measure(state, UnitSystem(h=args.h) if args.h is not None else file_units)
+            except Exception as exc:
+                failures.append(exc)
+        return None
+
+    weights, reports, file_units = io._load(args.in_path, keep=measured)
+    weights = np.ones(1) if weights is None else _mixture_weights(weights, len(reports))
     units = UnitSystem(h=args.h) if args.h is not None else file_units
-    report = audit_report(target, units, epsilon=args.epsilon, delta_e=args.delta_e)
+    if failures:
+        raise failures[0]
+    report = _verdict(_mixture_report(weights, reports), weights, units, args.epsilon, args.delta_e)
     if args.strict and report["classification"] == "below_bound":  # no file; the report goes to stdout
         print(json.dumps(report))
         print("error: product below bound in strict mode", file=sys.stderr)

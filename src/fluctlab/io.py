@@ -22,17 +22,25 @@ _block_text alone turns them into text, in the process that formats the
 block; a document's block is a slice of an amplitude array, which
 _values_text formats.  A
 load's item is where one value lies in the file, its start and stop
-offsets, and _Window.decoded alone reads those bytes, by one os.pread, and
-makes text of them, with the handle's encoding, and then JSON values.
+offsets, and _Window.decoded alone reads those bytes, by one os.pread (a
+long list a window at a time), and makes text of them, with the handle's
+encoding, and then JSON values.
 
 A load walks its file _WINDOW (16 Ki) bytes at a time, by os.pread, to find
 where each top-level value, or each ensemble member, ends, and decodes one
-value at a time (_Window), so it holds the window, one value's bytes and
-text, that value's Python floats and the amplitudes as float64 arrays, never
-the file's whole text: the decoder's object hook turns an object's psi_re
-and psi_im into arrays as soon as the object is decoded, a state's
-top-level lists become arrays as soon as each is decoded, and each member's
-arrays are dropped once its state is built.  With two CPUs, and a file of
+value at a time (_Window), never the file's whole text.  A state's
+top-level psi_re and psi_im lists are decoded _LIST_WINDOW (64 Ki) bytes
+at a time into float64 arrays (_Window.numbers), so neither a list's whole
+text nor its Python floats are held: load_target of a 2^18-point state
+peaks at 40 bytes a point under tracemalloc, its amplitudes included (63.7
+when each list was decoded whole).  A member's lists become arrays as soon
+as the member is decoded (the decoder's object hook), and every member
+then goes through one loop (_Members): it is admitted as a state on the
+file's grid as soon as it is decoded, its arrays go, and only what the
+caller keeps of the state stays.  load_ensemble and load_target keep each
+state; `audit --in` (cli._cmd_audit) keeps only each member's moments, so
+it holds one member at a time.  Every refusal is still the one that a
+whole document's parse gives, in the same order.  With two CPUs, and a file of
 _FORK_BYTES (1 MiB) or more, where the twin pays for its fork, a forked twin
 decodes every other value: both processes walk the whole file, each at its
 own offset, each reads again the values it decodes, and the twin sends back
@@ -107,7 +115,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._turns import BLOCK_ROWS, Blocks, _shared, write_blocks
-from .errors import FileFormatError, GridMismatch
+from .errors import FileFormatError, FluctLabError, GridMismatch
 from .units import UnitSystem
 
 if TYPE_CHECKING:  # imported where they are used, so a command loads only the modules it runs
@@ -336,6 +344,11 @@ ensemble of 1024 points (a 1.1 MB file) in one process peaked at 0.71 times
 its size under tracemalloc with 16 Ki, 0.88 with 64 Ki, and 3.4 with 1 Mi,
 which holds that whole file in the window."""
 
+_LIST_WINDOW = 1 << 16
+"""Bytes of a top-level psi_re or psi_im list decoded at a time (see
+_Window.numbers).  Decoding a 65536-value list in 64 Ki windows took 18.1 ms,
+as one decode of the whole list did."""
+
 _NESTING = 100
 """Deepest nesting that _Window decodes.  json.load decodes each value one or
 two levels deeper than _Window does, so a file nested deeper goes to
@@ -358,9 +371,10 @@ _SCALAR = re.compile(rb"[\w.+-]*")  # every byte a number or a literal can hold,
 class _Window:
     """A JSON file read _WINDOW bytes at a time.  Its top-level object is
     walked here, in bytes, to find where each key and value in it lies, and
-    each is decoded whole by one raw_decode of its own bytes, so a load holds
-    the window, one value's bytes and text and what is decoded, never the
-    file's whole text.
+    each is decoded by one raw_decode of its own bytes (a long top-level
+    psi_re or psi_im list a window of them at a time, see numbers), so a
+    load holds the window, one value's bytes and text and what is decoded,
+    never the file's whole text.
 
     The walk's values (each top-level value, and each element of a top-level
     "members" list) are the items of a _turns._shared loop: with two CPUs, a
@@ -385,10 +399,11 @@ class _Window:
     changes no value: no JSON value holds a raw line break, and between
     values "\r" and "\n" are both whitespace."""
 
-    def __init__(self, handle):
+    def __init__(self, handle, members=None):
         self.handle, self.offset = handle, 0
         self.data, self.pos = b"", 0
         self.decode = json.JSONDecoder(object_hook=_admit_amplitudes).raw_decode
+        self.members = members  # a _Members that takes each member as it is decoded, or None
 
     def document(self, wanted=None) -> dict:
         """The file's top-level object as json.load with _admit_amplitudes
@@ -398,11 +413,17 @@ class _Window:
         top-level psi_re and psi_im are admitted by the process that decodes
         them.  A file smaller than _FORK_BYTES is decoded by this process
         alone.  wanted, the key that a load of one kind needs, may leave doc
-        without it, and without the file's amplitudes (see items)."""
+        without it, and without the file's amplitudes (see items).  With
+        members, each element of a top-level "members" list is put in doc's
+        list by members.place, as soon as it is decoded; a file whose members
+        it took on a grid or in units that a later key replaced raises
+        ValueError, so that json.load reads it."""
         doc, places = {}, deque()
         fork = os.fstat(self.handle.fileno()).st_size >= _FORK_BYTES
         for value in _shared(self.decoded, self.items(doc, places, wanted), fork):
             places.popleft()(value)
+        if self.members is not None and self.members.stale(doc):
+            raise ValueError("members admitted on a grid or in units that a later key replaced")
         return doc
 
     def items(self, doc, places, wanted=None):
@@ -438,8 +459,9 @@ class _Window:
                 yield pending[1]
             if key == "members" and self.peek() == b"[":
                 doc[key] = members = []
+                place = members.append if self.members is None else partial(self.members.place, doc, members)
                 for _ in self.sequence(b"[", b"]"):
-                    places.append(members.append)
+                    places.append(place)
                     yield False, *self.span()
                 pending = None
             else:
@@ -458,13 +480,57 @@ class _Window:
         """The value of item (admit, start, stop): the file's bytes from start
         to stop, read by one os.pread, decoded to text with the handle's
         encoding, that text decoded as JSON, and an array when admit holds
-        and _admitted takes it."""
+        and _admitted takes it.  When admit holds, a value longer than
+        _LIST_WINDOW that is a flat list of numbers is read and decoded a
+        window at a time instead (see numbers)."""
         admit, start, stop = item
+        if admit and stop - start > _LIST_WINDOW and (values := self.numbers(start, stop)) is not None:
+            return values
         text = os.pread(self.handle.fileno(), stop - start, start).decode(self.handle.encoding, self.handle.errors)
         value, end = self.decode(text)
         if end != len(text):  # a number or literal run on by letters, or an end found at the wrong byte
             raise ValueError("a value that ends before the next character")
         return _admitted(value) if admit else value
+
+    def numbers(self, start: int, stop: int):
+        """The file's flat list of numbers from start to stop as the float64
+        array that _admitted makes of it, read _LIST_WINDOW bytes at a time
+        by os.pread: once to count its commas, which sizes the array, and
+        once to fill it, each window cut after its last comma (the last one
+        before the closing bracket) and the elements before the cut decoded
+        by one raw_decode straight into the array.  So the list's text and
+        Python floats are held a window at a time, and no piece of the array
+        is held beside it.  None for any other value: a [, { or " after its
+        first byte, a window whose elements do not decode, an element that
+        is not a number or that no float holds, fewer elements than commas
+        (an empty one); decoded then reads it whole, so every refusal and
+        value is its."""
+        fd, windows = self.handle.fileno(), range(start + 1, stop, _LIST_WINDOW)
+        if os.pread(fd, 1, start) != b"[":
+            return None
+        commas = 0
+        for at in windows:
+            data = os.pread(fd, min(_LIST_WINDOW, stop - at), at)
+            if b"[" in data or b"{" in data or b'"' in data:  # not a flat list of numbers
+                return None
+            commas += data.count(b",")
+        out, filled, rest = np.empty(commas + 1), 0, b""
+        for at in windows:
+            data = rest + os.pread(fd, min(_LIST_WINDOW, stop - at), at)
+            cut = len(data) - 1 if at + _LIST_WINDOW >= stop else data.rfind(b",")
+            if cut < 0:  # no comma yet: the window's bytes wait for the next one
+                rest = data
+                continue
+            try:
+                text = "[" + data[:cut].decode(self.handle.encoding, self.handle.errors) + "]"
+                values, end = self.decode(text)
+                if end != len(text) or not set(map(type, values)) <= {float, int}:
+                    return None
+                out[filled : filled + len(values)] = np.asarray(values, dtype=np.float64)
+            except (ValueError, OverflowError):  # OverflowError: an integer beyond a float's range
+                return None
+            filled, rest = filled + len(values), data[cut + 1 :]
+        return out if filled == out.size else None
 
     def sequence(self, opener: bytes, closer: bytes):
         """An array or an object: opener, then items separated by commas, then
@@ -569,18 +635,19 @@ class _End:
         return -1
 
 
-def _load_json(path: str, wanted=None) -> dict:
+def _load_json(path: str, wanted=None, members=None) -> dict:
     """The file's top-level object, read through a _Window whose values two
     processes decode when _turns.second_cpu() holds and the file has
     _FORK_BYTES or more (see _Window); one of the other kind than wanted, the
     key a load of one kind needs, only as far as the parser reads it before
-    it refuses that key (see _Window.items).  A file
+    it refuses that key (see _Window.items); with members (a _Members), each
+    element of a top-level members list as members.place makes it.  A file
     the walk does not take, and a pipe, which cannot be read twice, is read
     from its start by one json.load, so every refusal is json.load's."""
     with open(path) as handle:
         if handle.seekable():
             with contextlib.suppress(ValueError, RecursionError):  # the walk refused the file
-                return _Window(handle).document(wanted)
+                return _Window(handle, members).document(wanted)
         try:
             doc = json.load(handle, object_hook=_admit_amplitudes)
         except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and Python's digit limit
@@ -590,39 +657,117 @@ def _load_json(path: str, wanted=None) -> dict:
     return doc
 
 
-def _parse_document(doc: dict, ensemble: bool):
-    """(PureState or MixedEnsemble, UnitSystem) from a parsed state or
-    ensemble document; constructors re-verify normalization and the decay
-    guard, so tampered files fail loudly."""
-    from .states import MixedEnsemble, PureState
+class _Members:
+    """The one member loop of every load: each member of an ensemble file
+    becomes a PureState (PureState._adopt) on the file's grid, and what
+    keep(state, units) makes of it is kept in its place in the members list,
+    while the state and the member's arrays go.  The walk puts each member
+    here as soon as it is decoded (place), once the grid and units before the
+    list parse; _parse_document takes any other list whole.  The first
+    member refused is kept, with no later member made, and _parse_document
+    raises its error in its turn, after the file is read and the units,
+    grid and weights are parsed, so that every refusal is the one that a
+    whole document's parse gives."""
+
+    def __init__(self, keep):
+        self.keep = keep
+        self.list = self.context = self.refusal = None  # the list taken, its (grid, units), the first refusal
+
+    def place(self, doc, members: list, value) -> None:
+        """Append member value, as decoded, to members, doc's top-level list:
+        what make makes of it, when the grid and units that doc holds by
+        its first member parse, and else value itself."""
+        if not members:
+            self.list, self.refusal = members, None
+            try:
+                self.context = _parse_grid(doc), _parse_units(doc)
+            except FluctLabError:  # missing, or refused: _parse_document reads them again at the end
+                self.context = None
+        members.append(value if self.context is None else self.make(len(members), value))
+
+    def make(self, i: int, value):
+        """What keep makes of member i, value, as a state on the context's
+        grid; None once a member is refused."""
+        from .states import PureState
+
+        if self.refusal is None:
+            grid, units = self.context
+            try:
+                return self.keep(PureState._adopt(grid, _parse_amplitudes(value, grid, f"members[{i}]")), units)
+            except Exception as exc:  # raised in its turn by _parse_document
+                self.refusal = exc
+        return None
+
+    def stale(self, doc) -> bool:
+        """Whether doc's members list is the one taken, on a grid or in units
+        other than the ones doc holds now (a key repeated after the list)."""
+        if self.context is None or self.list is not doc.get("members"):
+            return False
+        try:
+            return self.context != (_parse_grid(doc), _parse_units(doc))
+        except FluctLabError:  # the parse refuses doc before it reaches the members
+            return False
+
+
+def _keep_state(state, units):
+    return state
+
+
+def _parse_document(doc: dict, ensemble: bool, members: _Members):
+    """(weights, kept, units) from a parsed state or ensemble document: the
+    weights as numbers (None for a state), and what members.keep makes of
+    the state or of each member, in order (see _Members).  Constructors
+    re-verify normalization and the decay guard, so tampered files fail
+    loudly."""
+    from .states import PureState
 
     units = _parse_units(doc)
     grid = _parse_grid(doc)
     if not ensemble:
-        return PureState._adopt(grid, _parse_amplitudes(doc, grid, "document")), units
+        state = PureState._adopt(grid, _parse_amplitudes(doc, grid, "document"))
+        doc.clear()  # its psi_re and psi_im arrays go before the state is kept
+        return None, [members.keep(state, units)], units
     weights = _number_array(_field(doc, "weights", list, "document"), "weights")
     members_doc = _field(doc, "members", list, "document")
-    members = []
-    for i, m in enumerate(members_doc):
-        members.append(PureState._adopt(grid, _parse_amplitudes(m, grid, f"members[{i}]")))
-        members_doc[i] = None  # its psi_re and psi_im arrays go as its state is built
-    return MixedEnsemble(weights, members), units
+    if members.list is not members_doc or members.context is None:  # not taken as the walk decoded them
+        members.list, members.context, members.refusal = members_doc, (grid, units), None
+        for i, member in enumerate(members_doc):
+            members_doc[i] = members.make(i, member)  # its psi_re and psi_im arrays go as its state is made
+    if members.refusal is not None:
+        raise members.refusal
+    return weights, members_doc, units
+
+
+def _load(path: str, wanted=None, keep=_keep_state) -> tuple:
+    """(weights, kept, units) of a state or ensemble file (see
+    _parse_document): of the kind that wanted names (see _load_json), or,
+    when it is None, of the kind its keys say."""
+    members = _Members(keep)
+    doc = _load_json(path, wanted, None if wanted == "psi_re" else members)
+    ensemble = wanted == "weights" if wanted else "members" in doc or "weights" in doc
+    return _parse_document(doc, ensemble, members)
 
 
 def load_state(path: str):
     """Read a state file; returns (PureState, UnitSystem)."""
-    return _parse_document(_load_json(path, "psi_re"), ensemble=False)
+    _, (state,), units = _load(path, "psi_re")
+    return state, units
 
 
 def load_ensemble(path: str):
     """Read an ensemble file; returns (MixedEnsemble, UnitSystem)."""
-    return _parse_document(_load_json(path, "weights"), ensemble=True)
+    from .states import MixedEnsemble
+
+    weights, members, units = _load(path, "weights")
+    return MixedEnsemble(weights, members), units
 
 
 def load_target(path: str):
     """Read either file kind, sniffing by schema; returns (state-or-ensemble, units)."""
-    doc = _load_json(path)
-    return _parse_document(doc, ensemble="members" in doc or "weights" in doc)
+    from .states import MixedEnsemble
+
+    weights, kept, units = _load(path)
+    return (kept[0] if weights is None else MixedEnsemble(weights, kept)), units
 
 
 # --- tables ------------------------------------------------------------------

@@ -96,14 +96,14 @@ def _amplitude_array(grid: GridSpec, amp: np.ndarray) -> np.ndarray:
 def _admitted(grid: GridSpec, amp: np.ndarray, prob=None, guard: str = "") -> np.ndarray:
     """amp, a complex array (not copied), once admitted as a state on grid:
     one finite value a grid point, unit L2 norm under trapezoid quadrature and
-    the decay guard |psi(edge)| < 1e-6 * max|psi|, whose refusal begins with
-    guard.  prob, a float array of the grid's size (made here when None), is
-    left holding |amp|^2."""
+    the decay guard |psi(edge)| < 1e-6 * max|psi|; the refusals of those two
+    begin with guard.  prob, a float array of the grid's size (made here when
+    None), is left holding |amp|^2."""
     prob = np.abs(_amplitude_array(grid, amp), out=prob)
     peak = float(prob.max())
     norm = math.sqrt(_trapz(np.square(prob, out=prob), grid.dx))
     if abs(norm - 1.0) > NORM_TOL:
-        raise NormalizationError(f"L2 norm {norm!r} differs from 1 by more than {NORM_TOL}")
+        raise NormalizationError(f"{guard}L2 norm {norm!r} differs from 1 by more than {NORM_TOL}")
     edge = max(abs(amp[0]), abs(amp[-1]))
     if edge >= DECAY_RATIO * peak:
         raise DecayGuardViolation(f"{guard}edge amplitude {edge:.3e} exceeds {DECAY_RATIO:g} * peak {peak:.3e}; "
@@ -142,24 +142,31 @@ class MixedEnsemble(_Record):
     members: tuple
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64, copy=True)
         members = tuple(self.members)
-        if w.ndim != 1 or w.size == 0 or w.size != len(members):
-            raise InvalidRecipe(f"{w.size} weights for {len(members)} members")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0) or np.any(w > 1.0):
-            raise InvalidRecipe("weights must lie in (0, 1]")
-        if abs(w.sum() - 1.0) > NORM_TOL:
-            raise InvalidRecipe(f"weights sum to {w.sum()!r}, not 1")
+        w = _mixture_weights(self.weights, len(members))
         for i, member in enumerate(members):
             if not isinstance(member, PureState):
                 raise InvalidRecipe(f"member {i}: expected PureState, got {type(member).__name__}")
             if member.grid != members[0].grid:
                 raise GridMismatch(f"member {i} grid {member.grid} differs from {members[0].grid}")
-        vars(self).update(weights=_freeze(w), members=members)
+        vars(self).update(weights=w, members=members)
 
     @property
     def grid(self) -> GridSpec:
         return self.members[0].grid
+
+
+def _mixture_weights(weights, count: int) -> np.ndarray:
+    """weights as a frozen float64 copy, refused unless they are count
+    weights, each in (0, 1], summing to 1 within NORM_TOL."""
+    w = np.array(weights, dtype=np.float64, copy=True)
+    if w.ndim != 1 or w.size == 0 or w.size != count:
+        raise InvalidRecipe(f"{w.size} weights for {count} members")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0.0) or np.any(w > 1.0):
+        raise InvalidRecipe("weights must lie in (0, 1]")
+    if abs(w.sum() - 1.0) > NORM_TOL:
+        raise InvalidRecipe(f"weights sum to {w.sum()!r}, not 1")
+    return _freeze(w)
 
 
 class HamiltonianSpec(_Record):
@@ -236,7 +243,9 @@ def _normalized_state(grid, amp, what=None, center=0.0, width=0.0, prob=None, ad
     (made here when None), is left holding |amp|^2.  A recipe's amplitudes
     (what names it, centered at center, of the given width) whose norm is 0
     are refused by _vanishing, naming it: every point 0, or their squares
-    all underflowing."""
+    all underflowing.  Amplitudes whose squares are all subnormal give a norm
+    that has lost its digits, so admit refuses the scaled ones; that refusal
+    says so."""
     prob = np.square(np.abs(amp, out=prob), out=prob)
     norm = math.sqrt(_trapz(prob, grid.dx))
     if norm == 0.0 and what is not None:
@@ -244,7 +253,14 @@ def _normalized_state(grid, amp, what=None, center=0.0, width=0.0, prob=None, ad
                          if amp.any() else "it vanishes on every grid point")
     require_positive("amplitude norm", norm)
     amp /= norm
-    return admit(grid, amp, prob, guard)
+    try:
+        return admit(grid, amp, prob, guard)
+    except NormalizationError as exc:
+        largest = (float(np.abs(amp).max()) * norm) ** 2  # the largest square before the scaling
+        if largest < sys.float_info.min:
+            raise NormalizationError(f"{exc}: its squared amplitudes before normalizing are subnormal "
+                                     f"(at most {largest!r}) and lost their digits") from None
+        raise
 
 
 def _gaussian_packet(grid, center, momentum, sigma, units) -> PureState:
@@ -423,14 +439,31 @@ def ensemble_moments(ensemble: MixedEnsemble, units: UnitSystem) -> MomentReport
     """Moments of a mixture (a PureState counts as the one-member mixture).
 
     Each member is measured once, as phase_space_moments measures it, in one
-    set of arrays for all; the mixture mean is the weighted member mean and
-    the mixture variance follows the law of total variance,
+    set of arrays for all (see _measurer); the mixture mean is the weighted
+    member mean and the mixture variance follows the law of total variance,
     Var = sum w*Var_i + sum w*(mean_i - mean)^2.
     """
     weights, members = _mixture(ensemble)
-    prob, spectrum, scratch = (np.empty(members[0].grid.n, t) for t in (np.float64, np.complex128, np.float64))
-    return _mixture_report(weights, [_moments(m.grid, units, np.square(np.abs(m.amplitudes, out=prob), out=prob),
-                                              np.fft.fft(m.amplitudes, out=spectrum), scratch) for m in members])
+    measure = _measurer()
+    return _mixture_report(weights, [measure(m, units) for m in members])
+
+
+def _measurer():
+    """measure(state, units): the MomentReport of a pure state, the same
+    floats as phase_space_moments gives, from one DFT, in one set of arrays
+    (|psi|^2, the spectrum and scratch) made at the first state measured and
+    reused for every later one, which must share its grid."""
+    arrays = []
+
+    def measure(state: PureState, units: UnitSystem) -> MomentReport:
+        if not arrays:
+            arrays.extend(np.empty(state.grid.n, t) for t in (np.float64, np.complex128, np.float64))
+        prob, spectrum, scratch = arrays
+        amp = state.amplitudes
+        return _moments(state.grid, units, np.square(np.abs(amp, out=prob), out=prob),
+                        np.fft.fft(amp, out=spectrum), scratch)
+
+    return measure
 
 
 def _state_energy(state: PureState, hamiltonian: HamiltonianSpec, units: UnitSystem):

@@ -263,3 +263,16 @@ def test_a_vanishing_state_says_whether_it_is_too_wide_or_too_narrow(tmp_path, c
     assert capsys.readouterr() == ("", f"error: eigenstate n={argv[1]} must be finite and nonzero on the grid, "
                                        f"but {how}: it is {where}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_level_whose_squares_are_subnormal_is_refused_by_name(tmp_path, capsys):
+    """At mass 1e-217, level 35's amplitudes are about 2.5e-162, so their
+    squares are subnormal and give a norm that has lost its digits (1.105
+    after scaling): the refusal names the level and the subnormal squares,
+    with exit 2 as before."""
+    assert run(["state", "--eigenstate", "35", "--mass", "1e-217", "--grid=-6:6:256",
+                "--out", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr() == ("", "error: eigenstate n=35: L2 norm 1.1053284630569262 differs from 1 by more "
+                                       "than 1e-10: its squared amplitudes before normalizing are subnormal "
+                                       "(at most 5e-324) and lost their digits\n")
+    assert list(tmp_path.iterdir()) == []

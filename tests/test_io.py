@@ -1306,12 +1306,14 @@ DOCUMENT = st.builds(lambda entries, space: space + _object(entries, space) + sp
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(text=DOCUMENT, mutation=st.sampled_from(["none", "cut", "trailing comma", "extra data", "bom", "list",
                                                 "key not a string"]),
-       window=st.integers(1, 7), data=st.data())
-def test_windowed_load_is_one_json_load(tmp_path_factory, text, mutation, window, data):
+       window=st.integers(1, 7), list_window=st.integers(1, 9), data=st.data())
+def test_windowed_load_is_one_json_load(tmp_path_factory, text, mutation, window, list_window, data):
     """Any text, read through a window of 1 to 7 characters, so that every key,
-    number, literal and escape straddles reads, loads as one json.load of the
-    whole file loads it, or fails with its message; and the walk itself takes
-    every text that is a JSON object, so none of them is read twice."""
+    number, literal and escape straddles reads, and with a top-level psi_re
+    or psi_im list longer than 1 to 9 bytes decoded that many bytes at a time
+    (see io._Window.numbers), loads as one json.load of the whole file loads
+    it, or fails with its message; and the walk itself takes every text that
+    is a JSON object, so none of them is read twice."""
     if mutation == "cut":
         text = text[: data.draw(st.integers(0, len(text) - 1), label="cut at")]
     elif mutation == "trailing comma":
@@ -1329,11 +1331,66 @@ def test_windowed_load_is_one_json_load(tmp_path_factory, text, mutation, window
     path = str(tmp_path_factory.getbasetemp() / "window.json")
     with open(path, "w", newline="") as handle:
         handle.write(text)
-    with mock.patch.object(fio, "_WINDOW", window), mock.patch.object(json, "load", wraps=json.load) as whole:
+    with mock.patch.object(fio, "_WINDOW", window), mock.patch.object(fio, "_LIST_WINDOW", list_window), \
+            mock.patch.object(json, "load", wraps=json.load) as whole:
         loaded = _outcome(fio._load_json, path)
     expected = _outcome(_whole_load, path)
     assert _same(loaded, expected), (text, loaded, expected)
     assert whole.called != isinstance(expected, dict), text  # json.load reads only what the walk does not take
+
+
+FLAT = "[0.5,-1e-300, 2 ,3.25,\n 4,5e3,6, NaN,-0.0,9]"
+FLAT_CASES = {  # a top-level list's text, and whether io._Window.numbers decodes it a window at a time
+    "flat": (FLAT, True),
+    "true": (FLAT.replace("6", "true"), False),
+    "nested": (FLAT.replace("6", "[6]"), False),
+    "string": (FLAT.replace("6", '"6"'), False),
+    "object": (FLAT.replace("6", "{}"), False),
+    "huge-integer": (FLAT.replace("6", "1" + "0" * 400), False),
+    "trailing-comma": (FLAT[:-1] + ",]", False),
+    "empty-element": (FLAT.replace("6", ""), False),
+    "leading-comma": ("[," + FLAT[1:], False),
+    "run-on": (FLAT.replace("6", "6x"), False),
+}
+
+
+def _flat_boundaries(text: str, window: int) -> set:
+    """Where a window of the list (see io._Window.numbers) starts or ends in
+    text: a comma as a window's first or last byte, a value that ends at a
+    window's end, and a list no longer than one window."""
+    found = set() if len(text) > window else {"one window"}
+    for end in range(1 + window, len(text), window):  # the list's windows start after its bracket
+        found |= {"comma first"} if text[end] == "," else set()
+        found |= {"comma last"} if text[end - 1] == "," else set()
+        found |= {"value ends"} if text[end - 1] not in ", \n" and text[end] in ", \n]" else set()
+    return found
+
+
+@pytest.mark.parametrize("case", FLAT_CASES)
+def test_a_list_cut_at_every_window_boundary_is_one_json_load(tmp_path, monkeypatch, case):
+    """A top-level psi_re list, decoded a window of 1 byte to the whole list
+    at a time, loads as one json.load of the whole file loads it, or fails
+    with its message: a flat list of numbers by io._Window.numbers wherever
+    the windows cut it, and any other list by one decode of its whole text."""
+    text, flat = FLAT_CASES[case]
+    path = str(tmp_path / "list.json")
+    with open(path, "w") as handle:
+        handle.write('{"units": {"h": 1.0}, "psi_re": %s, "psi_im": 0}' % text)
+    expected = _outcome(_whole_load, path)
+    real_numbers, windowed, boundaries = fio._Window.numbers, [], set()
+
+    def numbers(window, start, stop):
+        windowed.append(real_numbers(window, start, stop) is not None)
+        return real_numbers(window, start, stop)
+
+    monkeypatch.setattr(fio._Window, "numbers", numbers)
+    for list_window in range(1, len(text) + 2):
+        del windowed[:]
+        monkeypatch.setattr(fio, "_LIST_WINDOW", list_window)
+        assert _same(_outcome(fio._load_json, path), expected), list_window
+        assert windowed == ([flat] if list_window < len(text) else []), list_window
+        boundaries |= _flat_boundaries(text, list_window)
+    assert boundaries == {"comma first", "comma last", "value ends", "one window"}
 
 
 ENCODED = {  # (encoding, what the text adds, whether the walk leaves the file to json.load)
