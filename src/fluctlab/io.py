@@ -26,9 +26,12 @@ offsets, and _Window.decoded alone reads those bytes, by one os.pread (a
 long list a window at a time), and makes text of them, with the handle's
 encoding, and then JSON values.
 
-A load walks its file _WINDOW (16 Ki) bytes at a time, by os.pread, to find
-where each top-level value, or each ensemble member, ends, and decodes one
-value at a time (_Window), never the file's whole text.  A state's
+A load streams only the layout that save_state and save_ensemble write:
+units, grid, then psi_re and psi_im, or weights and members of {psi_re,
+psi_im}, in that order, with any JSON whitespace between tokens.  It
+matches its file _WINDOW (16 Ki) bytes at a time, by os.pread, ending each
+object and list at its first } or ], and decodes one value at a time
+(_Window), never the file's whole text.  A state's
 top-level psi_re and psi_im lists are decoded _LIST_WINDOW (64 Ki) bytes
 at a time into float64 arrays (_Window.numbers), so neither a list's whole
 text nor its Python floats are held: load_target of a 2^18-point state
@@ -42,14 +45,13 @@ state; `audit --in` (cli._cmd_audit) keeps only each member's moments, so
 it holds one member at a time.  Every refusal is still the one that a
 whole document's parse gives, in the same order.  With two CPUs, and a file of
 _FORK_BYTES (1 MiB) or more, where the twin pays for its fork, a forked twin
-decodes every other value: both processes walk the whole file, each at its
+decodes every other value: both processes match the whole file, each at its
 own offset, each reads again the values it decodes, and the twin sends back
-its values.  The walk finds where each value ends by JSON's ASCII
-punctuation.  A file that is not a JSON object, or not valid JSON, or whose
-encoding lets a character's bytes pass for that punctuation where the walk
-meets one (Shift-JIS, UTF-16), is read again from its start by one
-json.load, so every refusal and its message, and every such file's values,
-are json.load's.
+its values.  Any other file (its keys in another order, another key, a
+byte that is not ASCII, a value that does not decode where the layout ends
+it, a file cut short or followed by more) is read again from its start by
+one json.load, so every refusal and its message, and every such file's
+values, are json.load's.
 
 Every table (a scan, samples, a sweep, a walk) is a header plus rows from
 one formatter, _block_text, shared by table_chunks and the file writer:
@@ -94,9 +96,9 @@ modules it does use only where they are used: states where a state is built
 (_parse_grid and _parse_document), scenarios in sweep_rows_csv and
 walk_rows_csv, _floattext in _values_text and _block_text, so that only a
 command that writes a document or a numeric table compiles it.
-load_state and load_ensemble refuse a file of the other kind at its first
-key of that kind, with the message that the whole file would get, before
-any amplitude is decoded and before a twin is forked (see _Window.items).
+load_state and load_ensemble refuse a file of the other kind at the
+layout's third key, with the message that the whole file would get, before
+any amplitude is decoded and before a twin is forked (see _Window.document).
 BLOCK_ROWS comes from _turns, beside the block writer.
 """
 
@@ -107,9 +109,8 @@ import json
 import os
 import re
 import stat
-from collections import deque
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -325,9 +326,6 @@ def _admit_amplitudes(obj: dict) -> dict:
 
 
 _AMPLITUDES = ("psi_re", "psi_im")
-_OTHER_KIND = {"psi_re": ("weights", "members"), "weights": _AMPLITUDES}
-"""The key that a load of each kind needs first (load_state, load_ensemble),
-and the keys that mark a file of the other kind (see _Window.items)."""
 
 
 def _admitted(values):
@@ -349,11 +347,6 @@ _LIST_WINDOW = 1 << 16
 _Window.numbers).  Decoding a 65536-value list in 64 Ki windows took 18.1 ms,
 as one decode of the whole list did."""
 
-_NESTING = 100
-"""Deepest nesting that _Window decodes.  json.load decodes each value one or
-two levels deeper than _Window does, so a file nested deeper goes to
-json.load, and the recursion limit refuses the same files."""
-
 _FORK_BYTES = 2**20
 """The smallest file whose load forks a twin (see _Window.document): the
 measured break-even.  Fresh `audit --in` runs of Gaussian state files, medians
@@ -364,40 +357,45 @@ against 102.4 (7 of 15), 1.27 MB 104.2 against 104.7 (11 of 15), 1.81 MB
 88.9 ms (1 of 15).  Forking and reaping the twin cost about 4 ms whatever
 the file; what the twin saves, about half of the decoding, grows with it."""
 
-_WHITESPACE = re.compile(rb"[ \t\n\r]*")
-_SCALAR = re.compile(rb"[\w.+-]*")  # every byte a number or a literal can hold, and more
+_TOKEN = re.compile(rb'[ \t\n\r]*([{}\[\]:,]|"(?:units|grid|psi_re|psi_im|weights|members)")')
+"""The next token of the layout after any JSON whitespace: a punctuation byte or one of its keys."""
+
+_HEAD = b'{ "units" : {} , "grid" : {} ,'
+_BODY = {"psi_re": b': [] , "psi_im" : [] }', "weights": b': [] , "members" : ['}
+_MEMBER = b'"psi_re" : [] , "psi_im" : [] }'
+"""The layout that save_state and save_ensemble write, as _Window.match
+takes it: tokens split at spaces, where {} and [] are a value that runs from
+its opener to the first closer after it.  The head's third key (a _BODY key)
+says the file's kind; an ensemble's members list then holds a _MEMBER after
+each {, and ends with ] and the closing }."""
 
 
 class _Window:
-    """A JSON file read _WINDOW bytes at a time.  Its top-level object is
-    walked here, in bytes, to find where each key and value in it lies, and
-    each is decoded by one raw_decode of its own bytes (a long top-level
-    psi_re or psi_im list a window of them at a time, see numbers), so a
-    load holds the window, one value's bytes and text and what is decoded,
-    never the file's whole text.
+    """A state or ensemble file read _WINDOW bytes at a time, and matched
+    against the one layout that save_state and save_ensemble write (_HEAD,
+    then a _BODY, and an ensemble's members), with any JSON whitespace
+    between its tokens.  Each object or list in it ends at its first } or ]
+    (a long list's end is found by bytes.find), and each value is decoded
+    by one raw_decode of its own bytes (a long top-level psi_re or psi_im
+    list a window of them at a time, see numbers), so a load holds the
+    window, one value's bytes and text and what is decoded, never the
+    file's whole text.  Anything else (another key order, another key, a
+    byte that is not ASCII, a value that does not decode where the layout
+    ends it, a file cut short or followed by more) raises ValueError, so
+    that one json.load reads the file.  Newlines are not translated as the
+    handle would translate them, which changes no value: "\r" and "\n" are
+    both JSON whitespace, and no JSON value holds either raw.
 
-    The walk's values (each top-level value, and each element of a top-level
-    "members" list) are the items of a _turns._shared loop: with two CPUs, a
-    forked twin decodes the odd ones and sends them back, and this process
-    decodes the even ones.  An item is where the value lies in the file, and
-    only decoded reads its bytes and makes text of them, with the handle's
-    encoding.  Both processes walk the whole file, finding where every value
-    ends, and read it with os.pread, each at offsets of its own: the
-    descriptor's offset, which a fork shares, is never moved, so neither
-    process's reads move the other's.
-
-    The walk finds ends by JSON's ASCII punctuation, which is exact in UTF-8,
-    where no byte of a character beyond ASCII is an ASCII byte.  In an
-    encoding where one can be (Shift-JIS holds \\ [ ] { } as second bytes),
-    an end found at the wrong byte leaves bytes that do not decode, or a
-    text that raw_decode does not end at its end (a value cut short never
-    ends there, and one run on ends before it), and a UTF-16 file's first
-    bytes (a byte order mark, or a zero byte beside "{") stop the walk at once.
-    Each raises ValueError, so such a file goes to json.load, which reads it
-    with the handle's encoding.
-    Newlines are not translated as the handle would translate them, which
-    changes no value: no JSON value holds a raw line break, and between
-    values "\r" and "\n" are both whitespace."""
+    The values (units, grid, then psi_re and psi_im, or weights and each
+    member) are the items of a _turns._shared loop:
+    with two CPUs, a forked twin decodes the odd ones and sends them back,
+    and this process decodes the even ones.  An item is where the value
+    lies in the file, and only decoded reads its bytes and makes text of
+    them, with the handle's encoding.  Each value is an item as soon as the
+    layout has matched it, and both processes match the whole file, each
+    reading it with os.pread at offsets of its own: the descriptor's offset,
+    which a fork shares, is never moved, so neither process's reads move the
+    other's."""
 
     def __init__(self, handle, members=None):
         self.handle, self.offset = handle, 0
@@ -407,74 +405,98 @@ class _Window:
 
     def document(self, wanted=None) -> dict:
         """The file's top-level object as json.load with _admit_amplitudes
-        returns it, or ValueError where the walk stops short of that (a top
-        level that is not an object, bad syntax, extra data, deep nesting).
-        A top-level "members" list is decoded one element at a time, and
-        top-level psi_re and psi_im are admitted by the process that decodes
-        them.  A file smaller than _FORK_BYTES is decoded by this process
-        alone.  wanted, the key that a load of one kind needs, may leave doc
-        without it, and without the file's amplitudes (see items).  With
-        members, each element of a top-level "members" list is put in doc's
-        list by members.place, as soon as it is decoded; a file whose members
-        it took on a grid or in units that a later key replaced raises
-        ValueError, so that json.load reads it."""
-        doc, places = {}, deque()
+        returns it, or ValueError where the file leaves the layout or a value
+        does not decode.  A file smaller than _FORK_BYTES is decoded by this
+        process alone.  When wanted, the key that a load of one kind needs,
+        is not the head's third key, the file is of the other kind: it is
+        matched to its end, and only its units and grid are decoded, so that
+        the parser refuses the missing key with the message the whole file
+        would get, and no amplitude is decoded and no twin forked.  With
+        members, each member is put in doc's list by members.place, as soon
+        as it is decoded."""
+        units, grid = self.match(_HEAD)
+        kind = self.token().strip(b'"').decode()
+        if kind not in _BODY:
+            raise ValueError(f"{kind!r} where the layout has its third key")
+        spans = self.body(kind)
+        if wanted is not None and kind != wanted:
+            list(spans)  # matched to the file's end, and none of it decoded
+            return {"units": self.decoded(0, (False, *units)), "grid": self.decoded(1, (False, *grid))}
+        keys = ("units", "grid", *(_AMPLITUDES if kind == "psi_re" else ["weights"]))
+        doc, place = dict.fromkeys(keys), None  # json.load's key order, whichever process decodes a value
+        if kind == "weights":
+            doc["members"] = members = []
+            place = members.append if self.members is None else partial(self.members.place, doc, members)
+        places = chain((partial(doc.__setitem__, key) for key in keys), repeat(place))
+        items = ((k > 1 and kind == "psi_re", *span) for k, span in enumerate(chain((units, grid), spans)))
         fork = os.fstat(self.handle.fileno()).st_size >= _FORK_BYTES
-        for value in _shared(self.decoded, self.items(doc, places, wanted), fork):
-            places.popleft()(value)
-        if self.members is not None and self.members.stale(doc):
-            raise ValueError("members admitted on a grid or in units that a later key replaced")
+        for value in _shared(self.decoded, items, fork):
+            next(places)(value)
         return doc
 
-    def items(self, doc, places, wanted=None):
-        """Yield (admit, start, stop) for each value of the walk in turn:
-        whether it is a top-level psi_re or psi_im, and where its bytes lie
-        in the file (see span), a top-level value once the key after it is
-        read.  Append to places, in the same order, what puts that value into
-        doc.  Keys are decoded here, by both processes.
-
-        When a key of the other kind (see _OTHER_KIND) comes before wanted,
-        the key a load of one kind needs, the file is of the other kind: no
-        value from there on is yielded, nor the one before it, held until
-        that key is read, so no amplitude is decoded and, where the values
-        before are units and grid, no twin is forked.  The rest of the
-        object is still walked, and its units and grid are decoded here, so
-        that doc holds what the parser reads before it refuses the missing
-        key, with the message the whole file would get.  wanted met after
-        all raises ValueError, so json.load reads the file."""
-        pending, refused = None, None
-        for _ in self.sequence(b"{", b"}"):
-            key = self.decoded(0, (False, *self.span()))
-            if not isinstance(key, str):
-                raise ValueError("a key that is not a string")
-            self.take(b":")
-            if refused is None and key in _OTHER_KIND.get(wanted, ()) and wanted not in doc:
-                refused = [pending] if pending else []
-            if refused is not None:
-                if key == wanted:
-                    raise ValueError("keys of both kinds")
-                refused.append((key, (False, *self.span())))
-                continue
-            if pending:
-                yield pending[1]
-            if key == "members" and self.peek() == b"[":
-                doc[key] = members = []
-                place = members.append if self.members is None else partial(self.members.place, doc, members)
-                for _ in self.sequence(b"[", b"]"):
-                    places.append(place)
-                    yield False, *self.span()
-                pending = None
-            else:
-                doc[key] = None  # its place in doc now, as json.load keeps a repeated key's first place
-                places.append(partial(doc.__setitem__, key))
-                pending = key, (key in _AMPLITUDES, *self.span())
-        if pending and refused is None:
-            yield pending[1]
-        if self.peek():
+    def body(self, kind: str):
+        """Yield the (start, stop) of each value after the head's third key,
+        kind, as soon as the layout has matched it: psi_re and psi_im, or
+        weights and each member.  ValueError where the file leaves the
+        layout, or goes on past it."""
+        yield from self.match(_BODY[kind])
+        if kind == "weights":
+            token = self.token()  # "{" before the first member, ", {" before each later one, then "]"
+            while token == b"{":
+                start = self.at() - 1
+                self.match(_MEMBER)
+                yield start, self.at()
+                if (token := self.token()) == b"," and (token := self.token()) != b"{":
+                    raise ValueError("not a member after a comma")
+            if token != b"]":
+                raise ValueError("not a member where the layout has one")
+            self.match(b"}")
+        if self.token():
             raise ValueError("extra data")
-        for key, item in refused or ():
-            if key in ("units", "grid"):
-                doc[key] = self.decoded(0, item)
+
+    def match(self, pattern: bytes) -> list:
+        """Take pattern's tokens in turn (see _HEAD); the (start, stop) of
+        each of its values, or ValueError at the first token that differs."""
+        spans = []
+        for token in pattern.split():
+            value = token in (b"{}", b"[]")
+            if self.token() != (token[:1] if value else token):
+                raise ValueError(f"expected {token!r}")
+            if value:
+                start = self.at() - 1
+                while (end := self.data.find(token[1:], self.pos)) < 0:
+                    self.data, self.pos = self.read(), 0
+                    if not self.data:
+                        raise ValueError("the file ends inside a value")
+                self.pos = end + 1
+                spans.append((start, self.at()))
+        return spans
+
+    def token(self) -> bytes:
+        """The next token after any whitespace (see _TOKEN), taken; b"" at
+        the end of the file, and ValueError where something else comes."""
+        while not (found := _TOKEN.match(self.data, self.pos)):
+            rest = self.data[self.pos :].lstrip(b" \t\n\r")
+            more = self.read() if len(rest) < len(b'"members"') else b""  # a key a window cut is shorter
+            if not more:
+                if rest:
+                    raise ValueError("not a token of the layout")
+                return b""
+            self.data, self.pos = rest + more, 0
+        self.pos = found.end()
+        return found[1]
+
+    def at(self) -> int:
+        """The file offset of the next byte."""
+        return self.offset - len(self.data) + self.pos
+
+    def read(self) -> bytes:
+        """The file's next _WINDOW bytes; b"" at its end, and ValueError for a byte that is not ASCII."""
+        data = os.pread(self.handle.fileno(), _WINDOW, self.offset)
+        if not data.isascii():
+            raise ValueError("a byte that is not ASCII")
+        self.offset += len(data)
+        return data
 
     def decoded(self, k: int, item):
         """The value of item (admit, start, stop): the file's bytes from start
@@ -487,9 +509,11 @@ class _Window:
         if admit and stop - start > _LIST_WINDOW and (values := self.numbers(start, stop)) is not None:
             return values
         text = os.pread(self.handle.fileno(), stop - start, start).decode(self.handle.encoding, self.handle.errors)
+        if k < 2 and "[" in text:  # units or grid: a list there may nest deeper than json.load, a level down, reaches
+            raise ValueError("a list in units or grid")
         value, end = self.decode(text)
-        if end != len(text):  # a number or literal run on by letters, or an end found at the wrong byte
-            raise ValueError("a value that ends before the next character")
+        if end != len(text):  # shorter than its span, it would not be the value json.load reads there
+            raise ValueError("a value that ends inside its span")
         return _admitted(value) if admit else value
 
     def numbers(self, start: int, stop: int):
@@ -532,121 +556,19 @@ class _Window:
             filled, rest = filled + len(values), data[cut + 1 :]
         return out if filled == out.size else None
 
-    def sequence(self, opener: bytes, closer: bytes):
-        """An array or an object: opener, then items separated by commas, then
-        closer.  Yields once for each item, which the caller takes before
-        the walk goes on."""
-        self.take(opener)
-        if self.peek() != closer:
-            yield
-            while self.peek() == b",":
-                self.pos += 1
-                yield
-        self.take(closer)
-
-    def read(self) -> bytes:
-        """The file's next _WINDOW bytes; b"" at its end."""
-        data = os.pread(self.handle.fileno(), _WINDOW, self.offset)
-        self.offset += len(data)
-        return data
-
-    def peek(self) -> bytes:
-        """The byte after any whitespace, not taken; b"" at the end of the file."""
-        while True:
-            self.pos = _WHITESPACE.match(self.data, self.pos).end()
-            if self.pos < len(self.data):
-                return self.data[self.pos : self.pos + 1]
-            self.data, self.pos = self.read(), 0
-            if not self.data:
-                return b""
-
-    def take(self, char: bytes) -> None:
-        if self.peek() != char:
-            raise ValueError(f"expected {char!r}")
-        self.pos += 1
-
-    def span(self) -> tuple:
-        """The file offsets (start, stop) of the value at the next byte: the
-        walk reads windows until one holds the value's end, and goes on from
-        there.  The walk keeps none of the value's bytes; decoded reads them
-        again, in the process that decodes the value."""
-        end = _End(self.peek())
-        start = self.offset - len(self.data) + self.pos
-        while (stop := end.find(self.data, self.pos)) < 0 and self.data:
-            self.data, self.pos = self.read(), 0
-        if stop < 0 and not end.scalar:
-            raise ValueError("the file ends inside a value")
-        self.pos = max(stop, 0)  # stop < 0: the end of the file, which ends a number or a literal
-        return start, self.offset - len(self.data) + self.pos
-
-
-class _End:
-    """Where the JSON value that starts with byte char ends, found in the
-    pieces of bytes that hold it, in turn: past the bracket that closes an
-    array or an object, or the quote that closes a string; at the first byte
-    after a number or a literal, since a read may have cut one short."""
-
-    def __init__(self, char: bytes):
-        self.scalar = char not in (b"[", b"{", b'"')
-        self.depth = 0
-        self.quoted = self.escaped = False
-
-    def find(self, data: bytes, i: int = 0) -> int:
-        """The index in data where the value ends, or -1 if data ends first."""
-        n = len(data)
-        if self.scalar:
-            i = _SCALAR.match(data, i).end()
-            return i if i < n else -1
-        at = [-1] * 5  # the next of each of '[]{}"' at or after i, n for none
-        while i < n:
-            if self.escaped:
-                self.escaped, i = False, i + 1
-            elif self.quoted:
-                quote = data.find(b'"', i)
-                escape = data.find(b"\\", i, n if quote < 0 else quote)
-                if escape >= 0:
-                    self.escaped, i = True, escape + 1
-                elif quote < 0:
-                    return -1
-                else:
-                    self.quoted, i = False, quote + 1
-                    if not self.depth:
-                        return i
-            else:
-                for k, char in enumerate(b'[]{}"'):
-                    if at[k] < i:
-                        found = data.find(char, i)
-                        at[k] = n if found < 0 else found
-                i = min(at)
-                if i == n:
-                    return -1
-                char = data[i : i + 1]
-                i += 1
-                if char == b'"':
-                    self.quoted = True
-                elif char in b"[{":
-                    self.depth += 1
-                    if self.depth > _NESTING:
-                        raise ValueError("nested deeper than _Window decodes")
-                else:
-                    self.depth -= 1
-                    if not self.depth:
-                        return i
-        return -1
-
 
 def _load_json(path: str, wanted=None, members=None) -> dict:
     """The file's top-level object, read through a _Window whose values two
     processes decode when _turns.second_cpu() holds and the file has
     _FORK_BYTES or more (see _Window); one of the other kind than wanted, the
     key a load of one kind needs, only as far as the parser reads it before
-    it refuses that key (see _Window.items); with members (a _Members), each
-    element of a top-level members list as members.place makes it.  A file
-    the walk does not take, and a pipe, which cannot be read twice, is read
-    from its start by one json.load, so every refusal is json.load's."""
+    it refuses that key (see _Window.document); with members (a _Members),
+    each member as members.place makes it.  A file out of the layout that
+    _Window matches, and a pipe, which cannot be read twice, is read from
+    its start by one json.load, so every refusal is json.load's."""
     with open(path) as handle:
         if handle.seekable():
-            with contextlib.suppress(ValueError, RecursionError):  # the walk refused the file
+            with contextlib.suppress(ValueError, RecursionError):  # the file is out of the layout
                 return _Window(handle, members).document(wanted)
         try:
             doc = json.load(handle, object_hook=_admit_amplitudes)
@@ -661,7 +583,7 @@ class _Members:
     """The one member loop of every load: each member of an ensemble file
     becomes a PureState (PureState._adopt) on the file's grid, and what
     keep(state, units) makes of it is kept in its place in the members list,
-    while the state and the member's arrays go.  The walk puts each member
+    while the state and the member's arrays go.  _Window puts each member
     here as soon as it is decoded (place), once the grid and units before the
     list parse; _parse_document takes any other list whole.  The first
     member refused is kept, with no later member made, and _parse_document
@@ -698,16 +620,6 @@ class _Members:
                 self.refusal = exc
         return None
 
-    def stale(self, doc) -> bool:
-        """Whether doc's members list is the one taken, on a grid or in units
-        other than the ones doc holds now (a key repeated after the list)."""
-        if self.context is None or self.list is not doc.get("members"):
-            return False
-        try:
-            return self.context != (_parse_grid(doc), _parse_units(doc))
-        except FluctLabError:  # the parse refuses doc before it reaches the members
-            return False
-
 
 def _keep_state(state, units):
     return state
@@ -729,7 +641,7 @@ def _parse_document(doc: dict, ensemble: bool, members: _Members):
         return None, [members.keep(state, units)], units
     weights = _number_array(_field(doc, "weights", list, "document"), "weights")
     members_doc = _field(doc, "members", list, "document")
-    if members.list is not members_doc or members.context is None:  # not taken as the walk decoded them
+    if members.list is not members_doc or members.context is None:  # not taken as _Window decoded them
         members.list, members.context, members.refusal = members_doc, (grid, units), None
         for i, member in enumerate(members_doc):
             members_doc[i] = members.make(i, member)  # its psi_re and psi_im arrays go as its state is made

@@ -53,7 +53,7 @@ def load_reads(monkeypatch):
 
     windows: (start, stop) in the file of the bytes each _Window.read returns, when it returns any.
     spans: (start, stop) of every other os.pread, by its offset and the bytes it returns.
-    decoded: (start, stop) of each key or value that _Window.decoded decodes.
+    decoded: (start, stop) of each value that _Window.decoded decodes.
     handles: [path, characters read through the handle] for each file fluctlab.io opens.
     json_loads: the path of each file that json.load reads.
     whole(size): the windows of a walk that reads a file of size bytes to its end."""

@@ -3,10 +3,11 @@
 import importlib
 import json
 import os
+import re
 import resource
 import stat
 import threading
-from collections import deque
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,6 +37,7 @@ from fluctlab import (
 from fluctlab import _turns, cli, density, scenarios
 from fluctlab import io as fio
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def test_state_round_trip(tmp_path, grid, units):
     state = build_state(GaussianPacket(0.3, -1.1, 0.9), grid, units)
@@ -859,8 +861,8 @@ def _load_case(tmp_path, members, n=64):
 
 
 @pytest.mark.parametrize("members", [0, 3], ids=["state", "ensemble"])
-def test_each_item_of_a_load_is_where_its_value_lies_in_the_file(tmp_path, members):
-    """Each item of the walk is (admit, start, stop): whether it is a
+def test_each_item_of_a_load_is_where_its_value_lies_in_the_file(tmp_path, monkeypatch, members):
+    """Each item that a load decodes is (admit, start, stop): whether it is a
     top-level psi_re or psi_im, and the file's bytes [start, stop), which are
     that value's JSON text, so they decode to what one json.load of the file
     holds in its place (each top-level value, and each member)."""
@@ -870,8 +872,14 @@ def test_each_item_of_a_load_is_where_its_value_lies_in_the_file(tmp_path, membe
     expected = []
     for key, value in json.loads(data).items():
         expected += [(False, m) for m in value] if key == "members" else [(key in ("psi_re", "psi_im"), value)]
-    with open(path) as handle:
-        items = list(fio._Window(handle).items({}, deque()))
+    items, real_decoded = [], fio._Window.decoded
+
+    def decoded(window, k, item):
+        items.append(item)
+        return real_decoded(window, k, item)
+
+    monkeypatch.setattr(fio._Window, "decoded", decoded)
+    fio._load_json(path)  # a small file: this process decodes every item
     for (admit, start, stop), (amplitudes, value) in zip(items, expected, strict=True):
         assert admit is amplitudes and type(start) is type(stop) is int
         assert data[start:stop] == json.dumps(value).encode() and json.loads(data[start:stop]) == value
@@ -882,12 +890,12 @@ def test_each_item_of_a_load_is_where_its_value_lies_in_the_file(tmp_path, membe
 ], ids=["ensemble-of-a-state-file", "state-of-an-ensemble-file"])
 def test_a_file_of_the_other_kind_is_refused_at_its_first_key_of_that_kind(
         tmp_path, forks, load_reads, load, members, n, missing):
-    """The load refuses the file where the walk meets psi_re (or weights),
-    with the parser's message for the key it needs: no amplitude list is
-    decoded, only the 4 keys, units and grid, and no twin is forked, though
+    """The load refuses the file at the head's third key, psi_re (or
+    weights), with the parser's message for the key it needs: no amplitude
+    list is decoded, only units and grid, and no twin is forked, though
     every load here is shared (the forks fixture) and the 65536-point state
-    file is 2.5 MB.  The walk still reads the file to its end, so a file
-    with bad syntax after that key is still refused as not valid JSON."""
+    file is 2.5 MB.  The file is still matched to its end, so one cut short
+    is still refused as not valid JSON."""
     path, _ = _load_case(tmp_path, members, n)
     del forks[:], load_reads.decoded[:]
     with pytest.raises(FileFormatError, match=rf"^document\.{missing}: missing$"):
@@ -896,8 +904,7 @@ def test_a_file_of_the_other_kind_is_refused_at_its_first_key_of_that_kind(
     with open(path, "rb") as handle:
         data = handle.read()
     decoded = [json.loads(data[start:stop]) for start, stop in load_reads.decoded]
-    keys = ["units", "grid", "psi_re", "psi_im"] if not members else ["units", "grid", "weights", "members"]
-    assert sorted(map(str, decoded)) == sorted([*keys, str(json.loads(data)["units"]), str(json.loads(data)["grid"])])
+    assert decoded == [json.loads(data)["units"], json.loads(data)["grid"]]
     with open(path, "w") as handle:
         handle.write(data.decode()[:-1])
     with pytest.raises(FileFormatError, match="not valid JSON"):
@@ -905,9 +912,9 @@ def test_a_file_of_the_other_kind_is_refused_at_its_first_key_of_that_kind(
 
 
 def test_a_file_with_keys_of_both_kinds_loads_as_json_load_reads_it(tmp_path, forks):
-    """psi_re before weights: the walk stops taking values at psi_re, meets
-    weights after all, and leaves the file to json.load, whose document the
-    ensemble parser reads as before, ignoring psi_re and psi_im."""
+    """psi_re and psi_im before weights: the file leaves the layout at
+    weights, and json.load reads it, whose document the ensemble parser
+    reads as before, ignoring psi_re and psi_im."""
     path, ensemble = _load_case(tmp_path, 2)
     with open(path) as handle:
         doc = json.load(handle)
@@ -917,6 +924,36 @@ def test_a_file_with_keys_of_both_kinds_loads_as_json_load_reads_it(tmp_path, fo
     loaded, _ = fio.load_ensemble(path)
     assert np.array_equal(loaded.weights, ensemble.weights)
     assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(loaded.members, ensemble.members, strict=True))
+
+
+def _bits(target) -> list:
+    """The bytes of a state's amplitudes, or of an ensemble's weights and each member's amplitudes."""
+    if isinstance(target, PureState):
+        return [target.amplitudes.tobytes()]
+    return [target.weights.tobytes(), *(member.amplitudes.tobytes() for member in target.members)]
+
+
+@pytest.mark.parametrize("change", ["reordered", "extra-key"])
+@pytest.mark.parametrize("members", [0, 3], ids=["state", "ensemble"])
+def test_a_valid_file_out_of_the_layout_is_one_json_load(tmp_path, forks, members, change):
+    """A valid state or ensemble file whose keys are in another order, or
+    that holds one more key, is not the layout that save_state and
+    save_ensemble write: it loads to the same bits as the file saved,
+    through exactly one json.load, and load_state refuses such an ensemble
+    with the parser's message."""
+    path, target = _load_case(tmp_path, members)
+    with open(path) as handle:
+        doc = json.load(handle)
+    doc = dict(reversed(doc.items())) if change == "reordered" else {**doc, "note": "kept by json.load"}
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    with mock.patch.object(json, "load", wraps=json.load) as whole:
+        loaded, units = fio.load_target(path)
+    assert whole.call_count == 1
+    assert type(loaded) is type(target) and units == UnitSystem() and _bits(loaded) == _bits(target)
+    if members:
+        with pytest.raises(FileFormatError, match=r"^document\.psi_re: missing$"):
+            fio.load_state(path)
 
 
 def _alone(monkeypatch, action):
@@ -970,6 +1007,32 @@ def test_a_load_forks_only_for_a_file_of_fork_bytes_or_more(tmp_path, monkeypatc
     loaded, _ = fio.load_target(path)
     assert len(forks) == twins
     assert np.array_equal(loaded.amplitudes, state.amplitudes)
+
+
+def test_every_file_the_state_files_workload_loads_streams(tmp_path, monkeypatch, capsys, forks):
+    """The files that perfbench's state_files workload audits, its 3 `state`
+    outputs and its 2 save_ensemble inputs, are each in the layout: each
+    audit matches its file with json.load never called, and forks one twin
+    for a file of _FORK_BYTES or more (the states and the 121-member
+    ensemble) and none for a smaller one (the 1-member ensemble)."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import helper, workloads
+
+    monkeypatch.setattr(fio, "_FORK_BYTES", FORK_BYTES)
+    monkeypatch.chdir(tmp_path)
+    plan = workloads.plan("state_files", seed=1, workdir=str(tmp_path))
+    helper.prepare_inputs(plan.inputs)
+    twins = {}
+    for command in plan.commands:
+        del forks[:]
+        with mock.patch.object(json, "load", wraps=json.load) as whole:
+            assert cli.run(list(command.argv)) == 0, capsys.readouterr()
+        if command.argv[0] == "audit":
+            path = command.argv[command.argv.index("--in") + 1]
+            assert not whole.called, command.id
+            twins[command.id] = (len(forks), os.path.getsize(path) >= FORK_BYTES)
+    assert len(twins) == 5 and {size for _, size in twins.values()} == {True, False}
+    assert all(count == size for count, size in twins.values()), twins
 
 
 def test_a_load_from_a_pipe_never_forks(tmp_path, forks):
@@ -1029,8 +1092,8 @@ def test_a_load_whose_twin_is_killed_is_finished_by_the_command(tmp_path, monkey
     loaded, units = fio.load_target(path)
     assert len(forks) == 1 and len(os.listdir("/proc/self/fd")) == descriptors
     assert load_reads.windows == load_reads.whole(os.path.getsize(path))
-    # 4 keys, then items 0, 2 and 4 (units, weights, member 1), then the lost item 5 and items 6 and 7
-    assert len(set(load_reads.decoded)) == len(load_reads.decoded) == 4 + 6
+    # items 0, 2 and 4 (units, weights, member 1), then the lost item 5 and items 6 and 7
+    assert len(set(load_reads.decoded)) == len(load_reads.decoded) == 6
     assert load_reads.spans == load_reads.decoded
     assert load_reads.handles == [[path, 0]] and load_reads.json_loads == []
     alone, alone_units = _alone(monkeypatch, lambda: fio.load_target(path))
@@ -1312,8 +1375,8 @@ def test_windowed_load_is_one_json_load(tmp_path_factory, text, mutation, window
     number, literal and escape straddles reads, and with a top-level psi_re
     or psi_im list longer than 1 to 9 bytes decoded that many bytes at a time
     (see io._Window.numbers), loads as one json.load of the whole file loads
-    it, or fails with its message; and the walk itself takes every text that
-    is a JSON object, so none of them is read twice."""
+    it, or fails with its message; and every text refused is refused by
+    json.load, so its message is always json.load's."""
     if mutation == "cut":
         text = text[: data.draw(st.integers(0, len(text) - 1), label="cut at")]
     elif mutation == "trailing comma":
@@ -1336,14 +1399,106 @@ def test_windowed_load_is_one_json_load(tmp_path_factory, text, mutation, window
         loaded = _outcome(fio._load_json, path)
     expected = _outcome(_whole_load, path)
     assert _same(loaded, expected), (text, loaded, expected)
-    assert whole.called != isinstance(expected, dict), text  # json.load reads only what the walk does not take
+    assert whole.called or isinstance(expected, dict), text
+
+
+LAYOUT_LIST = st.lists(st.one_of(st.floats(), st.integers(-10**20, 10**20)), max_size=8)
+LAYOUT_NUMBER = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _layout_documents(draw):
+    """A document in the key order that save_state (psi_re, psi_im) or
+    save_ensemble (weights, then 0-4 members) writes; its values any numbers."""
+    head = {"units": {"h": draw(LAYOUT_NUMBER)},
+            "grid": {"x_min": draw(LAYOUT_NUMBER), "x_max": draw(LAYOUT_NUMBER), "n": draw(st.integers(0, 99))}}
+    if draw(st.booleans()):
+        return {**head, "psi_re": draw(LAYOUT_LIST), "psi_im": draw(LAYOUT_LIST)}
+    members = [{"psi_re": draw(LAYOUT_LIST), "psi_im": draw(LAYOUT_LIST)} for _ in range(draw(st.integers(0, 4)))]
+    return {**head, "weights": draw(LAYOUT_LIST), "members": members}
+
+
+LAYOUT_MUTATIONS = {  # what a mutation puts where the sentinel "@" is in one of the document's lists
+    "bad number": ["0.5.5", "1x", "-", "1e", "tru", "01"],
+    "string holding ]": ['"]"', '"a]b"', '"[]"'],
+}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(doc=_layout_documents(), form=st.sampled_from(["spaced", "compact", "dumps", "indent"]),
+       mutation=st.sampled_from(["none", "cut", "extra data", "trailing comma", "bad number", "string holding ]",
+                                 "reordered key", "extra key", "repeated key"]),
+       window=st.integers(1, 40), list_window=st.integers(1, 12), twin=st.booleans(), data=st.data())
+def test_a_layout_file_streams_and_any_other_is_one_json_load(tmp_path_factory, doc, form, mutation, window,
+                                                               list_window, twin, data):
+    """A file in the layout that save_state and save_ensemble write, with any
+    JSON whitespace between its tokens (none, json.dumps' own, its indent=2
+    form, or any run of it), read 1 to 40 bytes at a time, with lists longer
+    than a _LIST_WINDOW of 1 to 12 bytes, alone or with a twin, loads as one
+    json.load of the whole file loads it, with json.load never called.  The
+    same file cut short, followed by more, with a trailing comma, a bad
+    number or a string holding "]" in a list, or with a key reordered, added
+    or repeated, loads or is refused as that json.load does it, by that
+    json.load."""
+    lists = [doc[key] for key in ("psi_re", "psi_im", "weights") if key in doc]
+    lists += [member[key] for member in doc.get("members", []) for key in ("psi_re", "psi_im")]
+    if mutation in LAYOUT_MUTATIONS:
+        target = data.draw(st.sampled_from(lists), label="list")
+        target.insert(data.draw(st.integers(0, len(target)), label="at"), "@")
+    elif mutation == "reordered key":
+        members = doc.get("members", [])
+        where = data.draw(st.sampled_from(["top", *range(len(members))]), label="where")
+        if where == "top":
+            keys = data.draw(st.permutations(list(doc)).filter(lambda keys: keys != list(doc)), label="keys")
+            doc = {key: doc[key] for key in keys}
+        else:
+            members[where] = dict(reversed(members[where].items()))
+    elif mutation == "extra key":
+        members = doc.get("members", [])
+        where = data.draw(st.sampled_from(["top", *range(len(members))]), label="where")
+        entries = list((doc if where == "top" else members[where]).items())
+        entries.insert(data.draw(st.integers(0, len(entries)), label="at"), ("note", 1))
+        if where == "top":
+            doc = dict(entries)
+        else:
+            members[where] = dict(entries)
+    if form == "spaced":
+        pieces = re.split(r"([{}\[\]:,])", json.dumps(doc, separators=(",", ":")))
+        spaces = data.draw(st.lists(SPACE, min_size=len(pieces), max_size=len(pieces)), label="spaces")
+        text = "".join(piece + space for piece, space in zip(pieces, spaces))
+    else:
+        text = json.dumps(doc, **{"compact": {"separators": (",", ":")}, "dumps": {}, "indent": {"indent": 2}}[form])
+    if mutation in LAYOUT_MUTATIONS:
+        text = text.replace('"@"', data.draw(st.sampled_from(LAYOUT_MUTATIONS[mutation]), label="value"), 1)
+    elif mutation == "cut":
+        text = text[: data.draw(st.integers(0, len(text) - 1), label="cut at")]
+    elif mutation == "extra data":
+        text += data.draw(st.sampled_from([" 1", "{}", "x", "]", ",", "\f"]), label="extra")
+    elif mutation == "trailing comma":  # in the last list: psi_im, or the members
+        end = text.rindex("]")
+        text = text[:end] + "," + text[end:]
+    elif mutation == "repeated key":
+        end = text.rindex("}")
+        key = data.draw(st.sampled_from(list(doc)), label="key")
+        text = text[:end] + ", " + json.dumps(key) + ": " + json.dumps(doc[key]) + text[end:]
+    path = str(tmp_path_factory.getbasetemp() / "layout.json")
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
+    with mock.patch.object(fio, "_WINDOW", window), mock.patch.object(fio, "_LIST_WINDOW", list_window), \
+            mock.patch.object(fio, "_FORK_BYTES", 0 if twin else fio._FORK_BYTES), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1} if twin else {0}), \
+            mock.patch.object(json, "load", wraps=json.load) as whole:
+        loaded = _outcome(fio._load_json, path)
+    expected = _outcome(_whole_load, path)
+    assert _same(loaded, expected), (text, loaded, expected)
+    assert whole.called == (mutation != "none"), text
 
 
 FLAT = "[0.5,-1e-300, 2 ,3.25,\n 4,5e3,6, NaN,-0.0,9]"
-FLAT_CASES = {  # a top-level list's text, and whether io._Window.numbers decodes it a window at a time
+FLAT_CASES = {  # a state's psi_re list, and whether io._Window.numbers decodes it a window at a time (None: json.load)
     "flat": (FLAT, True),
     "true": (FLAT.replace("6", "true"), False),
-    "nested": (FLAT.replace("6", "[6]"), False),
+    "nested": (FLAT.replace("6", "[6]"), None),  # the layout ends the list at the first "]"
     "string": (FLAT.replace("6", '"6"'), False),
     "object": (FLAT.replace("6", "{}"), False),
     "huge-integer": (FLAT.replace("6", "1" + "0" * 400), False),
@@ -1368,19 +1523,22 @@ def _flat_boundaries(text: str, window: int) -> set:
 
 @pytest.mark.parametrize("case", FLAT_CASES)
 def test_a_list_cut_at_every_window_boundary_is_one_json_load(tmp_path, monkeypatch, case):
-    """A top-level psi_re list, decoded a window of 1 byte to the whole list
-    at a time, loads as one json.load of the whole file loads it, or fails
-    with its message: a flat list of numbers by io._Window.numbers wherever
-    the windows cut it, and any other list by one decode of its whole text."""
+    """A state file's psi_re list, decoded a window of 1 byte to the whole
+    list at a time, loads as one json.load of the whole file loads it, or
+    fails with its message: a flat list of numbers by io._Window.numbers
+    wherever the windows cut it, any other list by one decode of its whole
+    text, and a list that holds a "]" by json.load."""
     text, flat = FLAT_CASES[case]
     path = str(tmp_path / "list.json")
     with open(path, "w") as handle:
-        handle.write('{"units": {"h": 1.0}, "psi_re": %s, "psi_im": 0}' % text)
+        handle.write('{"units": {"h": 1.0}, "grid": {"x_min": -1.0, "x_max": 1.0, "n": 10}, '
+                     '"psi_re": %s, "psi_im": []}' % text)
     expected = _outcome(_whole_load, path)
     real_numbers, windowed, boundaries = fio._Window.numbers, [], set()
 
     def numbers(window, start, stop):
-        windowed.append(real_numbers(window, start, stop) is not None)
+        if stop - start == len(text):  # psi_re, not psi_im's []
+            windowed.append(real_numbers(window, start, stop) is not None)
         return real_numbers(window, start, stop)
 
     monkeypatch.setattr(fio._Window, "numbers", numbers)
@@ -1388,17 +1546,17 @@ def test_a_list_cut_at_every_window_boundary_is_one_json_load(tmp_path, monkeypa
         del windowed[:]
         monkeypatch.setattr(fio, "_LIST_WINDOW", list_window)
         assert _same(_outcome(fio._load_json, path), expected), list_window
-        assert windowed == ([flat] if list_window < len(text) else []), list_window
+        assert windowed == ([flat] if flat is not None and list_window < len(text) else []), list_window
         boundaries |= _flat_boundaries(text, list_window)
     assert boundaries == {"comma first", "comma last", "value ends", "one window"}
 
 
-ENCODED = {  # (encoding, what the text adds, whether the walk leaves the file to json.load)
-    "shift_jis-exact": ("shift_jis", '"note": "アイ"', False),  # no byte of these is ASCII
-    "shift_jis-backslash": ("shift_jis", '"note": "ソ"', True),  # 83 5C: the walk takes 5C for an escape
+ENCODED = {  # (encoding, what units holds beside h, whether json.load reads the file)
+    "shift_jis-ascii": ("shift_jis", '"note": "ab"', False),  # every byte ASCII: the layout streams
+    "shift_jis-exact": ("shift_jis", '"note": "アイ"', True),  # no byte of these is ASCII
+    "shift_jis-backslash": ("shift_jis", '"note": "ソ"', True),  # 83 5C, an escape's byte
     "shift_jis-brackets": ("shift_jis", '"ソ": 1, "note": ["マゼ", {"ボ": "ゾ"}]', True),  # 7D 5B 7B 5D as well
     "shift_jis-in-a-member": ("shift_jis", None, True),
-    # the walk ends "note" at the last "}", past its true end, and goes on as if at the end of the object
     "shift_jis-run-on": ("shift_jis", '"note": ["ソ"], "b": {":\\"}": 1}', True),
     "utf-16": ("utf-16", '"note": "ソ"', True),  # a BOM, then two bytes a character
     "utf-16-le": ("utf-16-le", '"note": "ア"', True),  # "{", then a zero byte
@@ -1408,19 +1566,19 @@ ENCODED = {  # (encoding, what the text adds, whether the walk leaves the file t
 
 @pytest.mark.parametrize("case", ENCODED)
 def test_a_file_in_another_encoding_loads_as_json_load_of_its_handle(tmp_path, monkeypatch, forks, case):
-    """The walk finds ends by ASCII bytes, which a Shift-JIS character may
-    hold as its second byte and a UTF-16 one nearly always does: such a file
-    loads as one json.load of a handle in its encoding loads it, by the walk
-    where every end it finds is right, and by json.load where one is not."""
+    """A layout file whose bytes are all ASCII streams in any encoding that
+    keeps ASCII; one with a byte that is not ASCII (a Shift-JIS character,
+    any UTF-16 text) loads as one json.load of a handle in its encoding
+    loads it, by that json.load."""
     encoding, note, fallback = ENCODED[case]
     path, _ = _load_case(tmp_path, 3)
     with open(path) as handle:
         text = handle.read()
-    if note is None:
-        at = _member_at(text, 1) + 1
-        text = text[:at] + '"note": "ソ\\"マ", ' + text[at:]
+    if note is None:  # a string in member 1's psi_re list
+        at = text.index('"psi_re": [', _member_at(text, 1)) + len('"psi_re": [')
+        text = text[:at] + '"ソ\\"マ", ' + text[at:]
     else:
-        text = text[:-1] + ", " + note + "}"
+        text = text.replace('"units": {', '"units": {' + note + ", ", 1)
     with open(path, "w", encoding=encoding) as handle:
         handle.write(text)
     with open(path, encoding=encoding) as handle:
@@ -1442,13 +1600,16 @@ def _nested_depth(value) -> int:
 
 
 def test_deep_nesting_is_json_loads(tmp_path):
-    """A value nested deeper than _Window decodes goes to json.load, so the
-    recursion limit refuses the same files that one json.load refuses (here
-    from a depth of about 950 on)."""
+    """A list nested in a layout file's units, the one value of the layout
+    whose end the first "]" does not give, or in its psi_re, loads as one
+    json.load of the whole file loads it, so the recursion limit refuses the
+    same files that one json.load refuses (here from a depth of about 950
+    on), though the matcher would decode units a level nearer the top."""
     path = str(tmp_path / "deep.json")
-    for depth in (fio._NESTING - 1, fio._NESTING, fio._NESTING + 1, *range(880, 1001)):
+    for depth in (2, 3, *range(880, 1001)):
         nested = "[" * depth + "]" * depth
-        for key, text in (("a", '{"a": %s}' % nested), ("members", '{"members": [%s]}' % nested)):
+        for key, text in (("units", '{"units": {"h": %s}, "grid": {}, "psi_re": [], "psi_im": []}' % nested),
+                          ("psi_re", '{"units": {}, "grid": {}, "psi_re": %s, "psi_im": []}' % nested)):
             with open(path, "w") as handle:
                 handle.write(text)
             loaded, expected = _outcome(fio._load_json, path), _outcome(_whole_load, path)
@@ -1456,16 +1617,16 @@ def test_deep_nesting_is_json_loads(tmp_path):
             if isinstance(expected, FileFormatError):
                 assert str(loaded) == str(expected)
             else:
-                assert list(loaded) == [key]
-                assert _nested_depth(loaded[key]) == _nested_depth(expected[key]) == depth + (key == "members")
+                assert list(loaded) == ["units", "grid", "psi_re", "psi_im"]
+                nested_value = (lambda doc: doc["units"]["h"]) if key == "units" else (lambda doc: doc["psi_re"])
+                assert _nested_depth(nested_value(loaded)) == _nested_depth(nested_value(expected)) == depth
 
 
 @pytest.mark.parametrize("text", ['{"a": 1x}', '{"a": 1.2.3, "b": 1}', '{"a": truex}', '{"a": 1-2}',
                                   '{"members": [1, 2x]}', '{"a": [1], "b": nullnull}', '{"a": 1, "b": 2é}'])
 def test_a_number_or_literal_run_on_is_refused_as_json_load_refuses_it(tmp_path, text):
-    """The walk finds a scalar's end at the first character no number or
-    literal holds, past where the decoder stops; a value whose decoder stops
-    short of that end is refused, as json.load refuses the text."""
+    """A number or literal run on by other characters is refused, as
+    json.load refuses the text, by that json.load."""
     path = str(tmp_path / "run-on.json")
     with open(path, "w") as handle:
         handle.write(text)

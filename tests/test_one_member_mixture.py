@@ -37,12 +37,12 @@ def test_pure_moments_equal_one_member_mixture(recipe, grid, units):
 
 
 def test_load_target_parses_each_file_once(tmp_path, grid, units, load_reads, forks):
-    """A valid file is walked once, window by window, in order, and each key
-    and value is read once more, at its span, by the process that decodes it
-    (here the command decodes every key and the even values, and the twin
-    the odd ones); json.load never runs.  A bad one is walked once as far as
-    the walk gets, and read again from its start by one json.load, which
-    names the fault."""
+    """A valid file is matched once, window by window, in order, and each
+    value is read once more, at its span, by the process that decodes it
+    (here the command decodes the even values, and the twin the odd ones);
+    json.load never runs.  A bad one is matched once as far as the matcher
+    gets, and read again from its start by one json.load, which names the
+    fault."""
     state = build_state(GaussianPacket(), grid, units)
     ensemble = MixedEnsemble(
         np.array([0.25, 0.75]),
@@ -56,7 +56,7 @@ def test_load_target_parses_each_file_once(tmp_path, grid, units, load_reads, fo
     def loaded_once(load, path, decodes, by_json_load=False):
         """load(path), checked against this process's reads: the whole file
         in windows, one os.pread of the span of each of its decodes, and, by
-        a file the walk refuses, one json.load of the whole file."""
+        a file the matcher refuses, one json.load of the whole file."""
         for reads in (load_reads.windows, load_reads.spans, load_reads.decoded, load_reads.handles, load_reads.json_loads):
             del reads[:]
         try:
@@ -68,27 +68,27 @@ def test_load_target_parses_each_file_once(tmp_path, grid, units, load_reads, fo
             assert load_reads.handles == [[path, os.path.getsize(path) if by_json_load else 0]]
             assert load_reads.json_loads == [path][:by_json_load]
 
-    # 4 keys, and of the values units, grid, psi_re and psi_im, units and psi_re
-    loaded, _ = loaded_once(fio.load_target, state_path, 4 + 2)
+    # of the values units, grid, psi_re and psi_im, units and psi_re
+    loaded, _ = loaded_once(fio.load_target, state_path, 2)
     assert isinstance(loaded, PureState)
     np.testing.assert_array_equal(loaded.amplitudes, state.amplitudes)
 
-    # 4 keys, and of the values units, grid, weights and the 2 members, units, weights and member 1
-    loaded, _ = loaded_once(fio.load_target, ensemble_path, 4 + 3)
+    # of the values units, grid, weights and the 2 members, units, weights and member 1
+    loaded, _ = loaded_once(fio.load_target, ensemble_path, 3)
     assert isinstance(loaded, MixedEnsemble)
     np.testing.assert_array_equal(loaded.weights, ensemble.weights)
 
-    # a file of the other kind: 4 keys, and of the values units and grid, with no twin (see test_io.py)
+    # a file of the other kind: of the values units and grid, with no twin (see test_io.py)
     with pytest.raises(FileFormatError, match=r"^document\.psi_re: missing$"):
-        loaded_once(fio.load_state, ensemble_path, 4 + 2)
+        loaded_once(fio.load_state, ensemble_path, 2)
     with pytest.raises(FileFormatError, match=r"^document\.weights: missing$"):
-        loaded_once(fio.load_ensemble, state_path, 4 + 2)
+        loaded_once(fio.load_ensemble, state_path, 2)
 
     bad_path = str(tmp_path / "bad.json")
     with open(bad_path, "w") as handle:
         handle.write(open(ensemble_path).read()[:-1])
     with pytest.raises(FileFormatError, match="not valid JSON"):
-        loaded_once(fio.load_target, bad_path, 4 + 3, by_json_load=True)
+        loaded_once(fio.load_target, bad_path, 3, by_json_load=True)
     assert len(forks) == 3
 
 
@@ -116,8 +116,8 @@ def test_bad_syntax_the_twin_decodes_is_read_at_its_span_then_by_json_load(tmp_p
     with pytest.raises(FileFormatError, match="not valid JSON"):
         fio.load_target(path)
     assert len(forks) == 1 and load_reads.json_loads == [path]
-    # 4 keys, then items 0, 2, 4 and 6 (units, weights, members 1 and 3), then the twin's item 5 (member 2)
-    assert len(set(load_reads.decoded)) == len(load_reads.decoded) == 4 + 5 and load_reads.decoded[-1] == member_2
+    # items 0, 2, 4 and 6 (units, weights, members 1 and 3), then the twin's item 5 (member 2)
+    assert len(set(load_reads.decoded)) == len(load_reads.decoded) == 5 and load_reads.decoded[-1] == member_2
     assert load_reads.spans == load_reads.decoded
     windows, member_3_stop = load_reads.windows, load_reads.decoded[-2][1]
     assert windows == load_reads.whole(size)[: len(windows)] and windows[-1][0] < member_3_stop <= windows[-1][1]
