@@ -145,23 +145,30 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    """audit_report of the file's state or ensemble, with each member measured
-    as soon as the load admits it, and only its moments kept, so the load
-    holds one member at a time.  A measurement's failure is kept and raised
+    """audit_report of the file's state or ensemble, measured as the load
+    decodes it.  Each state or member is admitted into the command's one
+    |psi|^2 array and measured by one DFT taken in its own amplitude array
+    (states._moments).  Only its moments are kept, so the load holds one
+    member at a time and squares each once.  A refusal at admission is the
+    load's, raised in its turn.  A measurement's failure is kept and raised
     where audit_report meets it: after the whole file is read and parsed and
     the units are resolved."""
     import numpy as np
 
     from .audit import _verdict
-    from .states import _measurer, _mixture_report, _mixture_weights
+    from .states import _admitted, _mixture_report, _mixture_weights, _moments
     from .units import UnitSystem
 
-    measure, failures = _measurer(), []
+    prob, failures = np.empty(0), []
 
-    def measured(state, file_units):
+    def measured(grid, amp, file_units):
+        nonlocal prob
+        if prob.size != grid.n:  # made at the first member; again only where json.load reads a repeated grid
+            prob = np.empty(grid.n)
+        _admitted(grid, amp, prob)
         if not failures:
             try:
-                return measure(state, UnitSystem(h=args.h) if args.h is not None else file_units)
+                return _moments(grid, UnitSystem(h=args.h) if args.h is not None else file_units, amp, prob, amp, None)
             except Exception as exc:
                 failures.append(exc)
         return None

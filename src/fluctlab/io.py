@@ -38,11 +38,15 @@ text nor its Python floats are held: load_target of a 2^18-point state
 peaks at 40 bytes a point under tracemalloc, its amplitudes included (63.7
 when each list was decoded whole).  A member's lists become arrays as soon
 as the member is decoded (the decoder's object hook), and every member
-then goes through one loop (_Members): it is admitted as a state on the
-file's grid as soon as it is decoded, its arrays go, and only what the
-caller keeps of the state stays.  load_ensemble and load_target keep each
-state; `audit --in` (cli._cmd_audit) keeps only each member's moments, so
-it holds one member at a time.  Every refusal is still the one that a
+then goes through one loop (_Members): as soon as it is decoded, its lists
+become one amplitude array on the file's grid, and the lists go.  A load
+hands a state's or a member's array to its caller's keep(grid, amp, units),
+which owns it, admits it and keeps what it makes of it.  load_state,
+load_ensemble and load_target keep each as a state (PureState._adopt);
+`audit --in` (cli._cmd_audit) admits each into the command's one |psi|^2
+array, takes its one DFT in the array itself (states._moments) and keeps
+only its moments, so it holds one member at a time and squares each once.
+Every refusal is still the one that a
 whole document's parse gives, in the same order.  With two CPUs, and a file of
 _FORK_BYTES (1 MiB) or more, where the twin pays for its fork, a forked twin
 decodes every other value: both processes match the whole file, each at its
@@ -92,8 +96,8 @@ written through a duplicate of that descriptor, keeping its offset and
 O_APPEND, and an existing FIFO or device is written directly; either can be
 left with partial output by a failure.
 Every command loads this module, so it imports no density module, and the
-modules it does use only where they are used: states where a state is built
-(_parse_grid and _parse_document), scenarios in sweep_rows_csv and
+modules it does use only where they are used: states where a grid or a
+state is built (_parse_grid and _keep_state), scenarios in sweep_rows_csv and
 walk_rows_csv, _floattext in _values_text and _block_text, so that only a
 command that writes a document or a numeric table compiles it.
 load_state and load_ensemble refuse a file of the other kind at the
@@ -304,6 +308,8 @@ def _parse_grid(doc) -> GridSpec:
 
 
 def _parse_amplitudes(mapping, grid, where) -> np.ndarray:
+    """mapping's psi_re and psi_im as one complex array of grid.n values;
+    mapping is cleared once the array is made, so its lists go with it."""
     re = _number_array(_field(mapping, "psi_re", list, where), f"{where}.psi_re")
     im = _number_array(_field(mapping, "psi_im", list, where), f"{where}.psi_im")
     if re.size != grid.n or im.size != grid.n:
@@ -311,6 +317,7 @@ def _parse_amplitudes(mapping, grid, where) -> np.ndarray:
             f"{where}: psi_re/psi_im lengths ({re.size}, {im.size}) do not match grid.n = {grid.n}"
         )
     amp = np.multiply(im, 1j)  # re + 1j*im's bits, in the array a state adopts
+    mapping.clear()
     return np.add(re, amp, out=amp)
 
 
@@ -581,15 +588,16 @@ def _load_json(path: str, wanted=None, members=None) -> dict:
 
 class _Members:
     """The one member loop of every load: each member of an ensemble file
-    becomes a PureState (PureState._adopt) on the file's grid, and what
-    keep(state, units) makes of it is kept in its place in the members list,
-    while the state and the member's arrays go.  _Window puts each member
-    here as soon as it is decoded (place), once the grid and units before the
-    list parse; _parse_document takes any other list whole.  The first
-    member refused is kept, with no later member made, and _parse_document
-    raises its error in its turn, after the file is read and the units,
-    grid and weights are parsed, so that every refusal is the one that a
-    whole document's parse gives."""
+    becomes its amplitude array on the file's grid, and what
+    keep(grid, amp, units) makes of the array, which it owns and admits
+    (PureState._adopt, for the library), is kept in its place in the members
+    list, while the array and the member's decoded lists go.  _Window puts
+    each member here as soon as it is decoded (place), once the grid and
+    units before the list parse; _parse_document takes any other list whole.
+    The first member refused is kept, with no later member made, and
+    _parse_document raises its error in its turn, after the file is read and
+    the units, grid and weights are parsed, so that every refusal is the one
+    that a whole document's parse gives."""
 
     def __init__(self, keep):
         self.keep = keep
@@ -608,43 +616,39 @@ class _Members:
         members.append(value if self.context is None else self.make(len(members), value))
 
     def make(self, i: int, value):
-        """What keep makes of member i, value, as a state on the context's
-        grid; None once a member is refused."""
-        from .states import PureState
-
+        """What keep makes of member i, value, as amplitudes on the context's
+        grid (value's lists go first, see _parse_amplitudes); None once a
+        member is refused."""
         if self.refusal is None:
             grid, units = self.context
             try:
-                return self.keep(PureState._adopt(grid, _parse_amplitudes(value, grid, f"members[{i}]")), units)
+                return self.keep(grid, _parse_amplitudes(value, grid, f"members[{i}]"), units)
             except Exception as exc:  # raised in its turn by _parse_document
                 self.refusal = exc
         return None
 
 
-def _keep_state(state, units):
-    return state
+def _keep_state(grid, amp, units):
+    from .states import PureState
+
+    return PureState._adopt(grid, amp)
 
 
 def _parse_document(doc: dict, ensemble: bool, members: _Members):
     """(weights, kept, units) from a parsed state or ensemble document: the
     weights as numbers (None for a state), and what members.keep makes of
-    the state or of each member, in order (see _Members).  Constructors
-    re-verify normalization and the decay guard, so tampered files fail
-    loudly."""
-    from .states import PureState
-
+    the state's amplitudes or of each member's, in order (see _Members).
+    keep admits them, so tampered files fail loudly."""
     units = _parse_units(doc)
     grid = _parse_grid(doc)
     if not ensemble:
-        state = PureState._adopt(grid, _parse_amplitudes(doc, grid, "document"))
-        doc.clear()  # its psi_re and psi_im arrays go before the state is kept
-        return None, [members.keep(state, units)], units
+        return None, [members.keep(grid, _parse_amplitudes(doc, grid, "document"), units)], units
     weights = _number_array(_field(doc, "weights", list, "document"), "weights")
     members_doc = _field(doc, "members", list, "document")
     if members.list is not members_doc or members.context is None:  # not taken as _Window decoded them
         members.list, members.context, members.refusal = members_doc, (grid, units), None
         for i, member in enumerate(members_doc):
-            members_doc[i] = members.make(i, member)  # its psi_re and psi_im arrays go as its state is made
+            members_doc[i] = members.make(i, member)  # its psi_re and psi_im arrays go as it is kept
     if members.refusal is not None:
         raise members.refusal
     return weights, members_doc, units

@@ -82,8 +82,10 @@ def thermal_sweep(
 
     Every temperature's weights come first; then the levels down to the deepest
     any temperature keeps are built, measured and dropped one at a time, shared
-    by two processes where they can be (see _measured_levels).  Each row
-    combines the leading levels' moments with its weights, as ensemble_moments(thermal_ensemble(...)) would.
+    by two processes where they can be (see _measured_levels), each level
+    admitted and refused as thermal_ensemble admits it.  Each row combines
+    the leading levels' moments with its weights, as
+    ensemble_moments(thermal_ensemble(...)) would.
     """
     temperatures = [float(t) for t in temperatures]
     weights = [_boltzmann_weights(omega, mass, t, n_max, units) for t in temperatures]
@@ -107,10 +109,11 @@ def _measured_levels(n_max, mass, omega, grid: GridSpec, units: UnitSystem) -> l
 
 def _level_moments(grid: GridSpec, units: UnitSystem, amp, prob, scratch, item):
     """phase_space_moments of the oscillator level of item (see states._hermite_rows),
-    built into amp (complex), admitted as its state would be, and measured
-    there: the admission's |psi|^2 in prob is the probability, and the DFT
-    overwrites amp, as the level is dropped.  scratch is a third array."""
-    return _moments(grid, units, prob, np.fft.fft(_eigenstate_level(grid, item, amp, prob), out=amp), scratch)
+    built into amp (complex), admitted as build_state admits its state (see
+    states._eigenstate_level), and measured there: the admission's |psi|^2 in
+    prob is the probability, and the DFT overwrites amp, as the level is
+    dropped.  scratch is a third array."""
+    return _moments(grid, units, _eigenstate_level(grid, item, amp, prob), prob, amp, scratch)
 
 
 def relaxation_walk(

@@ -3,7 +3,8 @@
 Everything lives on a uniform 1-D grid.  Position moments use trapezoid
 quadrature; momentum and kinetic-energy terms go through the discrete
 Fourier transform, which is why every state must vanish at the grid edges
-(the "decay guard").  Each pure state is measured on its own; a mixture's
+(the "decay guard").  Each pure state is measured on its own, by one DFT
+in _moments, the one place where a state's moments are taken; a mixture's
 mean is the weighted member mean and its variance follows the law of total
 variance, the weighted member variances plus the weighted spread of the
 member means.  All values are immutable after construction and all
@@ -293,7 +294,7 @@ def _vanishing(what: str, center: float, width: float, grid: GridSpec, how: str)
 
 def _hermite_rows(n_max, mass, omega, grid, units):
     """The arguments of oscillator levels 0..n_max admitted, then
-    ("eigenstate n=<n>", h_n, sqrt(s), 1/s) for each level n in turn: h_n the
+    ("eigenstate n=<n>", n, h_n, sqrt(s), 1/s) for each level n in turn: h_n the
     orthonormal Hermite function sampled on s*x, s = sqrt(m*omega/hbar), from
     the recurrence, a new array each, and 1/s the levels' width, inf where
     m*omega/hbar underflows to 0."""
@@ -304,35 +305,34 @@ def _hermite_rows(n_max, mass, omega, grid, units):
     require_finite("Hermite argument sqrt(m*omega/hbar)*|x|", scale * max(abs(grid.x_min), abs(grid.x_max)))
     factor, width = math.sqrt(scale), 1.0 / scale if scale else math.inf
     for n, row in enumerate(_kernels.hermite_basis(scale * grid.points(), n_max)):
-        yield f"eigenstate n={n}", row, factor, width
+        yield f"eigenstate n={n}", n, row, factor, width
 
 
 def _eigenstate_level(grid: GridSpec, item, amp: np.ndarray, prob, admit=_admitted):
-    """The oscillator level of item (what, h_n, sqrt(s), 1/s) of _hermite_rows,
+    """The oscillator level of item (what, n, h_n, sqrt(s), 1/s) of _hermite_rows,
     built into amp (complex) and renormalized on the grid, then admitted by
-    admit (see _normalized_state); prob (float, or None) is left holding |amp|^2."""
-    what, row, factor, width = item
-    return _normalized_state(grid, np.multiply(row, factor, out=amp), what, 0.0, width, prob, admit, f"{what}: ")
-
-
-def _eigenstate(grid: GridSpec, n: int, item) -> PureState:
-    """The state of oscillator level n, item of _hermite_rows, in a new array
-    (see _eigenstate_level).  Level n has n + 1 lobes; where |psi|^2 is
-    nonzero on fewer grid points, the grid cannot hold them, and _vanishing
-    refuses the level (level 0, one lobe, is held by any point)."""
-    prob = np.empty(grid.n)
-    state = _eigenstate_level(grid, item, np.empty(grid.n, np.complex128), prob, PureState._adopt)
+    admit (see _normalized_state); prob (float) is left holding |amp|^2.
+    Level n has n + 1 lobes; where |psi|^2 is nonzero on fewer grid points,
+    the grid cannot hold them, and _vanishing refuses the level (level 0, one
+    lobe, is held by any point)."""
+    what, n, row, factor, width = item
+    level = _normalized_state(grid, np.multiply(row, factor, out=amp), what, 0.0, width, prob, admit, f"{what}: ")
     if (points := np.count_nonzero(prob)) <= n:
         how = f"its {n + 1} lobes need as many grid points where |psi|^2 > 0, and it has {points}"
-        raise _vanishing(item[0], 0.0, item[3], grid, how)
-    return state
+        raise _vanishing(what, 0.0, width, grid, how)
+    return level
+
+
+def _eigenstate(grid: GridSpec, item) -> PureState:
+    """The state of the oscillator level of item, of _hermite_rows, in a new array (see _eigenstate_level)."""
+    return _eigenstate_level(grid, item, np.empty(grid.n, np.complex128), np.empty(grid.n), PureState._adopt)
 
 
 def oscillator_eigenstates(n_max, mass, omega, grid, units) -> tuple:
     """Eigenstates n = 0..n_max of the harmonic oscillator from the stable orthonormal
     Hermite recurrence, each renormalized on the grid and admitted in turn (a
-    refusal names the first level that fails, see _eigenstate), and all held at once."""
-    return tuple(_eigenstate(grid, n, item) for n, item in enumerate(_hermite_rows(n_max, mass, omega, grid, units)))
+    refusal names the first level that fails, see _eigenstate_level), and all held at once."""
+    return tuple(_eigenstate(grid, item) for item in _hermite_rows(n_max, mass, omega, grid, units))
 
 
 def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureState:
@@ -342,14 +342,14 @@ def build_state(recipe: StateRecipe, grid: GridSpec, units: UnitSystem) -> PureS
     when the state does not vanish at the grid edges.  Every recipe admits
     exactly one state, the one returned: an OscillatorEigenstate(n) runs the
     Hermite recurrence through its n + 1 rows but normalizes and checks only
-    the last, level n, so a refusal is level n's own (see _eigenstate).
+    the last, level n, so a refusal is level n's own (see _eigenstate_level).
     """
     if isinstance(recipe, GaussianPacket):
         require_positive("sigma", recipe.sigma)
         return _gaussian_packet(grid, recipe.center, recipe.momentum, recipe.sigma, units)
     if isinstance(recipe, OscillatorEigenstate):
         rows = _hermite_rows(recipe.n, recipe.mass, recipe.omega, grid, units)
-        return _eigenstate(grid, recipe.n, deque(rows, maxlen=1).pop())
+        return _eigenstate(grid, deque(rows, maxlen=1).pop())
     if isinstance(recipe, CoherentState):
         require_positive("mass", recipe.mass)
         require_positive("omega", recipe.omega)
@@ -396,13 +396,19 @@ def _mixture_report(weights, reports) -> MomentReport:
     return MomentReport(mean_x, mean_p, var_x, var_p)
 
 
-def _moments(grid: GridSpec, units: UnitSystem, prob: np.ndarray, spectrum: np.ndarray, scratch: np.ndarray):
-    """Moments of the pure state on grid whose |psi|^2 is prob and whose DFT is
-    spectrum: position by trapezoid quadrature of prob, momentum from the power
-    spectrum.  prob, spectrum (complex and contiguous) and scratch (a float
-    array of the grid's size, or None to make one) are overwritten; every value
-    and sum is the same float, summed in the same order, as out-of-place
-    expressions give."""
+def _moments(grid: GridSpec, units: UnitSystem, amp: np.ndarray, prob: np.ndarray, spectrum, scratch):
+    """Moments of the pure state on grid whose admitted amplitudes are amp and
+    whose |psi|^2 is prob (as _admitted leaves it): position by trapezoid
+    quadrature of prob, momentum from the power spectrum of one DFT of amp.
+    This is the one place where a state's moments take their DFT.  It is
+    written into spectrum (complex and contiguous, or None to make one); a
+    caller that gives amp up passes amp itself, which is then overwritten.
+    prob, spectrum and scratch (a float array of the grid's size, or None to
+    make one) are overwritten; every value and sum is the same float, summed
+    in the same order, as out-of-place expressions give."""
+    # the DFT, then the grid's arrays and scratch: measuring a 65536-point state in a fresh process
+    # peaked 0.5 MB higher with the grid's arrays made first, 1.5 MB with the DFT last
+    spectrum = np.fft.fft(amp, out=spectrum)
     x, dx, k = grid.points(), grid.dx, grid._wavenumbers
     prob /= _trapz(prob, dx)
     scratch = np.multiply(prob, x, out=scratch)
@@ -426,44 +432,28 @@ def _moments(grid: GridSpec, units: UnitSystem, prob: np.ndarray, spectrum: np.n
 
 def phase_space_moments(state: PureState, units: UnitSystem) -> MomentReport:
     """Moments of one pure state: position by trapezoid quadrature of
-    |psi|^2, momentum from the power spectrum of one DFT."""
+    |psi|^2, momentum from the power spectrum of one DFT (see _moments)."""
     if not isinstance(state, PureState):
         raise InvalidRecipe(f"expected PureState, got {type(state).__name__}; ensemble_moments measures mixtures")
-    # |psi|^2, the DFT, then the grid's arrays and scratch (in _moments): measuring a 65536-point state
-    # in a fresh process peaked 0.5 MB higher with the grid's arrays made first, 1.5 MB with the DFT last
     prob = np.abs(state.amplitudes)
-    return _moments(state.grid, units, np.square(prob, out=prob), np.fft.fft(state.amplitudes), None)
+    return _moments(state.grid, units, state.amplitudes, np.square(prob, out=prob), None, None)
 
 
 def ensemble_moments(ensemble: MixedEnsemble, units: UnitSystem) -> MomentReport:
     """Moments of a mixture (a PureState counts as the one-member mixture).
 
     Each member is measured once, as phase_space_moments measures it, in one
-    set of arrays for all (see _measurer); the mixture mean is the weighted
-    member mean and the mixture variance follows the law of total variance,
-    Var = sum w*Var_i + sum w*(mean_i - mean)^2.
+    set of arrays for all (|psi|^2, the spectrum and scratch, see _moments);
+    the mixture mean is the weighted member mean and the mixture variance
+    follows the law of total variance, Var = sum w*Var_i + sum w*(mean_i - mean)^2.
     """
     weights, members = _mixture(ensemble)
-    measure = _measurer()
-    return _mixture_report(weights, [measure(m, units) for m in members])
-
-
-def _measurer():
-    """measure(state, units): the MomentReport of a pure state, the same
-    floats as phase_space_moments gives, from one DFT, in one set of arrays
-    (|psi|^2, the spectrum and scratch) made at the first state measured and
-    reused for every later one, which must share its grid."""
-    arrays = []
-
-    def measure(state: PureState, units: UnitSystem) -> MomentReport:
-        if not arrays:
-            arrays.extend(np.empty(state.grid.n, t) for t in (np.float64, np.complex128, np.float64))
-        prob, spectrum, scratch = arrays
-        amp = state.amplitudes
-        return _moments(state.grid, units, np.square(np.abs(amp, out=prob), out=prob),
-                        np.fft.fft(amp, out=spectrum), scratch)
-
-    return measure
+    n = members[0].grid.n
+    prob, spectrum, scratch = np.empty(n), np.empty(n, np.complex128), np.empty(n)
+    return _mixture_report(weights, [
+        _moments(m.grid, units, m.amplitudes, np.square(np.abs(m.amplitudes, out=prob), out=prob), spectrum, scratch)
+        for m in members
+    ])
 
 
 def _state_energy(state: PureState, hamiltonian: HamiltonianSpec, units: UnitSystem):

@@ -245,6 +245,23 @@ def test_an_eigenstate_narrower_than_the_grid_step_is_refused(tmp_path, capsys, 
     assert capsys.readouterr().out == f"wrote {out} ({moments})\n"
 
 
+@pytest.mark.parametrize("sweep", [
+    ["scenario", "eigensweep", "--n-max", "2"],
+    ["scenario", "thermalsweep", "--temperatures", "0.1", "--n-max", "2"],
+], ids=["eigensweep", "thermalsweep"])
+def test_a_sweep_refuses_a_level_narrower_than_the_grid_step_as_state_does(tmp_path, capsys, sweep):
+    """At mass 5000 on this grid level 2 has |psi|^2 > 0 on two points: `state`
+    refuses it, and so do the sweeps that reach it, with the same line
+    (before, the eigensweep reported n=2 at 0.5679 and the thermalsweep a
+    T=0.1 row that thermal_ensemble refuses)."""
+    flags = ["--mass", "5000", "--grid=-29.5:29.5:129"]
+    assert run(["state", "--eigenstate", "2", *flags, "--out", str(tmp_path / "s.json")]) == 2
+    refusal = capsys.readouterr().err
+    assert refusal.endswith("and it has 2: it is narrower than the grid step 0.4573643410852713\n")
+    assert run([*sweep, *flags]) == 2
+    assert capsys.readouterr() == ("", refusal)
+
+
 @pytest.mark.parametrize("argv, packet, where", [
     (["--gaussian", "--center", "1000"], "center 1000.0 and sigma 1.0", "outside the grid"),
     (["--gaussian", "--sigma", "1e-4", "--center", "0.01"], "center 0.01 and sigma 0.0001",

@@ -83,6 +83,11 @@ def _corpus():
     texts["good-members-before-grid"] = json.dumps({"members": good["members"], **good})
     # a repeated key after the members replaces the grid they were admitted on
     texts["grid-repeated-after-members"] = json.dumps(good)[:-1] + ', "grid": {"x_min": -15.0, "x_max": 15.5, "n": 256}}'
+    # a grid of another size and members on it, repeated after the first members, which were measured first
+    coarse = thermal_ensemble(1.0, 1.0, 1.5, 60, GridSpec(-15.0, 15.0, 128), UnitSystem())
+    coarse = json.loads(json.dumps(fio.ensemble_document(coarse, UnitSystem())))
+    texts["good-grid-and-members-repeated"] = json.dumps(good)[:-1] + ', "grid": %s, "members": %s}' % (
+        json.dumps(coarse["grid"]), json.dumps(coarse["members"][:5]))
     units = UnitSystem()
     state = fio.state_document(build_state(GaussianPacket(), GRID, units), units)
     texts["good-state"] = json.dumps(state)
@@ -165,14 +170,70 @@ def test_audit_memory_holds_one_member_at_a_time(tmp_path, monkeypatch, capsys, 
     assert peaks[64] - peaks[8] < 32 * n, peaks
 
 
+def _state_file(tmp_path, n: int) -> str:
+    units = UnitSystem()
+    path = str(tmp_path / f"state-{n}.json")
+    fio.save_state(path, build_state(GaussianPacket(), GridSpec(-20.0, 20.0, n), units), units)
+    return path
+
+
 @pytest.mark.parametrize("n", [2**16, 2**18])
-def test_load_target_of_a_state_peaks_at_48_bytes_a_point(n, tmp_path, monkeypatch, peak_bytes):
+def test_load_target_of_a_state_peaks_at_48_bytes_a_point(n, tmp_path, monkeypatch, capsys, peak_bytes):
     """A state's top-level lists are decoded a window at a time, into float64
     arrays, so a load holds its two lists' values, the state's amplitudes and
     their squares (40 bytes a point), never a list's whole text or its
-    Python floats (63.7 bytes a point when each list was decoded whole)."""
-    units = UnitSystem()
-    path = str(tmp_path / "state.json")
-    fio.save_state(path, build_state(GaussianPacket(), GridSpec(-20.0, 20.0, n), units), units)
+    Python floats (63.7 bytes a point when each list was decoded whole).
+
+    `audit --in` of the file admits the amplitudes into the command's one
+    |psi|^2 array and takes their DFT in their own array, so it peaks while
+    it measures at 48 bytes a point: the amplitudes 16, |psi|^2 8, scratch 8,
+    and the grid's points and wavenumbers 16 (64 when it squared them again
+    into an array of its own and held the spectrum apart).  What the command
+    holds that does not grow with the grid, its parser and the load's
+    windows, is allowed for by the whole peak of the same audit of a
+    1024-point state."""
+    path = _state_file(tmp_path, n)
     monkeypatch.setattr(_turns, "second_cpu", lambda: False)
     assert peak_bytes(lambda: fio.load_target(path), warm_up=False) <= 48 * n
+
+    def audit(path):
+        return lambda: cli.run(["audit", "--in", path])
+
+    allowance = peak_bytes(audit(_state_file(tmp_path, 1024)))
+    peak = peak_bytes(audit(path))
+    assert capsys.readouterr().out.count('{"product": ') == 4
+    assert peak <= 48 * n + allowance, (peak / n, allowance)
+
+
+@pytest.mark.parametrize("twin", [True, False], ids=["twin", "alone"])
+def test_each_state_and_member_is_measured_by_one_fft(twin, tmp_path, monkeypatch, capsys, request):
+    """Counted across both processes, each FFT appending one byte to a file:
+    `state` takes one, and `audit --in` one a state or member, whether a
+    forked twin writes the document and decodes the files or not."""
+    if twin:
+        forks = request.getfixturevalue("forks")
+    else:
+        monkeypatch.setattr(_turns, "second_cpu", lambda: False)
+    calls = tmp_path / "ffts"
+    calls.write_text("")
+    original = np.fft.fft
+
+    def counting(*args, **kwargs):
+        with open(calls, "a") as handle:
+            handle.write(".")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    state = str(tmp_path / "state.json")
+    assert cli.run(["state", "--gaussian", "--grid=-20:20:16384", "--out", state]) == 0
+    assert len(calls.read_text()) == 1
+    assert cli.run(["audit", "--in", state]) == 0
+    assert len(calls.read_text()) == 2
+    ensemble = str(tmp_path / "ensemble.json")
+    with open(ensemble, "w") as handle:
+        handle.write(CORPUS["good"])  # 5 members
+    assert cli.run(["audit", "--in", ensemble]) == 0
+    assert len(calls.read_text()) == 7
+    assert capsys.readouterr().out.count('{"product": ') == 2
+    if twin:  # the document's blocks, and each file's values
+        assert len(forks) == 3
