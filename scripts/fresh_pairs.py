@@ -1,14 +1,17 @@
 """Run one fluctlab command in fresh processes from two source trees, in
-alternating pairs, and compare their wall time and peak resident memory.
+alternating pairs, and compare their wall time, peak resident memory and
+minor page faults.
 
 Each run is `python -m fluctlab.cli ARGV...` with PYTHONPATH set to the
 tree's src/, stdout and stderr discarded, timed from its start to its exit;
 its peak resident memory is the ru_maxrss that os.wait4 reports for it (a
-forked twin's peak counts when it is higher).  Pair k runs the first tree
+forked twin's peak counts when it is higher), and its minor page faults the
+ru_minflt of the same call (a twin's faults are counted once it has been
+waited for, as the command waits for its twin).  Pair k runs the first tree
 first when k is even and the second tree first when k is odd, so neither
 side always meets the host's warmer or colder state.  The report gives each
-side's median wall time and median peak RSS, and in how many pairs the
-second tree was lower on each.
+side's median wall time, median peak RSS and median minor faults, and in how
+many pairs the second tree was lower on each.
 
     python scripts/fresh_pairs.py BEFORE AFTER [--runs N] -- ARGV...
 
@@ -32,7 +35,7 @@ from pathlib import Path
 
 
 def fresh_run(tree: Path, argv) -> tuple:
-    """(wall seconds, peak RSS in MB, exit code) of one fresh command run from tree."""
+    """(wall seconds, peak RSS in MB, minor page faults, exit code) of one fresh command run from tree."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     start = time.perf_counter()
     process = subprocess.Popen([sys.executable, "-m", "fluctlab.cli", *argv], env=env,
@@ -40,7 +43,7 @@ def fresh_run(tree: Path, argv) -> tuple:
     _, status, usage = os.wait4(process.pid, 0)
     wall = time.perf_counter() - start
     process.returncode = os.waitstatus_to_exitcode(status)
-    return wall, usage.ru_maxrss / 1024.0, process.returncode  # ru_maxrss counts KiB on Linux
+    return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt, process.returncode  # ru_maxrss counts KiB on Linux
 
 
 def pairs(trees, argv, runs: int) -> list:
@@ -59,14 +62,17 @@ def report(results) -> tuple:
     """The report's lines, and whether every run exited as its side's first run did."""
     lines, same_codes = [], True
     for side, name in enumerate(("before", "after")):
-        walls, peaks, codes = zip(*(pair[side] for pair in results))
+        walls, peaks, faults, codes = zip(*(pair[side] for pair in results))
         same_codes &= len(set(codes)) == 1
         lines.append(f"{name}: wall_s median {statistics.median(walls):.4f}, "
-                     f"peak_rss_mb median {statistics.median(peaks):.2f}, exit codes {sorted(set(codes))}")
+                     f"peak_rss_mb median {statistics.median(peaks):.2f}, "
+                     f"minor_faults median {statistics.median(faults):.0f}, exit codes {sorted(set(codes))}")
     n = len(results)
     lower_wall = sum(after[0] < before[0] for before, after in results)
     lower_rss = sum(after[1] < before[1] for before, after in results)
-    lines.append(f"after lower: wall_s in {lower_wall} of {n}, peak_rss_mb in {lower_rss} of {n}")
+    lower_faults = sum(after[2] < before[2] for before, after in results)
+    lines.append(f"after lower: wall_s in {lower_wall} of {n}, peak_rss_mb in {lower_rss} of {n}, "
+                 f"minor_faults in {lower_faults} of {n}")
     return lines, same_codes
 
 

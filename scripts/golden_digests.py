@@ -1,7 +1,8 @@
 """Golden digests of fluctlab's output: one SHA-256 per command of its exit
 code, stdout, stderr and every file it writes (name and bytes).
 
-The commands are the README's command block, in order; the three perfbench
+The commands are the README's command block, in order; its three scenario
+commands again with --format json, as JSON_TABLES; the three perfbench
 workload plans at seed 1, their input ensembles included; and the flag
 refusals of tests/test_exit_codes.py.  Each group runs in-process through
 cli.run in a fresh temporary directory that is the working directory, so no
@@ -27,6 +28,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "tests" / "golden_digests.json"
 SEED = 1
+JSON_TABLES = {  # the README's scenario commands, each writing its table as JSON
+    "walk": ["scenario", "walk", "--var-x", "2", "--var-p", "2", "--steps", "500", "--step-size", "0.05",
+             "--seed", "7", "--format", "json", "--out", "walk.json"],
+    "eigensweep": ["scenario", "eigensweep", "--n-max", "10", "--grid", "-15:15:2048", "--format", "json",
+                   "--out", "sweep.json"],
+    "thermalsweep": ["scenario", "thermalsweep", "--temperatures", "0,0.25,0.5,1,2,4", "--n-max", "80",
+                     "--grid", "-18:18:4096", "--format", "json", "--out", "thermal.json"],
+}
 
 
 @contextlib.contextmanager
@@ -93,6 +102,9 @@ def digests() -> dict:
     with _scratch_dir():
         for i, argv in enumerate(_readme_commands()):
             result[f"readme/{i:02d} {' '.join(argv[:2])}"] = _run(argv)
+    for name, argv in JSON_TABLES.items():
+        with _scratch_dir():
+            result[f"json/{name}"] = _run(argv)
     for workload in workloads.WORKLOADS:
         with _scratch_dir():
             plan = workloads.plan(workload, seed=SEED, workdir="")

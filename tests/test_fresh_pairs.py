@@ -1,7 +1,9 @@
 """scripts/fresh_pairs.py, which compares one command run in fresh processes
 from two source trees, still runs: two pairs of `audit --in` of a tiny file,
-this tree against itself."""
+this tree against itself.  Its report carries each side's median wall time,
+peak RSS and minor page faults."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -23,6 +25,19 @@ def test_fresh_pairs_reports_both_sides(tmp_path):
                            "--runs", "2", "--", "audit", "--in", path],
                           env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, ""), done.stderr
-    side = r"wall_s median \d+\.\d{4}, peak_rss_mb median \d+\.\d{2}, exit codes \[0\]"
+    side = r"wall_s median \d+\.\d{4}, peak_rss_mb median \d+\.\d{2}, minor_faults median \d+, exit codes \[0\]"
     assert re.fullmatch(rf"before: {side}\nafter: {side}\n"
-                        r"after lower: wall_s in [0-2] of 2, peak_rss_mb in [0-2] of 2\n", done.stdout), done.stdout
+                        r"after lower: wall_s in [0-2] of 2, peak_rss_mb in [0-2] of 2, minor_faults in [0-2] of 2\n",
+                        done.stdout), done.stdout
+
+
+def test_report_counts_the_pairs_where_after_is_lower():
+    spec = importlib.util.spec_from_file_location("fresh_pairs", ROOT / "scripts" / "fresh_pairs.py")
+    fresh_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh_pairs)
+    results = [[(1.0, 40.0, 9000, 0), (0.9, 39.0, 100, 0)], [(1.0, 40.0, 9000, 0), (1.1, 41.0, 120, 0)]]
+    lines, same_codes = fresh_pairs.report(results)
+    assert same_codes
+    assert lines[0] == "before: wall_s median 1.0000, peak_rss_mb median 40.00, minor_faults median 9000, exit codes [0]"
+    assert lines[1] == "after: wall_s median 1.0000, peak_rss_mb median 40.00, minor_faults median 110, exit codes [0]"
+    assert lines[2] == "after lower: wall_s in 1 of 2, peak_rss_mb in 1 of 2, minor_faults in 2 of 2"

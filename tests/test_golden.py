@@ -1,5 +1,6 @@
 """The byte-for-byte contract: every golden command (the README's command
-block, the three perfbench plans at seed 1 and the flag refusals) gives the
+block, its scenario tables as JSON, the three perfbench plans at seed 1 and
+the flag refusals) gives the
 exit code, stdout, stderr and files whose digests tests/golden_digests.json
 holds.  scripts/golden_digests.py runs the commands and rewrites that file;
 a change to a digest is a change to fluctlab's output."""
