@@ -1,6 +1,7 @@
 """Python's repr of float64 values, and str of integers, made for a whole
 block at once in numpy, with no Python object per value: io's documents
-and CSV tables are written through it.
+and every table, CSV or JSON, are written through it, each table block by
+one table_lines call.
 
 The digits are Schubfach's (Giulietti, "The Schubfach way to render
 doubles", 2020; Ryu, Adams, PLDI 2018, gives the same): the shortest
@@ -28,21 +29,27 @@ its text (_layout): one index a value into each of two small tables
 the exponent's text; _LAYOUT by point place and length: masks and the
 constant bytes, the point and "0" on each place) and a few word shifts
 of the digit words replace a byte index per output byte.  Integers take
-the same layout.  Cells are copied into one line buffer with their
-separators, each column cut to its widest cell, and the zero bytes are
-dropped by bytes.translate.  The float cells' buffer is kept across a
-process's blocks (_kept_cells), so that no block faults its pages in
-again; every other array is freed as soon as it is used, so a block's
-working set stays below the old kernel's.  A scan's p slice is formatted once a
-process (_axis_cells).
+the same layout.  A table's cells are copied into one line buffer
+between the constant texts of its row (a CSV line's commas and newline, or
+a JSON object's keys and braces), each column cut to its widest cell, and
+the zero bytes are dropped by bytes.translate.  The forms differ only in
+nan, inf and -inf (json.dumps writes NaN, Infinity and -Infinity: the
+special cells, _SPECIALS, are by form) and in a str column, whose UTF-8
+bytes are its cells in CSV and its json.dumps' in JSON (text_cells).
+The float cells' buffer is kept across a process's blocks (_kept_cells),
+so that no block faults its pages in again; every other array is freed as
+soon as it is used, so a block's working set stays below the old
+kernel's.  A scan's p slice is formatted once a process (_axis_cells).
 
 Imported only by the functions that write tables and documents, so a
-command that writes neither never compiles it.
+command that writes neither (audit, density eval at a point) never
+compiles it.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+import json
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -253,7 +260,15 @@ def _sci_table():
 
 (_QUADS, _LAST), _LAYOUT, (_SCI, _SUFFIX) = _quads(), _layout_table(), _sci_table()
 _FIRST = np.array([[0], [8]], np.uint8)  # the first place of each of the digit words' first four
-_SPECIALS = np.frombuffer(b"\x00nan\x00\x00\x00\x00\x000.0\x00\x00\x00\x00\x00inf\x00\x00\x00\x00", "<u8")
+
+
+def _specials(*texts):
+    """The cells of nan, zero and inf, in that order, with their sign byte, and their widths."""
+    cells = np.array([b"\0" + t for t in texts], "S24").view(np.uint8).reshape(3, 24)
+    return cells, np.array([len(t) + 1 for t in texts], np.uint8)
+
+
+_SPECIALS = {"csv": _specials(b"nan", b"0.0", b"inf"), "json": _specials(b"NaN", b"0.0", b"Infinity")}
 
 
 def _cells(values):
@@ -272,20 +287,23 @@ def _cells(values):
     return cells.view(np.uint8), np.maximum(end + np.uint8(2), width)
 
 
-def float_cells(values):
+def float_cells(values, form: str):
     """repr of each float64 value, a row each: a sign byte, zero when there
     is none, then repr's text, with zero bytes wherever it has none; and each
-    row's width.  The rows may be a kept buffer, which the next call overwrites."""
+    row's width.  In form "json", nan, inf and -inf are json.dumps' NaN,
+    Infinity and -Infinity.  The rows may be a kept buffer, which the next
+    call overwrites."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     regular = np.isfinite(values) & (values != 0)
     if regular.all():
         return _cells(values)
     made = _cells(values[regular])  # first, so that its working set is freed before the block's rows are made
-    cells, widths = np.zeros((values.size, 24), np.uint8), np.full(values.size, 4, np.uint8)
+    cells, widths = np.zeros((values.size, 24), np.uint8), np.empty(values.size, np.uint8)
     cells[regular], widths[regular] = made
     v = values[~regular]  # zero, inf, -inf and nan
-    text = _SPECIALS.take(np.where(np.isnan(v), 0, 1 + np.isinf(v))) | (np.signbit(v) & ~np.isnan(v)) * np.uint64(0x2D)
-    cells.view(np.uint64)[~regular, 0] = text
+    special, (texts, width) = np.where(np.isnan(v), 0, 1 + np.isinf(v)), _SPECIALS[form]
+    cells[~regular], widths[~regular] = texts.take(special, axis=0), width.take(special)
+    cells[~regular, 0] = (np.signbit(v) & ~np.isnan(v)) * np.uint8(0x2D)
     return cells, widths
 
 
@@ -301,6 +319,14 @@ def int_cells(values) -> np.ndarray:
     return _trim(cells.view(np.uint8), count + 1)
 
 
+def text_cells(values, form: str) -> np.ndarray:
+    """The UTF-8 bytes of each str value, or in form "json" of its
+    json.dumps, a row each, with zero bytes after them (so a value keeps no
+    NUL character)."""
+    texts = [(json.dumps(v) if form == "json" else v).encode() for v in values]
+    return np.array(texts, bytes).view(np.uint8).reshape(len(texts), -1)
+
+
 def _trim(cells, widths):
     """cells cut to the widest of widths."""
     return cells[:, : int(widths.max(initial=1))]
@@ -308,48 +334,47 @@ def _trim(cells, widths):
 
 def joined(values, sep: str) -> str:
     """sep.join(map(repr, values.tolist())) of a float64 array."""
-    return _lines([_trim(*float_cells(values))[None]], sep, sep)[: -len(sep)]
+    return table_lines([values], ["", sep], "csv")[: -len(sep)]
 
 
-_AXES: dict = {}  # a scan's p slices, by address and size: (values, cells)
+_AXES: dict = {}  # a scan's p slices, by address, size and form: (values, cells)
 
 
-def _axis_cells(p) -> np.ndarray:
+def _axis_cells(p, form: str) -> np.ndarray:
     """float_cells of a scan's p slice, made once a process: every block of
     a scan repeats its p values, a slice of them when a row is longer than a
     block, and each such slice lies at one address."""
-    key = (p.__array_interface__["data"][0], p.size)
+    key = (p.__array_interface__["data"][0], p.size, form)
     if key not in _AXES or not np.array_equal(_AXES[key][0], p):
         if len(_AXES) > 16:
             _AXES.clear()
-        _AXES[key] = p.copy(), _trim(*float_cells(p)).copy()
+        _AXES[key] = p.copy(), _trim(*float_cells(p, form)).copy()
     return _AXES[key][1]
 
 
-def csv_lines(columns, mesh: bool) -> str:
-    """The CSV lines of a block of float64 and integer columns, each number
-    as its repr.  A mesh's columns are its a row values, its b column values
-    and its (a, b) values, with a line for each of its a * b cells."""
-    axis = _axis_cells(columns[1]) if mesh else None
-    floats = [c for c in (columns[::2] if mesh else columns) if c.dtype.kind == "f"] or [np.empty(0)]
-    cells, widths = float_cells(np.concatenate([c.ravel() for c in floats]))  # one call a block, as each has a fixed cost
-    bounds = np.cumsum([0] + [c.size for c in floats])
-    made = iter([_trim(cells[a:b], widths[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
-    cells = [axis if mesh and i == 1 else next(made) if c.dtype.kind == "f" else int_cells(c) for i, c in enumerate(columns)]
+def table_lines(columns, texts, form: str) -> str:
+    """The lines of a table block in form "csv" or "json", a line for each
+    row: texts[0], then each column's cell followed by the next of texts.  A
+    column is float64 values (float_cells), integers or a range (int_cells),
+    or a list of str (text_cells), of int or of float.  A mesh's columns are
+    its a row values, its b column values and its (a, b) values, with a line
+    for each of its a * b cells: each column's cells broadcast to (a, b, its
+    width) in one line buffer."""
+    mesh = getattr(columns[-1], "ndim", 1) == 2
+    columns = [np.arange(c.start, c.stop, c.step) if isinstance(c, range) else
+               c if isinstance(c, np.ndarray) or isinstance(c[0], str) else np.asarray(c) for c in columns]
+    cells = {1: _axis_cells(columns[1], form)} if mesh else {}  # first, as the next float_cells overwrites its rows
+    floats = [i for i, c in enumerate(columns) if getattr(c, "dtype", None) == np.float64 and i not in cells]
+    # one float_cells call a block, as each has a fixed cost
+    made, widths = float_cells(np.concatenate([columns[i].ravel() for i in floats] or [np.empty(0)]), form)
+    bounds = np.cumsum([0] + [columns[i].size for i in floats])
+    cells.update((i, _trim(made[a:b], widths[a:b])) for i, a, b in zip(floats, bounds[:-1], bounds[1:]))
+    cells = [cells[i] if i in cells else int_cells(c) if isinstance(c, np.ndarray) else text_cells(c, form)
+             for i, c in enumerate(columns)]
     shapes = [(-1, 1), (1, -1), columns[2].shape] if mesh else [(1, -1)] * len(cells)
-    return _lines([c.reshape(*s, c.shape[1]) for c, s in zip(cells, shapes)], ",", "\n")
-
-
-def _lines(cells, sep: str, end: str) -> str:
-    """Lines of cells, each column's a 3-D array that broadcasts to (a, b,
-    its width): a line for each of the a * b places, its cells in turn, each
-    but the last followed by sep and the last by end, the zero bytes dropped."""
-    ends = [sep] * (len(cells) - 1) + [end]
+    cells = [c.reshape(*s, c.shape[1]) for c, s in zip(cells, shapes)]
     rows = np.broadcast_shapes(*(c.shape[:2] for c in cells))
-    full = np.empty((*rows, sum(c.shape[2] + len(e) for c, e in zip(cells, ends))), np.uint8)
-    at = 0
-    for c, e in zip(cells, ends):
-        full[:, :, at : at + c.shape[2]] = c
-        full[:, :, at + c.shape[2] : at + c.shape[2] + len(e)] = np.frombuffer(e.encode(), np.uint8)
-        at += c.shape[2] + len(e)
-    return full.tobytes().translate(None, b"\0").decode("ascii")
+    texts = [np.frombuffer(t.encode(), np.uint8) for t in texts]
+    parts = [*chain.from_iterable(zip(texts, cells)), texts[-1]]
+    full = np.concatenate([np.broadcast_to(part, (*rows, part.shape[-1])) for part in parts], axis=2)
+    return full.tobytes().translate(None, b"\0").decode()  # the zero bytes dropped

@@ -3,9 +3,10 @@ forked twin (_Pair) computes and sends back, and its three users.
 write_blocks writes a table or document that io writes, to a file or to
 stdout, a block at a time (Blocks, the text to write), the twin formatting
 the odd blocks and this process writing them all; scenarios._measured_levels
-measures the sweeps' levels; and io._load_json decodes a state or ensemble
-file of io._FORK_BYTES or more in the layout that io writes, the twin
-decoding every other value that io._Window matches and sending it back.
+measures the sweeps' levels; and _reader._load_json decodes a state or
+ensemble file of _reader._FORK_BYTES or more in the layout that io writes,
+the twin decoding every other value that _reader._Window matches and
+sending it back.
 BLOCK_ROWS, the rows of one block, lives here beside the block writer, and
 io, density and scenarios take it from here.
 
@@ -49,7 +50,7 @@ class Blocks:
     same blocks (they replay), as the twin of write_blocks makes the odd ones
     from its own copy.  A caller's iterable, such as one reading a file
     through a shared offset, does not replay: write it as plain chunks.
-    (A load's items, io._Window's, replay: each process matches the file at
+    (A load's items, _reader._Window's, replay: each process matches the file at
     offsets of its own, by os.pread.)"""
 
     def __init__(self, head: str, tail: str, text, blocks):

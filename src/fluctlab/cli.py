@@ -155,6 +155,7 @@ def _cmd_audit(args) -> int:
     the units are resolved."""
     import numpy as np
 
+    from ._reader import _load
     from .audit import _verdict
     from .states import _admitted, _mixture_report, _mixture_weights, _moments
     from .units import UnitSystem
@@ -173,7 +174,7 @@ def _cmd_audit(args) -> int:
                 failures.append(exc)
         return None
 
-    weights, reports, file_units = io._load(args.in_path, keep=measured)
+    weights, reports, file_units = _load(args.in_path, keep=measured)
     weights = np.ones(1) if weights is None else _mixture_weights(weights, len(reports))
     units = UnitSystem(h=args.h) if args.h is not None else file_units
     if failures:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from fluctlab import GridSpec, UnitSystem
+from fluctlab import _reader
 from fluctlab import io as fio
 
 
@@ -31,7 +32,7 @@ def _no_child_left():
 @pytest.fixture
 def forks(monkeypatch):
     """The pids of the twins forked during the test, with two CPUs offered whatever the host has,
-    and a load of a file of any size sharing its values with a twin (fio._FORK_BYTES 0)."""
+    and a load of a file of any size sharing its values with a twin (_reader._FORK_BYTES 0)."""
     forked, real_fork = [], os.fork
 
     def counting_fork():
@@ -42,24 +43,24 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(fio, "_FORK_BYTES", 0)
+    monkeypatch.setattr(_reader, "_FORK_BYTES", 0)
     return forked
 
 
 @pytest.fixture
 def load_reads(monkeypatch):
-    """What this process reads of the files that fluctlab.io loads, in order;
+    """What this process reads of the files that fluctlab loads (_reader), in order;
     a forked twin's reads go to its own copy, and do not count.
 
     windows: (start, stop) in the file of the bytes each _Window.read returns, when it returns any.
     spans: (start, stop) of every other os.pread, by its offset and the bytes it returns.
     decoded: (start, stop) of each value that _Window.decoded decodes.
-    handles: [path, characters read through the handle] for each file fluctlab.io opens.
+    handles: [path, characters read through the handle] for each file _reader opens.
     json_loads: the path of each file that json.load reads.
     whole(size): the windows of a walk that reads a file of size bytes to its end."""
     reads = SimpleNamespace(windows=[], spans=[], decoded=[], handles=[], json_loads=[])
-    reads.whole = lambda size: [(i, min(i + fio._WINDOW, size)) for i in range(0, size, fio._WINDOW)]
-    real_pread, real_read, real_decoded, real_load = os.pread, fio._Window.read, fio._Window.decoded, json.load
+    reads.whole = lambda size: [(i, min(i + _reader._WINDOW, size)) for i in range(0, size, _reader._WINDOW)]
+    real_pread, real_read, real_decoded, real_load = os.pread, _reader._Window.read, _reader._Window.decoded, json.load
     in_read = []
 
     def counting_pread(fd, size, offset):
@@ -101,9 +102,9 @@ def load_reads(monkeypatch):
         return real_load(handle, *args, **kwargs)
 
     monkeypatch.setattr(os, "pread", counting_pread)
-    monkeypatch.setattr(fio._Window, "read", counting_read)
-    monkeypatch.setattr(fio._Window, "decoded", counting_decoded)
-    monkeypatch.setattr(fio, "open", counting_open, raising=False)
+    monkeypatch.setattr(_reader._Window, "read", counting_read)
+    monkeypatch.setattr(_reader._Window, "decoded", counting_decoded)
+    monkeypatch.setattr(_reader, "open", counting_open, raising=False)
     monkeypatch.setattr(json, "load", counting_load)
     return reads
 

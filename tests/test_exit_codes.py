@@ -26,7 +26,7 @@ import pytest
 from test_cli_fuzz import NON_FINITE
 
 import fluctlab
-from fluctlab import cli, errors
+from fluctlab import _reader, cli, errors
 from fluctlab import io as fio
 from fluctlab.states import GaussianPacket, GridSpec, PureState, UnitSystem, build_state
 
@@ -360,14 +360,14 @@ def test_out_of_memory_in_a_load_exits_2(exc, message, forks, monkeypatch, tmp_p
     units = UnitSystem()
     fio.save_state(path, build_state(GaussianPacket(), GridSpec(-12.0, 12.0, 256), units), units)
     forks.clear()
-    real = fio._Window.decoded
+    real = _reader._Window.decoded
 
     def decoded(window, k, item):
         if item[0]:  # psi_re or psi_im
             raise exc
         return real(window, k, item)
 
-    monkeypatch.setattr(fio._Window, "decoded", decoded)
+    monkeypatch.setattr(_reader._Window, "decoded", decoded)
     assert cli.run(["audit", "--in", path, "--out", str(tmp_path / "report.json")]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert os.listdir(tmp_path) == ["s.json"]

@@ -1,9 +1,11 @@
 """_floattext writes repr's bytes: every float64 as Python's repr prints it,
-every integer as str, and every numeric table and document as the Python
-formatter wrote it before, a block at a time, with the twin or without."""
+every integer as str, and every table, CSV or JSON, and every document as
+the Python formatters wrote them before, a block at a time, with the twin or
+without."""
 
 import json
 from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from fluctlab import _floattext, _turns
 from fluctlab import io as fio
 from fluctlab.density import FluctuationParams
 from fluctlab.errors import GridMismatch
-from fluctlab.scenarios import WalkTrace, walk_blocks
+from fluctlab.scenarios import SweepRow, WalkTrace, eigenstate_sweep, thermal_sweep, walk_blocks
 from fluctlab.states import GridSpec, MixedEnsemble, RawSamples, UnitSystem, build_state
 
 B = fio.BLOCK_ROWS
@@ -59,40 +61,75 @@ def test_integers_are_strs_bytes():
         assert [bytes(row[row != 0]).decode() for row in cells] == list(map(str, column.tolist()))
 
 
-def _python_text(fields, blocks) -> str:
-    """A CSV table as io's Python path writes it (the sweeps' tables, and every
-    table before _floattext): each block's Python values, one %r (or %s for
-    a str) each, by one %-format."""
+def _python_text(fields, blocks, form="csv") -> str:
+    """A table as io's Python paths wrote it before _floattext laid out every
+    table: CSV by one %-format of each block's Python values, one %r (or %s
+    for a str) each, and JSON by json.dumps of one dict a row."""
     text = [",".join(fields) + "\n"]
+    rows = []
     for block in blocks:
         columns = [column.tolist() if isinstance(column, np.ndarray) else list(column) for column in block]
         if columns[0]:
             line = ",".join("%s" if isinstance(column[0], str) else "%r" for column in columns) + "\n"
             text.append(line * len(columns[0]) % tuple(chain.from_iterable(zip(*columns))))
-    return "".join(text)
+            rows.append(json.dumps([dict(zip(fields, row)) for row in zip(*columns)])[1:-1])
+    return "".join(text) if form == "csv" else "[" + ", ".join(rows) + "]"
 
 
-def _scan(n_x, n_p):
+def _table(fields, blocks, form):
+    """A write of blocks (a list, so that both processes replay it) as a
+    Table, its expected text and its block count."""
+    return lambda path: fio.atomic_write_text(path, fio.Table(fields, iter(blocks), form)), \
+        _python_text(fields, blocks, form), len(blocks)
+
+
+def _scan(n_x, n_p, form="csv"):
     rng = np.random.default_rng(n_x * n_p)
     xs, ps = np.linspace(-3.0, 3.0, n_x), np.linspace(-2.0, 2.0, n_p)
     values = np.exp(-np.add.outer(xs**2, ps**2) * rng.uniform(0.5, 400, (n_x, n_p)))
     values[0, :3] = [0.0, 1e-300, 5e-324][: values[0, :3].size]
-    expected = _python_text(("x", "p", "f"), [(np.repeat(xs, n_p), np.tile(ps, n_x), values.ravel())])
-    return lambda path: fio.write_scan_csv(path, xs, ps, values), expected, -(-n_x * n_p // B)
+    expected = _python_text(("x", "p", "f"), [(np.repeat(xs, n_p), np.tile(ps, n_x), values.ravel())], form)
+    write = (lambda path: fio.write_scan_csv(path, xs, ps, values)) if form == "csv" else \
+        (lambda path: fio.atomic_write_text(path, fio.Table(("x", "p", "f"), fio._scan_blocks(xs, ps, values), form)))
+    return write, expected, -(-n_x * n_p // B)
 
 
-def _samples(rows):
+def _samples(rows, form="csv"):
     draws = np.random.default_rng(rows).standard_normal((rows, 2)) * [1.0, 1e-7]
-    blocks = [draws[i : i + B].T for i in range(0, rows, B)]
-    return lambda path: fio.atomic_write_text(path, fio.Table(("x", "p"), blocks, "csv")), \
-        _python_text(("x", "p"), blocks), len(blocks)
+    return _table(("x", "p"), [draws[i : i + B].T for i in range(0, rows, B)], form)
 
 
-def _walk(rows):
+def _walk(rows, form="csv"):
     start = FluctuationParams(0.0, 0.0, 2.0, 1.5, UnitSystem())
-    blocks = list(walk_blocks(start, rows - 1, 0.05, rows))
-    return lambda path: fio.atomic_write_text(path, fio.Table(WalkTrace._fields, iter(blocks), "csv")), \
-        _python_text(WalkTrace._fields, blocks), len(blocks)
+    return _table(WalkTrace._fields, list(walk_blocks(start, rows - 1, 0.05, rows)), form)
+
+
+LABELS = ["n=0", "\u00e9t\u00e9 \u0127/2 \u2265 0", 'a "quoted" one', "back\\slash", "bell\x07tab\tunit\x1f", ""]
+
+
+def _sweep(kind, form):
+    """A sweep's records, as two blocks, their labels replaced by LABELS in
+    turn: non-ASCII, ", \\, control characters and the empty string."""
+    units, grid = UnitSystem(), GridSpec(-12.0, 12.0, 256)
+    with mock.patch.object(_turns, "second_cpu", lambda: False):  # measured by one process: only the write forks
+        rows = eigenstate_sweep(6, 1.0, 1.0, grid, units) if kind == "eigensweep" else \
+            thermal_sweep([0.2, 0.4, 0.6, 0.8, 1.0, 1.2], 1.0, 1.0, 30, grid, units)
+    rows = [SweepRow(LABELS[i % len(LABELS)], *list(vars(row).values())[1:]) for i, row in enumerate(rows)]
+    return _table(SweepRow._fields, [fio.record_block(rows[:3]), fio.record_block(rows[3:])], form)
+
+
+def _specials(form):
+    """A float column with every value that repr and json.dumps write apart from the digits, and the layout's edges."""
+    edges = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 9999999999999998.0, 1e-4]
+    values = np.concatenate([np.tile(edges, 3), np.random.default_rng(5).standard_normal(B)])
+    return _table(("step", "value"), [(range(0, B), values[:B]), (range(B, values.size), values[B:])], form)
+
+
+def _int64(form):
+    """An int64 column with its min and max, beside a list of ints and one of floats."""
+    ints = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 1, 10**18, -(10**17)] * 600, np.int64)
+    halves = [ints[: B // 2], ints[B // 2 :]]
+    return _table(("a", "b", "c"), [(h, (h // 7).tolist(), (h / 3).tolist()) for h in halves], form)
 
 
 def _document(members):
@@ -107,11 +144,19 @@ def _document(members):
         json.dumps(fio.ensemble_document(ensemble, units)), 1 + 2 * members
 
 
+SIZES = {
+    "scan-1": (_scan, 1, 1), "scan-4095": (_scan, 3, 1365), "scan-4096": (_scan, 2, 2048),
+    "scan-4097": (_scan, 17, 241), "scan-p-row-longer-than-a-block": (_scan, 3, B + 1),
+    **{f"samples-{B + d}": (_samples, B + d) for d in (-1, 0, 1)},
+    **{f"walk-{B + d}": (_walk, B + d) for d in (-1, 0, 1)},
+}
 TABLES = {
-    "scan-1": lambda: _scan(1, 1), "scan-4095": lambda: _scan(3, 1365), "scan-4096": lambda: _scan(2, 2048),
-    "scan-4097": lambda: _scan(17, 241), "scan-p-row-longer-than-a-block": lambda: _scan(3, B + 1),
-    **{f"samples-{B + d}": (lambda d=d: _samples(B + d)) for d in (-1, 0, 1)},
-    **{f"walk-{B + d}": (lambda d=d: _walk(B + d)) for d in (-1, 0, 1)},
+    **{kind: (lambda make=make, args=args: make(*args)) for kind, (make, *args) in SIZES.items()},
+    **{f"{kind}-json": (lambda make=make, args=args: make(*args, "json")) for kind, (make, *args) in SIZES.items()},
+    **{f"{kind}-{form}": (lambda kind=kind, form=form: _sweep(kind, form))
+       for kind in ("eigensweep", "thermalsweep") for form in ("csv", "json")},
+    **{f"{make.__name__[1:]}-{form}": (lambda make=make, form=form: make(form))
+       for make in (_specials, _int64) for form in ("csv", "json")},
     "state-8-points": lambda: _document(0), "ensemble-3-members": lambda: _document(3),
 }
 
@@ -152,7 +197,8 @@ def test_a_scan_formats_each_p_value_once(tmp_path, monkeypatch, same_text, n_x,
     monkeypatch.setattr(_turns, "second_cpu", lambda: False)
     monkeypatch.setattr(_floattext, "_AXES", {})
     formatted, float_cells = [], _floattext.float_cells
-    monkeypatch.setattr(_floattext, "float_cells", lambda values: formatted.append(np.size(values)) or float_cells(values))
+    monkeypatch.setattr(_floattext, "float_cells",
+                        lambda values, form: formatted.append(np.size(values)) or float_cells(values, form))
     write, expected, _ = _scan(n_x, n_p)
     write(str(tmp_path / "scan.csv"))
     same_text((tmp_path / "scan.csv").read_text(), expected)
@@ -169,6 +215,7 @@ def test_the_formatters_working_set_per_value(monkeypatch, peak_bytes, n):
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     values[::97] = 0.0  # zero, inf and nan rows take a path of their own
     columns = [values[: n // 2], values[n // 2 :]]
-    for action, bound in ((lambda: _floattext.float_cells(values), 156), (lambda: _floattext.csv_lines(columns, False), 163)):
+    for action, bound in ((lambda: _floattext.float_cells(values, "csv"), 156),
+                          (lambda: _floattext.table_lines(columns, ["", ",", "\n"], "csv"), 163)):
         monkeypatch.setattr(_floattext, "_KEPT", np.empty(0, np.uint64))
         assert peak_bytes(action, warm_up=False) / n < bound

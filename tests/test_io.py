@@ -34,7 +34,7 @@ from fluctlab import (
     oscillator_eigenstates,
     phase_space_moments,
 )
-from fluctlab import _turns, cli, density, scenarios
+from fluctlab import _reader, _turns, cli, density, scenarios
 from fluctlab import io as fio
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -239,7 +239,7 @@ def test_ensemble_load_holds_one_members_text(tmp_path, units, peak_bytes):
 
 def test_number_arrays_take_ints_and_floats():
     values = [1, 2.5, -3, 0.0, 10**300]
-    assert fio._number_array(values, "w").tolist() == [1.0, 2.5, -3.0, 0.0, 1e300]
+    assert _reader._number_array(values, "w").tolist() == [1.0, 2.5, -3.0, 0.0, 1e300]
 
 
 def test_load_reverifies_normalization(tmp_path, grid, units):
@@ -872,14 +872,14 @@ def test_each_item_of_a_load_is_where_its_value_lies_in_the_file(tmp_path, monke
     expected = []
     for key, value in json.loads(data).items():
         expected += [(False, m) for m in value] if key == "members" else [(key in ("psi_re", "psi_im"), value)]
-    items, real_decoded = [], fio._Window.decoded
+    items, real_decoded = [], _reader._Window.decoded
 
     def decoded(window, k, item):
         items.append(item)
         return real_decoded(window, k, item)
 
-    monkeypatch.setattr(fio._Window, "decoded", decoded)
-    fio._load_json(path)  # a small file: this process decodes every item
+    monkeypatch.setattr(_reader._Window, "decoded", decoded)
+    _reader._load_json(path)  # a small file: this process decodes every item
     for (admit, start, stop), (amplitudes, value) in zip(items, expected, strict=True):
         assert admit is amplitudes and type(start) is type(stop) is int
         assert data[start:stop] == json.dumps(value).encode() and json.loads(data[start:stop]) == value
@@ -989,17 +989,17 @@ def test_a_load_in_two_processes_is_the_load_in_one(tmp_path, capsys, monkeypatc
     assert capsys.readouterr() == printed
 
 
-FORK_BYTES = fio._FORK_BYTES  # read before the forks fixture sets it to 0
+FORK_BYTES = _reader._FORK_BYTES  # read before the forks fixture sets it to 0
 
 
 @pytest.mark.parametrize("size, twins", [(FORK_BYTES - 1, 0), (FORK_BYTES, 1)], ids=["below", "at"])
 def test_a_load_forks_only_for_a_file_of_fork_bytes_or_more(tmp_path, monkeypatch, forks, size, twins):
-    """A twin's fork pays only for a large file (see io._FORK_BYTES): a file
+    """A twin's fork pays only for a large file (see _reader._FORK_BYTES): a file
     one byte smaller is decoded by the command alone, through the same loop,
     and one of that size shares its values with a twin.  Both load the state
     that was saved; the file is a small state padded with whitespace."""
     path, state = _load_case(tmp_path, 0)
-    monkeypatch.setattr(fio, "_FORK_BYTES", FORK_BYTES)
+    monkeypatch.setattr(_reader, "_FORK_BYTES", FORK_BYTES)
     with open(path, "a") as handle:
         handle.write(" " * (size - os.path.getsize(path)))
     assert os.path.getsize(path) == size
@@ -1018,7 +1018,7 @@ def test_every_file_the_state_files_workload_loads_streams(tmp_path, monkeypatch
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench import helper, workloads
 
-    monkeypatch.setattr(fio, "_FORK_BYTES", FORK_BYTES)
+    monkeypatch.setattr(_reader, "_FORK_BYTES", FORK_BYTES)
     monkeypatch.chdir(tmp_path)
     plan = workloads.plan("state_files", seed=1, workdir=str(tmp_path))
     helper.prepare_inputs(plan.inputs)
@@ -1080,14 +1080,14 @@ def test_a_load_whose_twin_is_killed_is_finished_by_the_command(tmp_path, monkey
     decodes, the lost ones too, once more at its span."""
     path, _ = _load_case(tmp_path, 5)
     del forks[:], load_reads.handles[:]
-    parent, real_decoded = os.getpid(), fio._Window.decoded
+    parent, real_decoded = os.getpid(), _reader._Window.decoded
 
     def decoded_killed_in_the_twin(window, k, item):
         if k == 5 and os.getpid() != parent:
             os.kill(os.getpid(), 9)  # SIGKILL
         return real_decoded(window, k, item)
 
-    monkeypatch.setattr(fio._Window, "decoded", decoded_killed_in_the_twin)
+    monkeypatch.setattr(_reader._Window, "decoded", decoded_killed_in_the_twin)
     descriptors = len(os.listdir("/proc/self/fd"))
     loaded, units = fio.load_target(path)
     assert len(forks) == 1 and len(os.listdir("/proc/self/fd")) == descriptors
@@ -1304,10 +1304,10 @@ def test_load_refuses_a_top_level_list(tmp_path):
 
 
 def _whole_load(path):
-    """The single json.load that reads a file whole: the reference for io._load_json."""
+    """The single json.load that reads a file whole: the reference for _reader._load_json."""
     with open(path) as handle:
         try:
-            doc = json.load(handle, object_hook=fio._admit_amplitudes)
+            doc = json.load(handle, object_hook=_reader._admit_amplitudes)
         except (ValueError, RecursionError) as exc:
             raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -1374,7 +1374,7 @@ def test_windowed_load_is_one_json_load(tmp_path_factory, text, mutation, window
     """Any text, read through a window of 1 to 7 characters, so that every key,
     number, literal and escape straddles reads, and with a top-level psi_re
     or psi_im list longer than 1 to 9 bytes decoded that many bytes at a time
-    (see io._Window.numbers), loads as one json.load of the whole file loads
+    (see _reader._Window.numbers), loads as one json.load of the whole file loads
     it, or fails with its message; and every text refused is refused by
     json.load, so its message is always json.load's."""
     if mutation == "cut":
@@ -1394,9 +1394,9 @@ def test_windowed_load_is_one_json_load(tmp_path_factory, text, mutation, window
     path = str(tmp_path_factory.getbasetemp() / "window.json")
     with open(path, "w", newline="") as handle:
         handle.write(text)
-    with mock.patch.object(fio, "_WINDOW", window), mock.patch.object(fio, "_LIST_WINDOW", list_window), \
+    with mock.patch.object(_reader, "_WINDOW", window), mock.patch.object(_reader, "_LIST_WINDOW", list_window), \
             mock.patch.object(json, "load", wraps=json.load) as whole:
-        loaded = _outcome(fio._load_json, path)
+        loaded = _outcome(_reader._load_json, path)
     expected = _outcome(_whole_load, path)
     assert _same(loaded, expected), (text, loaded, expected)
     assert whole.called or isinstance(expected, dict), text
@@ -1484,18 +1484,18 @@ def test_a_layout_file_streams_and_any_other_is_one_json_load(tmp_path_factory, 
     path = str(tmp_path_factory.getbasetemp() / "layout.json")
     with open(path, "w", newline="") as handle:
         handle.write(text)
-    with mock.patch.object(fio, "_WINDOW", window), mock.patch.object(fio, "_LIST_WINDOW", list_window), \
-            mock.patch.object(fio, "_FORK_BYTES", 0 if twin else fio._FORK_BYTES), \
+    with mock.patch.object(_reader, "_WINDOW", window), mock.patch.object(_reader, "_LIST_WINDOW", list_window), \
+            mock.patch.object(_reader, "_FORK_BYTES", 0 if twin else _reader._FORK_BYTES), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1} if twin else {0}), \
             mock.patch.object(json, "load", wraps=json.load) as whole:
-        loaded = _outcome(fio._load_json, path)
+        loaded = _outcome(_reader._load_json, path)
     expected = _outcome(_whole_load, path)
     assert _same(loaded, expected), (text, loaded, expected)
     assert whole.called == (mutation != "none"), text
 
 
 FLAT = "[0.5,-1e-300, 2 ,3.25,\n 4,5e3,6, NaN,-0.0,9]"
-FLAT_CASES = {  # a state's psi_re list, and whether io._Window.numbers decodes it a window at a time (None: json.load)
+FLAT_CASES = {  # a state's psi_re list, and whether _reader._Window.numbers decodes it a window at a time (None: json.load)
     "flat": (FLAT, True),
     "true": (FLAT.replace("6", "true"), False),
     "nested": (FLAT.replace("6", "[6]"), None),  # the layout ends the list at the first "]"
@@ -1510,7 +1510,7 @@ FLAT_CASES = {  # a state's psi_re list, and whether io._Window.numbers decodes 
 
 
 def _flat_boundaries(text: str, window: int) -> set:
-    """Where a window of the list (see io._Window.numbers) starts or ends in
+    """Where a window of the list (see _reader._Window.numbers) starts or ends in
     text: a comma as a window's first or last byte, a value that ends at a
     window's end, and a list no longer than one window."""
     found = set() if len(text) > window else {"one window"}
@@ -1525,7 +1525,7 @@ def _flat_boundaries(text: str, window: int) -> set:
 def test_a_list_cut_at_every_window_boundary_is_one_json_load(tmp_path, monkeypatch, case):
     """A state file's psi_re list, decoded a window of 1 byte to the whole
     list at a time, loads as one json.load of the whole file loads it, or
-    fails with its message: a flat list of numbers by io._Window.numbers
+    fails with its message: a flat list of numbers by _reader._Window.numbers
     wherever the windows cut it, any other list by one decode of its whole
     text, and a list that holds a "]" by json.load."""
     text, flat = FLAT_CASES[case]
@@ -1534,18 +1534,18 @@ def test_a_list_cut_at_every_window_boundary_is_one_json_load(tmp_path, monkeypa
         handle.write('{"units": {"h": 1.0}, "grid": {"x_min": -1.0, "x_max": 1.0, "n": 10}, '
                      '"psi_re": %s, "psi_im": []}' % text)
     expected = _outcome(_whole_load, path)
-    real_numbers, windowed, boundaries = fio._Window.numbers, [], set()
+    real_numbers, windowed, boundaries = _reader._Window.numbers, [], set()
 
     def numbers(window, start, stop):
         if stop - start == len(text):  # psi_re, not psi_im's []
             windowed.append(real_numbers(window, start, stop) is not None)
         return real_numbers(window, start, stop)
 
-    monkeypatch.setattr(fio._Window, "numbers", numbers)
+    monkeypatch.setattr(_reader._Window, "numbers", numbers)
     for list_window in range(1, len(text) + 2):
         del windowed[:]
-        monkeypatch.setattr(fio, "_LIST_WINDOW", list_window)
-        assert _same(_outcome(fio._load_json, path), expected), list_window
+        monkeypatch.setattr(_reader, "_LIST_WINDOW", list_window)
+        assert _same(_outcome(_reader._load_json, path), expected), list_window
         assert windowed == ([flat] if flat is not None and list_window < len(text) else []), list_window
         boundaries |= _flat_boundaries(text, list_window)
     assert boundaries == {"comma first", "comma last", "value ends", "one window"}
@@ -1582,11 +1582,11 @@ def test_a_file_in_another_encoding_loads_as_json_load_of_its_handle(tmp_path, m
     with open(path, "w", encoding=encoding) as handle:
         handle.write(text)
     with open(path, encoding=encoding) as handle:
-        expected = json.load(handle, object_hook=fio._admit_amplitudes)
+        expected = json.load(handle, object_hook=_reader._admit_amplitudes)
     real_open = open
-    monkeypatch.setattr(fio, "open", lambda path: real_open(path, encoding=encoding), raising=False)
+    monkeypatch.setattr(_reader, "open", lambda path: real_open(path, encoding=encoding), raising=False)
     with mock.patch.object(json, "load", wraps=json.load) as whole:
-        loaded = fio._load_json(path)
+        loaded = _reader._load_json(path)
     assert _same(loaded, expected)
     assert whole.called == fallback
 
@@ -1612,7 +1612,7 @@ def test_deep_nesting_is_json_loads(tmp_path):
                           ("psi_re", '{"units": {}, "grid": {}, "psi_re": %s, "psi_im": []}' % nested)):
             with open(path, "w") as handle:
                 handle.write(text)
-            loaded, expected = _outcome(fio._load_json, path), _outcome(_whole_load, path)
+            loaded, expected = _outcome(_reader._load_json, path), _outcome(_whole_load, path)
             assert type(loaded) is type(expected), depth
             if isinstance(expected, FileFormatError):
                 assert str(loaded) == str(expected)
@@ -1630,6 +1630,6 @@ def test_a_number_or_literal_run_on_is_refused_as_json_load_refuses_it(tmp_path,
     path = str(tmp_path / "run-on.json")
     with open(path, "w") as handle:
         handle.write(text)
-    loaded = _outcome(fio._load_json, path)
+    loaded = _outcome(_reader._load_json, path)
     assert isinstance(loaded, FileFormatError)
     assert _same(loaded, _outcome(_whole_load, path))

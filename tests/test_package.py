@@ -66,8 +66,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     """Five fresh processes, started together: the package alone loads no
     module, and each command loads what it runs (cli runs as __main__), and
     none of them the stdlib's dataclasses.  Only a command that writes a
-    state, an ensemble or a numeric table loads _floattext: not audit, and
-    not the sweeps, whose tables of records keep the Python formatter."""
+    state, an ensemble or a table loads _floattext (not audit), and only
+    audit loads the load side of io, _reader."""
     state = str(tmp_path / "s.json")
     units = UnitSystem()
     fio.save_state(state, build_state(GaussianPacket(), GridSpec(-12.0, 12.0, 256), units), units)
@@ -78,9 +78,11 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         "import fluctlab": (["-c", "import fluctlab"], set()),
         "state": ([*cli, "state", "--gaussian", "--grid=-12:12:256", "--out", str(tmp_path / "t.json")],
                   {"errors", "io", "_turns", "units", "states", "_kernels", "_floattext"}),
-        "audit": ([*cli, "audit", "--in", state], {"errors", "io", "_turns", "units", "states", "_kernels", "audit"}),
+        "audit": ([*cli, "audit", "--in", state],
+                  {"errors", "io", "_turns", "units", "states", "_kernels", "audit", "_reader"}),
         "scenario eigensweep": ([*cli, "scenario", "eigensweep", "--n-max", "2", "--grid=-12:12:64"],
-                                {"errors", "io", "_turns", "units", "states", "_kernels", "audit", "scenarios"}),
+                                {"errors", "io", "_turns", "units", "states", "_kernels", "audit", "scenarios",
+                                 "_floattext"}),
         "density eval": ([*cli, "density", "eval", "--var-x", "1", "--var-p", "1", "--x", "0", "--p", "0"],
                          {"errors", "io", "_turns", "units", "audit", "density", "_kernels"}),
     }

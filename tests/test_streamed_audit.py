@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from fluctlab import _turns, cli
+from fluctlab import _reader, _turns, cli
 from fluctlab import io as fio
 from fluctlab.audit import audit_report
 from fluctlab.states import GaussianPacket, GridSpec, UnitSystem, build_state, thermal_ensemble
@@ -112,7 +112,7 @@ def test_audit_gives_what_a_whole_file_load_then_audit_report_gives(case, twin, 
         handle.write(CORPUS[case])
     if twin:
         monkeypatch.setattr(_turns.os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(fio, "_FORK_BYTES", 0)
+        monkeypatch.setattr(_reader, "_FORK_BYTES", 0)
     else:
         monkeypatch.setattr(_turns, "second_cpu", lambda: False)
     outcomes = {}
@@ -121,7 +121,7 @@ def test_audit_gives_what_a_whole_file_load_then_audit_report_gives(case, twin, 
         streamed = cli.run(argv), *capsys.readouterr()
         with monkeypatch.context() as whole:
             whole.setattr(cli, "_cmd_audit", _whole_file_audit)
-            whole.setattr(fio._Window, "document", _refused)
+            whole.setattr(_reader._Window, "document", _refused)
             expected = cli.run(argv), *capsys.readouterr()
         assert streamed == expected, (name, streamed, expected)
         outcomes[name] = streamed
