@@ -14,10 +14,21 @@ side's median wall time, median peak RSS and median minor faults, and in how
 many pairs the second tree was lower on each.
 
     python scripts/fresh_pairs.py BEFORE AFTER [--runs N] -- ARGV...
+    python scripts/fresh_pairs.py BEFORE AFTER [--runs N] --workload NAME [--seed S]
 
 for example, from a copy of the parent commit and this tree:
 
     python scripts/fresh_pairs.py ../parent . --runs 10 -- audit --in ens.json
+    python scripts/fresh_pairs.py ../parent . --runs 10 --workload bulk_csv --seed 7
+
+With --workload, every command of perfbench/workloads.py's plan for that
+workload and seed runs so, pair k running each command once in the plan's
+order, writing into a temporary directory; a plan with input files to make
+first is refused.  The report gives each command's lines, then the
+workload's: each side's summed median wall time and highest median peak
+RSS over its commands, combined as perfbench combines its end-to-end
+wall_s and peak_rss_mb (without its reference normalisation), and in how
+many pairs the second tree's summed wall time and highest peak were lower.
 
 A run that exits with another code than the first run of its side is
 reported, and the script exits 1; each side's median is still printed.
@@ -26,12 +37,16 @@ reported, and the script exits 1; each side's median is still printed.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def fresh_run(tree: Path, argv) -> tuple:
@@ -46,16 +61,12 @@ def fresh_run(tree: Path, argv) -> tuple:
     return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt, process.returncode  # ru_maxrss counts KiB on Linux
 
 
-def pairs(trees, argv, runs: int) -> list:
-    """runs pairs of fresh_run, one a tree, the first tree first in even pairs."""
-    results = []
-    for k in range(runs):
-        order = (0, 1) if k % 2 == 0 else (1, 0)
-        pair = [None, None]
-        for side in order:
-            pair[side] = fresh_run(trees[side], argv)
-        results.append(pair)
-    return results
+def one_pair(trees, argv, k: int) -> list:
+    """fresh_run of argv from each tree, the first tree first when k is even."""
+    pair = [None, None]
+    for side in (0, 1) if k % 2 == 0 else (1, 0):
+        pair[side] = fresh_run(trees[side], argv)
+    return pair
 
 
 def report(results) -> tuple:
@@ -76,18 +87,68 @@ def report(results) -> tuple:
     return lines, same_codes
 
 
+def combined(per_command) -> list:
+    """The workload's lines from each command's pairs (all of one count):
+    each side's summed median wall time and highest median peak RSS."""
+    lines = []
+    for side, name in enumerate(("before", "after")):
+        walls = [statistics.median(pair[side][0] for pair in results) for results in per_command.values()]
+        peaks = [statistics.median(pair[side][1] for pair in results) for results in per_command.values()]
+        lines.append(f"workload {name}: wall_s {sum(walls):.4f}, peak_rss_mb {max(peaks):.2f}")
+    pairs = list(zip(*per_command.values()))  # pair k of every command
+    n = len(pairs)
+    lower_wall = sum(sum(p[1][0] for p in pair) < sum(p[0][0] for p in pair) for pair in pairs)
+    lower_rss = sum(max(p[1][1] for p in pair) < max(p[0][1] for p in pair) for pair in pairs)
+    lines.append(f"workload after lower: wall_s in {lower_wall} of {n}, peak_rss_mb in {lower_rss} of {n}")
+    return lines
+
+
+def workload_commands(name: str, seed: int, workdir: str) -> dict:
+    """The argv of each command of perfbench's plan for a workload and seed, by command id."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules["workloads"] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    if name not in workloads.WORKLOADS:
+        raise ValueError(f"no workload {name!r}; there are {', '.join(workloads.WORKLOADS)}")
+    plan = workloads.plan(name, seed, workdir)
+    if plan.inputs:
+        raise ValueError(f"workload {name} makes input files first ({len(plan.inputs)}), which this script does not")
+    return {command.id: command.argv for command in plan.commands}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], epilog="then --, and the fluctlab arguments")
     parser.add_argument("before", type=Path, help="the first source tree (its src/ holds fluctlab)")
     parser.add_argument("after", type=Path, help="the second source tree")
     parser.add_argument("--runs", type=int, default=10, help="pairs to run (default 10)")
+    parser.add_argument("--workload", help="run every command of this perfbench workload instead of one command")
+    parser.add_argument("--seed", type=int, default=1, help="the workload's seed (default 1)")
     argv = sys.argv[1:] if argv is None else list(argv)
     split = argv.index("--") if "--" in argv else len(argv)
     args, command = parser.parse_args(argv[:split]), argv[split + 1 :]
-    if not command or args.runs < 1:
-        parser.error("need --runs >= 1 and a fluctlab command after --")
-    lines, same_codes = report(pairs((args.before.resolve(), args.after.resolve()), command, args.runs))
-    print("\n".join(lines))
+    if args.runs < 1 or bool(command) == bool(args.workload):
+        parser.error("need --runs >= 1 and either a fluctlab command after -- or --workload")
+    trees = (args.before.resolve(), args.after.resolve())
+    if not args.workload:
+        lines, same_codes = report([one_pair(trees, command, k) for k in range(args.runs)])
+        print("\n".join(lines))
+        return 0 if same_codes else 1
+    with tempfile.TemporaryDirectory() as workdir:
+        try:
+            commands = workload_commands(args.workload, args.seed, workdir)
+        except ValueError as error:
+            parser.error(f"--workload: {error}")
+        per_command = {name: [] for name in commands}  # pair k runs every command once, in the plan's order
+        for k in range(args.runs):
+            for name, command in commands.items():
+                per_command[name].append(one_pair(trees, command, k))
+    same_codes = True
+    for name, results in per_command.items():
+        lines, same = report(results)
+        same_codes &= same
+        print("\n".join([f"{name}:", *lines]))
+    print("\n".join(combined(per_command)))
     return 0 if same_codes else 1
 
 

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fluctlab import _floattext, _turns
+from fluctlab import _cells, _floattext, _turns
 from fluctlab import io as fio
 from fluctlab.density import FluctuationParams
 from fluctlab.errors import GridMismatch
@@ -57,8 +57,10 @@ def test_floats_are_reprs_bytes():
 def test_integers_are_strs_bytes():
     values = np.array([0, 1, -1, 9, 10, -10, 99, 100, 10**18, -(2**63), 2**63 - 1], dtype=np.int64)
     for column in (values, np.array([0, 2**64 - 1, 10**19], dtype=np.uint64), np.arange(-3, 3, dtype=np.int32)):
-        cells = _floattext.int_cells(column)
-        assert [bytes(row[row != 0]).decode() for row in cells] == list(map(str, column.tolist()))
+        words, ends = _floattext.int_cells(column)
+        cells = np.ascontiguousarray(words.T).view(np.uint8)  # a row of bytes a cell: the text, then zeros
+        assert [bytes(row[:end]).decode() for row, end in zip(cells, ends)] == list(map(str, column.tolist()))
+        assert not any(row[end:].any() for row, end in zip(cells, ends))
 
 
 def _python_text(fields, blocks, form="csv") -> str:
@@ -207,15 +209,24 @@ def test_a_scan_formats_each_p_value_once(tmp_path, monkeypatch, same_text, n_x,
 
 @pytest.mark.parametrize("n", [B, 2 * B])
 def test_the_formatters_working_set_per_value(monkeypatch, peak_bytes, n):
-    """The tracemalloc peak of one block, its kept buffer included: 145.4 B
-    a value for float_cells and 151.3 for a two-column csv_lines at 4096
-    values (142.8 and 150.9 at 8192), with an allowance of about 8% over
-    them.  The kernel before held 157.3 and 165.4, without kept buffers."""
+    """The tracemalloc peak of one block a float value, its kept words
+    included: 88.2 B for float_cells and 95.6 for a two-column table_lines
+    at 4096 values (87.2 and 95.3 at 8192), and for a walk-shaped block (a
+    range and three float columns, n / 2 rows) 87.3 in CSV and 103.9 in JSON
+    (84.6 and 103.9), each with an allowance of about 8%.  The kernel before,
+    with its padded line buffer, held 145.4, 151.3, 144.5 and 162.6."""
     rng = np.random.default_rng(n)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     values[::97] = 0.0  # zero, inf and nan rows take a path of their own
     columns = [values[: n // 2], values[n // 2 :]]
-    for action, bound in ((lambda: _floattext.float_cells(values, "csv"), 156),
-                          (lambda: _floattext.table_lines(columns, ["", ",", "\n"], "csv"), 163)):
-        monkeypatch.setattr(_floattext, "_KEPT", np.empty(0, np.uint64))
-        assert peak_bytes(action, warm_up=False) / n < bound
+    rows = n // 2
+    walk = [range(rows), rng.random(rows), rng.random(rows) + 0.5,
+            rng.random(rows) * 10.0 ** rng.integers(-12, 0, rows)]
+    walk_texts = {"csv": ["", ",", ",", ",", "\n"],
+                  "json": [', {"step": ', ', "product": ', ', "bound": ', ', "distance_to_bound": ', "}"]}
+    for action, count, bound in ((lambda: _floattext.float_cells(values, "csv"), n, 96),
+                                 (lambda: _floattext.table_lines(columns, ["", ",", "\n"], "csv"), n, 104),
+                                 (lambda: _floattext.table_lines(walk, walk_texts["csv"], "csv"), 3 * rows, 95),
+                                 (lambda: _floattext.table_lines(walk, walk_texts["json"], "json"), 3 * rows, 113)):
+        monkeypatch.setattr(_cells, "_KEPT", np.empty(0, np.uint64))
+        assert peak_bytes(action, warm_up=False) / count < bound
