@@ -23,12 +23,15 @@ for example, from a copy of the parent commit and this tree:
 
 With --workload, every command of perfbench/workloads.py's plan for that
 workload and seed runs so, pair k running each command once in the plan's
-order, writing into a temporary directory; a plan with input files to make
-first is refused.  The report gives each command's lines, then the
-workload's: each side's summed median wall time and highest median peak
-RSS over its commands, combined as perfbench combines its end-to-end
-wall_s and peak_rss_mb (without its reference normalisation), and in how
-many pairs the second tree's summed wall time and highest peak were lower.
+order, writing into a temporary directory.  A plan's input files (the
+ensembles that state_files audits) are made once, before the first pair, by
+`perfbench/helper.py prepare` in a process that runs the first tree's
+fluctlab, so both trees read the same files.  The report gives each
+command's lines, then the workload's: each side's summed median wall time
+and highest median peak RSS over its commands, combined as perfbench
+combines its end-to-end wall_s and peak_rss_mb (without its reference
+normalisation), and in how many pairs the second tree's summed wall time
+and highest peak were lower.
 
 A run that exits with another code than the first run of its side is
 reported, and the script exits 1; each side's median is still printed.
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import os
 import statistics
 import subprocess
@@ -103,8 +107,10 @@ def combined(per_command) -> list:
     return lines
 
 
-def workload_commands(name: str, seed: int, workdir: str) -> dict:
-    """The argv of each command of perfbench's plan for a workload and seed, by command id."""
+def workload_commands(name: str, seed: int, workdir: str, tree: Path) -> dict:
+    """The argv of each command of perfbench's plan for a workload and seed,
+    by command id, once the plan's input files are made in workdir by tree's
+    fluctlab."""
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules["workloads"] = workloads  # dataclasses look their module up
@@ -113,8 +119,21 @@ def workload_commands(name: str, seed: int, workdir: str) -> dict:
         raise ValueError(f"no workload {name!r}; there are {', '.join(workloads.WORKLOADS)}")
     plan = workloads.plan(name, seed, workdir)
     if plan.inputs:
-        raise ValueError(f"workload {name} makes input files first ({len(plan.inputs)}), which this script does not")
+        make_inputs(tree, plan.inputs, workdir)
     return {command.id: command.argv for command in plan.commands}
+
+
+def make_inputs(tree: Path, inputs, workdir: str) -> None:
+    """Write a plan's input files with perfbench/helper.py prepare, run by tree's fluctlab."""
+    spec = os.path.join(workdir, "inputs.json")
+    with open(spec, "w") as handle:
+        json.dump(list(inputs), handle)
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "helper.py"), "prepare", spec],
+                          env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if done.returncode:
+        raise ValueError(f"perfbench/helper.py prepare with {tree / 'src'} exited {done.returncode}: "
+                         f"{(done.stderr.strip().splitlines() or [''])[-1]}")
 
 
 def main(argv=None) -> int:
@@ -136,7 +155,7 @@ def main(argv=None) -> int:
         return 0 if same_codes else 1
     with tempfile.TemporaryDirectory() as workdir:
         try:
-            commands = workload_commands(args.workload, args.seed, workdir)
+            commands = workload_commands(args.workload, args.seed, workdir, trees[0])
         except ValueError as error:
             parser.error(f"--workload: {error}")
         per_command = {name: [] for name in commands}  # pair k runs every command once, in the plan's order

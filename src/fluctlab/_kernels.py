@@ -1,5 +1,6 @@
-"""The three vectorized numpy kernels: the Hermite-basis recurrence and the
-two density mesh scans.
+"""The vectorized numpy kernels: the Hermite-basis recurrence and the two
+density mesh scans, each scan over any block of its mesh (a slice of each
+axis), so that a cell has the same bits whichever block makes it.
 
 numpy is the only backend.  The kernels stay in their own module, and their
 callers look them up as module attributes (_kernels.name(...)), so a
@@ -32,19 +33,31 @@ def hermite_basis(xi, n_max):
         yield row
 
 
-def reduced_scan(xs, ps, mean_x, mean_p, rate, pref):
-    """Mesh of pref * exp(-rate * |dx*dp|); rows follow xs, columns ps."""
-    dx, dp = xs - mean_x, ps - mean_p
+def reduced_scan(dx, dp, rate, pref):
+    """Mesh of pref * exp(-rate * |dx*dp|) over the separations dx (rows) and
+    dp (columns), made in one array."""
     with np.errstate(over="ignore"):  # an overflow here is +inf, and exp(-inf) is exactly 0
-        values = pref * np.exp(-rate * np.abs(np.outer(dx, dp)))
+        values = np.outer(dx, dp)
+        np.abs(values, out=values)
+        values *= -rate
+        np.exp(values, out=values)
+        values *= pref
         return _refold(values, pref, lambda i, j: -rate * np.abs(dx[i] * dp[j]))
 
 
-def gauss_scan(xs, ps, mean_x, mean_p, var_x, var_p, pref):
-    """Mesh of the factorized Gaussian density; rows follow xs, columns ps."""
-    ex, ep = _gauss_exponent(xs, mean_x, var_x), _gauss_exponent(ps, mean_p, var_p)
-    values = pref * np.outer(np.exp(ex), np.exp(ep))
+def gauss_scan(x_factor, p_factor, pref):
+    """Mesh of the factorized Gaussian density from each axis's gauss_axis;
+    rows follow the x axis, columns the p axis."""
+    (ex, fx), (ep, fp) = x_factor, p_factor
+    values = np.outer(fx, fp)
+    values *= pref
     return _refold(values, pref, lambda i, j: ex[i] + ep[j])
+
+
+def gauss_axis(axis, mean, var):
+    """An axis's factor of gauss_scan: its exponents -0.5*(axis-mean)**2/var and their exps."""
+    exponent = _gauss_exponent(axis, mean, var)
+    return exponent, np.exp(exponent)
 
 
 def _refold(values, pref, exponent_at):

@@ -127,15 +127,16 @@ def _params_from_flags(args, units: UnitSystem) -> FluctuationParams:
 # --- handlers ----------------------------------------------------------------
 
 def _formatter_first() -> None:
-    """Compile the formatter before a command that makes its rows as it
-    writes them (sample, walk) imports or makes anything else.  Where
-    bytecode is not cached, compiling holds about 1 MB for a moment; at the
-    first block, where io imports the formatter, that came on top of the
-    command's own memory and set its peak RSS (fresh 250k-draw samples and
-    50k-step walks peak about 0.3 MB lower this way).  A command that
-    computes everything before it writes (state, a scan, the sweeps) peaked
-    higher this way, by up to 1.3 MB, so it compiles the formatter at its
-    first block."""
+    """Compile the formatter first in a command that makes its rows as it
+    writes them (a sample, a walk, a scan), once its sizes are admitted and
+    before it imports or makes anything else.  Where bytecode is not cached,
+    compiling holds about 1 MB for a moment; at the first block, where io
+    imports the formatter, that came on top of the command's own memory and
+    set its peak RSS (fresh 250k-draw samples and 50k-step walks peak about
+    0.35 MB lower this way; 501x501 scans, whose peaks are 2 MB lower than
+    theirs, move by less than 0.1 MB).  A command that computes everything
+    before it writes (state, the sweeps) peaked higher this way, by up to
+    1.3 MB, so it compiles the formatter at its first block."""
     from . import _floattext  # noqa: F401
 
 
@@ -203,7 +204,7 @@ def _cmd_audit(args) -> int:
 def _cmd_density_eval(args) -> int:
     import numpy as np
 
-    from .density import PhasePoint, density_grid, reduced_grid
+    from .density import PhasePoint, density_mesh, reduced_mesh
 
     units = _resolve_units(args)
     scan = bool(args.scan_x or args.scan_p or args.out)  # --out asks for a scan too
@@ -215,6 +216,7 @@ def _cmd_density_eval(args) -> int:
         _admit_rows(x_axis[2] * p_axis[2], "scan")
         for lo, hi, n in (x_axis, p_axis):  # np.linspace's last point before it is set to MAX
             require_finite("axis end MIN + (N-1)*((MAX-MIN)/(N-1))", lo + (n - 1) * ((hi - lo) / (n - 1)))
+        _formatter_first()
         xs = np.linspace(*x_axis)
         ps = np.linspace(*p_axis)
     else:  # a point is the one-cell scan
@@ -222,24 +224,24 @@ def _cmd_density_eval(args) -> int:
             raise InvalidRecipe("point mode needs --x and --p")
         pt = PhasePoint(args.x, args.p)
         xs, ps = np.array([pt.x]), np.array([pt.p])
-    if args.reduced:
-        values = reduced_grid(args.mean_x, args.mean_p, units, xs, ps)
+    if args.reduced:  # the whole axes are admitted here; write_scan_csv makes the mesh a block at a time
+        mesh = reduced_mesh(args.mean_x, args.mean_p, units, xs, ps)
     else:
-        values = density_grid(_params_from_flags(args, units), xs, ps)
+        mesh = density_mesh(_params_from_flags(args, units), xs, ps)
     if not scan:
-        print(f"f={_fmt6(values[0, 0])}")
+        print(f"f={_fmt6(mesh(slice(None), slice(None))[0, 0])}")
         return 0
-    io.write_scan_csv(args.out, xs, ps, values)
+    io.write_scan_csv(args.out, xs, ps, mesh)
     print(f"wrote {args.out} ({xs.size * ps.size} rows)")
     return 0
 
 
 def _cmd_density_sample(args) -> int:
+    units = _resolve_units(args)
+    _admit_rows(args.count, "sample")
     _formatter_first()
     from .density import sample_blocks
 
-    units = _resolve_units(args)
-    _admit_rows(args.count, "sample")
     draws = sample_blocks(_params_from_flags(args, units), args.count, args.seed)
     return _emit_rows(args, io.Table(("x", "p"), (block.T for block in draws), "csv"), f"{args.count} draws")
 
@@ -322,11 +324,11 @@ def _cmd_scenario_thermalsweep(args) -> int:
 
 
 def _cmd_scenario_walk(args) -> int:
+    units = _resolve_units(args)
+    _admit_rows(args.steps + 1, "walk")
     _formatter_first()
     from .scenarios import WalkTrace, walk_blocks
 
-    units = _resolve_units(args)
-    _admit_rows(args.steps + 1, "walk")
     blocks = walk_blocks(_params_from_flags(args, units), args.steps, args.step_size, args.seed)
     table = io.Table(WalkTrace._fields, blocks, args.format)
     return _emit_rows(args, table, f"{args.steps + 1} rows")
@@ -485,7 +487,19 @@ def main() -> None:
     interpreter then reports as it flushes again, exiting 120; and an
     installed profiler or tracer (cProfile, coverage, pdb), whose report is
     printed at that exit.
+
+    A command process loads no OpenSSL.  numpy.random imports the stdlib's
+    secrets, whose hmac and hashlib import _hashlib, and that maps
+    libcrypto: about 3.4 MB of resident memory in a seeded sample or walk,
+    which computes no hash.  So, unless something has already imported it,
+    main puts None under sys.modules["_hashlib"] before run(), and hashlib
+    and hmac take the fallbacks that CPython keeps for builds without
+    OpenSSL: its builtin digests (_sha512, _sha256, ...) and os.urandom.
+    Where this Python lacks one of those digests, main leaves _hashlib as it
+    is.  import fluctlab, run() and the rest of the library leave
+    sys.modules alone.
     """
+    _without_openssl()
     caught = [s for s in (signal.SIGTERM, signal.SIGHUP) if signal.getsignal(s) == signal.SIG_DFL]
     for signum in caught:
         signal.signal(signum, _raise_signalled)
@@ -509,6 +523,19 @@ def main() -> None:
         else:
             os._exit(code)
     sys.exit(code)
+
+
+_DIGESTS = ("_md5", "_sha1", "_blake2", "_sha3",
+            *(("_sha256", "_sha512") if sys.version_info < (3, 12) else ("_sha2",)))
+"""The builtin digest modules that hashlib falls back on, all of them, when _hashlib cannot be imported."""
+
+
+def _without_openssl() -> None:
+    """Keep hashlib, hmac and secrets from loading OpenSSL (see main)."""
+    from importlib.util import find_spec  # loaded with site already
+
+    if "_hashlib" not in sys.modules and all(find_spec(name) is not None for name in _DIGESTS):
+        sys.modules["_hashlib"] = None
 
 
 def _watched() -> bool:

@@ -296,28 +296,46 @@ def reduced_box_integral(
 
 
 def density_grid(params: FluctuationParams, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Density values on the outer product of xs and ps (rows follow xs)."""
-    return _kernels.gauss_scan(
-        np.ascontiguousarray(xs, dtype=float),
-        np.ascontiguousarray(ps, dtype=float),
-        params.mean_x,
-        params.mean_p,
-        params.var_x,
-        params.var_p,
-        peak_value(params),
-    )
+    """Density values on the outer product of xs and ps (rows follow xs): the
+    one block of density_mesh over the whole axes."""
+    return density_mesh(params, xs, ps)(slice(None), slice(None))
+
+
+def density_mesh(params: FluctuationParams, xs, ps):
+    """density_grid's mesh as a function of a row slice and a column slice
+    that makes that block of it, each cell by the same operations, so with
+    the same bits.  The peak is admitted, and the p axis's factor made,
+    here, once."""
+    xs, ps = _axes(xs, ps)
+    p_factor = _kernels.gauss_axis(ps, params.mean_p, params.var_p)
+    pref = peak_value(params)
+
+    return lambda rows, columns: _kernels.gauss_scan(
+        _kernels.gauss_axis(xs[rows], params.mean_x, params.var_x), [f[columns] for f in p_factor], pref)
 
 
 def reduced_grid(
     mean_x: float, mean_p: float, units: UnitSystem, xs: np.ndarray, ps: np.ndarray
 ) -> np.ndarray:
     """Reduced-density values on the outer product of xs and ps (an empty axis gives the
-    empty mesh).  The separations and the rate 4*pi/h must be finite: an infinite rate
-    times a zero product is NaN."""
-    xs = np.ascontiguousarray(xs, dtype=float)
-    ps = np.ascontiguousarray(ps, dtype=float)
+    empty mesh): the one block of reduced_mesh over the whole axes."""
+    return reduced_mesh(mean_x, mean_p, units, xs, ps)(slice(None), slice(None))
+
+
+def reduced_mesh(mean_x: float, mean_p: float, units: UnitSystem, xs, ps):
+    """reduced_grid's mesh as density_mesh gives density_grid's.  The
+    separations at the axes' ends and the rate 4*pi/h are admitted here, on
+    the whole axes, and must be finite: an infinite rate times a zero
+    product is NaN."""
+    xs, ps = _axes(xs, ps)
     rate = 4.0 * math.pi / units.h
     ends = [float(end) - mean for axis, mean in ((xs, mean_x), (ps, mean_p)) if axis.size
             for end in (axis.min(), axis.max())]
     require_finite("separations and rate 4*pi/h", *ends, rate)
-    return _kernels.reduced_scan(xs, ps, mean_x, mean_p, rate, 2.0 / units.h)
+    dp, pref = ps - mean_p, 2.0 / units.h
+    return lambda rows, columns: _kernels.reduced_scan(xs[rows] - mean_x, dp[columns], rate, pref)
+
+
+def _axes(xs, ps) -> tuple:
+    return np.ascontiguousarray(xs, dtype=float), np.ascontiguousarray(ps, dtype=float)
+

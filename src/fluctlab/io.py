@@ -16,9 +16,9 @@ Tables, documents and loads are each one _turns._shared loop, and each
 keeps one rule: an item is raw data that both processes can replay, and
 only the function that makes an item's value makes Python objects of it.
 A table's block holds the arrays its source made (the draws, the walk's
-products and gaps, a scan's x and p values and the mesh's values), and
-_block_text alone turns them into text, in the process that formats the
-block; a document's block is a slice of an amplitude array, which
+products and gaps, a scan's x and p values and the function that makes the
+mesh's values for them), and _block_text alone turns them into text, in
+the process that formats the block; a document's block is a slice of an amplitude array, which
 _values_text formats.  A load's item is where one value lies in the file
 (see _reader._Window).
 
@@ -48,7 +48,9 @@ print that warning.
 MAX_ROWS = 2**27 rows (1 GiB of float64 values) is the one size limit of
 the command line: it refuses a scan, a sample, a walk (steps + 1 rows) or
 a --grid of levels x N values above it with exit code 2 before allocating
-anything.  It bounds a count, not memory: building and measuring a state
+anything.  It bounds a count, not memory: a scan, a sample or a walk holds
+one block whatever its rows (a scan's mesh is made a block at a time, by
+the process that formats the block), and building and measuring a state
 takes several times its values (see the README).  The sweeps hold one level
 at a time, so their memory grows with N, not levels x N.
 Every output is written to a temp file beside the real target (a symlink's
@@ -284,9 +286,11 @@ def _block_text(texts, form: str, k: int, block) -> str:
     CSV lines, or the rows as json.dumps writes them between a list's
     brackets, after ", " unless k is 0.  A scan's block (see _scan_blocks) is
     a mesh: its x values, its p values and their (x, p) values, a row for
-    each pair."""
+    each pair, made here from the function that _scan_blocks gives."""
     from . import _floattext
 
+    if callable(block[-1]):
+        block = (*block[:-1], block[-1]())
     return _floattext.table_lines(block, texts, form)[0 if k or form == "csv" else 2 :]
 
 
@@ -306,13 +310,18 @@ def write_samples_csv(path: str, blocks) -> None:
 def _scan_blocks(xs, ps, values):
     """The mesh in blocks of at most BLOCK_ROWS (x, p) rows: whole x-rows, or
     slices of one x-row when a row is longer than a block, each block its x
-    values, its p values and their (x, p) values, so that each axis value
-    is formatted once a block.  Values whose shape, or whose block's shape,
-    differs from the axes' raise GridMismatch."""
+    values, its p values and a function that gives their (x, p) values, so
+    that each axis value is formatted once a block and each block's values
+    are made by the process that formats it (see _block_text).  values is
+    the mesh (an array, or anything that values[rows, columns] slices), or
+    a function values(rows, columns) that makes that block of it.  Values
+    whose shape, or whose block's shape, differs from the axes' raise
+    GridMismatch, a block's where it is made."""
     xs, ps = (np.asarray(axis, dtype=float) for axis in (xs, ps))
     shape = (len(xs), len(ps))
     if getattr(values, "shape", shape) != shape:
         raise GridMismatch(f"scan values have shape {values.shape}, not the axes' {shape}")
+    block_values = values if callable(values) else lambda rows, columns: values[rows, columns]
     p_step = min(len(ps), BLOCK_ROWS) or 1
     x_step = BLOCK_ROWS // p_step
     for i in range(0, len(xs), x_step):
@@ -321,15 +330,21 @@ def _scan_blocks(xs, ps, values):
             # a last block's slice runs to the mesh's end, so rows or columns past the axes show in its shape
             rows = slice(i, i + x_step if i + x_step < shape[0] else None)
             columns = slice(j, j + p_step if j + p_step < shape[1] else None)
-            f = np.asarray(values[rows, columns], dtype=float)
-            block_shape = (len(x_block), len(p_block))
-            if f.shape != block_shape:
-                raise GridMismatch(f"scan values block at [{i}, {j}] has shape {f.shape}, not {block_shape}")
-            yield x_block, p_block, f
+            yield x_block, p_block, partial(_block_values, block_values, rows, columns, (len(x_block), len(p_block)))
+
+
+def _block_values(values, rows: slice, columns: slice, shape: tuple):
+    f = np.asarray(values(rows, columns), dtype=float)
+    if f.shape != shape:
+        raise GridMismatch(f"scan values block at [{rows.start}, {columns.start}] has shape {f.shape}, not {shape}")
+    return f
 
 
 def write_scan_csv(path: str, xs, ps, values) -> None:
-    """Mesh dump, one row per (x, p) pair, rows following xs then ps."""
+    """Mesh dump, one row per (x, p) pair, rows following xs then ps; values
+    is the mesh, or a function of a row slice and a column slice that makes
+    that block of it (density.density_mesh, say), so that a scan holds one
+    block of its mesh at a time."""
     atomic_write_text(path, Table(("x", "p", "f"), _scan_blocks(xs, ps, values), "csv"))
 
 

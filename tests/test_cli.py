@@ -402,7 +402,8 @@ def no_allocation(monkeypatch):
     def refuse(*args, **kwargs):
         raise _Allocated
 
-    for module, name in ((density, "density_grid"), (density, "reduced_grid"), (density, "sample_blocks"),
+    for module, name in ((density, "density_grid"), (density, "reduced_grid"), (density, "density_mesh"),
+                         (density, "reduced_mesh"), (density, "sample_blocks"),
                          (states, "build_state"), (scenarios, "eigenstate_sweep"), (scenarios, "thermal_sweep"),
                          (scenarios, "walk_blocks")):
         monkeypatch.setattr(module, name, refuse)
@@ -421,6 +422,18 @@ def test_oversize_scan_exits_two_before_allocating(tmp_path, capsys, no_allocati
     assert not out.exists()
     with pytest.raises(_Allocated):                 # 2**13 x 2**14 cells, the limit itself
         run([*args, "--scan-x", "-3:3:8192", "--scan-p", "-2:2:16384"])
+
+
+def test_a_reduced_scan_is_admitted_on_its_whole_axes_before_its_first_block(tmp_path, capsys):
+    """Its x separations overflow only from row 2345 on, in the second block
+    of 2048 rows: the scan is refused with the whole axes' message, before
+    any block is made, and leaves no file."""
+    out = tmp_path / "scan.csv"
+    assert run(["density", "eval", "--reduced", "--mean-x=-1e308", "--scan-x=0:1.7e308:5000", "--scan-p=-1:1:2",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: separations and rate 4*pi/h must be finite, "
+                                       "got 1e+308, inf, -1.0, 1.0, 2.0\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oversize_sample_exits_two_before_allocating(tmp_path, capsys, no_allocation):

@@ -3,7 +3,7 @@ workload's commands, run in fresh processes from two source trees, still
 runs: two pairs of `audit --in` of a tiny file, this tree against itself.
 Its report carries each side's median wall time, peak RSS and minor page
 faults, and for a workload their sum and highest as perfbench combines
-them."""
+them; a workload's input files are made first, by the first tree."""
 
 import importlib.util
 import os
@@ -66,8 +66,20 @@ def test_a_workload_sums_the_median_walls_and_takes_the_highest_median_peak():
     ]
 
 
-def test_a_workload_with_input_files_is_refused(tmp_path):
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "fresh_pairs.py"), str(ROOT), str(ROOT),
+def test_a_workload_with_input_files_makes_them_once_with_the_first_tree(tmp_path):
+    """state_files' two ensembles are made before its commands run, by
+    perfbench/helper.py prepare with the first tree's fluctlab: made from
+    this tree they load, and a first tree without fluctlab cannot make them."""
+    fresh_pairs = _fresh_pairs()
+    commands = fresh_pairs.workload_commands("state_files", 3, str(tmp_path), ROOT)
+    assert list(commands) == ["state_gaussian", "state_eigenstate", "state_coherent", "audit_gaussian",
+                              "audit_eigenstate", "audit_coherent", "audit_ensemble_1", "audit_ensemble_121"]
+    sizes = {fio.load_ensemble(commands[key][-1])[0].weights.size for key in ("audit_ensemble_1", "audit_ensemble_121")}
+    assert sizes == {1, 121}
+    empty = tmp_path / "no-tree"
+    (empty / "src").mkdir(parents=True)
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "fresh_pairs.py"), str(empty), str(ROOT),
                            "--workload", "state_files"], capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
-    assert "workload state_files makes input files first (2), which this script does not" in done.stderr
+    assert f"--workload: perfbench/helper.py prepare with {empty / 'src'} exited 1: " in done.stderr
+    assert "No module named 'fluctlab'" in done.stderr

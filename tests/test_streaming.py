@@ -4,6 +4,7 @@ formulas bit for bit and their memory against the row count; and every table
 formulas byte for byte."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -197,16 +198,23 @@ def test_sample_output_matches_the_row_formula(tmp_path, capsys, same_text, coun
     assert capsys.readouterr().out == f"wrote {out} ({count} draws)\n"
 
 
+def _scan(*flags):
+    """A scan's command line for about rows cells: a square mesh of isqrt(rows) points an axis."""
+    return lambda rows: ["density", "eval", *flags, f"--scan-x=-3:3:{math.isqrt(rows)}",
+                         f"--scan-p=-2:2:{math.isqrt(rows)}"]
+
+
 @pytest.mark.parametrize(
-    "command, size",
-    [([*WALK_ARGS, "--steps"], lambda rows: rows - 1), ([*SAMPLE_ARGS, "--count"], lambda rows: rows)],
-    ids=["walk", "sample"],
+    "command",
+    [lambda rows: [*WALK_ARGS, "--steps", str(rows - 1)], lambda rows: [*SAMPLE_ARGS, "--count", str(rows)],
+     _scan("--var-x=1.0", "--var-p=0.25"), _scan("--reduced", "--mean-x=0.25")],
+    ids=["walk", "sample", "scan", "reduced-scan"],
 )
-def test_cli_memory_does_not_grow_with_rows(tmp_path, capsys, peak_bytes, command, size):
+def test_cli_memory_does_not_grow_with_rows(tmp_path, capsys, peak_bytes, command):
+    """20 000 rows against 200 000 (a scan: 141 x 141 against 447 x 447): a
+    scan makes its mesh a block at a time, as the walk and the sampler make
+    their rows."""
     out = str(tmp_path / "out.csv")
-    few, many = (
-        peak_bytes(lambda: run([*command, str(size(rows)), "--out", out]))
-        for rows in (20_000, 200_000)
-    )
+    few, many = (peak_bytes(lambda: run([*command(rows), "--out", out])) for rows in (20_000, 200_000))
     capsys.readouterr()
     assert many <= 1.25 * few, (few, many)
